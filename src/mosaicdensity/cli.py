@@ -121,7 +121,7 @@ def cmd_wm(args: argparse.Namespace) -> int:
     }
     if args.sweep:
         _note(f"sweeping {args.sweep} random type-4 bodies")
-        rep = weights.type4_sweep(m, args.sweep, seed=args.seed, jobs=args.jobs)
+        rep = weights.type4_sweep(m, args.sweep, seed=args.seed)
         outputs["sweep"] = {
             "samples": rep.samples,
             "min_observed": rep.min_observed,
@@ -174,17 +174,13 @@ def cmd_tile(args: argparse.Namespace) -> int:
         lat = tiling.lattice_from_parallelohedron(z)
         report = tiling.validate_tiling(z, lat, seed=args.seed)
         _note(f"lattice validated: covering fraction {report.covering_fraction:.8f}")
-        radii = args.series if args.series else [args.radius]
-        rows = [tiling.skeleton_density(z, lat, r, jobs=args.jobs) for r in radii]
+        rows = tiling.convergence_series(z, lat, args.series or [args.radius]).rows
     except ValueError as exc:  # covers geometry errors and RadiusTooSmall
         raise SystemExit(f"tiling failed: {exc}") from exc
     if args.csv:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["radius", "skeleton_length", "density", "target", "relative_error", "cells"])
-        for est in rows:
-            writer.writerow(
-                [est.radius, est.skeleton_length, est.density, est.target, est.relative_error, est.cells]
-            )
+        writer = csv.DictWriter(sys.stdout, fieldnames=list(_density_row(rows[0])))
+        writer.writeheader()
+        writer.writerows(_density_row(est) for est in rows)
         return 0 if rows[-1].relative_error <= 0.02 else 1
     residuals = [_residual("final_relative_error", rows[-1].relative_error, 0.02)]
     outputs = {
@@ -259,7 +255,7 @@ def _verify_tiling(args: argparse.Namespace) -> tuple[dict, list[dict]]:
         z = _canonical_shape(name)
         lat = tiling.lattice_from_parallelohedron(z)
         tiling.validate_tiling(z, lat, samples=200_000, seed=args.seed)
-        est = tiling.skeleton_density(z, lat, args.radius, jobs=args.jobs)
+        est = tiling.skeleton_density(z, lat, args.radius)
         _note(f"{name}: density {est.density:.6f} vs {est.target:.6f}")
         rows.append({"shape": name, **_density_row(est)})
         residuals.append(_residual(f"{name}_relative_error", est.relative_error, 0.02))
@@ -324,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="RNG seed for randomized routines")
-    common.add_argument("--jobs", type=int, default=1, help="worker threads for partitionable work")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(

@@ -4,16 +4,17 @@ A parallelohedron tiles space face to face by lattice translates.  This
 module finds a tiling lattice (doubled facet centers supply candidate
 vectors), validates it (no overlaps, no gaps, one cell per fundamental
 domain), and measures the total edge length of the tiling inside a large
-ball.  Each interior edge is shared by exactly 4 cells when its segment
-lies on a 4-belt and exactly 3 cells on a 6-belt, so the per-cell
-functional with weights (2, 1) divided by cell volume is the limit
-density; the simulator checks this convergence empirically.
+ball from edge orbits: the edges of one cell fall into classes of
+lattice translates, one class per orbit of tiling edges, and a class has
+one member per cell sharing the edge, 4 on a 4-belt and 3 on a 6-belt.
+So the per-cell functional with weights (2, 1) over cell volume is the
+limit density.  Cells strictly inside the ball add their edge lengths
+in closed form; only the shell of cells meeting the sphere is clipped.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -54,6 +55,28 @@ class RadiusTooSmall(ValueError):
     """Measurement ball not large enough relative to the cell."""
 
 
+def _lll_unimodular(basis: np.ndarray) -> np.ndarray:
+    """Integer U with det +-1 such that the rows of U @ basis are LLL-reduced (delta 3/4).
+
+    With (U @ basis).T = QR, Gram-Schmidt gives mu[k, j] = R[j, k] / R[j, j]
+    and |b*_k| = |R[k, k]|; subtracting rows of U subtracts columns of R.
+    """
+    u = np.eye(3, dtype=np.int64)
+    k = 1
+    while k < 3:
+        r = np.linalg.qr((u @ basis).T, mode="r")
+        for j in range(k - 1, -1, -1):  # size-reduce row k
+            q = np.rint(r[j, k] / r[j, j])
+            u[k] -= int(q) * u[j]
+            r[:, k] -= q * r[:, j]
+        if r[k, k] ** 2 + r[k - 1, k] ** 2 >= 0.75 * r[k - 1, k - 1] ** 2:
+            k += 1
+        else:
+            u[[k - 1, k]] = u[[k, k - 1]]
+            k = max(k - 1, 1)
+    return u
+
+
 @dataclass(frozen=True)
 class Lattice:
     """Three independent vectors, one per row."""
@@ -73,20 +96,25 @@ class Lattice:
         return abs(float(np.linalg.det(self.basis)))
 
     def points_in_ball(self, rmax: float) -> np.ndarray:
-        """All lattice vectors of norm at most rmax."""
-        binv = np.linalg.inv(self.basis)
+        """All lattice vectors of norm at most rmax.
+
+        Coefficients are enumerated over the reduced basis, whose box
+        stays close to the ball however skewed the stored basis is; each
+        point is then formed from the stored basis.
+        """
+        u = _lll_unimodular(self.basis)
+        binv = np.linalg.inv(u @ self.basis)
         # |c_i| <= |t| * ||column i of basis inverse|| for t = c @ basis
         lim = np.linalg.norm(binv, axis=0) * rmax
         axes = [np.arange(-math.floor(l) - 1, math.floor(l) + 2) for l in lim]
-        i, j, k = np.meshgrid(*axes, indexing="ij")
-        coeffs = np.stack([i.ravel(), j.ravel(), k.ravel()], axis=1)
-        t = coeffs @ self.basis
+        coeffs = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+        t = (coeffs @ u) @ self.basis
         return t[np.linalg.norm(t, axis=1) <= rmax]
 
 
 @dataclass(frozen=True)
 class WeightedEdge:
-    """A deduplicated tiling edge with its sharing weight 1/k."""
+    """One tiling edge, listed once, with its sharing weight 1/k."""
 
     endpoints: tuple[np.ndarray, np.ndarray]
     weight: float
@@ -225,104 +253,99 @@ def lattice_from_parallelohedron(z: Zonotope) -> Lattice:
     raise NoValidBasis("no facet-center triple yields a disjoint unit-index lattice")
 
 
-def _cell_edge_arrays(z: Zonotope) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-cell edge endpoints, segment labels, and sharing counts 3 or 4."""
-    e0 = z.vertices[z.edge_vertex_ids[:, 0]]
-    e1 = z.vertices[z.edge_vertex_ids[:, 1]]
-    belt = belts(z)
-    share = np.array(
-        [4 if belt[s] is BeltClass.FOUR else 3 for s in range(len(z.segments))]
-    )
-    return e0, e1, z.edge_segment, share
+@dataclass(frozen=True)
+class EdgeClasses:
+    """Cell edges oriented along their segments, in lattice-translation classes."""
+
+    start: np.ndarray  # (E, 3)
+    end: np.ndarray  # (E, 3)
+    share: np.ndarray  # (E,) sharing count k: 4 on a 4-belt, 3 on a 6-belt
+    members: tuple[tuple[int, ...], ...]  # edge ids of each class, ascending
+    reps: np.ndarray  # the first member of each class represents it
 
 
-def _quantized_keys(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
-    q = np.rint(np.hstack([a0, a1]) * 1e9).astype(np.int64)
-    return np.ascontiguousarray(q).view(np.dtype((np.void, 48))).ravel()
+def edge_classes(z: Zonotope, lat: Lattice) -> EdgeClasses:
+    """Split the cell edges into classes of lattice translates.
 
-
-def _instance_block(
-    t: np.ndarray, e0: np.ndarray, e1: np.ndarray, labels: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    p0 = (t[:, None, :] + e0[None]).reshape(-1, 3)
-    p1 = (t[:, None, :] + e1[None]).reshape(-1, 3)
-    lab = np.tile(labels, len(t))
-    swap = (p0[:, 0] > p1[:, 0]) | (
-        (p0[:, 0] == p1[:, 0])
-        & ((p0[:, 1] > p1[:, 1]) | ((p0[:, 1] == p1[:, 1]) & (p0[:, 2] > p1[:, 2])))
-    )
-    a0 = np.where(swap[:, None], p1, p0)
-    a1 = np.where(swap[:, None], p0, p1)
-    return a0, a1, lab, _quantized_keys(a0, a1)
-
-
-def _gather_edges(
-    z: Zonotope, lat: Lattice, rmax: float, jobs: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Deduplicated edges of all translates near the ball.
-
-    Returns endpoints of each unique edge, its observed multiplicity,
-    its expected sharing count, and the translate count.
+    Two edges are in one class when they carry the same segment label
+    and their start points differ by a lattice vector, i.e. by integer
+    coordinates under the basis (to within 1e-7).  In a face to face
+    lattice tiling the class of an edge lists its position in every cell
+    containing it, so each class size must equal the belt's sharing
+    count; a mismatch raises :class:`GeometryError`.
     """
-    e0, e1, labels, share = _cell_edge_arrays(z)
-    t = lat.points_in_ball(rmax)
-    jobs = max(1, min(jobs, len(t)))
-    if jobs == 1:
-        blocks = [_instance_block(t, e0, e1, labels)]
-    else:
-        parts = np.array_split(t, jobs)
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            blocks = list(
-                pool.map(lambda part: _instance_block(part, e0, e1, labels), parts)
-            )
-    a0 = np.concatenate([b[0] for b in blocks])
-    a1 = np.concatenate([b[1] for b in blocks])
-    lab = np.concatenate([b[2] for b in blocks])
-    keys = np.concatenate([b[3] for b in blocks])
-    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
-    return a0[first], a1[first], counts, share[lab[first]], np.array([len(t)])
+    labels = z.edge_segment
+    ends = z.vertices[z.edge_vertex_ids]  # (E, 2, 3)
+    dirs = np.array([s.direction for s in z.segments])[labels]
+    flip = ((ends[:, 1] - ends[:, 0]) * dirs).sum(axis=1) < 0
+    ends[flip] = ends[flip, ::-1]
+    start, end = ends[:, 0], ends[:, 1]
+    share = np.array([4 if b is BeltClass.FOUR else 3 for b in belts(z)])[labels]
+    frac = start @ np.linalg.inv(lat.basis)
+    d = frac[:, None] - frac[None]
+    same = (labels[:, None] == labels) & (np.abs(d - np.rint(d)) < 1e-7).all(axis=2)
+    members = tuple(sorted({tuple(np.flatnonzero(row).tolist()) for row in same}))
+    sizes = same.sum(axis=1)
+    if (sizes != share).any() or sum(map(len, members)) != len(labels):
+        bad = int(np.abs(sizes - share).max())
+        raise GeometryError(f"edge multiplicity off by {bad} in a lattice edge class")
+    return EdgeClasses(start, end, share, members, np.array([m[0] for m in members]))
 
 
-def skeleton_density(
-    z: Zonotope, lat: Lattice, radius: float, jobs: int = 1
-) -> DensityEstimate:
+_SHELL_CHUNK = 4096  # shell translates clipped per block
+
+
+def skeleton_density(z: Zonotope, lat: Lattice, radius: float) -> DensityEstimate:
     """Edge length of the tiling per unit ball volume at one radius.
 
-    Two independent totals are formed: unique edges clipped to the ball
-    and counted once, and per-cell edges weighted by 1/k with k the
-    ball-interior sharing count.  They must agree to 1e-9; a mismatch
-    would mean an edge is missing some of its cells.
+    Two totals are formed: each tiling edge counted once, through the
+    class representatives of every translate, and every cell edge
+    weighted by 1/k.  Cells strictly inside the ball add their full edge
+    lengths; only cells meeting the sphere are clipped.  The totals must
+    agree to 1e-9.
     """
-    if radius < 3.0 * z.diameter():
+    if not (math.isfinite(radius) and radius >= 3.0 * z.diameter()):
         raise RadiusTooSmall(
-            f"radius {radius} below 3x cell diameter {3.0 * z.diameter():.6g}"
+            f"radius must be finite and at least 3x cell diameter {3.0 * z.diameter():.6g}, "
+            f"got {radius}"
         )
-    a0, a1, counts, share, ncells = _gather_edges(z, lat, radius + z.circumradius(), jobs)
-    clip = _kernels.segment_ball_clip(a0, a1, radius)
-    total = math.fsum(clip.tolist())
-    weighted = math.fsum((clip * counts / share).tolist())
-    if abs(total - weighted) > 1e-9 * max(1.0, total):
+    cls = edge_classes(z, lat)
+    reps = cls.reps
+    circ = z.circumradius()
+    t = lat.points_in_ball(radius + circ)
+    inner = np.linalg.norm(t, axis=1) + circ < radius
+    shell = t[~inner]
+    lengths = np.linalg.norm(cls.end - cls.start, axis=1)
+    n_inner = int(inner.sum())
+    totals = [n_inner * math.fsum(lengths[reps].tolist())]
+    weighted = [n_inner * math.fsum((lengths / cls.share).tolist())]
+    for lo in range(0, len(shell), _SHELL_CHUNK):
+        part = shell[lo : lo + _SHELL_CHUNK, None]
+        clip = _kernels.segment_ball_clip(
+            (part + cls.start).reshape(-1, 3), (part + cls.end).reshape(-1, 3), radius
+        ).reshape(len(part), -1)
+        totals.append(math.fsum(clip[:, reps].ravel().tolist()))
+        weighted.append(math.fsum((clip / cls.share).ravel().tolist()))
+    total = math.fsum(totals)
+    weighted_total = math.fsum(weighted)
+    if abs(total - weighted_total) > 1e-9 * max(1.0, total):
         raise GeometryError(
-            f"dedup total {total!r} and weighted total {weighted!r} disagree"
+            f"unique-edge total {total!r} and weighted total {weighted_total!r} disagree"
         )
-    active = clip > 0
-    if active.any() and (counts[active] != share[active]).any():
-        bad = int(np.abs(counts[active] - share[active]).max())
-        raise GeometryError(f"edge multiplicity off by {bad} inside the ball")
     density = total / (4.0 / 3.0 * math.pi * radius**3)
     target = weighted_edge_functional(z, WeightPair(2.0, 1.0)) / z.volume()
-    return DensityEstimate(radius, total, density, target, weighted, int(ncells[0]))
+    return DensityEstimate(radius, total, density, target, weighted_total, len(t))
 
 
 def collect_weighted_edges(z: Zonotope, lat: Lattice, radius: float) -> list[WeightedEdge]:
-    """Materialized unique edges with 1/k weights, for small radii."""
-    a0, a1, counts, share, _ = _gather_edges(z, lat, radius + z.circumradius(), 1)
-    clip = _kernels.segment_ball_clip(a0, a1, radius)
-    keep = clip > 0
-    return [
-        WeightedEdge((p, q), 1.0 / int(k), int(k))
-        for p, q, k in zip(a0[keep], a1[keep], share[keep])
-    ]
+    """Materialized unique edges meeting the ball with 1/k weights, for small radii."""
+    cls = edge_classes(z, lat)
+    t = lat.points_in_ball(radius + z.circumradius())[:, None]
+    p0 = (t + cls.start[cls.reps]).reshape(-1, 3)
+    p1 = (t + cls.end[cls.reps]).reshape(-1, 3)
+    keep = _kernels.segment_ball_clip(p0, p1, radius) > 0
+    share = np.tile(cls.share[cls.reps], len(t))[keep].tolist()
+    return [WeightedEdge((p, q), 1.0 / k, k) for p, q, k in zip(p0[keep], p1[keep], share)]
 
 
 @dataclass(frozen=True)
@@ -334,11 +357,9 @@ class ConvergenceReport:
         return self.rows[-1].relative_error
 
 
-def convergence_series(
-    z: Zonotope, lat: Lattice, radii: list[float], jobs: int = 1
-) -> ConvergenceReport:
+def convergence_series(z: Zonotope, lat: Lattice, radii: list[float]) -> ConvergenceReport:
     """Density estimates over ascending radii."""
     if list(radii) != sorted(radii):
         raise ValueError("radii must ascend")
-    rows = tuple(skeleton_density(z, lat, r, jobs) for r in radii)
+    rows = tuple(skeleton_density(z, lat, r) for r in radii)
     return ConvergenceReport(rows)

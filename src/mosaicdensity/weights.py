@@ -14,7 +14,6 @@ type-4 stratum.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -295,12 +294,19 @@ class Type4SweepReport:
         return self.min_observed >= self.bound - 1e-9
 
 
-def _sweep_worker(seed_seq: np.random.SeedSequence, quota: int, a6: float, a4: float) -> float:
-    rng = np.random.default_rng(seed_seq)
+def type4_sweep(m: WeightPair, samples: int, seed: int = 0) -> Type4SweepReport:
+    """Random search over type-4 bodies versus the closed-form lower bound.
+
+    Draws from the first stream spawned by ``SeedSequence(seed)``, so a
+    fixed seed gives the same minimum on every run.
+    """
+    if samples < 100:
+        raise ValueError("need at least 100 samples")
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     best = math.inf
     done = 0
-    while done < quota:
-        n = min(2048, quota - done)
+    while done < samples:
+        n = min(2048, samples - done)
         p = rng.uniform(-1.0, 1.0, size=(n, 4, 3))
         p -= p.mean(axis=1, keepdims=True)
         d = np.linalg.det(p[:, :3])
@@ -312,35 +318,9 @@ def _sweep_worker(seed_seq: np.random.SeedSequence, quota: int, a6: float, a4: f
         p[neg] = p[neg][:, [1, 0, 2, 3]]
         p *= np.abs(d)[:, None, None] ** (-1.0 / 3.0)
         beta = 1.0 - rng.random(size=(len(p), 5))  # uniform on (0, 1]
-        vals = _kernels.type4_functional_many(np.ascontiguousarray(p), beta, a6, a4)
+        vals = _kernels.type4_functional_many(np.ascontiguousarray(p), beta, m.alpha6, m.alpha4)
         best = min(best, float(vals.min()))
         done += len(p)
-    return best
-
-
-def type4_sweep(
-    m: WeightPair, samples: int, seed: int = 0, jobs: int = 1
-) -> Type4SweepReport:
-    """Random search over type-4 bodies versus the closed-form lower bound.
-
-    Samples are split across ``jobs`` workers with independent spawned
-    streams and a final min-reduction, so results do not depend on
-    scheduling.
-    """
-    if samples < 100:
-        raise ValueError("need at least 100 samples")
-    jobs = max(1, min(int(jobs), samples))
-    quotas = [samples // jobs + (1 if k < samples % jobs else 0) for k in range(jobs)]
-    seqs = np.random.SeedSequence(seed).spawn(jobs)
-    if jobs == 1:
-        best = _sweep_worker(seqs[0], quotas[0], m.alpha6, m.alpha4)
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futs = [
-                pool.submit(_sweep_worker, sq, q, m.alpha6, m.alpha4)
-                for sq, q in zip(seqs, quotas)
-            ]
-            best = min(f.result() for f in futs)
     return Type4SweepReport(samples, best, type_minimum(4, m).value, type_minimum(5, m).value)
 
 

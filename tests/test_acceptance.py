@@ -204,7 +204,7 @@ def test_09_tiling_convergence():
         else:
             z = Z.truncated_octahedron(2.0 ** (-7.0 / 6.0))
         lat = tiling.lattice_from_parallelohedron(z)
-        est = tiling.skeleton_density(z, lat, 20.0, jobs=2)
+        est = tiling.skeleton_density(z, lat, 20.0)
         assert abs(est.target - want) <= 1e-12
         worst_rel = max(worst_rel, est.relative_error)
         worst_mode = max(worst_mode, abs(est.skeleton_length - est.weighted_length))

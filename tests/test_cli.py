@@ -95,6 +95,14 @@ class TestTile:
         with pytest.raises(SystemExit, match="tiling failed"):
             main(["tile", "--shape", "cube", "--radius", "1"])
 
+    def test_descending_series_is_rejected(self):
+        with pytest.raises(SystemExit, match="tiling failed: radii must ascend"):
+            main(["tile", "--shape", "cube", "--series", "20,10"])
+
+    def test_nan_radius_is_clean(self):
+        with pytest.raises(SystemExit, match="tiling failed: radius must be finite"):
+            main(["tile", "--shape", "cube", "--radius", "nan"])
+
 
 class TestVerify:
     def test_simplex_suite(self, capsys):

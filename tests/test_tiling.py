@@ -4,9 +4,58 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from mosaicdensity import tiling as TL
-from mosaicdensity.zonotope import GeometryError, cube
+from mosaicdensity.zonotope import BeltClass, GeometryError, belts, cube
+
+SHAPES = ("cube", "hexprism", "rhombic", "elongated", "truncocta")
+
+
+def _ball_clip(p, q, radius):
+    """Length of each segment pq inside the ball, from |p + s(q - p)| = radius."""
+    d = q - p
+    a = (d * d).sum(axis=1)
+    half_b = (p * d).sum(axis=1)
+    disc = half_b**2 - a * ((p * p).sum(axis=1) - radius**2)
+    root = np.sqrt(np.maximum(disc, 0.0))
+    lo = np.clip((-half_b - root) / a, 0.0, 1.0)
+    hi = np.clip((-half_b + root) / a, 0.0, 1.0)
+    return np.where(disc > 0.0, (hi - lo) * np.sqrt(a), 0.0)
+
+
+def _reference_skeleton_length(z, lat, radius, tol=1e-7):
+    """Every edge of every translate near the ball, merged when both
+    endpoints match within tol, each merged edge clipped once.
+
+    Also checks that each merged edge meeting the ball lies in as many
+    cells as its belt says.
+    """
+    rmax = radius + z.circumradius()
+    n = int(rmax * np.abs(np.linalg.inv(lat.basis)).sum(axis=0).max()) + 1
+    axis = np.arange(-n, n + 1)
+    coeffs = np.array(np.meshgrid(axis, axis, axis, indexing="ij")).reshape(3, -1).T
+    t = coeffs @ lat.basis
+    t = t[np.linalg.norm(t, axis=1) <= rmax, None]
+    p = (t + z.vertices[z.edge_vertex_ids[:, 0]]).reshape(-1, 3)
+    q = (t + z.vertices[z.edge_vertex_ids[:, 1]]).reshape(-1, 3)
+    i, j = cKDTree((p + q) / 2.0).query_pairs(tol, output_type="ndarray").T
+
+    def near(u, v):
+        return np.linalg.norm(u - v, axis=1) < tol
+
+    same = (near(p[i], p[j]) & near(q[i], q[j])) | (near(p[i], q[j]) & near(q[i], p[j]))
+    graph = coo_matrix((np.ones(same.sum()), (i[same], j[same])), shape=(len(p), len(p)))
+    _, group = connected_components(graph, directed=False)
+    _, first, size = np.unique(group, return_index=True, return_counts=True)
+    clip = _ball_clip(p[first], q[first], radius)
+    belt = belts(z)
+    share = np.array([4 if belt[s] is BeltClass.FOUR else 3 for s in z.edge_segment])
+    label = np.tile(share, len(t))[first]
+    assert (size[clip > 0] == label[clip > 0]).all()
+    return math.fsum(clip.tolist())
 
 
 class TestLattice:
@@ -34,6 +83,13 @@ class TestLattice:
         )
         assert len(pts) == len(grid)
         assert (norms == 0).sum() == 1
+
+    def test_points_in_ball_sheared_integer_lattice(self):
+        sheared = TL.Lattice(np.array([[1.0, 0, 0], [50.0, 1, 0], [30.0, 0, 1]]))
+        got = np.rint(sheared.points_in_ball(4.0)).astype(int)
+        want = np.rint(TL.Lattice(np.eye(3)).points_in_ball(4.0)).astype(int)
+        assert len(got) == len(want)
+        assert set(map(tuple, got.tolist())) == set(map(tuple, want.tolist()))
 
     def test_points_in_ball_skewed(self):
         lat = TL.Lattice(np.array([[1.0, 0.9, 0.0], [0.0, 1.0, 0.8], [0.0, 0.0, 1.0]]))
@@ -89,8 +145,9 @@ class TestValidateTiling:
 class TestSkeletonDensity:
     def test_radius_floor(self, unit_shapes):
         z = unit_shapes["cube"]
-        with pytest.raises(TL.RadiusTooSmall):
-            TL.skeleton_density(z, TL.Lattice(np.eye(3)), 2.0)
+        for bad in (2.0, math.nan, math.inf):
+            with pytest.raises(TL.RadiusTooSmall):
+                TL.skeleton_density(z, TL.Lattice(np.eye(3)), bad)
 
     def test_cube_converges(self):
         est = TL.skeleton_density(cube(), TL.Lattice(np.eye(3)), 10.0)
@@ -106,13 +163,26 @@ class TestSkeletonDensity:
         est = TL.skeleton_density(z, lat, 10.0)
         assert est.relative_error <= 0.05
 
-    def test_jobs_do_not_change_result(self, unit_shapes):
-        z = unit_shapes["hexprism"]
+    @pytest.mark.parametrize("name", SHAPES)
+    def test_matches_brute_force_reference(self, unit_shapes, name):
+        z = unit_shapes[name]
         lat = TL.lattice_from_parallelohedron(z)
-        one = TL.skeleton_density(z, lat, 9.0, jobs=1)
-        many = TL.skeleton_density(z, lat, 9.0, jobs=3)
-        assert one.skeleton_length == many.skeleton_length
-        assert one.cells == many.cells
+        radius = 3.0 * z.diameter()
+        est = TL.skeleton_density(z, lat, radius)
+        want = _reference_skeleton_length(z, lat, radius)
+        assert abs(est.skeleton_length - want) <= 1e-12 * want
+
+
+class TestEdgeClasses:
+    @pytest.mark.parametrize("name, count", [("cube", 3), ("truncocta", 12)])
+    def test_class_sizes_are_sharing_counts(self, unit_shapes, name, count):
+        z = unit_shapes[name]
+        cls = TL.edge_classes(z, TL.lattice_from_parallelohedron(z))
+        assert len(cls.members) == count
+        assert sorted(i for m in cls.members for i in m) == list(range(len(z.edge_segment)))
+        for m in cls.members:
+            assert all(cls.share[i] == len(m) for i in m)
+            assert len({int(z.edge_segment[i]) for i in m}) == 1
 
 
 class TestWeightedEdges:
