@@ -72,6 +72,18 @@ def _residual(name: str, value: float, tolerance: float) -> dict:
     }
 
 
+def _covolume_residual(report: tiling.TilingReport, prefix: str = "") -> dict:
+    tolerance = 1e-9 * max(1.0, report.cell_volume)
+    diff = report.determinant - report.cell_volume
+    return _residual(f"{prefix}covolume_minus_volume", diff, tolerance)
+
+
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def _emit(command: str, inputs: dict, outputs: dict, residuals: list[dict]) -> int:
     doc = {
         "schema": "1",
@@ -173,7 +185,8 @@ def cmd_tile(args: argparse.Namespace) -> int:
     try:
         lat = tiling.lattice_from_parallelohedron(z)
         report = tiling.validate_tiling(z, lat, seed=args.seed)
-        _note(f"lattice validated: covering fraction {report.covering_fraction:.8f}")
+        n = report.translates_checked
+        _note(f"lattice certified: no overlap among {n} translates, covolume = volume")
         rows = tiling.convergence_series(z, lat, args.series or [args.radius]).rows
     except ValueError as exc:  # covers geometry errors and RadiusTooSmall
         raise SystemExit(f"tiling failed: {exc}") from exc
@@ -182,10 +195,12 @@ def cmd_tile(args: argparse.Namespace) -> int:
         writer.writeheader()
         writer.writerows(_density_row(est) for est in rows)
         return 0 if rows[-1].relative_error <= 0.02 else 1
-    residuals = [_residual("final_relative_error", rows[-1].relative_error, 0.02)]
+    residuals = [_covolume_residual(report)]
+    residuals.append(_residual("final_relative_error", rows[-1].relative_error, 0.02))
     outputs = {
         "basis": lat.basis,
         "covering_fraction": report.covering_fraction,
+        "translates_checked": report.translates_checked,
         "rows": [_density_row(est) for est in rows],
     }
     return _emit(
@@ -254,10 +269,11 @@ def _verify_tiling(args: argparse.Namespace) -> tuple[dict, list[dict]]:
     for name in ("cube", "truncocta"):
         z = _canonical_shape(name)
         lat = tiling.lattice_from_parallelohedron(z)
-        tiling.validate_tiling(z, lat, samples=200_000, seed=args.seed)
+        report = tiling.validate_tiling(z, lat, seed=args.seed)
         est = tiling.skeleton_density(z, lat, args.radius)
         _note(f"{name}: density {est.density:.6f} vs {est.target:.6f}")
         rows.append({"shape": name, **_density_row(est)})
+        residuals.append(_covolume_residual(report, f"{name}_"))
         residuals.append(_residual(f"{name}_relative_error", est.relative_error, 0.02))
         residuals.append(
             _residual(f"{name}_mode_agreement", est.skeleton_length - est.weighted_length, 1e-9)
@@ -357,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("tetra", "simplex", "isotropy", "tiling", "all"),
         default="all",
     )
-    p.add_argument("--samples", type=int, default=10_000, help="sample count for randomized suites")
+    p.add_argument("--samples", type=_positive_int, default=10_000, help="sample count for randomized suites")
     p.add_argument("--lambda", dest="lam", type=float, default=1.0, help="scale factor (simplex suite)")
     p.add_argument("--grid", type=int, default=60, help="grid resolution (simplex suite)")
     p.add_argument("--radius", type=float, default=20.0, help="ball radius (tiling suite)")

@@ -126,6 +126,8 @@ def batch_identity_residuals(
     Sampling and evaluation are vectorized through the kernel layer;
     rejection keeps volumes above ``reject_volume_below``.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     rng = np.random.default_rng(seed)
     collected = 0
     worst1 = worst2 = 0.0

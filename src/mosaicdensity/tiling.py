@@ -2,11 +2,12 @@
 
 A parallelohedron tiles space face to face by lattice translates.  This
 module finds a tiling lattice (doubled facet centers supply candidate
-vectors), validates it (no overlaps, no gaps, one cell per fundamental
-domain), and measures the total edge length of the tiling inside a large
-ball from edge orbits: the edges of one cell fall into classes of
-lattice translates, one class per orbit of tiling edges, and a class has
-one member per cell sharing the edge, 4 on a 4-belt and 3 on a 6-belt.
+vectors), certifies it exactly (no two translates overlap and the
+covolume equals the cell volume, so the translates tile), and measures
+the total edge length of the tiling inside a large ball from edge
+orbits: the edges of one cell fall into classes of lattice translates,
+one class per orbit of tiling edges, and a class has one member per
+cell sharing the edge, 4 on a 4-belt and 3 on a 6-belt.
 So the per-cell functional with weights (2, 1) over cell volume is the
 limit density.  Cells strictly inside the ball add their edge lengths
 in closed form; only the shell of cells meeting the sphere is clipped.
@@ -44,9 +45,9 @@ class Overlap(GeometryError):
 
 
 class Gap(GeometryError):
-    """A point of space is covered by no translate."""
+    """A point of space is covered by no translate (witness None if none was found)."""
 
-    def __init__(self, message: str, witness: np.ndarray):
+    def __init__(self, message: str, witness: np.ndarray | None):
         super().__init__(message)
         self.witness = witness
 
@@ -144,91 +145,72 @@ class TilingReport:
     covering_samples: int
 
 
-def _oriented_planes(z: Zonotope) -> tuple[np.ndarray, np.ndarray]:
-    normals, offsets = z.facet_planes()
-    flip = offsets < 0
-    normals = np.where(flip[:, None], -normals, normals)
-    offsets = np.abs(offsets)
-    return normals, offsets
-
-
-def _has_overlap(z: Zonotope, lat: Lattice) -> np.ndarray | None:
-    """Returns an interior-intersection witness point, or None.
+def _has_overlap(z: Zonotope, lat: Lattice) -> tuple[np.ndarray | None, int]:
+    """Interior-intersection witness or None, and the number of nonzero translates screened.
 
     Translates z and z + t overlap iff t/2 lies in the interior of z;
     all lattice points within twice the diameter are screened.
     """
-    normals, offsets = _oriented_planes(z)
+    normals, offsets = z.facet_planes()
     t = lat.points_in_ball(2.0 * z.diameter() + 1e-9)
     t = t[np.linalg.norm(t, axis=1) > 1e-12]
-    if len(t) == 0:
-        return np.zeros(3)
     inside = ((t @ normals.T) / (2.0 * offsets) < 1.0 - 1e-12).all(axis=1)
-    if inside.any():
-        return t[np.argmax(inside)] / 2.0
-    return None
+    return (t[np.argmax(inside)] / 2.0 if inside.any() else None), len(t)
 
 
-def _covering_fraction(
+def _gap_witness(
     z: Zonotope, lat: Lattice, samples: int, seed: int
-) -> tuple[float, np.ndarray | None]:
-    """Monte-Carlo coverage over one fundamental domain.
+) -> tuple[np.ndarray | None, int]:
+    """The first uncovered one of at most ``samples`` random points of a
+    fundamental domain, or None, and how many points were drawn.
 
-    Each sample is tested against the translates at its 27 nearest
-    lattice coordinates; by periodicity this decides coverage of all of
-    space.
+    Each point is tested against the translates at its 27 nearest
+    lattice coordinates; the search stops at the first chunk holding one.
     """
-    normals, offsets = _oriented_planes(z)
     rng = np.random.default_rng(seed)
     binv = np.linalg.inv(lat.basis)
-    shifts = np.array(
-        [(i, j, k) for i in (-1, 0, 1) for j in (-1, 0, 1) for k in (-1, 0, 1)]
-    )
-    covered = 0
-    witness = None
-    done = 0
-    while done < samples:
-        n = min(65536, samples - done)
+    shifts = np.indices((3, 3, 3)).reshape(3, -1).T - 1
+    for lo in range(0, samples, 65536):
+        n = min(65536, samples - lo)
         x = rng.random((n, 3)) @ lat.basis
         base = np.rint(x @ binv)
         ok = np.zeros(n, dtype=bool)
         for s in shifts:
-            t = (base + s) @ lat.basis
-            rel = x - t
-            ok |= (rel @ normals.T <= offsets + 1e-9).all(axis=1)
-        covered += int(ok.sum())
-        if witness is None and not ok.all():
-            witness = x[np.argmin(ok)].copy()
-        done += n
-    return covered / samples, witness
+            ok |= z.contains(x - (base + s) @ lat.basis, tol=1e-9)
+        if not ok.all():
+            return x[np.argmin(ok)].copy(), lo + n
+    return None, max(samples, 0)
 
 
 def validate_tiling(
     z: Zonotope, lat: Lattice, samples: int = 1_000_000, seed: int = 0
 ) -> TilingReport:
-    """Certify that lattice translates of z tile space.
+    """Certify exactly that lattice translates of z tile space, sampling nothing.
 
-    Checks, in order: no two translates overlap (witnessed), random
-    points are always covered (witnessed), and the lattice covolume
-    equals the cell volume so cells fill space with multiplicity one.
+    z is convex and centrally symmetric, so z and z + t overlap iff t/2
+    is interior to z.  Without such t the translates pack with density
+    vol/covolume, and a lattice packing of density 1 is a tiling: an
+    uncovered set would be open and periodic, so of positive density
+    (P. McMullen, "Convex bodies which tile space by translation",
+    Mathematika 27 (1980); P. M. Gruber, Convex and Discrete Geometry
+    (2007)).  Raises Overlap with its witness; Gap if covolume > volume,
+    with a witness from at most ``samples`` points drawn from ``seed``;
+    GeometryError if covolume < volume with no overlap, which the
+    packing bound rules out, so the overlap screen is at fault.
     """
-    witness = _has_overlap(z, lat)
+    witness, checked = _has_overlap(z, lat)
     if witness is not None:
         raise Overlap(f"translate interiors meet near {witness}", witness)
-    frac, gap_witness = _covering_fraction(z, lat, samples, seed)
-    if frac < 1.0 - 1e-6:
-        raise Gap(
-            f"covering fraction {frac:.8f}; uncovered point {gap_witness}",
-            gap_witness if gap_witness is not None else np.zeros(3),
-        )
     vol = z.volume()
     det = lat.covolume
-    if abs(det - vol) > 1e-9 * max(1.0, vol):
-        raise GeometryError(
-            f"lattice covolume {det:.12g} != cell volume {vol:.12g} despite coverage"
-        )
-    t = lat.points_in_ball(2.0 * z.diameter() + 1e-9)
-    return TilingReport(det, vol, len(t) - 1, frac, samples)
+    if det - vol > 1e-9 * max(1.0, vol):
+        gap, drawn = _gap_witness(z, lat, samples, seed)
+        msg = f"covolume {det:.12g} > volume {vol:.12g}; uncovered point {gap} in {drawn} samples"
+        raise Gap(msg, gap)
+    if vol - det > 1e-9 * max(1.0, vol):
+        msg = f"covolume {det:.12g} < volume {vol:.12g}, yet no overlap in {checked} translates"
+        raise GeometryError(f"overlap screen fault: {msg}")
+    return TilingReport(det, vol, checked, 1.0, 0)
 
 
 def lattice_from_parallelohedron(z: Zonotope) -> Lattice:
@@ -248,7 +230,7 @@ def lattice_from_parallelohedron(z: Zonotope) -> Lattice:
         if abs(abs(np.linalg.det(b)) - vol) > 1e-9 * max(1.0, vol):
             continue
         lat = Lattice(b)
-        if _has_overlap(z, lat) is None:
+        if _has_overlap(z, lat)[0] is None:
             return lat
     raise NoValidBasis("no facet-center triple yields a disjoint unit-index lattice")
 

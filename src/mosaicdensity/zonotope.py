@@ -123,8 +123,8 @@ class WeightPair:
     alpha4: float
 
     def __post_init__(self) -> None:
-        if not (self.alpha6 > 0 and self.alpha4 > 0):
-            raise GeometryError("weights must be positive")
+        if not (0 < self.alpha6 < math.inf and 0 < self.alpha4 < math.inf):
+            raise GeometryError("weights must be finite and positive")
 
 
 @dataclass(frozen=True)

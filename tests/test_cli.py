@@ -73,6 +73,10 @@ class TestTile:
         assert rows[0]["target"] == 3.0
         assert rows[0]["relative_error"] <= 0.02
         assert doc["outputs"]["covering_fraction"] == 1.0
+        assert doc["outputs"]["translates_checked"] == 178
+        covolume = [r for r in doc["residuals"] if r["name"] == "covolume_minus_volume"]
+        assert len(covolume) == 1 and covolume[0]["pass"]
+        assert covolume[0]["value"] == 0.0 and covolume[0]["tolerance"] == 1e-9
 
     def test_series_csv(self, capsys):
         code, rows = run_csv(
@@ -118,6 +122,18 @@ class TestVerify:
         code, doc = run_json(capsys, ["verify", "--lemma", "tetra", "--samples", "2000"])
         assert code == 0
         assert doc["outputs"]["tetra"]["poly_residual"] <= 1e-9
+
+    def test_zero_samples_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--lemma", "tetra", "--samples", "0"])
+        assert exc.value.code == 2
+        assert "--samples: must be at least 1, got 0" in capsys.readouterr().err
+
+    def test_tiling_suite_reports_certificates(self, capsys):
+        code, doc = run_json(capsys, ["verify", "--lemma", "tiling", "--radius", "8"])
+        assert code == 0
+        names = {r["name"]: r["pass"] for r in doc["residuals"]}
+        assert names["cube_covolume_minus_volume"] and names["truncocta_covolume_minus_volume"]
 
     def test_isotropy_suite(self, capsys):
         code, doc = run_json(capsys, ["verify", "--lemma", "isotropy", "--samples", "1000"])

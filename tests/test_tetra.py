@@ -95,3 +95,9 @@ def test_batch_matches_scalar_path():
 def test_batch_residuals_small():
     r1, r2 = T.batch_identity_residuals(2000, seed=5)
     assert r1 < 1e-12 and r2 < 1e-12
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_batch_residuals_need_a_sample(samples):
+    with pytest.raises(ValueError, match="at least 1"):
+        T.batch_identity_residuals(samples)

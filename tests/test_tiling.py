@@ -1,12 +1,13 @@
 """Tiling lattices, validation witnesses, and skeleton density."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
+from scipy.spatial import ConvexHull, cKDTree
 
 from mosaicdensity import tiling as TL
 from mosaicdensity.zonotope import BeltClass, GeometryError, belts, cube
@@ -56,6 +57,19 @@ def _reference_skeleton_length(z, lat, radius, tol=1e-7):
     label = np.tile(share, len(t))[first]
     assert (size[clip > 0] == label[clip > 0]).all()
     return math.fsum(clip.tolist())
+
+
+def _reference_uncovered(z, lat, x, tol=1e-9):
+    """Mask of the points x that lie in none of the 27 translates around
+    their nearest lattice coordinates, by the hull inequalities of the
+    vertices rather than the body's own facet list."""
+    hull = ConvexHull(z.vertices).equations  # a.x + b <= 0 inside
+    base = np.rint(x @ np.linalg.inv(lat.basis))
+    covered = np.zeros(len(x), dtype=bool)
+    for shift in product((-1, 0, 1), repeat=3):
+        rel = x - (base + shift) @ lat.basis
+        covered |= (rel @ hull[:, :3].T + hull[:, 3] <= tol).all(axis=1)
+    return ~covered
 
 
 class TestLattice:
@@ -115,12 +129,13 @@ class TestLatticeSearch:
 
 class TestValidateTiling:
     def test_cube_passes(self):
-        rep = TL.validate_tiling(cube(), TL.Lattice(np.eye(3)), samples=200_000)
+        rep = TL.validate_tiling(cube(), TL.Lattice(np.eye(3)))
         assert rep.covering_fraction == 1.0
         assert abs(rep.determinant - 1.0) < 1e-12
         assert abs(rep.cell_volume - 1.0) < 1e-12
-        assert rep.translates_checked > 0
-        assert rep.covering_samples == 200_000
+        # nonzero integer vectors within twice the diameter: 0 < |c|^2 <= 12
+        assert rep.translates_checked == 178
+        assert rep.covering_samples == 0
 
     def test_overlap_witness(self):
         with pytest.raises(TL.Overlap) as exc:
@@ -130,10 +145,37 @@ class TestValidateTiling:
         # witness is interior to the cell
         assert np.abs(w).max() < 0.5
 
-    def test_gap_witness(self):
+    @pytest.mark.parametrize("scale", [1.1, 3.0, 10.0])
+    def test_gap_witness(self, scale):
         with pytest.raises(TL.Gap) as exc:
-            TL.validate_tiling(cube(), TL.Lattice(np.eye(3) * 1.1), samples=50_000)
-        assert exc.value.witness.shape == (3,)
+            TL.validate_tiling(cube(), TL.Lattice(np.eye(3) * scale), samples=50_000)
+        w = exc.value.witness
+        assert w.shape == (3,)
+        # the cube is a product, so the nearest lattice point in each
+        # coordinate is the only shift that could cover w
+        assert (np.abs(w - scale * np.rint(w / scale)) > 0.5).any()
+
+    def test_covolume_below_volume_without_overlap_is_internal_error(self, monkeypatch):
+        monkeypatch.setattr(TL, "_has_overlap", lambda z, lat: (None, 0))
+        with pytest.raises(GeometryError, match="overlap screen") as exc:
+            TL.validate_tiling(cube(), TL.Lattice(np.eye(3) * 0.9))
+        assert type(exc.value) is GeometryError
+
+    @pytest.mark.parametrize("name", SHAPES)
+    def test_certificate_matches_monte_carlo_reference(self, unit_shapes, name):
+        z = unit_shapes[name]
+        lat = TL.lattice_from_parallelohedron(z)
+        x = np.random.default_rng(7).random((20_000, 3)) @ lat.basis
+        assert not _reference_uncovered(z, lat, x).any()
+        rep = TL.validate_tiling(z, lat)
+        assert (rep.covering_fraction, rep.covering_samples) == (1.0, 0)
+        assert abs(rep.determinant - rep.cell_volume) <= 1e-9
+
+    def test_monte_carlo_reference_sees_gaps(self):
+        lat = TL.Lattice(np.eye(3) * 1.1)
+        x = np.random.default_rng(7).random((20_000, 3)) @ lat.basis
+        frac = _reference_uncovered(cube(), lat, x).mean()
+        assert abs(frac - (1.0 - 1.1**-3)) < 0.02
 
     def test_truncated_octahedron_passes(self, unit_shapes):
         z = unit_shapes["truncocta"]

@@ -163,6 +163,13 @@ class TestBelts:
 
 
 class TestFunctionals:
+    @pytest.mark.parametrize(
+        "alpha6, alpha4", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan)]
+    )
+    def test_weights_must_be_finite(self, alpha6, alpha4):
+        with pytest.raises(Z.GeometryError, match="finite and positive"):
+            Z.WeightPair(alpha6, alpha4)
+
     def test_weighted_functional_cube(self):
         z = Z.cube(1.0)
         m = Z.WeightPair(2.0, 1.0)
