@@ -7,7 +7,6 @@ decomposable mosaics, and simulates lattice tilings to measure edge
 density empirically.  See the README for the CLI.
 """
 
-from ._kernels import NUMBA_ENABLED
 from .decomposable import (
     CertificateFailed,
     ConstraintViolated,
@@ -90,12 +89,15 @@ from .zonotope import (
     to_json,
     total_edge_length,
     truncated_octahedron,
+    unit_volume,
     validate_generators,
     volume_polynomial,
     weighted_edge_functional,
 )
 
 __version__ = "0.1.0"
+
+NUMBA_ENABLED = False  # kernels are numpy-only; kept for the benchmark's environment block
 
 __all__ = [
     "NUMBA_ENABLED",
@@ -107,7 +109,7 @@ __all__ = [
     "build_zonotope", "build_from_parameters", "belts", "weighted_edge_functional",
     "total_edge_length", "mean_width_estimate", "to_json", "from_json",
     "cube", "hexagonal_prism", "rhombic_dodecahedron",
-    "elongated_rhombic_dodecahedron", "truncated_octahedron",
+    "elongated_rhombic_dodecahedron", "truncated_octahedron", "unit_volume",
     # tetrahedra
     "CenteredTetrahedron", "PairInvariants", "center", "random_tetrahedron",
     "pair_invariants", "verify_identities",

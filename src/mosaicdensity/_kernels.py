@@ -1,36 +1,21 @@
-"""Hot numeric kernels with two interchangeable implementations.
+"""Hot numeric kernels, vectorized with numpy.
 
-Every kernel exists twice: a loop version compiled with numba's ``@njit``
-and a vectorized pure-numpy version.  The module-level names bind to the
-compiled versions when numba imports successfully and the environment
-variable ``MOSAICDENSITY_NO_NUMBA`` is unset (or falsy); otherwise they
-bind to the numpy versions.  Both flavours stay importable under the
-``*_jit`` / ``*_numpy`` names so tests and benchmarks can compare them.
+``volume_cubic`` is the only copy of the volume cubic in the package: the
+batch kernels below, the simplex grid scan and
+``zonotope.volume_polynomial`` all evaluate it.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FLAG = os.environ.get("MOSAICDENSITY_NO_NUMBA", "").strip().lower()
-_DISABLED = _FLAG in ("1", "true", "yes", "on")
 
-try:
-    if _DISABLED:
-        raise ImportError("numba disabled by MOSAICDENSITY_NO_NUMBA")
-    from numba import njit
+def volume_cubic(t12, t13, t14, t23, t24, t34):
+    """Volume of the parametrized body from its six coefficients.
 
-    NUMBA_ENABLED = True
-except ImportError:
-    njit = None
-    NUMBA_ENABLED = False
-
-
-def _volume_poly_many_numpy(tau: np.ndarray) -> np.ndarray:
-    tau = np.asarray(tau, dtype=np.float64)
-    t12, t13, t14, t23, t24, t34 = (tau[..., k] for k in range(6))
+    Elementwise: the arguments are scalars or arrays that broadcast
+    together, in frame-pair order (12, 13, 14, 23, 24, 34).
+    """
     return (
         t12 * t13 * t23
         + t12 * t14 * t24
@@ -42,91 +27,45 @@ def _volume_poly_many_numpy(tau: np.ndarray) -> np.ndarray:
     )
 
 
-def _volume_poly_many_loop(tau):
-    n = tau.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        t12 = tau[i, 0]
-        t13 = tau[i, 1]
-        t14 = tau[i, 2]
-        t23 = tau[i, 3]
-        t24 = tau[i, 4]
-        t34 = tau[i, 5]
-        out[i] = (
-            t12 * t13 * t23
-            + t12 * t14 * t24
-            + t13 * t14 * t34
-            + t23 * t24 * t34
-            + (t12 + t34) * (t13 * t24 + t14 * t23)
-            + (t13 + t24) * (t12 * t34 + t14 * t23)
-            + (t14 + t23) * (t12 * t34 + t13 * t24)
-        )
-    return out
+def volume_poly_many(tau: np.ndarray) -> np.ndarray:
+    """The volume cubic on each row of an (N, 6) coefficient array."""
+    tau = np.asarray(tau, dtype=np.float64)
+    return volume_cubic(*(tau[..., k] for k in range(6)))
 
 
-def _simplex_grid_scan_numpy(lam: float, grid_n: int, budget: float):
-    # Enumerate integer compositions (a,b,c,d,e) of grid_n; the two outer
-    # indices run in python, the inner plane is vectorized.
+def simplex_grid_scan(lam: float, grid_n: int, budget: float):
+    """Maximum of the lambda-scaled cubic (tau34 = 0) over a composition grid.
+
+    Scans every integer composition (a, b, c, d, e) of ``grid_n`` into
+    five parts, with coordinates ``(lam a, b, c, d, e) * budget / grid_n``,
+    and returns the best value and its composition.  The triples
+    (b, c, d) with b + c + d <= grid_n are tabulated once, sorted by their
+    sum s; for each a, the compositions of grid_n - a are a prefix of the
+    table, with e = grid_n - a - s.
+    """
     n = grid_n
+    bcd = np.indices((n + 1,) * 3).reshape(3, -1)
+    bcd = bcd[:, bcd.sum(axis=0) <= n]
+    bcd = bcd[:, np.argsort(bcd.sum(axis=0), kind="stable")]
+    b, c, d = bcd
+    s = b + c + d
+    t13, t14, t23 = bcd * budget / n
+    ends = np.searchsorted(s, np.arange(n + 1), side="right")
     best = -1.0
     best_idx = (0, 0, 0, 0, 0)
-    d_all = np.arange(n + 1)
     for a in range(n + 1):
-        t12 = lam * a * budget / n
-        for b in range(n + 1 - a):
-            rem = n - a - b
-            c = np.repeat(np.arange(rem + 1), rem + 1)[: (rem + 1) * (rem + 1)]
-            d = np.tile(d_all[: rem + 1], rem + 1)
-            mask = c + d <= rem
-            c = c[mask]
-            d = d[mask]
-            e = rem - c - d
-            t13 = b * budget / n
-            t14 = c * budget / n
-            t23 = d * budget / n
-            t24 = e * budget / n
-            vals = (
-                t12 * t13 * t23
-                + t12 * t14 * t24
-                + t12 * (t13 * t24 + t14 * t23)
-                + (t13 + t24) * t14 * t23
-                + (t14 + t23) * t13 * t24
-            )
-            k = int(np.argmax(vals))
-            if vals[k] > best:
-                best = float(vals[k])
-                best_idx = (a, b, int(c[k]), int(d[k]), int(e[k]))
+        m = ends[n - a]
+        e = n - a - s[:m]
+        vals = volume_cubic(lam * a * budget / n, t13[:m], t14[:m], t23[:m], e * budget / n, 0.0)
+        k = int(np.argmax(vals))
+        if vals[k] > best:
+            best = float(vals[k])
+            best_idx = (a, int(b[k]), int(c[k]), int(d[k]), int(e[k]))
     return best, np.array(best_idx, dtype=np.int64)
 
 
-def _simplex_grid_scan_loop(lam, grid_n, budget):
-    n = grid_n
-    best = -1.0
-    ba = bb = bc = bd = be = 0
-    for a in range(n + 1):
-        t12 = lam * a * budget / n
-        for b in range(n + 1 - a):
-            t13 = b * budget / n
-            for c in range(n + 1 - a - b):
-                t14 = c * budget / n
-                for d in range(n + 1 - a - b - c):
-                    e = n - a - b - c - d
-                    t23 = d * budget / n
-                    t24 = e * budget / n
-                    val = (
-                        t12 * t13 * t23
-                        + t12 * t14 * t24
-                        + t12 * (t13 * t24 + t14 * t23)
-                        + (t13 + t24) * t14 * t23
-                        + (t14 + t23) * t13 * t24
-                    )
-                    if val > best:
-                        best = val
-                        ba, bb, bc, bd, be = a, b, c, d, e
-    return best, np.array([ba, bb, bc, bd, be], dtype=np.int64)
-
-
-def _pair_scalars_many_numpy(p: np.ndarray):
+def pair_scalars_many(p: np.ndarray):
+    """Per-pair gamma and zeta, and the volume, of (N, 4, 3) centered tetrahedra."""
     # pairs ordered (12,13,14,23,24,34); complement of slot k is slot 5-k
     p = np.asarray(p, dtype=np.float64)
     pairs = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -142,43 +81,12 @@ def _pair_scalars_many_numpy(p: np.ndarray):
     return gamma, zeta, vol
 
 
-def _pair_scalars_many_loop(p):
-    n = p.shape[0]
-    gamma = np.empty((n, 6))
-    zeta = np.empty((n, 6))
-    vol = np.empty(n)
-    pi = np.array([0, 0, 0, 1, 1, 2], dtype=np.int64)
-    pj = np.array([1, 2, 3, 2, 3, 3], dtype=np.int64)
-    for m in range(n):
-        for k in range(6):
-            i = pi[k]
-            j = pj[k]
-            s = pi[5 - k]
-            t = pj[5 - k]
-            g = -(
-                p[m, s, 0] * p[m, t, 0]
-                + p[m, s, 1] * p[m, t, 1]
-                + p[m, s, 2] * p[m, t, 2]
-            )
-            cx = p[m, i, 1] * p[m, j, 2] - p[m, i, 2] * p[m, j, 1]
-            cy = p[m, i, 2] * p[m, j, 0] - p[m, i, 0] * p[m, j, 2]
-            cz = p[m, i, 0] * p[m, j, 1] - p[m, i, 1] * p[m, j, 0]
-            gamma[m, k] = g
-            zeta[m, k] = g * (cx * cx + cy * cy + cz * cz)
-        ax, ay, az = (p[m, 1, 0] - p[m, 0, 0], p[m, 1, 1] - p[m, 0, 1], p[m, 1, 2] - p[m, 0, 2])
-        bx, by, bz = (p[m, 2, 0] - p[m, 0, 0], p[m, 2, 1] - p[m, 0, 1], p[m, 2, 2] - p[m, 0, 2])
-        cx2, cy2, cz2 = (p[m, 3, 0] - p[m, 0, 0], p[m, 3, 1] - p[m, 0, 1], p[m, 3, 2] - p[m, 0, 2])
-        det = (
-            ax * (by * cz2 - bz * cy2)
-            - ay * (bx * cz2 - bz * cx2)
-            + az * (bx * cy2 - by * cx2)
-        )
-        vol[m] = abs(det) / 6.0
-    return gamma, zeta, vol
+def type4_functional_many(v: np.ndarray, beta: np.ndarray, a6: float, a4: float):
+    """Weighted edge functional at unit volume of type-4 bodies.
 
-
-def _type4_functional_many_numpy(v: np.ndarray, beta: np.ndarray, a6: float, a4: float):
-    # beta columns ordered (12,13,14,23,24); the 34 slot is implicitly zero
+    ``v`` holds (N, 4, 3) frames and ``beta`` the (N, 5) coefficients in
+    pair order (12, 13, 14, 23, 24); the 34 coefficient is zero.
+    """
     v = np.asarray(v, dtype=np.float64)
     beta = np.asarray(beta, dtype=np.float64)
     pairs = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3))
@@ -186,43 +94,12 @@ def _type4_functional_many_numpy(v: np.ndarray, beta: np.ndarray, a6: float, a4:
         [np.linalg.norm(np.cross(v[:, i], v[:, j]), axis=1) for i, j in pairs], axis=1
     )
     w_raw = a4 * beta[:, 0] * cross_norm[:, 0] + a6 * (beta[:, 1:] * cross_norm[:, 1:]).sum(axis=1)
-    tau = np.concatenate([beta, np.zeros((len(beta), 1))], axis=1)
-    vol = _volume_poly_many_numpy(tau)
+    vol = volume_cubic(*(beta[:, k] for k in range(5)), 0.0)
     return w_raw / np.cbrt(vol)
 
 
-def _type4_functional_many_loop(v, beta, a6, a4):
-    n = v.shape[0]
-    out = np.empty(n)
-    pi = np.array([0, 0, 0, 1, 1], dtype=np.int64)
-    pj = np.array([1, 2, 3, 2, 3], dtype=np.int64)
-    for m in range(n):
-        w = 0.0
-        for k in range(5):
-            i = pi[k]
-            j = pj[k]
-            cx = v[m, i, 1] * v[m, j, 2] - v[m, i, 2] * v[m, j, 1]
-            cy = v[m, i, 2] * v[m, j, 0] - v[m, i, 0] * v[m, j, 2]
-            cz = v[m, i, 0] * v[m, j, 1] - v[m, i, 1] * v[m, j, 0]
-            ln = (cx * cx + cy * cy + cz * cz) ** 0.5
-            w += (a4 if k == 0 else a6) * beta[m, k] * ln
-        t12 = beta[m, 0]
-        t13 = beta[m, 1]
-        t14 = beta[m, 2]
-        t23 = beta[m, 3]
-        t24 = beta[m, 4]
-        vol = (
-            t12 * t13 * t23
-            + t12 * t14 * t24
-            + t12 * (t13 * t24 + t14 * t23)
-            + (t13 + t24) * t14 * t23
-            + (t14 + t23) * t13 * t24
-        )
-        out[m] = w / vol ** (1.0 / 3.0)
-    return out
-
-
-def _segment_ball_clip_numpy(p0: np.ndarray, p1: np.ndarray, radius: float) -> np.ndarray:
+def segment_ball_clip(p0: np.ndarray, p1: np.ndarray, radius: float) -> np.ndarray:
+    """Length of each segment p0[i]-p1[i] inside the ball of ``radius`` at 0."""
     p0 = np.asarray(p0, dtype=np.float64)
     p1 = np.asarray(p1, dtype=np.float64)
     d = p1 - p0
@@ -238,60 +115,3 @@ def _segment_ball_clip_numpy(p0: np.ndarray, p1: np.ndarray, radius: float) -> n
         t2 = np.clip((-b + sq) / (2.0 * a), 0.0, 1.0)
     out[ok] = ((t2 - t1) * np.sqrt(a))[ok]
     return out
-
-
-def _segment_ball_clip_loop(p0, p1, radius):
-    n = p0.shape[0]
-    out = np.zeros(n)
-    r2 = radius * radius
-    for m in range(n):
-        dx = p1[m, 0] - p0[m, 0]
-        dy = p1[m, 1] - p0[m, 1]
-        dz = p1[m, 2] - p0[m, 2]
-        a = dx * dx + dy * dy + dz * dz
-        if a <= 0.0:
-            continue
-        b = 2.0 * (p0[m, 0] * dx + p0[m, 1] * dy + p0[m, 2] * dz)
-        c = p0[m, 0] ** 2 + p0[m, 1] ** 2 + p0[m, 2] ** 2 - r2
-        disc = b * b - 4.0 * a * c
-        if disc <= 0.0:
-            continue
-        sq = disc**0.5
-        t1 = (-b - sq) / (2.0 * a)
-        t2 = (-b + sq) / (2.0 * a)
-        t1 = 0.0 if t1 < 0.0 else (1.0 if t1 > 1.0 else t1)
-        t2 = 0.0 if t2 < 0.0 else (1.0 if t2 > 1.0 else t2)
-        out[m] = (t2 - t1) * a**0.5
-    return out
-
-
-volume_poly_many_numpy = _volume_poly_many_numpy
-simplex_grid_scan_numpy = _simplex_grid_scan_numpy
-pair_scalars_many_numpy = _pair_scalars_many_numpy
-type4_functional_many_numpy = _type4_functional_many_numpy
-segment_ball_clip_numpy = _segment_ball_clip_numpy
-
-if NUMBA_ENABLED:
-    volume_poly_many_jit = njit(cache=True)(_volume_poly_many_loop)
-    simplex_grid_scan_jit = njit(cache=True)(_simplex_grid_scan_loop)
-    pair_scalars_many_jit = njit(cache=True)(_pair_scalars_many_loop)
-    type4_functional_many_jit = njit(cache=True)(_type4_functional_many_loop)
-    segment_ball_clip_jit = njit(cache=True)(_segment_ball_clip_loop)
-
-    volume_poly_many = volume_poly_many_jit
-    simplex_grid_scan = simplex_grid_scan_jit
-    pair_scalars_many = pair_scalars_many_jit
-    type4_functional_many = type4_functional_many_jit
-    segment_ball_clip = segment_ball_clip_jit
-else:
-    volume_poly_many_jit = None
-    simplex_grid_scan_jit = None
-    pair_scalars_many_jit = None
-    type4_functional_many_jit = None
-    segment_ball_clip_jit = None
-
-    volume_poly_many = _volume_poly_many_numpy
-    simplex_grid_scan = _simplex_grid_scan_numpy
-    pair_scalars_many = _pair_scalars_many_numpy
-    type4_functional_many = _type4_functional_many_numpy
-    segment_ball_clip = _segment_ball_clip_numpy

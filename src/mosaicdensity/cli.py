@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -33,11 +34,7 @@ def _canonical_shape(name: str) -> zonotope.Zonotope:
     if name == "rhombic":
         return zonotope.rhombic_dodecahedron(np.sqrt(3.0) / 2.0 ** (4.0 / 3.0))
     if name == "elongated":
-        z = zonotope.elongated_rhombic_dodecahedron(0.6)
-        return zonotope.build_zonotope(
-            [zonotope.Segment(s.direction / z.volume() ** (1.0 / 3.0), s.generator_index)
-             for s in z.segments]
-        )
+        return zonotope.unit_volume(zonotope.elongated_rhombic_dodecahedron(0.6))
     if name == "truncocta":
         return zonotope.truncated_octahedron(2.0 ** (-7.0 / 6.0))
     if name.startswith("file:"):
@@ -78,10 +75,34 @@ def _covolume_residual(report: tiling.TilingReport, prefix: str = "") -> dict:
     return _residual(f"{prefix}covolume_minus_volume", diff, tolerance)
 
 
-def _positive_int(text: str) -> int:
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
-    return int(text)
+def _int_at_least(low: int):
+    """Argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid" message
+    return parse
+
+
+def _finite_real(low: float, *, strict: bool):
+    """Argparse type: a finite float above ``low`` (or at least ``low``)."""
+
+    def parse(text: str) -> float:
+        value = float(text)
+        if not (math.isfinite(value) and (value > low if strict else value >= low)):
+            bound = f"> {low:g}" if strict else f"at least {low:g}"
+            raise argparse.ArgumentTypeError(f"must be finite and {bound}, got {text}")
+        return value
+
+    parse.__name__ = "float"
+    return parse
+
+
+_positive_real = _finite_real(0.0, strict=True)
 
 
 def _emit(command: str, inputs: dict, outputs: dict, residuals: list[dict]) -> int:
@@ -341,17 +362,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "wm", help="per-type minima of the weighted edge functional", parents=[common]
     )
-    p.add_argument("--alpha6", type=float, required=True, help="weight of 6-belt segments")
-    p.add_argument("--alpha4", type=float, required=True, help="weight of 4-belt segments")
+    p.add_argument("--alpha6", type=_positive_real, required=True, help="weight of 6-belt segments")
+    p.add_argument("--alpha4", type=_positive_real, required=True, help="weight of 4-belt segments")
     p.add_argument("--type", type=int, choices=range(1, 6), help="restrict to one type")
-    p.add_argument("--sweep", type=int, help="random type-4 bodies to sweep against the bound")
+    p.add_argument(
+        "--sweep", type=_int_at_least(100), help="random type-4 bodies to sweep against the bound"
+    )
     p.set_defaults(func=cmd_wm)
 
     p = sub.add_parser(
         "decomp", help="minimum density bound for decomposable mosaics", parents=[common]
     )
-    p.add_argument("--dim", type=int, required=True, help="ambient dimension (>= 2)")
-    p.add_argument("--oracle", type=int, help="run the grid oracle with this resolution")
+    p.add_argument("--dim", type=_int_at_least(2), required=True, help="ambient dimension (>= 2)")
+    p.add_argument(
+        "--oracle", type=_int_at_least(20), help="run the grid oracle with this resolution"
+    )
     p.set_defaults(func=cmd_decomp)
 
     p = sub.add_parser(
@@ -373,17 +398,20 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("tetra", "simplex", "isotropy", "tiling", "all"),
         default="all",
     )
-    p.add_argument("--samples", type=_positive_int, default=10_000, help="sample count for randomized suites")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0, help="scale factor (simplex suite)")
-    p.add_argument("--grid", type=int, default=60, help="grid resolution (simplex suite)")
+    p.add_argument("--samples", type=_int_at_least(1), default=10_000, help="sample count for randomized suites")
+    p.add_argument(
+        "--lambda", dest="lam", type=_finite_real(1.0, strict=False), default=1.0,
+        help="scale factor (simplex suite)",
+    )
+    p.add_argument("--grid", type=_int_at_least(10), default=60, help="grid resolution (simplex suite)")
     p.add_argument("--radius", type=float, default=20.0, help="ball radius (tiling suite)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser(
         "table1", help="CSV of per-type minima for one weight pair", parents=[common]
     )
-    p.add_argument("--alpha6", type=float, required=True)
-    p.add_argument("--alpha4", type=float, required=True)
+    p.add_argument("--alpha6", type=_positive_real, required=True)
+    p.add_argument("--alpha4", type=_positive_real, required=True)
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser(
@@ -397,7 +425,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "decomp" and args.oracle and args.dim > 7:
+        parser.error(f"argument --oracle: the grid oracle covers --dim 2..7, got {args.dim}")
     return args.func(args)
 
 

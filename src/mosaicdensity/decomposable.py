@@ -91,22 +91,13 @@ def planar_skeleton_density_bound(c: PlanarComponent) -> float:
     return math.sqrt(c.e_hat * math.tan(math.pi / c.e_hat) / c.area)
 
 
-def _bound_terms(es: list[float], areas: list[float]) -> float:
-    k = len(es)
-    total = 0.0
-    for i in range(k):
-        others = math.prod(es[j] - 2.0 for j in range(k) if j != i)
-        total += math.sqrt(es[i] * math.tan(math.pi / es[i]) * areas[i]) * others
-    return total / 2.0 ** (k - 1)
-
-
 def density_bound_even(spec: DecompositionSpec) -> float:
     """Edge-density lower bound for a pure planar product (dimension 2k)."""
     if spec.segment is not None:
         raise ValueError("even-dimensional bound takes a spec without segment")
     es = [c.e_hat for c in spec.planars]
     areas = [c.area for c in spec.planars]
-    return _bound_terms(es, areas)
+    return float(_bound_arrays(es, areas, None))
 
 
 def density_bound_odd(spec: DecompositionSpec) -> float:
@@ -115,9 +106,7 @@ def density_bound_odd(spec: DecompositionSpec) -> float:
         raise ValueError("odd-dimensional bound needs a segment component")
     es = [c.e_hat for c in spec.planars]
     areas = [c.area for c in spec.planars]
-    k = len(es)
-    cross = spec.segment.length / 2.0**k * math.prod(e - 2.0 for e in es)
-    return _bound_terms(es, areas) + cross
+    return float(_bound_arrays(es, areas, spec.segment.length))
 
 
 def minimize_density(n: int) -> tuple[float, DecompositionSpec]:
@@ -149,7 +138,12 @@ def minimize_density(n: int) -> tuple[float, DecompositionSpec]:
     return value, spec
 
 
-def _bound_arrays(es: list[np.ndarray], areas: list[np.ndarray], length: np.ndarray | None):
+def _bound_arrays(es: list, areas: list, length):
+    """The even bound, plus the segment term when ``length`` is given.
+
+    Elementwise: each e_hat, area and the length may be a float or an
+    array, so specs and whole oracle grids share this one formula.
+    """
     k = len(es)
     total = 0.0
     for i in range(k):
@@ -186,21 +180,13 @@ def brute_force_minimize(n: int, grid_n: int = 30, refine_rounds: int = 60) -> f
     dims = k + n_areas
 
     def value_at(x: np.ndarray) -> float:
-        es = list(x[:k])
-        las = x[k:]
+        areas = [math.exp(v) for v in x[k:]]
         if odd:
-            areas = [math.exp(v) for v in las]
             length = 1.0 / math.prod(areas)
         else:
-            areas = [math.exp(v) for v in las]
             areas.append(1.0 / math.prod(areas) if areas else 1.0)
             length = None
-        return float(
-            _bound_arrays(
-                [np.float64(e) for e in es], [np.float64(a) for a in areas],
-                None if length is None else np.float64(length),
-            )
-        )
+        return float(_bound_arrays(x[:k], areas, length))
 
     m = grid_n + 1
     while m**dims > 250_000 and m > 5:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .zonotope import PAIRS, GeometryError, volume_polynomial
+from .zonotope import GeometryError, volume_polynomial
 
 
 class DegenerateTetrahedron(GeometryError):
@@ -85,15 +85,8 @@ class PairInvariants:
 
 
 def pair_invariants(t: CenteredTetrahedron) -> PairInvariants:
-    p = t.vertices
-    gamma = np.empty(6)
-    zeta = np.empty(6)
-    for k, (i, j) in enumerate(PAIRS):
-        s, u = PAIRS[5 - k]
-        gamma[k] = -float(p[s] @ p[u])
-        cr = np.cross(p[i], p[j])
-        zeta[k] = gamma[k] * float(cr @ cr)
-    return PairInvariants(gamma, zeta)
+    gamma, zeta, _ = _kernels.pair_scalars_many(t.vertices[None])
+    return PairInvariants(gamma[0], zeta[0])
 
 
 @dataclass(frozen=True)

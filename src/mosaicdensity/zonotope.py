@@ -26,6 +26,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._kernels import volume_cubic
+
 Vec3 = np.ndarray
 
 #: Unordered index pairs of a 4-element frame, in canonical order.
@@ -279,16 +281,7 @@ def volume_polynomial(tau: Sequence[float]) -> float:
     t = np.asarray(tau, dtype=np.float64)
     if t.shape != (6,):
         raise GeometryError("expected six coefficients")
-    t12, t13, t14, t23, t24, t34 = t
-    return float(
-        t12 * t13 * t23
-        + t12 * t14 * t24
-        + t13 * t14 * t34
-        + t23 * t24 * t34
-        + (t12 + t34) * (t13 * t24 + t14 * t23)
-        + (t13 + t24) * (t12 * t34 + t14 * t23)
-        + (t14 + t23) * (t12 * t34 + t13 * t24)
-    )
+    return float(volume_cubic(*t))
 
 
 def _hull2d(pts: np.ndarray) -> list[int]:
@@ -567,6 +560,14 @@ def truncated_octahedron(edge: float = 1.0) -> Zonotope:
         dtype=np.float64,
     )
     return build_zonotope(dirs / np.linalg.norm(dirs, axis=1)[:, None] * edge)
+
+
+def unit_volume(z: Zonotope) -> Zonotope:
+    """The body rescaled to volume 1: every segment scaled by vol^(-1/3)."""
+    scale = z.volume() ** (-1.0 / 3.0)
+    return build_zonotope(
+        [Segment(s.direction * scale, s.generator_index) for s in z.segments]
+    )
 
 
 def to_json(z: Zonotope, beta: BetaVector | None = None) -> dict:

@@ -43,15 +43,10 @@ def rng() -> np.random.Generator:
 def unit_shapes() -> dict[str, zonotope.Zonotope]:
     """The five canonical parallelohedra at unit volume."""
     hx = (2.0 / (3.0 * math.sqrt(3.0))) ** (1.0 / 3.0)
-    erd = zonotope.elongated_rhombic_dodecahedron(0.55)
-    scale = erd.volume() ** (-1.0 / 3.0)
-    erd = zonotope.build_zonotope(
-        [zonotope.Segment(s.direction * scale, s.generator_index) for s in erd.segments]
-    )
     return {
         "cube": zonotope.cube(),
         "hexprism": zonotope.hexagonal_prism(hx, hx),
         "rhombic": zonotope.rhombic_dodecahedron(math.sqrt(3.0) / 2.0 ** (4.0 / 3.0)),
-        "elongated": erd,
+        "elongated": zonotope.unit_volume(zonotope.elongated_rhombic_dodecahedron(0.55)),
         "truncocta": zonotope.truncated_octahedron(2.0 ** (-7.0 / 6.0)),
     }

@@ -159,3 +159,49 @@ class TestCsvReports:
         assert rows[0] == ["alpha4", "type1", "type2", "type3", "type4_bound", "type5"]
         assert len(rows) == 4
         assert float(rows[1][1]) == pytest.approx(0.6)
+
+
+class TestBadInput:
+    """Invalid counts and reals stop at parse time: exit 2, one error line."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["wm", "--alpha6", "1", "--alpha4", "1", "--sweep", "0"],
+             "--sweep: must be at least 100, got 0"),
+            (["wm", "--alpha6", "1", "--alpha4", "1", "--sweep", "-5"],
+             "--sweep: must be at least 100, got -5"),
+            (["wm", "--alpha6", "1", "--alpha4", "1", "--sweep", "50"],
+             "--sweep: must be at least 100, got 50"),
+            (["verify", "--lemma", "simplex", "--grid", "0"],
+             "--grid: must be at least 10, got 0"),
+            (["decomp", "--dim", "3", "--oracle", "1"],
+             "--oracle: must be at least 20, got 1"),
+            (["decomp", "--dim", "8", "--oracle", "30"],
+             "--oracle: the grid oracle covers --dim 2..7, got 8"),
+            (["wm", "--alpha6", "inf", "--alpha4", "1"],
+             "--alpha6: must be finite and > 0, got inf"),
+            (["wm", "--alpha6", "1", "--alpha4", "nan"],
+             "--alpha4: must be finite and > 0, got nan"),
+            (["table1", "--alpha6", "0", "--alpha4", "1"],
+             "--alpha6: must be finite and > 0, got 0"),
+            (["decomp", "--dim", "1"],
+             "--dim: must be at least 2, got 1"),
+            (["verify", "--lemma", "simplex", "--lambda", "0.5"],
+             "--lambda: must be finite and at least 1, got 0.5"),
+        ],
+        ids=[
+            "sweep-0", "sweep-neg", "sweep-below-floor", "grid-0", "oracle-1",
+            "oracle-dim-8", "alpha6-inf", "alpha4-nan", "table1-alpha6-0", "dim-1",
+            "lambda-half",
+        ],
+    )
+    def test_rejected_at_parse_time(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and errors[0].endswith(message)
+        assert "Traceback" not in captured.err

@@ -1,68 +1,93 @@
-"""Agreement of the compiled and pure-numpy kernel implementations, and
-the environment switch between them."""
+"""The numpy kernels against plain-Python and geometric references."""
 
-import os
-import subprocess
-import sys
-import textwrap
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from mosaicdensity import _kernels as K
-
-needs_numba = pytest.mark.skipif(not K.NUMBA_ENABLED, reason="numba disabled")
-
-
-def _random_tetra_batch(n: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    p = rng.uniform(-1.0, 1.0, size=(n, 4, 3))
-    return np.ascontiguousarray(p - p.mean(axis=1, keepdims=True))
+from mosaicdensity import zonotope as Z
 
 
-@needs_numba
-class TestJitMatchesNumpy:
-    def test_volume_poly(self):
-        tau = np.random.default_rng(1).uniform(0.0, 2.0, size=(500, 6))
-        a = K.volume_poly_many_numpy(tau)
-        b = K.volume_poly_many_jit(tau)
-        assert np.allclose(a, b, rtol=1e-14, atol=0)
+def _grid_scan_reference(lam, grid_n, budget):
+    # one composition (a, b, c, d, e) of grid_n at a time, tau34 = 0
+    n = grid_n
+    best = -1.0
+    best_idx = (0, 0, 0, 0, 0)
+    for a in range(n + 1):
+        t12 = lam * a * budget / n
+        for b in range(n + 1 - a):
+            t13 = b * budget / n
+            for c in range(n + 1 - a - b):
+                t14 = c * budget / n
+                for d in range(n + 1 - a - b - c):
+                    e = n - a - b - c - d
+                    t23 = d * budget / n
+                    t24 = e * budget / n
+                    val = (
+                        t12 * t13 * t23
+                        + t12 * t14 * t24
+                        + t12 * (t13 * t24 + t14 * t23)
+                        + (t13 + t24) * t14 * t23
+                        + (t14 + t23) * t13 * t24
+                    )
+                    if val > best:
+                        best = val
+                        best_idx = (a, b, c, d, e)
+    return best, best_idx
 
-    def test_grid_scan(self):
-        for lam in (1.0, 2.5):
-            va, ia = K.simplex_grid_scan_numpy(lam, 24, 1.0)
-            vb, ib = K.simplex_grid_scan_jit(lam, 24, 1.0)
-            assert va == vb
-            assert (ia == ib).all()
 
-    def test_pair_scalars(self):
-        p = _random_tetra_batch(300, 2)
-        ga, za, va = K.pair_scalars_many_numpy(p)
-        gb, zb, vb = K.pair_scalars_many_jit(p)
-        assert np.allclose(ga, gb, atol=1e-13)
-        assert np.allclose(za, zb, atol=1e-13)
-        assert np.allclose(va, vb, atol=1e-13)
+def _cubic_reference(tau):
+    # the volume cubic expanded: t_e t_f t_g over every three frame pairs
+    # that do not all share one frame vector (16 of the 20 triples)
+    total = 0.0
+    for triple in combinations(range(6), 3):
+        pairs = [set(Z.PAIRS[k]) for k in triple]
+        if not set.intersection(*pairs):
+            total += tau[triple[0]] * tau[triple[1]] * tau[triple[2]]
+    return total
 
-    def test_type4_functional(self):
-        p = _random_tetra_batch(300, 3)
-        d = np.linalg.det(p[:, :3])
-        p = p[np.abs(d) > 5e-2]
-        beta = np.random.default_rng(4).uniform(0.1, 1.0, size=(len(p), 5))
-        a = K.type4_functional_many_numpy(p, beta, 1.0, 0.8)
-        b = K.type4_functional_many_jit(np.ascontiguousarray(p), beta, 1.0, 0.8)
-        assert np.allclose(a, b, rtol=1e-12)
 
-    def test_ball_clip(self):
-        rng = np.random.default_rng(5)
-        p0 = rng.uniform(-4.0, 4.0, size=(1000, 3))
-        p1 = p0 + rng.uniform(-2.0, 2.0, size=(1000, 3))
-        a = K.segment_ball_clip_numpy(p0, p1, 3.0)
-        b = K.segment_ball_clip_jit(p0, p1, 3.0)
-        assert np.allclose(a, b, atol=1e-12)
+class TestGridScan:
+    @pytest.mark.parametrize("grid_n", [10, 16, 24])
+    @pytest.mark.parametrize("lam", [1.0, 1.3, 2.0, 2.05, 3.0])
+    def test_matches_plain_python_scan(self, grid_n, lam):
+        value, comp = K.simplex_grid_scan(lam, grid_n, 1.0)
+        want, _ = _grid_scan_reference(lam, grid_n, 1.0)
+        assert abs(value - want) <= 1e-15
+        # the returned composition is feasible and attains the reported value
+        assert comp.dtype == np.int64 and comp.shape == (5,)
+        assert (comp >= 0).all() and comp.sum() == grid_n
+        t = comp / grid_n
+        assert abs(Z.volume_polynomial([lam * t[0], t[1], t[2], t[3], t[4], 0.0]) - value) <= 1e-15
 
-    def test_public_names_bind_to_jit(self):
-        assert K.volume_poly_many is K.volume_poly_many_jit
-        assert K.segment_ball_clip is K.segment_ball_clip_jit
+
+class TestVolumeCubic:
+    def test_matches_expanded_monomials(self):
+        tau = np.random.default_rng(1).uniform(0.0, 2.0, size=(200, 6))
+        got = K.volume_poly_many(tau)
+        want = np.array([_cubic_reference(t) for t in tau])
+        assert np.allclose(got, want, rtol=1e-13, atol=0)
+
+
+class TestType4Functional:
+    def test_matches_built_bodies(self):
+        rng = np.random.default_rng(3)
+        m = Z.WeightPair(1.0, 0.8)
+        frames, betas, want = [], [], []
+        while len(frames) < 8:
+            v = rng.normal(size=(4, 3))
+            v[3] = -(v[0] + v[1] + v[2])
+            if abs(np.linalg.det(v[:3])) < 5e-2:
+                continue
+            g = Z.validate_generators(v)
+            beta = rng.uniform(0.2, 1.3, 5)
+            z = Z.build_from_parameters(g, Z.BetaVector(np.append(beta, 0.0)))
+            frames.append(g.vectors)
+            betas.append(beta)
+            want.append(Z.weighted_edge_functional(z, m) / z.volume() ** (1.0 / 3.0))
+        got = K.type4_functional_many(np.array(frames), np.array(betas), m.alpha6, m.alpha4)
+        assert np.allclose(got, want, rtol=1e-10)
 
 
 class TestBallClipGeometry:
@@ -85,28 +110,3 @@ class TestBallClipGeometry:
     def test_degenerate_segment(self):
         p = np.array([[0.1, 0.2, 0.3]])
         assert K.segment_ball_clip(p, p, 2.0)[0] == 0.0
-
-
-def test_env_flag_switches_to_numpy():
-    code = textwrap.dedent(
-        """
-        import mosaicdensity._kernels as K
-        assert not K.NUMBA_ENABLED
-        assert K.volume_poly_many_jit is None
-        assert K.volume_poly_many is K.volume_poly_many_numpy
-        assert K.pair_scalars_many is K.pair_scalars_many_numpy
-        assert K.segment_ball_clip is K.segment_ball_clip_numpy
-        import mosaicdensity
-        assert mosaicdensity.NUMBA_ENABLED is False
-        import numpy as np
-        tau = np.full((2, 6), 0.5)
-        assert np.allclose(K.volume_poly_many(tau), 2.0)
-        print("fallback ok")
-        """
-    )
-    env = dict(os.environ, MOSAICDENSITY_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    assert "fallback ok" in out.stdout

@@ -74,6 +74,18 @@ def test_identities_survive_rotation_and_scale(rng):
         assert T.verify_identities(s, tol=1e-10).passed
 
 
+def _pair_scalars_reference(p):
+    # one pair at a time, straight from the definitions in tetra's docstring
+    gamma = np.empty(6)
+    zeta = np.empty(6)
+    for k, (i, j) in enumerate(Z.PAIRS):
+        s, u = Z.PAIRS[5 - k]
+        gamma[k] = -float(p[s] @ p[u])
+        cr = np.cross(p[i], p[j])
+        zeta[k] = gamma[k] * float(cr @ cr)
+    return gamma, zeta
+
+
 def test_batch_matches_scalar_path():
     rng = np.random.default_rng(11)
     p = rng.uniform(-1, 1, size=(50, 4, 3))
@@ -84,12 +96,15 @@ def test_batch_matches_scalar_path():
     for i in range(50):
         if vol[i] < 1e-3:
             continue
-        # kernel and scalar path must agree on the same vertex ordering,
-        # so bypass the orientation swap of center()
-        inv = T.pair_invariants(T.CenteredTetrahedron(p[i]))
-        assert np.allclose(gamma[i], inv.neg_opposite_dot, atol=1e-12)
-        assert np.allclose(zeta[i], inv.cross_weighted, atol=1e-12)
+        want_gamma, want_zeta = _pair_scalars_reference(p[i])
+        assert np.allclose(gamma[i], want_gamma, atol=1e-12)
+        assert np.allclose(zeta[i], want_zeta, atol=1e-12)
         assert abs(vol[i] - abs(np.linalg.det(p[i][1:] - p[i][0])) / 6) < 1e-12
+        # the single-body path must agree on the same vertex ordering, so
+        # bypass the orientation swap of center()
+        inv = T.pair_invariants(T.CenteredTetrahedron(p[i]))
+        assert np.allclose(inv.neg_opposite_dot, want_gamma, atol=1e-12)
+        assert np.allclose(inv.cross_weighted, want_zeta, atol=1e-12)
 
 
 def test_batch_residuals_small():

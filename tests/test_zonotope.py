@@ -240,3 +240,13 @@ class TestCanonicalShapes:
         b = Z.belts(z)
         four = [s for s, c in zip(z.segments, b) if c is Z.BeltClass.FOUR]
         assert len(four) == 1 and abs(four[0].length - 0.5) < 1e-12
+
+    def test_unit_volume_rescales_segments(self):
+        z = Z.elongated_rhombic_dodecahedron(0.6)
+        u = Z.unit_volume(z)
+        assert abs(u.volume() - 1.0) < 1e-12
+        scale = z.volume() ** (-1.0 / 3.0)
+        assert [s.generator_index for s in u.segments] == [s.generator_index for s in z.segments]
+        for s, t in zip(z.segments, u.segments):
+            assert np.allclose(t.direction, s.direction * scale, rtol=1e-15, atol=0)
+        assert Z.belts(u) == Z.belts(z)
