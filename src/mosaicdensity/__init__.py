@@ -84,7 +84,6 @@ from .zonotope import (
     elongated_rhombic_dodecahedron,
     from_json,
     hexagonal_prism,
-    mean_width_estimate,
     rhombic_dodecahedron,
     to_json,
     total_edge_length,
@@ -107,7 +106,7 @@ __all__ = [
     "ParallelohedronType", "BeltClass", "GeneratorSet", "BetaVector", "WeightPair",
     "Segment", "Zonotope", "validate_generators", "classify_type", "volume_polynomial",
     "build_zonotope", "build_from_parameters", "belts", "weighted_edge_functional",
-    "total_edge_length", "mean_width_estimate", "to_json", "from_json",
+    "total_edge_length", "to_json", "from_json",
     "cube", "hexagonal_prism", "rhombic_dodecahedron",
     "elongated_rhombic_dodecahedron", "truncated_octahedron", "unit_volume",
     # tetrahedra

@@ -1,8 +1,10 @@
-"""Hot numeric kernels, vectorized with numpy.
+"""Hot numeric kernels, vectorized with numpy, and the oracles' local search.
 
 ``volume_cubic`` is the only copy of the volume cubic in the package: the
-batch kernels below, the simplex grid scan and
-``zonotope.volume_polynomial`` all evaluate it.
+batch kernels below, the simplex grid scan, the simplex objective and
+``zonotope.volume_polynomial`` all evaluate it.  ``greedy_descent`` is
+the one local search: the simplex and decomposable brute-force oracles
+both refine their best grid point with it.
 """
 
 from __future__ import annotations
@@ -62,6 +64,30 @@ def simplex_grid_scan(lam: float, grid_n: int, budget: float):
             best = float(vals[k])
             best_idx = (a, int(b[k]), int(c[k]), int(d[k]), int(e[k]))
     return best, np.array(best_idx, dtype=np.int64)
+
+
+def greedy_descent(f, move, n_moves: int, x, step: float, rounds: int):
+    """Minimise ``f`` from ``x`` by greedy moves; returns ``(best, x)``.
+
+    A sweep tries ``move(x, step, i)`` for each ``i < n_moves`` from the
+    current point, skips a move of None and keeps every strict
+    improvement.  A sweep that improves nothing halves ``step``; that
+    happens ``rounds`` times.
+    """
+    best = f(x)
+    for _ in range(rounds):
+        improved = True
+        while improved:
+            improved = False
+            for i in range(n_moves):
+                y = move(x, step, i)
+                if y is None:
+                    continue
+                v = f(y)
+                if v < best:
+                    best, x, improved = v, y, True
+        step *= 0.5
+    return best, x
 
 
 def pair_scalars_many(p: np.ndarray):

@@ -22,6 +22,7 @@ from . import decomposable, simplex, tetra, tiling, weights, zonotope
 from .zonotope import WeightPair
 
 _SHAPES = ("cube", "hexprism", "rhombic", "elongated", "truncocta")
+_TILING_SUITE = ("cube", "truncocta")  # shapes measured by verify --lemma tiling
 
 
 def _canonical_shape(name: str) -> zonotope.Zonotope:
@@ -105,6 +106,29 @@ def _finite_real(low: float, *, strict: bool):
 _positive_real = _finite_real(0.0, strict=True)
 
 
+def _ascending_radii(text: str) -> list[float]:
+    """Argparse type: comma-separated ascending radii, each finite and > 0."""
+    radii = [_positive_real(x) for x in text.split(",")]
+    if radii != sorted(radii):
+        raise argparse.ArgumentTypeError(f"radii must ascend, got {text}")
+    return radii
+
+
+_ascending_radii.__name__ = "radii"
+
+
+class _OptionError(Exception):
+    """An option out of range for the body it is used with; exits 2 via ``main``."""
+
+
+def _require_radius(z: zonotope.Zonotope, radii: list[float], option: str) -> None:
+    """Refuse a ball radius below the floor of ``skeleton_density`` before any search."""
+    try:
+        tiling._check_radius(z, min(radii))
+    except tiling.RadiusTooSmall as exc:
+        raise _OptionError(f"argument {option}: {exc}") from exc
+
+
 def _emit(command: str, inputs: dict, outputs: dict, residuals: list[dict]) -> int:
     doc = {
         "schema": "1",
@@ -179,7 +203,9 @@ def cmd_decomp(args: argparse.Namespace) -> int:
             "segment": None if spec.segment is None else {"length": spec.segment.length},
         },
     }
-    residuals = []
+    bound = decomposable.density_bound_odd if spec.segment else decomposable.density_bound_even
+    excess = max(0.0, value - bound(spec))
+    residuals = [_residual("published_minimum_at_or_below_bound_at_spec", excess, 1e-12)]
     if args.oracle:
         _note(f"running grid oracle with grid_n={args.oracle}")
         oracle = decomposable.brute_force_minimize(args.dim, args.oracle)
@@ -202,14 +228,16 @@ def _density_row(est: tiling.DensityEstimate) -> dict:
 
 def cmd_tile(args: argparse.Namespace) -> int:
     z = _canonical_shape(args.shape)
+    radii = args.series or [args.radius]
+    _require_radius(z, radii, "--series" if args.series else "--radius")
     _note(f"shape {args.shape}: volume={z.volume():.6f}, searching tiling lattice")
     try:
         lat = tiling.lattice_from_parallelohedron(z)
         report = tiling.validate_tiling(z, lat, seed=args.seed)
         n = report.translates_checked
         _note(f"lattice certified: no overlap among {n} translates, covolume = volume")
-        rows = tiling.convergence_series(z, lat, args.series or [args.radius]).rows
-    except ValueError as exc:  # covers geometry errors and RadiusTooSmall
+        rows = tiling.convergence_series(z, lat, radii).rows
+    except ValueError as exc:  # geometry errors
         raise SystemExit(f"tiling failed: {exc}") from exc
     if args.csv:
         writer = csv.DictWriter(sys.stdout, fieldnames=list(_density_row(rows[0])))
@@ -287,7 +315,7 @@ def _verify_isotropy(args: argparse.Namespace) -> tuple[dict, list[dict]]:
 def _verify_tiling(args: argparse.Namespace) -> tuple[dict, list[dict]]:
     rows = []
     residuals = []
-    for name in ("cube", "truncocta"):
+    for name in _TILING_SUITE:
         z = _canonical_shape(name)
         lat = tiling.lattice_from_parallelohedron(z)
         report = tiling.validate_tiling(z, lat, seed=args.seed)
@@ -304,6 +332,9 @@ def _verify_tiling(args: argparse.Namespace) -> tuple[dict, list[dict]]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     suites = ("tetra", "simplex", "isotropy", "tiling") if args.lemma == "all" else (args.lemma,)
+    if "tiling" in suites:
+        for name in _TILING_SUITE:
+            _require_radius(_canonical_shape(name), [args.radius], "--radius")
     outputs: dict = {}
     residuals: list[dict] = []
     runner = {
@@ -383,12 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
         "tile", help="simulate a lattice tiling and measure edge density", parents=[common]
     )
     p.add_argument("--shape", required=True, help=f"one of {_SHAPES} or file:<json>")
-    p.add_argument("--radius", type=float, default=20.0, help="measurement ball radius")
-    p.add_argument(
-        "--series",
-        type=lambda s: [float(x) for x in s.split(",")],
-        help="comma-separated ascending radii",
-    )
+    p.add_argument("--radius", type=_positive_real, default=20.0, help="measurement ball radius")
+    p.add_argument("--series", type=_ascending_radii, help="comma-separated ascending radii")
     p.add_argument("--csv", action="store_true", help="emit CSV rows instead of JSON")
     p.set_defaults(func=cmd_tile)
 
@@ -404,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="scale factor (simplex suite)",
     )
     p.add_argument("--grid", type=_int_at_least(10), default=60, help="grid resolution (simplex suite)")
-    p.add_argument("--radius", type=float, default=20.0, help="ball radius (tiling suite)")
+    p.add_argument("--radius", type=_positive_real, default=20.0, help="ball radius (tiling suite)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser(
@@ -417,9 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "fig2", help="CSV curves of the minima vs alpha4 at alpha6 = 1", parents=[common]
     )
-    p.add_argument("--start", type=float, default=0.05)
-    p.add_argument("--stop", type=float, default=1.2)
-    p.add_argument("--step", type=float, default=0.01)
+    p.add_argument("--start", type=_positive_real, default=0.05)
+    p.add_argument("--stop", type=_positive_real, default=1.2)
+    p.add_argument("--step", type=_positive_real, default=0.01)
     p.set_defaults(func=cmd_fig2)
     return parser
 
@@ -429,7 +456,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "decomp" and args.oracle and args.dim > 7:
         parser.error(f"argument --oracle: the grid oracle covers --dim 2..7, got {args.dim}")
-    return args.func(args)
+    if args.command == "fig2" and args.stop < args.start:
+        parser.error(f"argument --stop: must be at least --start {args.start:g}, got {args.stop:g}")
+    try:
+        return args.func(args)
+    except _OptionError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels
+
 
 class ConstraintViolated(ValueError):
     """Component parameters break the unit-cell-volume product constraint."""
@@ -161,6 +163,17 @@ def _bound_arrays(es: list, areas: list, length):
     return total
 
 
+def _oracle_bound(x, k: int, odd: bool):
+    """The bound at oracle coordinates (k e_hats, then the free log areas),
+    elementwise over a point or a stack of grid columns.  The segment
+    length (odd) or the last area (even) is 1 / (product of the areas)."""
+    areas = list(np.exp(x[k:]))
+    rest = 1.0 / math.prod(areas)
+    if odd:
+        return _bound_arrays(list(x[:k]), areas, rest)
+    return _bound_arrays(list(x[:k]), areas + [rest], None)
+
+
 def brute_force_minimize(n: int, grid_n: int = 30, refine_rounds: int = 60) -> float:
     """Grid plus coordinate-descent search for the bound's true minimum.
 
@@ -168,64 +181,35 @@ def brute_force_minimize(n: int, grid_n: int = 30, refine_rounds: int = 60) -> f
     constraint eliminates the last area (even case) or the segment
     length (odd case), so every evaluated point is exactly feasible.
     The per-axis grid resolution shrinks in higher dimensions to keep
-    the scan around a quarter million points, and refinement runs a
-    greedy axis walk with a halving step from the best grid point.
+    the scan around a quarter million points.  ``_kernels.greedy_descent``
+    refines the best grid point, stepping one coordinate up or down
+    (e_hats clamped to [3, 6]) from step 3 / grid_n.
     """
     if n < 2 or n > 7:
         raise ValueError("oracle covers dimensions 2..7")
     if grid_n < 20:
         raise ValueError("grid_n must be at least 20")
     k, odd = divmod(n, 2)
-    n_areas = k if odd else k - 1
-    dims = k + n_areas
-
-    def value_at(x: np.ndarray) -> float:
-        areas = [math.exp(v) for v in x[k:]]
-        if odd:
-            length = 1.0 / math.prod(areas)
-        else:
-            areas.append(1.0 / math.prod(areas) if areas else 1.0)
-            length = None
-        return float(_bound_arrays(x[:k], areas, length))
+    dims = 2 * k - 1 + odd
 
     m = grid_n + 1
     while m**dims > 250_000 and m > 5:
         m -= 2
-    axes = [np.linspace(3.0, 6.0, m)] * k + [np.linspace(-1.5, 1.5, m)] * n_areas
-    grids = np.meshgrid(*axes, indexing="ij")
-    cols = [g.ravel() for g in grids]
-    es = cols[:k]
-    if odd:
-        areas = [np.exp(c) for c in cols[k:]]
-        length = 1.0
-        for a in areas:
-            length = length / a
-        vals = _bound_arrays(es, areas, length)
-    else:
-        areas = [np.exp(c) for c in cols[k:]]
-        last = np.ones_like(es[0])
-        for a in areas:
-            last = last / a
-        vals = _bound_arrays(es, areas + [last], None)
-    best_flat = int(np.argmin(vals))
-    x = np.array([c[best_flat] for c in cols])
-    best = float(vals[best_flat])
+    axes = [np.linspace(3.0, 6.0, m)] * k + [np.linspace(-1.5, 1.5, m)] * (dims - k)
+    cols = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+    x = cols[:, int(np.argmin(_oracle_bound(cols, k, odd)))]
 
-    steps = np.array([3.0 / grid_n] * k + [3.0 / grid_n] * n_areas)
-    for _ in range(refine_rounds):
-        improved = True
-        while improved:
-            improved = False
-            for axis in range(dims):
-                for sign in (-1.0, 1.0):
-                    y = x.copy()
-                    y[axis] += sign * steps[axis]
-                    if axis < k:
-                        y[axis] = min(6.0, max(3.0, y[axis]))
-                    v = value_at(y)
-                    if v < best - 0.0:
-                        best, x, improved = v, y, True
-        steps *= 0.5
+    def axis_move(x: np.ndarray, step: float, i: int) -> np.ndarray:
+        axis = i // 2
+        y = x.copy()
+        y[axis] += step if i % 2 else -step
+        if axis < k:
+            y[axis] = min(6.0, max(3.0, y[axis]))
+        return y
+
+    best, _ = _kernels.greedy_descent(
+        lambda y: float(_oracle_bound(y, k, odd)), axis_move, 2 * dims, x, 3.0 / grid_n, refine_rounds
+    )
     return best
 
 
@@ -233,24 +217,20 @@ def bound_curve(k: int, e_values: np.ndarray) -> tuple[list[str], np.ndarray]:
     """Symmetric slice of the bound versus e_hat at fixed factor count.
 
     The even column uses unit areas.  The odd column optimizes the
-    segment length in closed form: the bound there is c1 l^(-1/(2k)) +
-    c2 l, minimized at l = (c1 / (2 k c2))^(2k/(2k+1)).
+    segment length in closed form: with areas l^(-1/k) the bound is
+    c1 l^(-1/(2k)) + c2 l (c1 the even column, c2 = ((e_hat - 2)/2)^k),
+    minimized at l = (c1 / (2 k c2))^(2k/(2k+1)).
     """
     if k < 1:
         raise ValueError("factor count must be positive")
-    header = ["e_hat", "even_bound", "odd_bound"]
-    rows = []
-    for e in np.asarray(e_values, dtype=np.float64):
-        if not (3.0 <= e <= 6.0):
-            raise ValueError("e_hat grid must lie in [3, 6]")
-        root = math.sqrt(e * math.tan(math.pi / e))
-        even = k * root * (e - 2.0) ** (k - 1) / 2.0 ** (k - 1)
-        c1 = even
-        c2 = (e - 2.0) ** k / 2.0**k
-        length = (c1 / (2.0 * k * c2)) ** (2.0 * k / (2.0 * k + 1.0))
-        odd = c1 * length ** (-1.0 / (2.0 * k)) + c2 * length
-        rows.append([e, even, odd])
-    return header, np.array(rows)
+    e = np.asarray(e_values, dtype=np.float64)
+    if not ((3.0 <= e) & (e <= 6.0)).all():
+        raise ValueError("e_hat grid must lie in [3, 6]")
+    even = _bound_arrays([e] * k, [1.0] * k, None)
+    c2 = ((e - 2.0) / 2.0) ** k
+    length = (even / (2.0 * k * c2)) ** (2.0 * k / (2.0 * k + 1.0))
+    odd = _bound_arrays([e] * k, [length ** (-1.0 / k)] * k, length)
+    return ["e_hat", "even_bound", "odd_bound"], np.column_stack([e, even, odd])
 
 
 def _h(t: float) -> float:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .zonotope import volume_polynomial
 
 
 class DomainError(ValueError):
@@ -45,10 +44,12 @@ class SimplexPoint:
         object.__setattr__(self, "tau", t)
 
     def objective(self, lam: float) -> float:
-        t = self.tau
-        return volume_polynomial(
-            np.array([lam * t[0], t[1], t[2], t[3], t[4], 0.0])
-        )
+        return _objective(lam, self.tau)
+
+
+def _objective(lam: float, t) -> float:
+    """The lambda-scaled volume cubic at five coordinates (tau34 = 0)."""
+    return float(_kernels.volume_cubic(lam * t[0], t[1], t[2], t[3], t[4], 0.0))
 
 
 def scaled_simplex_max(lam: float, budget: float = 1.0) -> tuple[float, SimplexPoint]:
@@ -80,40 +81,18 @@ def boundary_candidates(lam: float) -> list[float]:
     ]
 
 
-def _refine(lam: float, t: np.ndarray, budget: float, step0: float, rounds: int) -> float:
-    """Greedy pairwise mass transfer with a halving step.
+# transfer moves (a -> b) in the order a-major, b != a
+_TRANSFERS = tuple((a, b) for a in range(5) for b in range(5) if a != b)
 
-    Moves keep the coordinates exactly on the simplex (a transfer
-    preserves the sum); each round exhausts improving moves at the
-    current step, then halves it.
-    """
-    t = t.astype(np.float64).copy()
 
-    def f(u: np.ndarray) -> float:
-        return volume_polynomial(
-            np.array([lam * u[0], u[1], u[2], u[3], u[4], 0.0])
-        )
-
-    best = f(t)
-    step = step0
-    for _ in range(rounds):
-        improved = True
-        while improved:
-            improved = False
-            for a in range(5):
-                if t[a] < step:
-                    continue
-                for b in range(5):
-                    if a == b:
-                        continue
-                    u = t.copy()
-                    u[a] -= step
-                    u[b] += step
-                    v = f(u)
-                    if v > best:
-                        best, t, improved = v, u, True
-        step *= 0.5
-    return best
+def _transfer(t: list, step: float, i: int) -> list | None:
+    """Move ``step`` of mass from t[a] to t[b], or None if t[a] < step."""
+    a, b = _TRANSFERS[i]
+    if t[a] < step:
+        return None
+    u = list(t)
+    u[a], u[b] = u[a] - step, u[b] + step
+    return u
 
 
 def grid_simplex_max(
@@ -126,15 +105,20 @@ def grid_simplex_max(
 
     The scan enumerates all integer compositions of ``grid_n`` into five
     parts (exact feasibility, no floating-point drift on the constraint)
-    and is the hot path handled by the kernel layer.  Refinement starts
-    from the best grid point with step ``budget / grid_n``.
+    and is the hot path handled by the kernel layer.  Refinement runs
+    ``_kernels.greedy_descent`` on the negated objective from the best
+    grid point, with step ``budget / grid_n`` and pairwise mass transfers
+    that keep every point on the simplex.
     """
     if lam < 1.0:
         raise DomainError(f"scale factor {lam} < 1")
     if grid_n < 10:
         raise ValueError("grid_n must be at least 10")
     best, comp = _kernels.simplex_grid_scan(lam, grid_n, budget)
-    t = comp.astype(np.float64) / grid_n * budget
     if refine_rounds <= 0:
         return float(best)
-    return _refine(lam, t, budget, budget / grid_n, refine_rounds)
+    t = (comp.astype(np.float64) / grid_n * budget).tolist()
+    neg, _ = _kernels.greedy_descent(
+        lambda u: -_objective(lam, u), _transfer, len(_TRANSFERS), t, budget / grid_n, refine_rounds
+    )
+    return -neg

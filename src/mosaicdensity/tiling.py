@@ -277,6 +277,15 @@ def edge_classes(z: Zonotope, lat: Lattice) -> EdgeClasses:
 _SHELL_CHUNK = 4096  # shell translates clipped per block
 
 
+def _check_radius(z: Zonotope, radius: float) -> None:
+    """Raise RadiusTooSmall unless radius is finite and at least 3x the cell diameter."""
+    floor = 3.0 * z.diameter()
+    if not (math.isfinite(radius) and radius >= floor):
+        raise RadiusTooSmall(
+            f"radius must be finite and at least 3x cell diameter {floor:.6g}, got {radius}"
+        )
+
+
 def skeleton_density(z: Zonotope, lat: Lattice, radius: float) -> DensityEstimate:
     """Edge length of the tiling per unit ball volume at one radius.
 
@@ -286,11 +295,7 @@ def skeleton_density(z: Zonotope, lat: Lattice, radius: float) -> DensityEstimat
     lengths; only cells meeting the sphere are clipped.  The totals must
     agree to 1e-9.
     """
-    if not (math.isfinite(radius) and radius >= 3.0 * z.diameter()):
-        raise RadiusTooSmall(
-            f"radius must be finite and at least 3x cell diameter {3.0 * z.diameter():.6g}, "
-            f"got {radius}"
-        )
+    _check_radius(z, radius)
     cls = edge_classes(z, lat)
     reps = cls.reps
     circ = z.circumradius()

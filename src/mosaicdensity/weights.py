@@ -112,12 +112,11 @@ def type_minimum(i: int, m: WeightPair) -> TypeMinimum:
             {"shape": "rhombic_dodecahedron", "edge": edge},
         )
     if i == 4:
-        type5 = 3.0 * a6 / 2.0 ** (1.0 / 6.0)
         if a4 <= a6:
             value = 3.0 * a4 ** (1.0 / 3.0) * (4.0 * a6**2 - a4**2) ** (1.0 / 3.0) / 2.0 ** (2.0 / 3.0)
             note = "lower bound; the attaining shape is not known"
         else:
-            value = type5
+            value = type_minimum(5, m).value
             note = "exceeds the type-5 minimum; shown value is that minimum"
         return TypeMinimum(ParallelohedronType.ELONGATED_RHOMBIC_DODECAHEDRON, value, False, None, note)
     if i == 5:
@@ -153,9 +152,9 @@ def classify_optimal(m: WeightPair) -> OptimalAnswer:
     tied shapes share the returned value there.
     """
     ratio = m.alpha4 / m.alpha6
-    cube_val = 3.0 * m.alpha4
+    cube_val = type_minimum(1, m).value
     prism_val = type_minimum(2, m).value
-    octa_val = 3.0 * m.alpha6 / 2.0 ** (1.0 / 6.0)
+    octa_val = type_minimum(5, m).value
     if abs(ratio - CUBE_PRISM_RATIO) <= _TIE_RTOL * CUBE_PRISM_RATIO:
         return OptimalAnswer(Winner.TIE_CUBE_PRISM, cube_val)
     if ratio < CUBE_PRISM_RATIO:
@@ -208,16 +207,25 @@ class FacetMeasure:
 
     def isotropy_residual(self) -> tuple[np.ndarray, float]:
         """Second-moment matrix M and max-abs deviation of M from identity."""
-        u, f = self.normals, self.areas
-        mat = 3.0 * (f[:, None, None] * u[:, :, None] * u[:, None, :]).sum(axis=0)
-        mat /= f.sum()
-        return mat, float(np.abs(mat - np.eye(3)).max())
+        return _second_moment(self.normals, self.areas)
 
     def transformed(self, a: np.ndarray) -> "FacetMeasure":
         """Measure of the body mapped by the volume-preserving matrix a."""
-        raw = self.normals @ np.linalg.inv(a)
-        ln = np.linalg.norm(raw, axis=1)
-        return FacetMeasure(raw / ln[:, None], self.areas * ln)
+        return FacetMeasure(*_mapped(self.normals, self.areas, a))
+
+
+def _second_moment(u: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, float]:
+    """3 sum(F_i u_i u_i^T) / sum(F_i) and its max-abs deviation from I."""
+    mat = 3.0 * (f[:, None, None] * u[:, :, None] * u[:, None, :]).sum(axis=0) / f.sum()
+    return mat, float(np.abs(mat - np.eye(3)).max())
+
+
+def _mapped(u: np.ndarray, f: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Facet normals and areas after mapping the body by a (det 1); the
+    rows of ``u @ inv(a)`` are the normals mapped by a^{-T}."""
+    raw = u @ np.linalg.inv(a)
+    ln = np.linalg.norm(raw, axis=1)
+    return raw / ln[:, None], f * ln
 
 
 @dataclass(frozen=True)
@@ -236,12 +244,10 @@ def isotropic_position(
     square root of its second-moment matrix; normals and areas transform
     accordingly and the hull itself is never rebuilt.
     """
-    u = fm.normals.copy()
-    f = fm.areas.copy()
+    u, f = fm.normals, fm.areas
     acc = np.eye(3)
     for it in range(max_iter):
-        mat = 3.0 * (f[:, None, None] * u[:, :, None] * u[:, None, :]).sum(axis=0) / f.sum()
-        res = float(np.abs(mat - np.eye(3)).max())
+        mat, res = _second_moment(u, f)
         if res <= tol:
             acc = acc / np.linalg.det(acc) ** (1.0 / 3.0)
             return IsotropicResult(acc, it, res)
@@ -251,10 +257,7 @@ def isotropic_position(
         s = (q * np.sqrt(w)) @ q.T
         s /= np.linalg.det(s) ** (1.0 / 3.0)
         acc = s @ acc
-        raw = u @ np.linalg.inv(s)  # s is symmetric, so this is s^{-T} applied to rows
-        ln = np.linalg.norm(raw, axis=1)
-        f = f * ln
-        u = raw / ln[:, None]
+        u, f = _mapped(u, f, s)
     raise NoConvergence(f"no isotropic position within {max_iter} iterations")
 
 

@@ -490,31 +490,6 @@ def total_edge_length(z: Zonotope) -> float:
     return float(z.edge_lengths().sum())
 
 
-def mean_width_estimate(z: Zonotope, n_polar: int = 256, n_azimuth: int = 512) -> float:
-    """Mean width by spherical quadrature of the vertex support function.
-
-    Gauss-Legendre nodes in the polar cosine and a uniform azimuth grid;
-    independent of the segment representation.
-    """
-    from scipy.special import roots_legendre
-
-    x, w = roots_legendre(n_polar)
-    phi = (np.arange(n_azimuth) + 0.5) * (2.0 * np.pi / n_azimuth)
-    st = np.sqrt(1.0 - x**2)
-    dirs = np.stack(
-        [
-            np.outer(st, np.cos(phi)).ravel(),
-            np.outer(st, np.sin(phi)).ravel(),
-            np.repeat(x, n_azimuth),
-        ],
-        axis=1,
-    )
-    h = (dirs @ z.vertices.T).max(axis=1)
-    weights = np.repeat(w, n_azimuth) * (2.0 * np.pi / n_azimuth)
-    # mean width = (1 / 2 pi) * integral of the support function over S^2
-    return float((h * weights).sum() / (2.0 * np.pi))
-
-
 # ---------------------------------------------------------------------------
 # canonical shapes
 

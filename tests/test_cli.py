@@ -58,6 +58,14 @@ class TestDecomp:
         assert abs(doc["outputs"]["minimum"] - 2.598076211353316) < 1e-12
         assert doc["outputs"]["spec"]["segment"] is not None
 
+    @pytest.mark.parametrize("dim", [3, 5])
+    def test_published_minimum_checked_without_oracle(self, capsys, dim):
+        code, doc = run_json(capsys, ["decomp", "--dim", str(dim)])
+        assert code == 0
+        [res] = doc["residuals"]
+        assert res["name"] == "published_minimum_at_or_below_bound_at_spec"
+        assert res["pass"] and res["tolerance"] == 1e-12
+
     def test_with_oracle(self, capsys):
         code, doc = run_json(capsys, ["decomp", "--dim", "2", "--oracle", "30"])
         assert code == 0
@@ -95,17 +103,25 @@ class TestTile:
         with pytest.raises(SystemExit, match="cannot load shape"):
             main(["tile", "--shape", "file:/nonexistent.json"])
 
-    def test_radius_too_small_is_clean(self):
-        with pytest.raises(SystemExit, match="tiling failed"):
+    # bad radii are usage errors (exit 2), not failed certificates (exit 1)
+    def test_radius_too_small_is_clean(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["tile", "--shape", "cube", "--radius", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--radius: radius must be finite and at least 3x cell diameter" in err
 
-    def test_descending_series_is_rejected(self):
-        with pytest.raises(SystemExit, match="tiling failed: radii must ascend"):
+    def test_descending_series_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["tile", "--shape", "cube", "--series", "20,10"])
+        assert exc.value.code == 2
+        assert "--series: radii must ascend, got 20,10" in capsys.readouterr().err
 
-    def test_nan_radius_is_clean(self):
-        with pytest.raises(SystemExit, match="tiling failed: radius must be finite"):
+    def test_nan_radius_is_clean(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["tile", "--shape", "cube", "--radius", "nan"])
+        assert exc.value.code == 2
+        assert "--radius: must be finite and > 0, got nan" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -189,11 +205,27 @@ class TestBadInput:
              "--dim: must be at least 2, got 1"),
             (["verify", "--lemma", "simplex", "--lambda", "0.5"],
              "--lambda: must be finite and at least 1, got 0.5"),
+            (["fig2", "--step", "0"], "--step: must be finite and > 0, got 0"),
+            (["fig2", "--start", "0", "--stop", "0.1", "--step", "0.05"],
+             "--start: must be finite and > 0, got 0"),
+            (["fig2", "--step", "-0.1"], "--step: must be finite and > 0, got -0.1"),
+            (["fig2", "--start", "0.5", "--stop", "0.4"],
+             "--stop: must be at least --start 0.5, got 0.4"),
+            (["tile", "--shape", "cube", "--radius", "-5"],
+             "--radius: must be finite and > 0, got -5"),
+            (["tile", "--shape", "cube", "--series", "10,nan"],
+             "--series: must be finite and > 0, got nan"),
+            (["tile", "--shape", "cube", "--series", "3,20"],
+             "--series: radius must be finite and at least 3x cell diameter 5.19615, got 3.0"),
+            (["verify", "--lemma", "tiling", "--radius", "1"],
+             "--radius: radius must be finite and at least 3x cell diameter 5.19615, got 1.0"),
         ],
         ids=[
             "sweep-0", "sweep-neg", "sweep-below-floor", "grid-0", "oracle-1",
             "oracle-dim-8", "alpha6-inf", "alpha4-nan", "table1-alpha6-0", "dim-1",
-            "lambda-half",
+            "lambda-half", "fig2-step-0", "fig2-start-0", "fig2-step-neg", "fig2-stop-below-start",
+            "tile-radius-neg", "tile-series-nan", "tile-series-below-floor",
+            "verify-tiling-radius-below-floor",
         ],
     )
     def test_rejected_at_parse_time(self, capsys, argv, message):
@@ -205,3 +237,24 @@ class TestBadInput:
         errors = [line for line in captured.err.splitlines() if "error:" in line]
         assert len(errors) == 1 and errors[0].endswith(message)
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tile", "--shape", "truncocta", "--radius", "2"],
+            ["verify", "--lemma", "all", "--radius", "2"],
+        ],
+        ids=["tile", "verify-all"],
+    )
+    def test_radius_floor_checked_before_any_work(self, capsys, monkeypatch, argv):
+        from mosaicdensity import tetra, tiling
+
+        def fail(*args, **kwargs):
+            raise AssertionError("ran before the radius was checked")
+
+        monkeypatch.setattr(tiling, "lattice_from_parallelohedron", fail)
+        monkeypatch.setattr(tetra, "batch_identity_residuals", fail)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "3x cell diameter" in capsys.readouterr().err

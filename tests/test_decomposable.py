@@ -163,6 +163,12 @@ class TestBruteForce:
         assert found >= closed - 1e-9
         assert found > closed + 0.3
 
+    def test_pinned_values(self):
+        # exact oracle values; a change in the descent's move order or
+        # acceptance rule shows up here
+        assert D.brute_force_minimize(5, 30) == 2.4164775561647036
+        assert D.brute_force_minimize(7, 30) == 1.7730821579085965
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             D.brute_force_minimize(8)
@@ -182,6 +188,21 @@ class TestBoundCurve:
     def test_two_factor_triangle_gives_true_five_dim_minimum(self):
         _, rows = D.bound_curve(2, np.array([3.0]))
         assert abs(rows[0, 2] - 1.25 * 3.0 ** 0.6) < 1e-12
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_row_formula(self, k):
+        # per-row closed form: even = k sqrt(h(e)) (e-2)^(k-1) / 2^(k-1), and
+        # the odd bound c1 l^(-1/(2k)) + c2 l at its minimizing length
+        e_values = np.linspace(3.0, 6.0, 61)
+        _, rows = D.bound_curve(k, e_values)
+        for e, row in zip(e_values, rows):
+            even = k * math.sqrt(e * math.tan(math.pi / e)) * (e - 2.0) ** (k - 1) / 2.0 ** (k - 1)
+            c2 = (e - 2.0) ** k / 2.0**k
+            length = (even / (2.0 * k * c2)) ** (2.0 * k / (2.0 * k + 1.0))
+            odd = even * length ** (-1.0 / (2.0 * k)) + c2 * length
+            assert row[0] == e
+            assert abs(row[1] - even) <= 1e-15 * even
+            assert abs(row[2] - odd) <= 1e-15 * odd
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -62,6 +62,52 @@ class TestGridScan:
         assert abs(Z.volume_polynomial([lam * t[0], t[1], t[2], t[3], t[4], 0.0]) - value) <= 1e-15
 
 
+def _axis_moves(x, step, i):
+    # i = 2 * axis + (0 for -step, 1 for +step)
+    y = list(x)
+    y[i // 2] += step if i % 2 else -step
+    return y
+
+
+def _quadratic(x):
+    return (x[0] - 0.3) ** 2 + 2.0 * (x[1] + 0.7) ** 2
+
+
+class TestGreedyDescent:
+    def test_reaches_quadratic_minimum(self):
+        best, x = K.greedy_descent(_quadratic, _axis_moves, 4, [0.0, 0.0], 0.25, 50)
+        assert abs(x[0] - 0.3) < 1e-12 and abs(x[1] + 0.7) < 1e-12
+        assert best == _quadratic(x)
+
+    def test_none_move_is_skipped(self):
+        # decreasing x[0] is forbidden, so x[0] stays above the minimizer;
+        # f = 0.49 + 2 (x[1] + 0.7)^2 then resolves x[1] only to ~1e-8
+        def move(x, step, i):
+            return None if i == 0 else _axis_moves(x, step, i)
+
+        best, x = K.greedy_descent(_quadratic, move, 4, [1.0, 0.0], 0.25, 50)
+        assert x[0] == 1.0 and abs(x[1] + 0.7) < 1e-6
+        assert best == _quadratic(x)
+
+    def test_step_halves_once_per_round(self):
+        steps = []
+
+        def move(x, step, i):
+            steps.append(step)
+            return _axis_moves(x, step, i)
+
+        rounds = 12
+        _, x = K.greedy_descent(_quadratic, move, 4, [0.0, 0.0], 1.0, rounds)
+        assert sorted(set(steps), reverse=True) == [0.5**r for r in range(rounds)]
+        # at the floor step no axis move improves
+        floor = 0.5 ** (rounds - 1)
+        assert all(_quadratic(_axis_moves(x, floor, i)) >= _quadratic(x) for i in range(4))
+
+    def test_ties_do_not_move(self):
+        best, x = K.greedy_descent(lambda x: 1.0, _axis_moves, 4, [2.0, 3.0], 0.5, 5)
+        assert (best, x) == (1.0, [2.0, 3.0])
+
+
 class TestVolumeCubic:
     def test_matches_expanded_monomials(self):
         tau = np.random.default_rng(1).uniform(0.0, 2.0, size=(200, 6))

@@ -80,6 +80,12 @@ def test_grid_with_refinement_tight(lam):
     assert refined <= value + 1e-12
 
 
+def test_grid_simplex_max_pinned():
+    # exact value of the grid scan plus greedy refinement; a change in the
+    # refinement's move order or acceptance rule shows up here
+    assert S.grid_simplex_max(2.0, grid_n=60) == 0.09674981103552532
+
+
 def test_simplex_point_validation():
     with pytest.raises(ValueError):
         S.SimplexPoint(np.array([0.5, 0.5, 0.0, 0.0, 0.1]), 1.0)  # sum != budget
