@@ -4,7 +4,7 @@
 batch kernels below, the simplex grid scan, the simplex objective and
 ``zonotope.volume_polynomial`` all evaluate it.  ``greedy_descent`` is
 the one local search: the simplex and decomposable brute-force oracles
-both refine their best grid point with it.
+both refine their best grid point with it.  ``_chord_lengths`` is the one ball clip.
 """
 
 from __future__ import annotations
@@ -124,20 +124,22 @@ def type4_functional_many(v: np.ndarray, beta: np.ndarray, a6: float, a4: float)
     return w_raw / np.cbrt(vol)
 
 
-def segment_ball_clip(p0: np.ndarray, p1: np.ndarray, radius: float) -> np.ndarray:
-    """Length of each segment p0[i]-p1[i] inside the ball of ``radius`` at 0."""
-    p0 = np.asarray(p0, dtype=np.float64)
-    p1 = np.asarray(p1, dtype=np.float64)
-    d = p1 - p0
-    a = (d * d).sum(axis=-1)
-    b = 2.0 * (p0 * d).sum(axis=-1)
-    c = (p0 * p0).sum(axis=-1) - radius * radius
+def _chord_lengths(a, b, c):
+    """Elementwise length inside the ball of a segment p(s), 0 <= s <= 1, with
+    |p(s)|^2 - radius^2 = a s^2 + b s + c; zero where it misses or touches the ball."""
     disc = b * b - 4.0 * a * c
-    out = np.zeros(p0.shape[0])
     ok = (disc > 0.0) & (a > 0.0)
     sq = np.sqrt(np.where(ok, disc, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         t1 = np.clip((-b - sq) / (2.0 * a), 0.0, 1.0)
         t2 = np.clip((-b + sq) / (2.0 * a), 0.0, 1.0)
-    out[ok] = ((t2 - t1) * np.sqrt(a))[ok]
-    return out
+    return np.where(ok, (t2 - t1) * np.sqrt(a), 0.0)
+
+
+def segment_ball_clip(p0: np.ndarray, p1: np.ndarray, radius: float) -> np.ndarray:
+    """Length of each segment p0[i]-p1[i] inside the ball of ``radius`` at 0."""
+    p0 = np.asarray(p0, dtype=np.float64)
+    d = np.asarray(p1, dtype=np.float64) - p0
+    a = (d * d).sum(axis=-1)
+    b = 2.0 * (p0 * d).sum(axis=-1)
+    return _chord_lengths(a, b, (p0 * p0).sum(axis=-1) - radius * radius)

@@ -23,6 +23,8 @@ from .zonotope import WeightPair
 
 _SHAPES = ("cube", "hexprism", "rhombic", "elongated", "truncocta")
 _TILING_SUITE = ("cube", "truncocta")  # shapes measured by verify --lemma tiling
+_MAX_DIM = 1000  # the published minima hold 2**(dim // 2), a float overflow from dim 2048
+_FIG2_MAX_STEPS = 100_000  # fig2 computes the five type minima of each row in Python
 
 
 def _canonical_shape(name: str) -> zonotope.Zonotope:
@@ -76,13 +78,15 @@ def _covolume_residual(report: tiling.TilingReport, prefix: str = "") -> dict:
     return _residual(f"{prefix}covolume_minus_volume", diff, tolerance)
 
 
-def _int_at_least(low: int):
-    """Argparse type: an integer no smaller than ``low``."""
+def _int_at_least(low: int, high: int | None = None):
+    """Argparse type: an integer no smaller than ``low`` (nor larger than ``high``)."""
 
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {text}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in its "invalid" message
@@ -404,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "decomp", help="minimum density bound for decomposable mosaics", parents=[common]
     )
-    p.add_argument("--dim", type=_int_at_least(2), required=True, help="ambient dimension (>= 2)")
+    p.add_argument("--dim", type=_int_at_least(2, _MAX_DIM), required=True, help=f"ambient dimension (2..{_MAX_DIM})")
     p.add_argument(
         "--oracle", type=_int_at_least(20), help="run the grid oracle with this resolution"
     )
@@ -458,6 +462,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"argument --oracle: the grid oracle covers --dim 2..7, got {args.dim}")
     if args.command == "fig2" and args.stop < args.start:
         parser.error(f"argument --stop: must be at least --start {args.start:g}, got {args.stop:g}")
+    if args.command == "fig2" and (args.stop - args.start) / args.step > _FIG2_MAX_STEPS:
+        parser.error(f"argument --step: more than {_FIG2_MAX_STEPS} steps from --start to --stop")
     try:
         return args.func(args)
     except _OptionError as exc:

@@ -9,8 +9,9 @@ orbits: the edges of one cell fall into classes of lattice translates,
 one class per orbit of tiling edges, and a class has one member per
 cell sharing the edge, 4 on a 4-belt and 3 on a 6-belt.
 So the per-cell functional with weights (2, 1) over cell volume is the
-limit density.  Cells strictly inside the ball add their edge lengths
-in closed form; only the shell of cells meeting the sphere is clipped.
+limit density.  Translates are enumerated line by line: cells strictly
+inside the ball are mostly counted, not formed, and add their edge lengths
+in closed form; only edges crossing the sphere are clipped and summed.
 """
 
 from __future__ import annotations
@@ -78,6 +79,42 @@ def _lll_unimodular(basis: np.ndarray) -> np.ndarray:
     return u
 
 
+_LINE_CHUNK = 256  # lattice lines whose band is formed, and clipped, per block
+
+
+def _ball_lines(basis: np.ndarray, rmax: float, rin: float = 0.0):
+    """Lattice vectors of norm at most rmax: per block of lines, a count and a band.
+
+    Each line c1 b1 + c2 b2 + c3 b3 of the LLL-reduced basis meets a ball in
+    one c3 interval.  Points whose two neighbours on the line lie in the interval
+    of radius ``rin`` are counted (by convexity |t|^2 <= rin^2 - |b3|^2); the rest
+    of the interval of radius rmax, rounded outwards, is formed from the stored
+    basis and kept where norm(t) <= rmax, in lexicographic (c1, c2, c3) order.
+    """
+    u = _lll_unimodular(basis)
+    red = u @ basis
+    # |c_i| <= |t| * ||column i of basis inverse|| for t = c @ basis
+    lim = np.floor(np.linalg.norm(np.linalg.inv(red), axis=0)[:2] * rmax).astype(np.int64) + 1
+    c12 = np.stack(np.meshgrid(*(np.arange(-l, l + 1) for l in lim), indexing="ij"), -1).reshape(-1, 2)
+    g = red @ red.T  # |c @ red|^2 = c g c
+    mid = -(c12 @ g[:2, 2]) / g[2, 2]
+    d2 = ((c12 @ g[:2, :2]) * c12).sum(axis=1) - g[2, 2] * mid * mid  # squared distance of a line from 0
+    near = d2 <= rmax * rmax * (1.0 + 1e-9)  # a margin for rounding; bands are exact
+    c12, mid, d2 = c12[near], mid[near], d2[near]
+    half, half_in = (np.sqrt(np.maximum(r * r - d2, 0.0) / g[2, 2]) for r in (rmax, rin))
+    lo, hi = np.floor(mid - half).astype(np.int64), np.ceil(mid + half).astype(np.int64)
+    lo_in = np.ceil(mid - half_in).astype(np.int64) + 1  # lo < lo_in <= hi + 1
+    count = np.maximum(np.floor(mid + half_in).astype(np.int64) - lo_in, 0)
+    band = hi - lo + 1 - count
+    for k in range(0, len(lo), _LINE_CHUNK):
+        n = band[k : k + _LINE_CHUNK]
+        line = np.repeat(np.arange(k, k + len(n)), n)
+        c3 = lo[line] + np.arange(len(line)) - np.repeat(np.cumsum(n) - n, n)
+        c3 += np.where(c3 >= lo_in[line], count[line], 0)  # step over the counted run
+        t = (np.column_stack([c12[line], c3]) @ u) @ basis
+        yield int(count[k : k + _LINE_CHUNK].sum()), t[np.linalg.norm(t, axis=1) <= rmax]
+
+
 @dataclass(frozen=True)
 class Lattice:
     """Three independent vectors, one per row."""
@@ -97,20 +134,8 @@ class Lattice:
         return abs(float(np.linalg.det(self.basis)))
 
     def points_in_ball(self, rmax: float) -> np.ndarray:
-        """All lattice vectors of norm at most rmax.
-
-        Coefficients are enumerated over the reduced basis, whose box
-        stays close to the ball however skewed the stored basis is; each
-        point is then formed from the stored basis.
-        """
-        u = _lll_unimodular(self.basis)
-        binv = np.linalg.inv(u @ self.basis)
-        # |c_i| <= |t| * ||column i of basis inverse|| for t = c @ basis
-        lim = np.linalg.norm(binv, axis=0) * rmax
-        axes = [np.arange(-math.floor(l) - 1, math.floor(l) + 2) for l in lim]
-        coeffs = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-        t = (coeffs @ u) @ self.basis
-        return t[np.linalg.norm(t, axis=1) <= rmax]
+        """All lattice vectors of norm at most rmax (see ``_ball_lines``)."""
+        return np.concatenate([band for _, band in _ball_lines(self.basis, rmax)])
 
 
 @dataclass(frozen=True)
@@ -274,9 +299,6 @@ def edge_classes(z: Zonotope, lat: Lattice) -> EdgeClasses:
     return EdgeClasses(start, end, share, members, np.array([m[0] for m in members]))
 
 
-_SHELL_CHUNK = 4096  # shell translates clipped per block
-
-
 def _check_radius(z: Zonotope, radius: float) -> None:
     """Raise RadiusTooSmall unless radius is finite and at least 3x the cell diameter."""
     floor = 3.0 * z.diameter()
@@ -286,33 +308,43 @@ def _check_radius(z: Zonotope, radius: float) -> None:
         )
 
 
+def _shell_clip(t: np.ndarray, start: np.ndarray, end: np.ndarray, radius: float) -> np.ndarray:
+    """(S, E) length inside the ball of edge start[j]-end[j] of translate t[i];
+    |t + start + s d|^2 expands into per-edge terms and the products t d, t start."""
+    d = end - start
+    b = 2.0 * (t @ d.T + (start * d).sum(axis=1))
+    c = (t * t).sum(axis=1)[:, None] + 2.0 * (t @ start.T) + (start * start).sum(axis=1)
+    return _kernels._chord_lengths((d * d).sum(axis=1), b, c - radius * radius)
+
+
 def skeleton_density(z: Zonotope, lat: Lattice, radius: float) -> DensityEstimate:
     """Edge length of the tiling per unit ball volume at one radius.
 
     Two totals are formed: each tiling edge counted once, through the
     class representatives of every translate, and every cell edge
-    weighted by 1/k.  Cells strictly inside the ball add their full edge
-    lengths; only cells meeting the sphere are clipped.  The totals must
-    agree to 1e-9.
+    weighted by 1/k.  Edges of cells counted inside the ball by
+    ``_ball_lines`` and edges clipped to their full length add count x
+    length; only edges crossing the sphere are summed one by one.  The
+    totals must agree to 1e-9.
     """
     _check_radius(z, radius)
     cls = edge_classes(z, lat)
     reps = cls.reps
     circ = z.circumradius()
-    t = lat.points_in_ball(radius + circ)
-    inner = np.linalg.norm(t, axis=1) + circ < radius
-    shell = t[~inner]
     lengths = np.linalg.norm(cls.end - cls.start, axis=1)
-    n_inner = int(inner.sum())
-    totals = [n_inner * math.fsum(lengths[reps].tolist())]
-    weighted = [n_inner * math.fsum((lengths / cls.share).tolist())]
-    for lo in range(0, len(shell), _SHELL_CHUNK):
-        part = shell[lo : lo + _SHELL_CHUNK, None]
-        clip = _kernels.segment_ball_clip(
-            (part + cls.start).reshape(-1, 3), (part + cls.end).reshape(-1, 3), radius
-        ).reshape(len(part), -1)
-        totals.append(math.fsum(clip[:, reps].ravel().tolist()))
-        weighted.append(math.fsum((clip / cls.share).ravel().tolist()))
+    whole = np.zeros(len(lengths), dtype=np.int64)  # per edge, the translates holding it whole
+    cells, totals, weighted = 0, [], []
+    for counted, t in _ball_lines(lat.basis, radius + circ, radius - circ):
+        inner = np.linalg.norm(t, axis=1) + circ < radius
+        cells += counted + len(t)
+        clip = _shell_clip(t[~inner], cls.start, cls.end, radius)
+        full = clip == lengths
+        whole += counted + int(inner.sum()) + full.sum(axis=0)
+        cut = (clip > 0.0) & ~full
+        totals.append(math.fsum(clip[:, reps][cut[:, reps]].tolist()))
+        weighted.append(math.fsum((clip / cls.share)[cut].tolist()))
+    totals.extend((whole * lengths)[reps].tolist())
+    weighted.extend((whole * lengths / cls.share).tolist())
     total = math.fsum(totals)
     weighted_total = math.fsum(weighted)
     if abs(total - weighted_total) > 1e-9 * max(1.0, total):
@@ -321,7 +353,7 @@ def skeleton_density(z: Zonotope, lat: Lattice, radius: float) -> DensityEstimat
         )
     density = total / (4.0 / 3.0 * math.pi * radius**3)
     target = weighted_edge_functional(z, WeightPair(2.0, 1.0)) / z.volume()
-    return DensityEstimate(radius, total, density, target, weighted_total, len(t))
+    return DensityEstimate(radius, total, density, target, weighted_total, cells)
 
 
 def collect_weighted_edges(z: Zonotope, lat: Lattice, radius: float) -> list[WeightedEdge]:

@@ -58,7 +58,7 @@ class TestDecomp:
         assert abs(doc["outputs"]["minimum"] - 2.598076211353316) < 1e-12
         assert doc["outputs"]["spec"]["segment"] is not None
 
-    @pytest.mark.parametrize("dim", [3, 5])
+    @pytest.mark.parametrize("dim", [3, 5, 1000])
     def test_published_minimum_checked_without_oracle(self, capsys, dim):
         code, doc = run_json(capsys, ["decomp", "--dim", str(dim)])
         assert code == 0
@@ -219,13 +219,16 @@ class TestBadInput:
              "--series: radius must be finite and at least 3x cell diameter 5.19615, got 3.0"),
             (["verify", "--lemma", "tiling", "--radius", "1"],
              "--radius: radius must be finite and at least 3x cell diameter 5.19615, got 1.0"),
+            (["fig2", "--stop", "1e20"],
+             "--step: more than 100000 steps from --start to --stop"),
+            (["decomp", "--dim", "2100"], "--dim: must be at most 1000, got 2100"),
         ],
         ids=[
             "sweep-0", "sweep-neg", "sweep-below-floor", "grid-0", "oracle-1",
             "oracle-dim-8", "alpha6-inf", "alpha4-nan", "table1-alpha6-0", "dim-1",
             "lambda-half", "fig2-step-0", "fig2-start-0", "fig2-step-neg", "fig2-stop-below-start",
             "tile-radius-neg", "tile-series-nan", "tile-series-below-floor",
-            "verify-tiling-radius-below-floor",
+            "verify-tiling-radius-below-floor", "fig2-too-many-steps", "dim-above-cap",
         ],
     )
     def test_rejected_at_parse_time(self, capsys, argv, message):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mosaicdensity import _kernels as K
+from mosaicdensity import tiling as TL
 from mosaicdensity import zonotope as Z
 
 
@@ -156,3 +157,81 @@ class TestBallClipGeometry:
     def test_degenerate_segment(self):
         p = np.array([[0.1, 0.2, 0.3]])
         assert K.segment_ball_clip(p, p, 2.0)[0] == 0.0
+
+
+def _segment_ball_clip_reference(p0, p1, radius):
+    """segment_ball_clip as written before its roots moved into a shared helper."""
+    d = p1 - p0
+    a = (d * d).sum(axis=-1)
+    b = 2.0 * (p0 * d).sum(axis=-1)
+    c = (p0 * p0).sum(axis=-1) - radius * radius
+    disc = b * b - 4.0 * a * c
+    out = np.zeros(p0.shape[0])
+    ok = (disc > 0.0) & (a > 0.0)
+    sq = np.sqrt(np.where(ok, disc, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = np.clip((-b - sq) / (2.0 * a), 0.0, 1.0)
+        t2 = np.clip((-b + sq) / (2.0 * a), 0.0, 1.0)
+    out[ok] = ((t2 - t1) * np.sqrt(a))[ok]
+    return out
+
+
+class TestShellClip:
+    """The projected shell clip of tiling.skeleton_density against segment_ball_clip."""
+
+    # at translate 0 and radius 5: inside, outside, tangent at (5, 0, 0),
+    # crossing once, crossing twice, zero length
+    START = np.array(
+        [[0.0, 0, 0], [10, 0, 0], [5, -1, 0], [4, 0, 0], [-10, 0.3, 0], [0.1, 0.2, 0.3]]
+    )
+    END = np.array(
+        [[1.0, 0, 0], [11, 0, 0], [5, 1, 0], [6, 0, 0], [10, 0.3, 0], [0.1, 0.2, 0.3]]
+    )
+
+    @staticmethod
+    def _translated(t, start, end, radius):
+        p0 = (t[:, None] + start).reshape(-1, 3)
+        p1 = (t[:, None] + end).reshape(-1, 3)
+        return K.segment_ball_clip(p0, p1, radius).reshape(len(t), -1)
+
+    def test_each_case_at_the_origin(self):
+        got = TL._shell_clip(np.zeros((1, 3)), self.START, self.END, 5.0)[0]
+        want = [1.0, 0.0, 0.0, 1.0, 2.0 * np.sqrt(25.0 - 0.09), 0.0]
+        assert np.abs(got - want).max() <= 1e-12
+        assert got[[1, 2, 5]].tolist() == [0.0, 0.0, 0.0]
+
+    def test_matches_segment_ball_clip_on_translates(self):
+        t = np.random.default_rng(5).uniform(-8.0, 8.0, size=(400, 3))
+        t[0] = 0.0
+        got = TL._shell_clip(t, self.START, self.END, 5.0)
+        want = self._translated(t, self.START, self.END, 5.0)
+        assert got.shape == (400, 6)
+        assert np.abs(got - want).max() <= 1e-12
+        assert (got[:, 5] == 0.0).all()
+
+    def test_matches_segment_ball_clip_on_a_tiling_shell(self, unit_shapes):
+        z = unit_shapes["truncocta"]
+        lat = TL.lattice_from_parallelohedron(z)
+        cls = TL.edge_classes(z, lat)
+        radius, circ = 20.0, z.circumradius()
+        t = lat.points_in_ball(radius + circ)
+        shell = t[np.linalg.norm(t, axis=1) + circ >= radius]
+        got = TL._shell_clip(shell, cls.start, cls.end, radius)
+        want = self._translated(shell, cls.start, cls.end, radius)
+        assert np.abs(got - want).max() <= 1e-12
+        # every kind occurs: whole edges, crossing edges and edges outside
+        full = np.linalg.norm(cls.end - cls.start, axis=1)
+        assert (got == full).any() and ((got > 0) & (got < full)).any() and (got == 0).any()
+
+
+def test_segment_ball_clip_unchanged_on_the_benchmark_case():
+    # the draws of the benchmark's kernel cases at seed 1, in their order
+    rng = np.random.default_rng(1)
+    rng.normal(size=(200_000, 6))
+    rng.uniform(-1.0, 1.0, size=(50_000, 4, 3))
+    rng.uniform(0.1, 1.0, size=(50_000, 5))
+    seg0 = rng.uniform(-30, 30, size=(500_000, 3))
+    seg1 = seg0 + rng.uniform(-1, 1, size=(500_000, 3))
+    got = K.segment_ball_clip(seg0, seg1, 25.0)
+    assert np.array_equal(got, _segment_ball_clip_reference(seg0, seg1, 25.0))
+    assert (got > 0).any() and (got == 0).any()

@@ -59,6 +59,18 @@ def _reference_skeleton_length(z, lat, radius, tol=1e-7):
     return math.fsum(clip.tolist())
 
 
+def _box_points_reference(basis, rmax):
+    """Lattice vectors of norm at most rmax from the whole coefficient box
+    of the LLL-reduced basis, in lexicographic coefficient order."""
+    u = TL._lll_unimodular(basis)
+    # |c_i| <= |t| * ||column i of basis inverse|| for t = c @ basis
+    lim = np.linalg.norm(np.linalg.inv(u @ basis), axis=0) * rmax
+    axes = [np.arange(-math.floor(l) - 1, math.floor(l) + 2) for l in lim]
+    coeffs = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    t = (coeffs @ u) @ basis
+    return t[np.linalg.norm(t, axis=1) <= rmax]
+
+
 def _reference_uncovered(z, lat, x, tol=1e-9):
     """Mask of the points x that lie in none of the 27 translates around
     their nearest lattice coordinates, by the hull inequalities of the
@@ -112,6 +124,55 @@ class TestLattice:
         # closure under negation
         keys = {tuple(np.round(p, 9)) for p in pts}
         assert all(tuple(np.round(-p, 9)) in keys for p in pts)
+
+
+BASES = {
+    "z3": np.eye(3),
+    "sheared": np.array([[1.0, 0, 0], [50.0, 1, 0], [30.0, 0, 1]]),
+    "skewed": np.array([[1.0, 0.9, 0.0], [0.0, 1.0, 0.8], [0.0, 0.0, 1.0]]),
+}
+
+
+def _basis(name, unit_shapes):
+    if name in BASES:
+        return BASES[name]
+    return TL.lattice_from_parallelohedron(unit_shapes[name]).basis
+
+
+class TestBallLines:
+    """The line enumeration against the whole coefficient box."""
+
+    @staticmethod
+    def _tangent_radius(basis):
+        # a radius with a lattice point exactly on the sphere
+        return float(np.linalg.norm(_box_points_reference(basis, 5.0), axis=1).max())
+
+    @pytest.mark.parametrize("name", [*BASES, *SHAPES])
+    @pytest.mark.parametrize("case", ["non-integer", "tangent", "tangent-inner"])
+    def test_count_and_band_partition_the_box(self, unit_shapes, monkeypatch, name, case):
+        monkeypatch.setattr(TL, "_LINE_CHUNK", 7)  # many blocks, each boundary crossed
+        basis = _basis(name, unit_shapes)
+        tangent = self._tangent_radius(basis)
+        radius, circ = {
+            "non-integer": (7.3, 1.1),
+            "tangent": (tangent, 0.0),
+            "tangent-inner": (tangent + 0.75, 0.75),
+        }[case]
+        blocks = list(TL._ball_lines(basis, radius + circ, radius - circ))
+        count = sum(n for n, _ in blocks)
+        band = np.concatenate([b for _, b in blocks])
+        ref = _box_points_reference(basis, radius + circ)
+        index = {row.tobytes(): i for i, row in enumerate(ref)}
+        pos = np.array([index[row.tobytes()] for row in band])
+        assert (np.diff(pos) > 0).all()  # same points, same order
+        counted = np.setdiff1d(np.arange(len(ref)), pos)
+        assert count == len(counted) > 0
+        # the classification of skeleton_density: counted points are inner
+        assert (np.linalg.norm(ref[counted], axis=1) + circ < radius).all()
+        got = TL.Lattice(basis).points_in_ball(radius + circ)
+        assert np.array_equal(got, ref)
+        if case == "tangent":
+            assert (np.linalg.norm(got, axis=1) == radius).any()
 
 
 class TestLatticeSearch:
@@ -213,6 +274,35 @@ class TestSkeletonDensity:
         est = TL.skeleton_density(z, lat, radius)
         want = _reference_skeleton_length(z, lat, radius)
         assert abs(est.skeleton_length - want) <= 1e-12 * want
+
+
+# cells and density at the commit before line enumeration and the shell sum
+PINNED = {
+    ("cube", 20.0): (38089, 3.002269744021391),
+    ("cube", 30.0): (123065, 3.0012012490735303),
+    ("cube", 40.0): (286145, 3.0005512895547515),
+    ("hexprism", 20.0): (37623, 3.634689216352712),
+    ("hexprism", 30.0): (122605, 3.6375092266615767),
+    ("hexprism", 40.0): (285125, 3.6370018800991315),
+    ("rhombic", 20.0): (37863, 5.5041432532758),
+    ("rhombic", 30.0): (122231, 5.499530350371891),
+    ("rhombic", 40.0): (284039, 5.499002928354329),
+    ("elongated", 20.0): (38457, 5.021228655685158),
+    ("elongated", 30.0): (123889, 5.025197766416012),
+    ("elongated", 40.0): (286743, 5.025795343742795),
+    ("truncocta", 20.0): (37309, 5.342829614997286),
+    ("truncocta", 30.0): (121125, 5.344170333279854),
+    ("truncocta", 40.0): (282417, 5.346120109902546),
+}
+
+
+@pytest.mark.parametrize("name, radius", sorted(PINNED))
+def test_skeleton_density_pinned(unit_shapes, name, radius):
+    z = unit_shapes[name]
+    est = TL.skeleton_density(z, TL.lattice_from_parallelohedron(z), radius)
+    cells, density = PINNED[name, radius]
+    assert est.cells == cells
+    assert abs(est.density - density) <= 1e-15 * density
 
 
 class TestEdgeClasses:
