@@ -5,11 +5,35 @@ batch kernels below, the simplex grid scan, the simplex objective and
 ``zonotope.volume_polynomial`` all evaluate it.  ``greedy_descent`` is
 the one local search: the simplex and decomposable brute-force oracles
 both refine their best grid point with it.  ``_chord_lengths`` is the one ball clip.
+``cross3`` and ``det3`` are the one cross product and the one triple
+product of 3-vectors: component formulas over the last axis, with none
+of the per-call overhead of ``np.cross`` or a batched LU ``np.linalg.det``.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def cross3(a, b):
+    """Cross product over the last axis of two broadcastable (..., 3) arrays."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    x = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
+    out = np.empty(x.shape + (3,))
+    out[..., 0] = x
+    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
+    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    return out
+
+
+def _dot3(a, b):
+    """Dot product over the last axis of (..., 3) arrays, by component."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
+def det3(a, b, c):
+    """Triple product a . (b x c), the determinant with rows a, b, c, over the last axis."""
+    return _dot3(np.asarray(a, dtype=np.float64), cross3(b, c))
 
 
 def volume_cubic(t12, t13, t14, t23, t24, t34):
@@ -90,20 +114,21 @@ def greedy_descent(f, move, n_moves: int, x, step: float, rounds: int):
     return best, x
 
 
+#: Unordered index pairs of a 4-element frame, in canonical order.
+#: The complementary pair of ``PAIRS[k]`` is ``PAIRS[5 - k]``.
+PAIRS: tuple[tuple[int, int], ...] = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
 def pair_scalars_many(p: np.ndarray):
     """Per-pair gamma and zeta, and the volume, of (N, 4, 3) centered tetrahedra."""
-    # pairs ordered (12,13,14,23,24,34); complement of slot k is slot 5-k
     p = np.asarray(p, dtype=np.float64)
-    pairs = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-    n = p.shape[0]
-    gamma = np.empty((n, 6))
-    zeta = np.empty((n, 6))
-    for k, (i, j) in enumerate(pairs):
-        s, t = pairs[5 - k]
-        gamma[:, k] = -(p[:, s] * p[:, t]).sum(axis=1)
-        cr = np.cross(p[:, i], p[:, j])
-        zeta[:, k] = gamma[:, k] * (cr * cr).sum(axis=1)
-    vol = np.abs(np.linalg.det(p[:, 1:] - p[:, :1])) / 6.0
+    gamma, zeta = np.empty((2, p.shape[0], 6))
+    for k, (i, j) in enumerate(PAIRS):
+        s, t = PAIRS[5 - k]
+        gamma[:, k] = -_dot3(p[:, s], p[:, t])
+        cr = cross3(p[:, i], p[:, j])
+        zeta[:, k] = gamma[:, k] * _dot3(cr, cr)
+    vol = np.abs(det3(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0], p[:, 3] - p[:, 0])) / 6.0
     return gamma, zeta, vol
 
 
@@ -115,10 +140,10 @@ def type4_functional_many(v: np.ndarray, beta: np.ndarray, a6: float, a4: float)
     """
     v = np.asarray(v, dtype=np.float64)
     beta = np.asarray(beta, dtype=np.float64)
-    pairs = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3))
-    cross_norm = np.stack(
-        [np.linalg.norm(np.cross(v[:, i], v[:, j]), axis=1) for i, j in pairs], axis=1
-    )
+    cross_norm = np.empty((v.shape[0], 5))
+    for k, (i, j) in enumerate(PAIRS[:5]):
+        cr = cross3(v[:, i], v[:, j])
+        cross_norm[:, k] = np.sqrt(_dot3(cr, cr))
     w_raw = a4 * beta[:, 0] * cross_norm[:, 0] + a6 * (beta[:, 1:] * cross_norm[:, 1:]).sum(axis=1)
     vol = volume_cubic(*(beta[:, k] for k in range(5)), 0.0)
     return w_raw / np.cbrt(vol)

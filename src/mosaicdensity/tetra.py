@@ -127,7 +127,7 @@ def batch_identity_residuals(
     while collected < samples:
         n = min(4096, max(256, samples - collected))
         p = rng.uniform(-1.0, 1.0, size=(n, 4, 3))
-        p -= p.mean(axis=1, keepdims=True)
+        p -= ((p[:, 0] + p[:, 1] + p[:, 2] + p[:, 3]) / 4.0)[:, None]
         gamma, zeta, vol = _kernels.pair_scalars_many(p)
         keep = vol > reject_volume_below
         gamma, zeta, vol = gamma[keep], zeta[keep], vol[keep]

@@ -277,11 +277,10 @@ def stationary_betas_type4(t: CenteredTetrahedron, m: WeightPair) -> BetaVector:
     gamma = pair_invariants(t).neg_opposite_dot
     if gamma[:5].min() < 0:
         raise NegativeBeta("a required complementary dot product has the wrong sign")
-    pairs = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3))
     beta = np.zeros(6)
-    for k, (i, j) in enumerate(pairs):
+    for k, (i, j) in enumerate(_kernels.PAIRS[:5]):
         weight = m.alpha4 if k == 0 else m.alpha6
-        beta[k] = gamma[k] * float(np.linalg.norm(np.cross(p[i], p[j]))) / (3.0 * weight)
+        beta[k] = gamma[k] * float(np.linalg.norm(_kernels.cross3(p[i], p[j]))) / (3.0 * weight)
     return BetaVector(beta)
 
 
@@ -311,8 +310,8 @@ def type4_sweep(m: WeightPair, samples: int, seed: int = 0) -> Type4SweepReport:
     while done < samples:
         n = min(2048, samples - done)
         p = rng.uniform(-1.0, 1.0, size=(n, 4, 3))
-        p -= p.mean(axis=1, keepdims=True)
-        d = np.linalg.det(p[:, :3])
+        p -= ((p[:, 0] + p[:, 1] + p[:, 2] + p[:, 3]) / 4.0)[:, None]
+        d = _kernels.det3(p[:, 0], p[:, 1], p[:, 2])
         keep = np.abs(d) > 5e-2
         p, d = p[keep], d[keep]
         if len(p) == 0:  # a whole tail batch can be slivers; redraw
@@ -321,7 +320,7 @@ def type4_sweep(m: WeightPair, samples: int, seed: int = 0) -> Type4SweepReport:
         p[neg] = p[neg][:, [1, 0, 2, 3]]
         p *= np.abs(d)[:, None, None] ** (-1.0 / 3.0)
         beta = 1.0 - rng.random(size=(len(p), 5))  # uniform on (0, 1]
-        vals = _kernels.type4_functional_many(np.ascontiguousarray(p), beta, m.alpha6, m.alpha4)
+        vals = _kernels.type4_functional_many(p, beta, m.alpha6, m.alpha4)
         best = min(best, float(vals.min()))
         done += len(p)
     return Type4SweepReport(samples, best, type_minimum(4, m).value, type_minimum(5, m).value)

@@ -26,13 +26,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._kernels import volume_cubic
+from ._kernels import PAIRS, cross3, det3, volume_cubic
 
 Vec3 = np.ndarray
-
-#: Unordered index pairs of a 4-element frame, in canonical order.
-#: The complementary pair of ``PAIRS[k]`` is ``PAIRS[5 - k]``.
-PAIRS: tuple[tuple[int, int], ...] = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 VECTOR_TOL = 1e-10
 DET_TOL = 1e-12
@@ -196,14 +192,6 @@ class Zonotope:
         return (pts @ normals.T <= offsets + tol).all(axis=1)
 
 
-def _det3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
-    return float(
-        a[0] * (b[1] * c[2] - b[2] * c[1])
-        - a[1] * (b[0] * c[2] - b[2] * c[0])
-        + a[2] * (b[0] * c[1] - b[1] * c[0])
-    )
-
-
 def validate_generators(raw: Iterable[Iterable[float]]) -> GeneratorSet:
     """Normalize four frame vectors to the canonical scale and orientation.
 
@@ -218,7 +206,7 @@ def validate_generators(raw: Iterable[Iterable[float]]) -> GeneratorSet:
         raise GeometryError("expected four finite vectors in R^3")
     if np.abs(v.sum(axis=0)).max() > VECTOR_TOL:
         raise NotCentered("frame vectors must sum to zero")
-    d = _det3(v[0], v[1], v[2])
+    d = float(det3(v[0], v[1], v[2]))
     scale = np.abs(v).max()
     if scale == 0.0 or abs(d) <= DET_TOL * scale**3:
         raise DegenerateFrame("frame has a dependent triple")
@@ -228,18 +216,16 @@ def validate_generators(raw: Iterable[Iterable[float]]) -> GeneratorSet:
     if abs(d - 1.0) > DET_TOL:
         v = v * d ** (-1.0 / 3.0)
     for tri in combinations(range(4), 3):
-        if abs(abs(_det3(*v[list(tri)])) - 1.0) > 1e-8:
+        if abs(abs(det3(*v[list(tri)])) - 1.0) > 1e-8:
             raise DegenerateFrame("triple products are not of unit magnitude")
     return GeneratorSet(v)
 
 
 def segments_from_parameters(g: GeneratorSet, b: BetaVector) -> list[Segment]:
     """The six segments beta_ij (v_i x v_j), zero length allowed."""
-    v = g.vectors
-    return [
-        Segment(b.values[k] * np.cross(v[i], v[j]), (i, j))
-        for k, (i, j) in enumerate(PAIRS)
-    ]
+    i, j = np.array(PAIRS).T
+    cr = cross3(g.vectors[i], g.vectors[j])
+    return [Segment(b.values[k] * cr[k], pair) for k, pair in enumerate(PAIRS)]
 
 
 def classify_type(b: BetaVector) -> ParallelohedronType:
@@ -332,6 +318,30 @@ def _as_segments(segments: Iterable[Segment] | np.ndarray) -> list[Segment]:
     return out
 
 
+def _coplanar_classes(gens: np.ndarray, norms: np.ndarray, tol: float) -> dict:
+    """Unit normal of each coplanar class, keyed by its members, in the
+    ``combinations`` order of the pairs spanning them; raises
+    :class:`ParallelSegments` when a pair's cross product is below ``tol``."""
+    i, j = np.array(list(combinations(range(len(gens)), 2))).T
+    cr = cross3(gens[i], gens[j])
+    crn = np.linalg.norm(cr, axis=1)
+    parallel = crn <= tol * norms[i] * norms[j]
+    if parallel.any():
+        q = int(np.argmax(parallel))
+        raise ParallelSegments(f"segments {i[q]} and {j[q]} are parallel")
+    normals = cr / crn[:, None]
+    inplane = np.abs(normals @ gens.T) <= tol * norms
+    classes: dict[tuple[int, ...], np.ndarray] = {}
+    for n, row in zip(normals, inplane):
+        members = tuple(np.flatnonzero(row).tolist())
+        if members in classes:
+            if abs(abs(classes[members] @ n) - 1.0) > 1e-9:
+                raise ConstructionError("inconsistent coplanar classes")
+        else:
+            classes[members] = -n if n[np.argmax(np.abs(n))] < 0 else n
+    return classes
+
+
 def build_zonotope(
     segments: Iterable[Segment] | np.ndarray, *, tol: float = COPLANAR_TOL
 ) -> Zonotope:
@@ -351,24 +361,7 @@ def build_zonotope(
     norms = np.linalg.norm(gens, axis=1)
     if k < 3 or np.linalg.matrix_rank(gens, tol=1e-12 * max(1.0, norms.max())) < 3:
         raise FlatBody("nonzero segments do not span R^3")
-    for i, j in combinations(range(k), 2):
-        if np.linalg.norm(np.cross(gens[i], gens[j])) <= tol * norms[i] * norms[j]:
-            raise ParallelSegments(f"segments {i} and {j} are parallel")
-
-    # Coplanar classes: one per facet-normal direction.
-    classes: dict[tuple[int, ...], np.ndarray] = {}
-    for i, j in combinations(range(k), 2):
-        n = np.cross(gens[i], gens[j])
-        n /= np.linalg.norm(n)
-        members = tuple(m for m in range(k) if abs(gens[m] @ n) <= tol * norms[m])
-        if members in classes:
-            if abs(abs(classes[members] @ n) - 1.0) > 1e-9:
-                raise ConstructionError("inconsistent coplanar classes")
-        else:
-            if n[np.argmax(np.abs(n))] < 0:
-                n = -n
-            classes[members] = n
-
+    classes = _coplanar_classes(gens, norms, tol)
     center = gens.sum(axis=0) / 2.0
     facet_raw: list[tuple[np.ndarray, list[frozenset[int]], tuple[int, ...]]] = []
     for members, n0 in classes.items():
@@ -379,7 +372,7 @@ def build_zonotope(
             e1 = gens[members[0]] / norms[members[0]]
             e1 = e1 - (e1 @ n) * n
             e1 /= np.linalg.norm(e1)
-            e2 = np.cross(n, e1)
+            e2 = cross3(n, e1)
             pts = []
             subs = []
             for r in range(len(members) + 1):
@@ -421,7 +414,7 @@ def build_zonotope(
     for n, cycle, members in facet_raw:
         ids = [vertex_id[s] for s in cycle]
         poly = verts[ids]
-        signed = float(np.cross(poly - poly[0], np.roll(poly, -1, axis=0) - poly[0]).sum(axis=0) @ n) / 2.0
+        signed = float(cross3(poly - poly[0], np.roll(poly, -1, axis=0) - poly[0]).sum(axis=0) @ n) / 2.0
         if signed < 0:
             ids = ids[::-1]
         facets.append(Facet(tuple(ids), n, abs(signed), members))

@@ -81,7 +81,7 @@ class TestTile:
         assert rows[0]["target"] == 3.0
         assert rows[0]["relative_error"] <= 0.02
         assert doc["outputs"]["covering_fraction"] == 1.0
-        assert doc["outputs"]["translates_checked"] == 178
+        assert doc["outputs"]["translates_checked"] == 26
         covolume = [r for r in doc["residuals"] if r["name"] == "covolume_minus_volume"]
         assert len(covolume) == 1 and covolume[0]["pass"]
         assert covolume[0]["value"] == 0.0 and covolume[0]["tolerance"] == 1e-9

@@ -1,6 +1,9 @@
 """The numpy kernels against plain-Python and geometric references."""
 
+import re
+from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,6 +110,73 @@ class TestGreedyDescent:
     def test_ties_do_not_move(self):
         best, x = K.greedy_descent(lambda x: 1.0, _axis_moves, 4, [2.0, 3.0], 0.5, 5)
         assert (best, x) == (1.0, [2.0, 3.0])
+
+
+def _products_of_norms(*vs):
+    return np.prod([np.linalg.norm(v, axis=-1) for v in np.broadcast_arrays(*vs)], axis=0)
+
+
+class TestCrossAndTripleProduct:
+    @pytest.fixture
+    def vecs(self):
+        return np.random.default_rng(11).normal(size=(3, 500, 3))
+
+    @pytest.fixture
+    def wide(self, vecs):
+        # lengths over six decades: the tolerance scales with the inputs
+        return vecs * np.logspace(-3, 3, 500)[:, None]
+
+    def test_cross3_matches_np_cross(self, vecs, wide):
+        for a, b, _ in (vecs, wide):
+            for x, y in [(a, b), (a[7], b[9]), (a, b[3]), (a[3], b), (a.reshape(50, 10, 3), b[:10])]:
+                got, want = K.cross3(x, y), np.cross(x, y)
+                assert got.shape == want.shape
+                assert (np.abs(got - want).max(axis=-1) <= 1e-15 * _products_of_norms(x, y)).all()
+
+    def test_det3_matches_linalg_det(self, vecs):
+        a, b, c = vecs
+        cases = [(a, b, c), (a[7], b[9], c[1]), (a, b[3], c), (a[3], b, c[4]), (a.reshape(50, 10, 3), b[:10], c[0])]
+        for x, y, z in cases:
+            got = K.det3(x, y, z)
+            want = np.linalg.det(np.stack(np.broadcast_arrays(x, y, z), axis=-2))
+            assert np.shape(got) == want.shape
+            assert (np.abs(got - want) <= 1e-15 * _products_of_norms(x, y, z)).all()
+
+    def test_det3_matches_exact_arithmetic(self, wide):
+        # np.linalg.det forms exp(log|det|), whose error grows with |log|det||,
+        # so over six decades the reference is the rational value
+        a, b, c = wide
+        exact = []
+        for x, y, z in zip(*(v.tolist() for v in wide)):
+            x, y, z = ([Fraction(t) for t in v] for v in (x, y, z))
+            exact.append(float(x[0] * (y[1] * z[2] - y[2] * z[1]) - x[1] * (y[0] * z[2] - y[2] * z[0])
+                               + x[2] * (y[0] * z[1] - y[1] * z[0])))
+        assert (np.abs(K.det3(a, b, c) - exact) <= 1e-15 * _products_of_norms(a, b, c)).all()
+
+    @pytest.mark.parametrize("seed", [0, 5, 7])
+    def test_det3_sign_on_every_sweep_block(self, seed):
+        # the draws of type4_sweep(m, 100_000, seed), block by block
+        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+        done = 0
+        while done < 100_000:
+            p = rng.uniform(-1.0, 1.0, size=(min(2048, 100_000 - done), 4, 3))
+            p -= p.mean(axis=1, keepdims=True)
+            d, want = K.det3(p[:, 0], p[:, 1], p[:, 2]), np.linalg.det(p[:, :3])
+            far = np.abs(want) > 1e-12
+            assert (np.sign(d[far]) == np.sign(want[far])).all()
+            kept = int((np.abs(d) > 5e-2).sum())
+            rng.random(size=(kept, 5))
+            done += kept
+
+
+def test_one_cross_and_triple_product():
+    # 3-vector cross and triple products go through cross3/det3; LAPACK's
+    # det stays for single 3x3 matrices and lattice bases, never for stacks
+    for path in sorted(Path(K.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        assert "np.cross(" not in text, path.name
+        for arg in re.findall(r"np\.linalg\.det\((.*)", text):
+            assert "[:," not in arg and "[..." not in arg, f"{path.name}: det of a stack: {arg}"
 
 
 class TestVolumeCubic:

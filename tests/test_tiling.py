@@ -9,6 +9,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import ConvexHull, cKDTree
 
+from conftest import random_body
 from mosaicdensity import tiling as TL
 from mosaicdensity.zonotope import BeltClass, GeometryError, belts, cube
 
@@ -188,14 +189,38 @@ class TestLatticeSearch:
         assert np.allclose(np.abs(lat.basis) @ np.ones(3), np.ones(3))
 
 
+    def test_screen_within_the_diameter_is_enough(self, unit_shapes):
+        # the tiling lattice, scaled and sheared copies of it (overlapping or
+        # not), screened within the diameter and within twice the diameter
+        rng = np.random.default_rng(5)
+        bodies = [*unit_shapes.values(), *(random_body(rng, ty) for ty in (1, 3, 4, 5))]
+        overlaps = 0
+        for z in bodies:
+            normals, offsets = z.facet_planes()
+            b = TL.lattice_from_parallelohedron(z).basis
+            shear1, shear2 = b.copy(), b.copy()
+            shear1[2] += 0.3 * b[0] + 0.2 * b[1]
+            shear2[1] += 0.5 * b[0]
+            for basis in (b, 0.95 * b, 0.6 * b, 1.1 * b, shear1, shear2):
+                lat = TL.Lattice(basis)
+                t = lat.points_in_ball(2.0 * z.diameter() + 1e-9)
+                t = t[np.linalg.norm(t, axis=1) > 1e-12]
+                inside = ((t @ normals.T) / (2.0 * offsets) < 1.0 - 1e-12).all(axis=1)
+                witness, checked = TL._has_overlap(z, lat)
+                assert (witness is None) == (not inside.any())
+                assert checked == (np.linalg.norm(t, axis=1) <= z.diameter() + 1e-9).sum()
+                overlaps += witness is not None
+        assert 0 < overlaps < 6 * len(bodies)
+
+
 class TestValidateTiling:
     def test_cube_passes(self):
         rep = TL.validate_tiling(cube(), TL.Lattice(np.eye(3)))
         assert rep.covering_fraction == 1.0
         assert abs(rep.determinant - 1.0) < 1e-12
         assert abs(rep.cell_volume - 1.0) < 1e-12
-        # nonzero integer vectors within twice the diameter: 0 < |c|^2 <= 12
-        assert rep.translates_checked == 178
+        # nonzero integer vectors within the diameter sqrt(3): 0 < |c|^2 <= 3
+        assert rep.translates_checked == 26
         assert rep.covering_samples == 0
 
     def test_overlap_witness(self):

@@ -247,6 +247,16 @@ class TestSweep:
         # the earlier multi-worker implementation run with one worker
         assert a.min_observed == pytest.approx(2.7670876321586078, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "seed, recorded",
+        [(0, 2.703982500039814), (5, 2.7033336021094567), (7, 2.7066486625781496)],
+    )
+    def test_benchmark_size_reproduces_recorded_minimum(self, seed, recorded):
+        # 100 000 samples span many blocks of 2048: this pins the block
+        # size and the draw order, uniform(n, 4, 3) then random(k, 5)
+        rep = W.type4_sweep(WeightPair(1.0, 0.9), 100_000, seed)
+        assert rep.min_observed == pytest.approx(recorded, rel=1e-12)
+
     def test_sample_floor(self):
         with pytest.raises(ValueError):
             W.type4_sweep(UNIT, 50)

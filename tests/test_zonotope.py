@@ -1,5 +1,6 @@
 import json
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -149,7 +150,7 @@ class TestBuild:
             Z.Segment(np.array([0.0, 1, 0]), 2),
             Z.Segment(np.array([0.0, 0, 1]), 3),
         ]
-        with pytest.raises(Z.ParallelSegments):
+        with pytest.raises(Z.ParallelSegments, match="segments 0 and 1 are parallel"):
             Z.build_zonotope(segs)
 
     def test_centered_and_symmetric(self, rng):
@@ -164,6 +165,72 @@ class TestBuild:
         assert z.contains(np.zeros((1, 3)))[0]
         far = z.vertices[:1] * 2.0
         assert not z.contains(far)[0]
+
+
+def _coplanar_classes_reference(gens, norms, tol):
+    # the per-pair loop build_zonotope ran before the pair crosses were batched
+    k = len(gens)
+    for i, j in combinations(range(k), 2):
+        if np.linalg.norm(np.cross(gens[i], gens[j])) <= tol * norms[i] * norms[j]:
+            raise Z.ParallelSegments(f"segments {i} and {j} are parallel")
+    classes = {}
+    for i, j in combinations(range(k), 2):
+        n = np.cross(gens[i], gens[j])
+        n /= np.linalg.norm(n)
+        members = tuple(m for m in range(k) if abs(gens[m] @ n) <= tol * norms[m])
+        if members in classes:
+            if abs(abs(classes[members] @ n) - 1.0) > 1e-9:
+                raise Z.ConstructionError("inconsistent coplanar classes")
+        else:
+            if n[np.argmax(np.abs(n))] < 0:
+                n = -n
+            classes[members] = n
+    return classes
+
+
+class TestBatchedPairCrosses:
+    """``build_zonotope`` with one batched cross per pair set gives the
+    bodies of the per-pair loop: same classes, order, ids and labels."""
+
+    @pytest.fixture
+    def segment_sets(self, unit_shapes):
+        sets = {name: z.segments for name, z in unit_shapes.items()}
+        rng = np.random.default_rng(2024)
+        for q in range(20):
+            ty = q % 5 + 1
+            g, b = random_frame(rng), random_beta(rng, ty)
+            segs = Z.segments_from_parameters(g, b)
+            v = g.vectors
+            for k, (i, j) in enumerate(Z.PAIRS):
+                assert np.array_equal(segs[k].direction, b.values[k] * np.cross(v[i], v[j]))
+                assert segs[k].generator_index == (i, j)
+            sets[f"type{ty}-{q}"] = [s for s in segs if s.length > 0.0]
+        return sets
+
+    def test_classes_match_the_per_pair_loop(self, segment_sets):
+        for name, segs in segment_sets.items():
+            gens = np.array([s.direction for s in segs])
+            norms = np.linalg.norm(gens, axis=1)
+            got = Z._coplanar_classes(gens, norms, Z.COPLANAR_TOL)
+            ref = _coplanar_classes_reference(gens, norms, Z.COPLANAR_TOL)
+            assert list(got) == list(ref), name
+            for key, n in ref.items():
+                assert np.abs(got[key] - n).max() <= 1e-14, name
+
+    def test_body_matches_the_per_pair_loop(self, segment_sets, monkeypatch):
+        got = {name: Z.build_zonotope(segs) for name, segs in segment_sets.items()}
+        monkeypatch.setattr(Z, "_coplanar_classes", _coplanar_classes_reference)
+        for name, segs in segment_sets.items():
+            z, ref = got[name], Z.build_zonotope(segs)
+            assert [f.segment_members for f in z.facets] == [f.segment_members for f in ref.facets]
+            assert [f.vertex_ids for f in z.facets] == [f.vertex_ids for f in ref.facets]
+            assert np.array_equal(z.edge_vertex_ids, ref.edge_vertex_ids), name
+            assert np.array_equal(z.edge_segment, ref.edge_segment), name
+            scale = np.abs(ref.vertices).max()
+            assert np.abs(z.vertices - ref.vertices).max() <= 1e-14 * scale, name
+            for f, r in zip(z.facets, ref.facets):
+                assert np.abs(f.normal - r.normal).max() <= 1e-14, name
+                assert abs(f.area - r.area) <= 1e-14 * r.area, name
 
 
 class TestBelts:
