@@ -43,7 +43,6 @@ from .tiling import (
     NoValidBasis,
     Overlap,
     RadiusTooSmall,
-    WeightedEdge,
     convergence_series,
     lattice_from_parallelohedron,
     skeleton_density,
@@ -86,7 +85,6 @@ from .zonotope import (
     hexagonal_prism,
     rhombic_dodecahedron,
     to_json,
-    total_edge_length,
     truncated_octahedron,
     unit_volume,
     validate_generators,
@@ -106,7 +104,7 @@ __all__ = [
     "ParallelohedronType", "BeltClass", "GeneratorSet", "BetaVector", "WeightPair",
     "Segment", "Zonotope", "validate_generators", "classify_type", "volume_polynomial",
     "build_zonotope", "build_from_parameters", "belts", "weighted_edge_functional",
-    "total_edge_length", "to_json", "from_json",
+    "to_json", "from_json",
     "cube", "hexagonal_prism", "rhombic_dodecahedron",
     "elongated_rhombic_dodecahedron", "truncated_octahedron", "unit_volume",
     # tetrahedra
@@ -125,7 +123,7 @@ __all__ = [
     "density_bound_even", "density_bound_odd", "minimize_density",
     "brute_force_minimize", "monotonicity_certificates",
     # tiling simulation
-    "Lattice", "WeightedEdge", "DensityEstimate", "NoValidBasis", "Overlap", "Gap",
+    "Lattice", "DensityEstimate", "NoValidBasis", "Overlap", "Gap",
     "RadiusTooSmall", "lattice_from_parallelohedron", "validate_tiling",
     "skeleton_density", "convergence_series",
 ]

@@ -45,9 +45,11 @@ def _canonical_shape(name: str) -> zonotope.Zonotope:
         try:
             with open(path, encoding="utf-8") as fh:
                 return zonotope.from_json(json.load(fh))
-        except (OSError, ValueError, KeyError) as exc:
-            raise SystemExit(f"cannot load shape from {path!r}: {exc}") from exc
-    raise SystemExit(f"unknown shape {name!r}; choose from {_SHAPES} or file:<path>")
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise _OptionError(f"argument --shape: cannot load shape from {path!r}: {exc}") from exc
+    raise _OptionError(
+        f"argument --shape: unknown shape {name!r}; choose from {_SHAPES} or file:<path>"
+    )
 
 
 def _py(obj):
@@ -122,7 +124,7 @@ _ascending_radii.__name__ = "radii"
 
 
 class _OptionError(Exception):
-    """An option out of range for the body it is used with; exits 2 via ``main``."""
+    """An unloadable shape, or an option out of range for the body; exits 2 via ``main``."""
 
 
 def _require_radius(z: zonotope.Zonotope, radii: list[float], option: str) -> None:

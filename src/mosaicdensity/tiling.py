@@ -139,15 +139,6 @@ class Lattice:
 
 
 @dataclass(frozen=True)
-class WeightedEdge:
-    """One tiling edge, listed once, with its sharing weight 1/k."""
-
-    endpoints: tuple[np.ndarray, np.ndarray]
-    weight: float
-    cells: int  # k, the number of cells containing the edge
-
-
-@dataclass(frozen=True)
 class DensityEstimate:
     radius: float
     skeleton_length: float
@@ -356,17 +347,6 @@ def skeleton_density(z: Zonotope, lat: Lattice, radius: float) -> DensityEstimat
     density = total / (4.0 / 3.0 * math.pi * radius**3)
     target = weighted_edge_functional(z, WeightPair(2.0, 1.0)) / z.volume()
     return DensityEstimate(radius, total, density, target, weighted_total, cells)
-
-
-def collect_weighted_edges(z: Zonotope, lat: Lattice, radius: float) -> list[WeightedEdge]:
-    """Materialized unique edges meeting the ball with 1/k weights, for small radii."""
-    cls = edge_classes(z, lat)
-    t = lat.points_in_ball(radius + z.circumradius())[:, None]
-    p0 = (t + cls.start[cls.reps]).reshape(-1, 3)
-    p1 = (t + cls.end[cls.reps]).reshape(-1, 3)
-    keep = _kernels.segment_ball_clip(p0, p1, radius) > 0
-    share = np.tile(cls.share[cls.reps], len(t))[keep].tolist()
-    return [WeightedEdge((p, q), 1.0 / k, k) for p, q, k in zip(p0[keep], p1[keep], share)]
 
 
 @dataclass(frozen=True)

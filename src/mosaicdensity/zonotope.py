@@ -4,9 +4,12 @@ A body here is a Minkowski sum of at most six line segments in R^3,
 centered at the origin.  The face complex is built combinatorially: every
 facet normal comes from a coplanar class of generators, every facet is a
 zonogon of the generators in its class, and every vertex is a subset sum
-of generators.  Working with subsets instead of raw coordinates keeps the
-incidence structure exact; floating point only enters when positions,
-areas and normals are evaluated.
+of generators.  The boundary of each zonogon follows from the angular
+order of its generators, read off the signs of triple products with the
+facet normal; no projection or planar hull is formed.  Working with
+subsets instead of raw coordinates keeps the incidence structure exact;
+floating point only enters when positions, areas and normals are
+evaluated.
 
 The parametrized family built from a centered frame of four vectors
 (summing to zero, unit triple products) with six nonnegative coefficients
@@ -270,42 +273,6 @@ def volume_polynomial(tau: Sequence[float]) -> float:
     return float(volume_cubic(*t))
 
 
-def _hull2d(pts: np.ndarray) -> list[int]:
-    """Indices of the convex hull of 2-D points, CCW, strict corners only."""
-    spread = float(np.ptp(pts, axis=0).max())
-    if spread <= 0.0:
-        raise ConstructionError("degenerate zonogon projection")
-    turn_eps = 1e-13 * spread * spread
-    dup_eps = 1e-12 * spread
-    order = sorted(range(len(pts)), key=lambda i: (pts[i][0], pts[i][1]))
-
-    def chain(idx: list[int]) -> list[int]:
-        out: list[int] = []
-        for i in idx:
-            if out and abs(pts[i][0] - pts[out[-1]][0]) <= dup_eps and abs(
-                pts[i][1] - pts[out[-1]][1]
-            ) <= dup_eps:
-                continue
-            while len(out) >= 2:
-                o, a = pts[out[-2]], pts[out[-1]]
-                cross = (a[0] - o[0]) * (pts[i][1] - o[1]) - (a[1] - o[1]) * (
-                    pts[i][0] - o[0]
-                )
-                if cross <= turn_eps:
-                    out.pop()
-                else:
-                    break
-            out.append(i)
-        return out
-
-    lower = chain(order)
-    upper = chain(order[::-1])
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 3:
-        raise ConstructionError("zonogon hull collapsed")
-    return hull
-
-
 def _as_segments(segments: Iterable[Segment] | np.ndarray) -> list[Segment]:
     out: list[Segment] = []
     for k, s in enumerate(segments):
@@ -342,6 +309,30 @@ def _coplanar_classes(gens: np.ndarray, norms: np.ndarray, tol: float) -> dict:
     return classes
 
 
+def _zonogon_cycle(
+    gens: np.ndarray, members: tuple[int, ...], n: np.ndarray
+) -> list[frozenset[int]]:
+    """Corner subsets of the zonogon of ``members``, CCW about ``n``.
+
+    Each member is turned to lie CCW of the first one about n, so the
+    turned vectors lie in a half-plane, where det3(n, a, b) > 0 exactly when
+    b follows a.  From the corner holding the turned members, toggling the
+    members in that order walks the boundary, once per round.  Every sign
+    read is bounded away from 0 by the :class:`ParallelSegments` check.
+    """
+    g = gens[list(members)]
+    turned = det3(n, g[0], g) < 0
+    d = np.where(turned[:, None], -g, g)
+    before = det3(n, d[:, None], d[None]) > 0  # before[i, j]: d_i precedes d_j
+    order = np.argsort(before.sum(axis=0))
+    corner = frozenset(m for m, t in zip(members, turned) if t)
+    cycle = []
+    for i in np.concatenate([order, order]):
+        cycle.append(corner)
+        corner = corner ^ {members[i]}
+    return cycle
+
+
 def build_zonotope(
     segments: Iterable[Segment] | np.ndarray, *, tol: float = COPLANAR_TOL
 ) -> Zonotope:
@@ -350,9 +341,11 @@ def build_zonotope(
     Zero-length segments are dropped.  The remaining ones must span R^3
     (:class:`FlatBody` otherwise) and be pairwise non-parallel
     (:class:`ParallelSegments`).  Facets are found as coplanar classes of
-    segments at relative tolerance ``tol``; vertices are subset sums,
-    recentered so the body is symmetric about the origin.  Each edge is a
-    translate of exactly one segment and carries that segment's index.
+    segments at relative tolerance ``tol``, one for each sign of the class
+    normal; each facet cycle comes from the triple-product order of its
+    class (see ``_zonogon_cycle``), not from a hull.  Vertices are subset
+    sums, recentered so the body is symmetric about the origin.  Each edge
+    is a translate of exactly one segment and carries that segment's index.
     """
     all_segs = _as_segments(segments)
     segs = [s for s in all_segs if s.length > 0.0]
@@ -368,20 +361,7 @@ def build_zonotope(
         for sign in (1.0, -1.0):
             n = sign * n0
             base = frozenset(m for m in range(k) if gens[m] @ n > tol * norms[m])
-            # zonogon of the class, projected on the facet plane
-            e1 = gens[members[0]] / norms[members[0]]
-            e1 = e1 - (e1 @ n) * n
-            e1 /= np.linalg.norm(e1)
-            e2 = cross3(n, e1)
-            pts = []
-            subs = []
-            for r in range(len(members) + 1):
-                for chosen in combinations(members, r):
-                    s = gens[list(chosen)].sum(axis=0) if chosen else np.zeros(3)
-                    pts.append((float(s @ e1), float(s @ e2)))
-                    subs.append(frozenset(chosen))
-            cycle_idx = _hull2d(np.asarray(pts))
-            cycle = [base | subs[h] for h in cycle_idx]
+            cycle = [base | s for s in _zonogon_cycle(gens, members, n)]
             facet_raw.append((n, cycle, members))
 
     vertex_id: dict[frozenset[int], int] = {}
@@ -415,9 +395,9 @@ def build_zonotope(
         ids = [vertex_id[s] for s in cycle]
         poly = verts[ids]
         signed = float(cross3(poly - poly[0], np.roll(poly, -1, axis=0) - poly[0]).sum(axis=0) @ n) / 2.0
-        if signed < 0:
-            ids = ids[::-1]
-        facets.append(Facet(tuple(ids), n, abs(signed), members))
+        if signed <= 0:
+            raise ConstructionError("facet cycle is not counterclockwise about its normal")
+        facets.append(Facet(tuple(ids), n, signed, members))
 
     n_v, n_e, n_f = len(verts), len(edge_label), len(facets)
     if n_v - n_e + n_f != 2:
@@ -441,31 +421,18 @@ def build_from_parameters(g: GeneratorSet, b: BetaVector) -> Zonotope:
 def belts(z: Zonotope) -> list[BeltClass]:
     """Zone size of each segment: the facets containing a translate of it.
 
-    A facet belongs to the zone of a segment exactly when one of its edges
-    is labeled with that segment.  Every zone of a space-filling body of
-    this family has size 4 or 6; anything else raises :class:`BeltAnomaly`.
+    A facet belongs to the zone of a segment exactly when the segment is
+    in the facet's coplanar class, i.e. one of its edges is labeled with
+    that segment.  Every zone of a space-filling body of this family has
+    size 4 or 6; anything else raises :class:`BeltAnomaly`.
     """
-    label_of = {
-        (int(u), int(v)): int(g)
-        for (u, v), g in zip(z.edge_vertex_ids, z.edge_segment)
-    }
-    counts = [0] * len(z.segments)
-    for f in z.facets:
-        ids = f.vertex_ids
-        labels = {
-            label_of[(a, b) if a < b else (b, a)]
-            for a, b in zip(ids, ids[1:] + ids[:1])
-        }
-        for lab in labels:
-            counts[lab] += 1
     out = []
-    for idx, c in enumerate(counts):
-        if c == 4:
-            out.append(BeltClass.FOUR)
-        elif c == 6:
-            out.append(BeltClass.SIX)
-        else:
-            raise BeltAnomaly(f"segment {idx} lies in {c} facets")
+    for idx in range(len(z.segments)):
+        c = sum(idx in f.segment_members for f in z.facets)
+        try:
+            out.append(BeltClass(c))
+        except ValueError:
+            raise BeltAnomaly(f"segment {idx} lies in {c} facets") from None
     return out
 
 
@@ -476,11 +443,6 @@ def weighted_edge_functional(z: Zonotope, m: WeightPair) -> float:
     for s, c in zip(z.segments, cls):
         total += (m.alpha4 if c is BeltClass.FOUR else m.alpha6) * s.length
     return total
-
-
-def total_edge_length(z: Zonotope) -> float:
-    """Sum of all edge lengths, computed from the vertex coordinates."""
-    return float(z.edge_lengths().sum())
 
 
 # ---------------------------------------------------------------------------
@@ -568,10 +530,16 @@ def from_json(doc: dict | str) -> Zonotope:
     """Rebuild a body from :func:`to_json` output and cross-check counts."""
     if isinstance(doc, str):
         doc = json.loads(doc)
+    if not isinstance(doc, dict):
+        raise GeometryError("document is not a JSON object")
     if doc.get("schema") != "1":
         raise GeometryError("unsupported document schema")
     gens = np.asarray(doc["generators"], dtype=np.float64)
+    if gens.ndim != 2 or gens.shape[1] != 3 or not np.isfinite(gens).all():
+        raise GeometryError("generators must be a list of finite 3-vectors")
     labels = doc.get("generator_index")
+    if labels is not None and (not isinstance(labels, list) or len(labels) != len(gens)):
+        raise GeometryError(f"generator_index must list one entry for each of {len(gens)} generators")
     segs = []
     for k, gvec in enumerate(gens):
         lab = labels[k] if labels is not None else k

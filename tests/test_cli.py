@@ -95,13 +95,18 @@ class TestTile:
         assert len(rows) == 3
         assert float(rows[1][0]) == 6.0 and float(rows[2][0]) == 9.0
 
-    def test_unknown_shape(self):
-        with pytest.raises(SystemExit, match="unknown shape"):
+    # an unusable --shape is a usage error (exit 2), not a failed certificate (exit 1)
+    def test_unknown_shape(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["tile", "--shape", "megacube"])
+        assert exc.value.code == 2
+        assert "--shape: unknown shape 'megacube'" in capsys.readouterr().err
 
-    def test_missing_file(self):
-        with pytest.raises(SystemExit, match="cannot load shape"):
+    def test_missing_file(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["tile", "--shape", "file:/nonexistent.json"])
+        assert exc.value.code == 2
+        assert "--shape: cannot load shape from '/nonexistent.json'" in capsys.readouterr().err
 
     # bad radii are usage errors (exit 2), not failed certificates (exit 1)
     def test_radius_too_small_is_clean(self, capsys):
@@ -240,6 +245,52 @@ class TestBadInput:
         errors = [line for line in captured.err.splitlines() if "error:" in line]
         assert len(errors) == 1 and errors[0].endswith(message)
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[1, 2, 3]", "document is not a JSON object"),
+            ('{"schema": "1", "generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],'
+             ' "generator_index": [0, 1], "vertices": [], "edges": []}',
+             "generator_index must list one entry for each of 3 generators"),
+            ('{"schema": "1", "generators": [[1e400, 0, 0], [0, 1, 0], [0, 0, 1]],'
+             ' "vertices": [], "edges": []}',
+             "generators must be a list of finite 3-vectors"),
+            ('{"schema": "1", "generators": {"x": 1}}', "not 'dict'"),
+            ("{not json",
+             "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        ],
+        ids=["json-array", "short-generator-index", "overflowing-coordinate",
+             "generators-not-a-list", "not-json"],
+    )
+    def test_bad_shape_file(self, capsys, tmp_path, text, message):
+        path = tmp_path / "shape.json"
+        path.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["tile", "--shape", f"file:{path}", "--radius", "20"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and f"--shape: cannot load shape from '{path}': " in errors[0]
+        assert errors[0].endswith(message)
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["tile", "--shape", "megacube"], "--shape: unknown shape 'megacube'; choose from"),
+            (["tile", "--shape", "file:/nonexistent/shape.json"],
+             "--shape: cannot load shape from '/nonexistent/shape.json': [Errno 2]"),
+        ],
+        ids=["unknown-name", "unreadable-file"],
+    )
+    def test_bad_shape_name(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and message in errors[0]
 
     @pytest.mark.parametrize(
         "argv",

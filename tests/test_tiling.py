@@ -343,23 +343,23 @@ class TestEdgeClasses:
 
 
 class TestWeightedEdges:
+    # every tiling edge is a lattice translate of a class representative,
+    # shared by the class size k and weighted 1/k
     def test_cube_edges_shared_by_four(self):
-        edges = TL.collect_weighted_edges(cube(), TL.Lattice(np.eye(3)), 6.0)
-        assert len(edges) > 0
-        assert {e.cells for e in edges} == {4}
-        assert all(e.weight == 0.25 for e in edges)
+        cls = TL.edge_classes(cube(), TL.Lattice(np.eye(3)))
+        assert len(cls.reps) > 0
+        assert set(cls.share[cls.reps].tolist()) == {4}
+        assert (1.0 / cls.share == 0.25).all()
 
     def test_truncocta_edges_shared_by_three(self, unit_shapes):
         z = unit_shapes["truncocta"]
-        lat = TL.lattice_from_parallelohedron(z)
-        edges = TL.collect_weighted_edges(z, lat, 5.0)
-        assert {e.cells for e in edges} == {3}
+        cls = TL.edge_classes(z, TL.lattice_from_parallelohedron(z))
+        assert set(cls.share[cls.reps].tolist()) == {3}
 
     def test_elongated_has_both_classes(self, unit_shapes):
         z = unit_shapes["elongated"]
-        lat = TL.lattice_from_parallelohedron(z)
-        edges = TL.collect_weighted_edges(z, lat, 6.0)
-        assert {e.cells for e in edges} == {3, 4}
+        cls = TL.edge_classes(z, TL.lattice_from_parallelohedron(z))
+        assert set(cls.share[cls.reps].tolist()) == {3, 4}
 
 
 class TestConvergence:

@@ -233,6 +233,107 @@ class TestBatchedPairCrosses:
                 assert abs(f.area - r.area) <= 1e-14 * r.area, name
 
 
+def _hull2d_reference(pts):
+    # the monotone-chain hull build_zonotope ran before facet cycles came
+    # from triple-product signs: CCW, strict corners only
+    spread = float(np.ptp(pts, axis=0).max())
+    turn_eps = 1e-13 * spread * spread
+    dup_eps = 1e-12 * spread
+    order = sorted(range(len(pts)), key=lambda i: (pts[i][0], pts[i][1]))
+
+    def chain(idx):
+        out = []
+        for i in idx:
+            if out and np.abs(pts[i] - pts[out[-1]]).max() <= dup_eps:
+                continue
+            while len(out) >= 2:
+                o, a = pts[out[-2]], pts[out[-1]]
+                cross = (a[0] - o[0]) * (pts[i][1] - o[1]) - (a[1] - o[1]) * (pts[i][0] - o[0])
+                if cross > turn_eps:
+                    break
+                out.pop()
+            out.append(i)
+        return out
+
+    return chain(order)[:-1] + chain(order[::-1])[:-1]
+
+
+def _zonogon_cycle_reference(gens, members, n):
+    # every subset sum of the class, projected on an (e1, e2) frame of the
+    # facet plane with e1 x e2 = n, and its planar hull
+    e1 = gens[members[0]] - (gens[members[0]] @ n) * n
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(n, e1)
+    pts, subs = [], []
+    for r in range(len(members) + 1):
+        for chosen in combinations(members, r):
+            s = gens[list(chosen)].sum(axis=0)
+            pts.append((s @ e1, s @ e2))
+            subs.append(frozenset(chosen))
+    return [subs[h] for h in _hull2d_reference(np.array(pts))]
+
+
+class TestZonogonCycles:
+    """Facet cycles read from triple-product signs are the subset-sum hull
+    cycles of the construction they replaced, with the same orientation."""
+
+    @pytest.fixture(scope="class")
+    def segment_sets(self, unit_shapes):
+        sets = {name: z.segments for name, z in unit_shapes.items()}
+        rng = np.random.default_rng(1010)
+        for q in range(200):
+            ty = q % 5 + 1
+            segs = Z.segments_from_parameters(random_frame(rng), random_beta(rng, ty))
+            sets[f"type{ty}-{q}"] = [s for s in segs if s.length > 0.0]
+        return sets
+
+    def test_cycles_are_the_hull_cycles_up_to_rotation(self, segment_sets):
+        turned_hexagons = 0
+        for name, segs in segment_sets.items():
+            gens = np.array([s.direction for s in segs])
+            norms = np.linalg.norm(gens, axis=1)
+            for members, n0 in Z._coplanar_classes(gens, norms, Z.COPLANAR_TOL).items():
+                for n in (n0, -n0):
+                    got = Z._zonogon_cycle(gens, members, n)
+                    ref = _zonogon_cycle_reference(gens, members, n)
+                    assert len(got) == len(ref) == 2 * len(members), name
+                    i = got.index(ref[0])
+                    assert got[i:] + got[:i] == ref, name
+                    g = gens[list(members)]
+                    turned_hexagons += len(members) == 3 and (Z.det3(n, g[0], g) < 0).any()
+        # the turn step only changes the order when a class has three members
+        assert turned_hexagons > 300
+
+    def test_body_matches_the_hull_construction(self, segment_sets, monkeypatch):
+        got = {name: Z.build_zonotope(segs) for name, segs in segment_sets.items()}
+        monkeypatch.setattr(Z, "_zonogon_cycle", _zonogon_cycle_reference)
+        for name, segs in segment_sets.items():
+            z, ref = got[name], Z.build_zonotope(segs)
+            scale = np.abs(ref.vertices).max()
+            # the vertex sets agree; match ids through coordinates
+            dist = np.linalg.norm(z.vertices[:, None] - ref.vertices[None], axis=2)
+            to_ref = dist.argmin(axis=1)
+            assert sorted(to_ref.tolist()) == list(range(len(ref.vertices))), name
+            assert dist.min(axis=1).max() <= 1e-14 * scale, name
+            edges = {
+                (*sorted(to_ref[e].tolist()), int(g))
+                for e, g in zip(z.edge_vertex_ids, z.edge_segment)
+            }
+            ref_edges = {
+                (*sorted(e.tolist()), int(g))
+                for e, g in zip(ref.edge_vertex_ids, ref.edge_segment)
+            }
+            assert edges == ref_edges, name
+            assert len(z.facets) == len(ref.facets), name
+            for f, r in zip(z.facets, ref.facets):
+                assert f.segment_members == r.segment_members, name
+                assert np.array_equal(f.normal, r.normal), name
+                ids = to_ref[list(f.vertex_ids)].tolist()
+                i = ids.index(r.vertex_ids[0])
+                assert tuple(ids[i:] + ids[:i]) == r.vertex_ids, name
+                assert abs(f.area - r.area) <= 1e-14 * r.area, name
+
+
 class TestBelts:
     def test_canonical_zone_sizes(self, unit_shapes):
         expected = {
@@ -246,12 +347,21 @@ class TestBelts:
             got = sorted(b.value for b in Z.belts(z))
             assert got == expected[name], name
 
-    def test_zone_edge_partition(self, rng):
-        # each segment owns as many edges as its zone has facets
-        z = random_body(rng, 5)
-        counts = np.bincount(z.edge_segment, minlength=len(z.segments))
-        for c, b in zip(counts, Z.belts(z)):
-            assert c == b.value
+    @pytest.mark.parametrize(
+        "body",
+        ["type1", "type2", "type3", "type4", "type5",
+         "cube", "hexprism", "rhombic", "elongated", "truncocta"],
+    )
+    def test_zone_edge_partition(self, rng, unit_shapes, body):
+        # each segment owns as many edges as its zone has facets; types 1, 2
+        # and 4 and four of the shapes have 4-belts
+        if body in unit_shapes:
+            bodies = [unit_shapes[body]]
+        else:
+            bodies = [random_body(rng, int(body[4:])) for _ in range(4)]
+        for z in bodies:
+            counts = np.bincount(z.edge_segment, minlength=len(z.segments))
+            assert [b.value for b in Z.belts(z)] == counts.tolist()
 
 
 class TestFunctionals:
@@ -270,7 +380,7 @@ class TestFunctionals:
     def test_total_edge_length_routes_agree(self, rng):
         # vertex-coordinate route vs segment-length x zone-size route
         z = random_body(rng, 5)
-        by_vertices = Z.total_edge_length(z)
+        by_vertices = float(z.edge_lengths().sum())
         by_zones = sum(s.length * b.value for s, b in zip(z.segments, Z.belts(z)))
         assert abs(by_vertices - by_zones) < 1e-9
 
