@@ -4,7 +4,8 @@
 batch kernels below, the simplex grid scan, the simplex objective and
 ``zonotope.volume_polynomial`` all evaluate it.  ``greedy_descent`` is
 the one local search: the simplex and decomposable brute-force oracles
-both refine their best grid point with it.  ``_chord_lengths`` is the one ball clip.
+both refine their best grid point with it, evaluating the candidate
+moves of a sweep in one call.  ``_chord_lengths`` is the one ball clip.
 ``cross3`` and ``det3`` are the one cross product and the one triple
 product of 3-vectors: component formulas over the last axis, with none
 of the per-call overhead of ``np.cross`` or a batched LU ``np.linalg.det``.
@@ -90,28 +91,37 @@ def simplex_grid_scan(lam: float, grid_n: int, budget: float):
     return best, np.array(best_idx, dtype=np.int64)
 
 
-def greedy_descent(f, move, n_moves: int, x, step: float, rounds: int):
-    """Minimise ``f`` from ``x`` by greedy moves; returns ``(best, x)``.
+def greedy_descent(f_many, moves, x, step: float, rounds: int):
+    """Minimise from ``x`` by greedy moves, a sweep at a time; returns ``(best, x)``.
 
-    A sweep tries ``move(x, step, i)`` for each ``i < n_moves`` from the
-    current point, skips a move of None and keeps every strict
-    improvement.  A sweep that improves nothing halves ``step``; that
-    happens ``rounds`` times.
+    ``moves(x, step)`` returns every candidate point as a row, with a mask
+    of the allowed ones, and ``f_many`` evaluates a column stack of points.
+    A sweep takes the moves in row order, each from the current point, and
+    keeps every strict improvement: one call evaluates all remaining
+    allowed moves, the first improving one is taken, and only the moves
+    after it are evaluated again, from the new point.  These are the
+    points a one-at-a-time sweep visits, in the same order.  A sweep that
+    improves nothing halves ``step``; that happens ``rounds`` times.
     """
-    best = f(x)
+    x = np.asarray(x, dtype=np.float64)
+    best = f_many(x[:, None])[0]
     for _ in range(rounds):
         improved = True
         while improved:
-            improved = False
-            for i in range(n_moves):
-                y = move(x, step, i)
-                if y is None:
-                    continue
-                v = f(y)
-                if v < best:
-                    best, x, improved = v, y, True
+            improved, start = False, 0
+            while True:
+                cand, allowed = moves(x, step)
+                rows = allowed[start:].nonzero()[0] + start
+                if not rows.size:
+                    break
+                vals = f_many(cand[rows].T)
+                hits = (vals < best).nonzero()[0]
+                if not hits.size:
+                    break
+                i = hits[0]
+                best, x, improved, start = vals[i], cand[rows[i]], True, rows[i] + 1
         step *= 0.5
-    return best, x
+    return float(best), x
 
 
 #: Unordered index pairs of a 4-element frame, in canonical order.

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -25,6 +26,7 @@ _SHAPES = ("cube", "hexprism", "rhombic", "elongated", "truncocta")
 _TILING_SUITE = ("cube", "truncocta")  # shapes measured by verify --lemma tiling
 _MAX_DIM = 1000  # the published minima hold 2**(dim // 2), a float overflow from dim 2048
 _FIG2_MAX_STEPS = 100_000  # fig2 computes the five type minima of each row in Python
+_MAX_GRID = 150  # the simplex scan tabulates (grid + 1)**3 triples; at 150 it peaks ~110 MB above the interpreter
 
 
 def _canonical_shape(name: str) -> zonotope.Zonotope:
@@ -386,6 +388,7 @@ def cmd_fig2(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mosaicdensity",
@@ -405,16 +408,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--sweep", type=_int_at_least(100), help="random type-4 bodies to sweep against the bound"
     )
-    p.set_defaults(func=cmd_wm)
 
     p = sub.add_parser(
         "decomp", help="minimum density bound for decomposable mosaics", parents=[common]
     )
     p.add_argument("--dim", type=_int_at_least(2, _MAX_DIM), required=True, help=f"ambient dimension (2..{_MAX_DIM})")
     p.add_argument(
-        "--oracle", type=_int_at_least(20), help="run the grid oracle with this resolution"
+        "--oracle", type=_int_at_least(20),
+        help=f"run the grid oracle with this resolution (its scan is capped at "
+        f"{decomposable.MAX_SCAN_POINTS} points)",
     )
-    p.set_defaults(func=cmd_decomp)
 
     p = sub.add_parser(
         "tile", help="simulate a lattice tiling and measure edge density", parents=[common]
@@ -423,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=_positive_real, default=20.0, help="measurement ball radius")
     p.add_argument("--series", type=_ascending_radii, help="comma-separated ascending radii")
     p.add_argument("--csv", action="store_true", help="emit CSV rows instead of JSON")
-    p.set_defaults(func=cmd_tile)
 
     p = sub.add_parser("verify", help="run numeric verification suites", parents=[common])
     p.add_argument(
@@ -436,16 +438,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--lambda", dest="lam", type=_finite_real(1.0, strict=False), default=1.0,
         help="scale factor (simplex suite)",
     )
-    p.add_argument("--grid", type=_int_at_least(10), default=60, help="grid resolution (simplex suite)")
+    p.add_argument(
+        "--grid", type=_int_at_least(10, _MAX_GRID), default=60,
+        help=f"grid resolution (simplex suite, 10..{_MAX_GRID})",
+    )
     p.add_argument("--radius", type=_positive_real, default=20.0, help="ball radius (tiling suite)")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser(
         "table1", help="CSV of per-type minima for one weight pair", parents=[common]
     )
     p.add_argument("--alpha6", type=_positive_real, required=True)
     p.add_argument("--alpha4", type=_positive_real, required=True)
-    p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser(
         "fig2", help="CSV curves of the minima vs alpha4 at alpha6 = 1", parents=[common]
@@ -453,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", type=_positive_real, default=0.05)
     p.add_argument("--stop", type=_positive_real, default=1.2)
     p.add_argument("--step", type=_positive_real, default=0.01)
-    p.set_defaults(func=cmd_fig2)
     return parser
 
 
@@ -467,7 +469,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "fig2" and (args.stop - args.start) / args.step > _FIG2_MAX_STEPS:
         parser.error(f"argument --step: more than {_FIG2_MAX_STEPS} steps from --start to --stop")
     try:
-        return args.func(args)
+        # looked up per call: the cached parser binds no command, so a patched or wrapped one runs
+        return globals()[f"cmd_{args.command}"](args)
     except _OptionError as exc:
         parser.error(str(exc))
 

@@ -165,13 +165,30 @@ def _bound_arrays(es: list, areas: list, length):
 
 def _oracle_bound(x, k: int, odd: bool):
     """The bound at oracle coordinates (k e_hats, then the free log areas),
-    elementwise over a point or a stack of grid columns.  The segment
-    length (odd) or the last area (even) is 1 / (product of the areas)."""
-    areas = list(np.exp(x[k:]))
+    elementwise over coordinates that broadcast together: the rows of a
+    column stack or the axes of an open mesh.  The segment length (odd)
+    or the last area (even) is 1 / (product of the areas)."""
+    areas = [np.exp(v) for v in x[k:]]
     rest = 1.0 / math.prod(areas)
     if odd:
         return _bound_arrays(list(x[:k]), areas, rest)
     return _bound_arrays(list(x[:k]), areas + [rest], None)
+
+
+#: Most points in the decomposable oracle's grid scan.
+MAX_SCAN_POINTS = 250_000
+
+
+def _axis_points(grid_n: int, dims: int) -> int:
+    """Points per axis of the oracle scan: grid_n + 1, less the smallest even
+    number that brings the grid to ``MAX_SCAN_POINTS``, but not below 4 or 5."""
+    m, cap = grid_n + 1, MAX_SCAN_POINTS
+    r = int(cap ** (1.0 / dims))
+    r += (r + 1) ** dims <= cap  # r is now the largest integer with r**dims <= cap
+    r -= r**dims > cap
+    if m <= max(r, 5):
+        return m
+    return max(r - (r - m) % 2, 4 + m % 2)
 
 
 def brute_force_minimize(n: int, grid_n: int = 30, refine_rounds: int = 60) -> float:
@@ -181,9 +198,12 @@ def brute_force_minimize(n: int, grid_n: int = 30, refine_rounds: int = 60) -> f
     constraint eliminates the last area (even case) or the segment
     length (odd case), so every evaluated point is exactly feasible.
     The per-axis grid resolution shrinks in higher dimensions to keep
-    the scan around a quarter million points.  ``_kernels.greedy_descent``
-    refines the best grid point, stepping one coordinate up or down
-    (e_hats clamped to [3, 6]) from step 3 / grid_n.
+    the scan at most a quarter million points.  The scan evaluates
+    ``_oracle_bound`` on an open mesh: the exponentials and tangents run
+    on the axes, the products broadcast to the grid, and the argmin maps
+    back to the axes.  ``_kernels.greedy_descent`` refines the best grid
+    point from step 3 / grid_n; a sweep evaluates, in one call, the
+    steps of each coordinate down and up (e_hats clipped to [3, 6]).
     """
     if n < 2 or n > 7:
         raise ValueError("oracle covers dimensions 2..7")
@@ -192,23 +212,22 @@ def brute_force_minimize(n: int, grid_n: int = 30, refine_rounds: int = 60) -> f
     k, odd = divmod(n, 2)
     dims = 2 * k - 1 + odd
 
-    m = grid_n + 1
-    while m**dims > 250_000 and m > 5:
-        m -= 2
+    m = _axis_points(grid_n, dims)
     axes = [np.linspace(3.0, 6.0, m)] * k + [np.linspace(-1.5, 1.5, m)] * (dims - k)
-    cols = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
-    x = cols[:, int(np.argmin(_oracle_bound(cols, k, odd)))]
+    vals = _oracle_bound(np.meshgrid(*axes, indexing="ij", sparse=True), k, odd)
+    idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
+    x = np.array([axis[i] for axis, i in zip(axes, idx)])
 
-    def axis_move(x: np.ndarray, step: float, i: int) -> np.ndarray:
-        axis = i // 2
-        y = x.copy()
-        y[axis] += step if i % 2 else -step
-        if axis < k:
-            y[axis] = min(6.0, max(3.0, y[axis]))
-        return y
+    signs = np.repeat(np.eye(dims), 2, axis=0) * np.tile([-1.0, 1.0], dims)[:, None]
+    lo = np.array([3.0] * k + [-np.inf] * (dims - k))
+    hi = np.array([6.0] * k + [np.inf] * (dims - k))
+    allowed = np.ones(2 * dims, dtype=bool)
+
+    def axis_moves(x: np.ndarray, step: float):
+        return np.minimum(np.maximum(x + step * signs, lo), hi), allowed
 
     best, _ = _kernels.greedy_descent(
-        lambda y: float(_oracle_bound(y, k, odd)), axis_move, 2 * dims, x, 3.0 / grid_n, refine_rounds
+        lambda y: _oracle_bound(y, k, odd), axis_moves, x, 3.0 / grid_n, refine_rounds
     )
     return best
 
@@ -233,24 +252,24 @@ def bound_curve(k: int, e_values: np.ndarray) -> tuple[list[str], np.ndarray]:
     return ["e_hat", "even_bound", "odd_bound"], np.column_stack([e, even, odd])
 
 
-def _h(t: float) -> float:
-    return t * math.tan(math.pi / t)
+def _h(t):
+    return t * np.tan(np.pi / t)
 
 
-def _h1(t: float) -> float:
-    sec2 = 1.0 / math.cos(math.pi / t) ** 2
-    return math.tan(math.pi / t) - math.pi / t * sec2
+def _h1(t):
+    sec2 = 1.0 / np.cos(np.pi / t) ** 2
+    return np.tan(np.pi / t) - np.pi / t * sec2
 
 
-def _h2(t: float) -> float:
-    sec2 = 1.0 / math.cos(math.pi / t) ** 2
-    return 2.0 * math.pi**2 / t**3 * math.tan(math.pi / t) * sec2
+def _h2(t):
+    sec2 = 1.0 / np.cos(np.pi / t) ** 2
+    return 2.0 * np.pi**2 / t**3 * np.tan(np.pi / t) * sec2
 
 
-def _g2(x: float) -> float:
-    # g(x) = ln h(e^x + 2); both derivative terms written out explicitly
-    t = math.exp(x) + 2.0
-    tp = math.exp(x)
+def _g2(x):
+    # g(x) = ln h(e^x + 2), elementwise; both derivative terms written out explicitly
+    tp = np.exp(x)
+    t = tp + 2.0
     h, h1, h2 = _h(t), _h1(t), _h2(t)
     return tp * h1 / h + tp * tp * (h2 * h - h1 * h1) / (h * h)
 
@@ -294,17 +313,13 @@ def monotonicity_certificates(grid_points: int = 10_000) -> CertificateReport:
     prod_inc = float(np.diff(f_prod).min())
     convex = float((f_root[2:] + f_root[:-2] - 2.0 * f_root[1:-1]).min())
 
-    xs = np.linspace(0.0, math.log(4.0), grid_points)
-    g2 = np.array([_g2(float(v)) for v in xs])
-    g2_min = float(g2.min())
+    g2_min = float(_g2(np.linspace(0.0, math.log(4.0), grid_points)).min())
     # spot-check the analytic formula against central differences
     step = 1e-5
-    fd_res = 0.0
-    for v in np.linspace(0.0, math.log(4.0), 7):
-        t0, t1, t2 = (math.exp(v + d) + 2.0 for d in (-step, 0.0, step))
-        g_m, g_0, g_p = (math.log(_h(t)) for t in (t0, t1, t2))
-        fd = (g_p + g_m - 2.0 * g_0) / step**2
-        fd_res = max(fd_res, abs(fd - _g2(float(v))))
+    v = np.linspace(0.0, math.log(4.0), 7)
+    g = np.log(_h(np.exp(v + np.array([[-step], [0.0], [step]])) + 2.0))
+    fd = (g[2] + g[0] - 2.0 * g[1]) / step**2
+    fd_res = float(np.abs(fd - _g2(v)).max())
 
     failures = []
     if dec <= 0:

@@ -44,12 +44,13 @@ class SimplexPoint:
         object.__setattr__(self, "tau", t)
 
     def objective(self, lam: float) -> float:
-        return _objective(lam, self.tau)
+        return float(_objective(lam, self.tau))
 
 
-def _objective(lam: float, t) -> float:
-    """The lambda-scaled volume cubic at five coordinates (tau34 = 0)."""
-    return float(_kernels.volume_cubic(lam * t[0], t[1], t[2], t[3], t[4], 0.0))
+def _objective(lam: float, t):
+    """The lambda-scaled volume cubic (tau34 = 0) at five coordinates,
+    each a float or a row of a column stack of points."""
+    return _kernels.volume_cubic(lam * t[0], *t[1:], 0.0)
 
 
 def scaled_simplex_max(lam: float, budget: float = 1.0) -> tuple[float, SimplexPoint]:
@@ -81,18 +82,9 @@ def boundary_candidates(lam: float) -> list[float]:
     ]
 
 
-# transfer moves (a -> b) in the order a-major, b != a
-_TRANSFERS = tuple((a, b) for a in range(5) for b in range(5) if a != b)
-
-
-def _transfer(t: list, step: float, i: int) -> list | None:
-    """Move ``step`` of mass from t[a] to t[b], or None if t[a] < step."""
-    a, b = _TRANSFERS[i]
-    if t[a] < step:
-        return None
-    u = list(t)
-    u[a], u[b] = u[a] - step, u[b] + step
-    return u
+# transfer moves (a -> b) in the order a-major, b != a, as rows of -1 at a and +1 at b
+_SOURCES, _TARGETS = np.array([(a, b) for a in range(5) for b in range(5) if a != b]).T
+_TRANSFERS = np.eye(5)[_TARGETS] - np.eye(5)[_SOURCES]
 
 
 def grid_simplex_max(
@@ -107,8 +99,9 @@ def grid_simplex_max(
     parts (exact feasibility, no floating-point drift on the constraint)
     and is the hot path handled by the kernel layer.  Refinement runs
     ``_kernels.greedy_descent`` on the negated objective from the best
-    grid point, with step ``budget / grid_n`` and pairwise mass transfers
-    that keep every point on the simplex.
+    grid point, with step ``budget / grid_n``: the 20 pairwise mass
+    transfers of a sweep, each allowed where its source holds at least
+    the step, are evaluated in one call and keep every point on the simplex.
     """
     if lam < 1.0:
         raise DomainError(f"scale factor {lam} < 1")
@@ -117,8 +110,10 @@ def grid_simplex_max(
     best, comp = _kernels.simplex_grid_scan(lam, grid_n, budget)
     if refine_rounds <= 0:
         return float(best)
-    t = (comp.astype(np.float64) / grid_n * budget).tolist()
+    t = comp.astype(np.float64) / grid_n * budget
     neg, _ = _kernels.greedy_descent(
-        lambda u: -_objective(lam, u), _transfer, len(_TRANSFERS), t, budget / grid_n, refine_rounds
+        lambda u: -_objective(lam, u),
+        lambda t, step: (t + step * _TRANSFERS, t[_SOURCES] >= step),
+        t, budget / grid_n, refine_rounds,
     )
     return -neg

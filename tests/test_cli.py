@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from mosaicdensity import cli
 from mosaicdensity.cli import main
 
 
@@ -227,6 +228,7 @@ class TestBadInput:
             (["fig2", "--stop", "1e20"],
              "--step: more than 100000 steps from --start to --stop"),
             (["decomp", "--dim", "2100"], "--dim: must be at most 1000, got 2100"),
+            (["verify", "--lemma", "simplex", "--grid", "151"], "--grid: must be at most 150, got 151"),
         ],
         ids=[
             "sweep-0", "sweep-neg", "sweep-below-floor", "grid-0", "oracle-1",
@@ -234,6 +236,7 @@ class TestBadInput:
             "lambda-half", "fig2-step-0", "fig2-start-0", "fig2-step-neg", "fig2-stop-below-start",
             "tile-radius-neg", "tile-series-nan", "tile-series-below-floor",
             "verify-tiling-radius-below-floor", "fig2-too-many-steps", "dim-above-cap",
+            "grid-above-cap",
         ],
     )
     def test_rejected_at_parse_time(self, capsys, argv, message):
@@ -245,6 +248,20 @@ class TestBadInput:
         errors = [line for line in captured.err.splitlines() if "error:" in line]
         assert len(errors) == 1 and errors[0].endswith(message)
         assert "Traceback" not in captured.err
+
+    def test_parser_reused_after_parse_error(self, capsys):
+        # one parser per process: a parse error leaves nothing behind in it
+        argv = ["decomp", "--dim", "4", "--oracle", "20"]
+        cli.build_parser.cache_clear()
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["decomp", "--dim", "3", "--oracle", "1"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        assert cli.build_parser() is cli.build_parser()
 
     @pytest.mark.parametrize(
         "text, message",

@@ -2,6 +2,7 @@
 monotonicity certificates behind them."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -169,6 +170,33 @@ class TestBruteForce:
         assert D.brute_force_minimize(5, 30) == 2.4164775561647036
         assert D.brute_force_minimize(7, 30) == 1.7730821579085965
 
+    @pytest.mark.parametrize("dims", range(1, 7))
+    def test_axis_points_match_shrinking_loop(self, dims):
+        for grid_n in range(20, 3001):
+            m = grid_n + 1
+            while m**dims > 250_000 and m > 5:
+                m -= 2
+            assert D._axis_points(grid_n, dims) == m, grid_n
+
+    def test_huge_grid_is_capped(self):
+        t = time.perf_counter()
+        assert D.brute_force_minimize(2, 10**12) == HEX_MIN
+        assert time.perf_counter() - t < 1.0
+
+    @pytest.mark.parametrize("grid_n", [20, 30, 41])
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_open_mesh_scan_matches_dense_columns(self, n, grid_n):
+        k, odd = divmod(n, 2)
+        dims = 2 * k - 1 + odd
+        m = D._axis_points(grid_n, dims)
+        axes = [np.linspace(3.0, 6.0, m)] * k + [np.linspace(-1.5, 1.5, m)] * (dims - k)
+        dense = D._oracle_bound(np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")]), k, odd)
+        mesh = D._oracle_bound(np.meshgrid(*axes, indexing="ij", sparse=True), k, odd)
+        assert mesh.shape == (m,) * dims
+        assert np.array_equal(mesh.ravel(), dense)
+        # with no descent the oracle returns the bound at the grid argmin
+        assert D.brute_force_minimize(n, grid_n, refine_rounds=0) == dense[np.argmin(dense)]
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             D.brute_force_minimize(8)
@@ -225,3 +253,26 @@ class TestCertificates:
     def test_grid_floor(self):
         with pytest.raises(ValueError):
             D.monotonicity_certificates(50)
+
+    def test_margins_pinned(self):
+        # the four sign-condition margins, pinned; g2_min and the
+        # finite-difference residual are Python floats, not numpy scalars
+        rep = D.monotonicity_certificates()
+        assert rep.root_decreasing_margin == 9.735905822427782e-06
+        assert rep.edge_weighted_increasing_margin == 0.0005143842240031837
+        assert rep.product_increasing_margin == 0.0008219129214772636
+        assert rep.root_convexity_margin == 1.6506751521205842e-09
+        assert type(rep.g2_min) is float and type(rep.g2_fd_residual) is float
+
+    def test_g2_matches_scalar_reference(self):
+        def g2(x):
+            t, tp = math.exp(x) + 2.0, math.exp(x)
+            tan, sec2 = math.tan(math.pi / t), 1.0 / math.cos(math.pi / t) ** 2
+            h = t * tan
+            h1 = tan - math.pi / t * sec2
+            h2 = 2.0 * math.pi**2 / t**3 * tan * sec2
+            return tp * h1 / h + tp * tp * (h2 * h - h1 * h1) / (h * h)
+
+        xs = np.linspace(0.0, math.log(4.0), 10_000)
+        want = np.array([g2(x) for x in xs.tolist()])
+        assert np.allclose(D._g2(xs), want, rtol=1e-13, atol=0)

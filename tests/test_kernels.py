@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from mosaicdensity import _kernels as K
+from mosaicdensity import decomposable as D
+from mosaicdensity import simplex as S
 from mosaicdensity import tiling as TL
 from mosaicdensity import zonotope as Z
 
@@ -66,50 +68,105 @@ class TestGridScan:
         assert abs(Z.volume_polynomial([lam * t[0], t[1], t[2], t[3], t[4], 0.0]) - value) <= 1e-15
 
 
-def _axis_moves(x, step, i):
-    # i = 2 * axis + (0 for -step, 1 for +step)
-    y = list(x)
-    y[i // 2] += step if i % 2 else -step
-    return y
+def _axis_moves(x, step):
+    # row 2 * axis steps down that axis, row 2 * axis + 1 steps up; all allowed
+    x = np.asarray(x, dtype=np.float64)
+    signs = np.repeat(np.eye(len(x)), 2, axis=0) * np.tile([-1.0, 1.0], len(x))[:, None]
+    return x + step * signs, np.ones(2 * len(x), dtype=bool)
 
 
 def _quadratic(x):
+    # elementwise over the columns of a stack, or at one point
     return (x[0] - 0.3) ** 2 + 2.0 * (x[1] + 0.7) ** 2
+
+
+def _greedy_descent_reference(f, move, n_moves, x, step, rounds):
+    # the one-move-at-a-time sweep: move(x, step, i) from the current point,
+    # None to skip, every strict improvement kept
+    best = f(x)
+    for _ in range(rounds):
+        improved = True
+        while improved:
+            improved = False
+            for i in range(n_moves):
+                y = move(x, step, i)
+                if y is None:
+                    continue
+                v = f(y)
+                if v < best:
+                    best, x, improved = v, y, True
+        step *= 0.5
+    return best, x
+
+
+def _one_move_per_call(f_many, moves, x, step, rounds):
+    # greedy_descent's interface served by the reference, one point per call
+    def move(x, step, i):
+        cand, allowed = moves(x, step)
+        return cand[i] if allowed[i] else None
+
+    x = np.asarray(x, dtype=np.float64)
+    n_moves = len(moves(x, step)[1])
+    best, x = _greedy_descent_reference(lambda y: f_many(y[:, None])[0], move, n_moves, x, step, rounds)
+    return float(best), x
 
 
 class TestGreedyDescent:
     def test_reaches_quadratic_minimum(self):
-        best, x = K.greedy_descent(_quadratic, _axis_moves, 4, [0.0, 0.0], 0.25, 50)
+        best, x = K.greedy_descent(_quadratic, _axis_moves, [0.0, 0.0], 0.25, 50)
         assert abs(x[0] - 0.3) < 1e-12 and abs(x[1] + 0.7) < 1e-12
         assert best == _quadratic(x)
 
     def test_none_move_is_skipped(self):
-        # decreasing x[0] is forbidden, so x[0] stays above the minimizer;
+        # decreasing x[0] is not allowed, so x[0] stays above the minimizer;
         # f = 0.49 + 2 (x[1] + 0.7)^2 then resolves x[1] only to ~1e-8
-        def move(x, step, i):
-            return None if i == 0 else _axis_moves(x, step, i)
+        evaluated = []
 
-        best, x = K.greedy_descent(_quadratic, move, 4, [1.0, 0.0], 0.25, 50)
+        def f_many(y):
+            evaluated.append(y[0].copy())
+            return _quadratic(y)
+
+        def moves(x, step):
+            cand, allowed = _axis_moves(x, step)
+            allowed[0] = False
+            return cand, allowed
+
+        best, x = K.greedy_descent(f_many, moves, [1.0, 0.0], 0.25, 50)
         assert x[0] == 1.0 and abs(x[1] + 0.7) < 1e-6
         assert best == _quadratic(x)
+        assert (np.concatenate(evaluated) >= 1.0).all()  # the step down is never evaluated
 
     def test_step_halves_once_per_round(self):
         steps = []
 
-        def move(x, step, i):
+        def moves(x, step):
             steps.append(step)
-            return _axis_moves(x, step, i)
+            return _axis_moves(x, step)
 
         rounds = 12
-        _, x = K.greedy_descent(_quadratic, move, 4, [0.0, 0.0], 1.0, rounds)
+        _, x = K.greedy_descent(_quadratic, moves, [0.0, 0.0], 1.0, rounds)
         assert sorted(set(steps), reverse=True) == [0.5**r for r in range(rounds)]
         # at the floor step no axis move improves
         floor = 0.5 ** (rounds - 1)
-        assert all(_quadratic(_axis_moves(x, floor, i)) >= _quadratic(x) for i in range(4))
+        assert (_quadratic(_axis_moves(x, floor)[0].T) >= _quadratic(x)).all()
 
     def test_ties_do_not_move(self):
-        best, x = K.greedy_descent(lambda x: 1.0, _axis_moves, 4, [2.0, 3.0], 0.5, 5)
-        assert (best, x) == (1.0, [2.0, 3.0])
+        best, x = K.greedy_descent(lambda y: np.ones(y.shape[1]), _axis_moves, [2.0, 3.0], 0.5, 5)
+        assert best == 1.0 and x.tolist() == [2.0, 3.0]
+
+    @pytest.mark.parametrize("grid_n", [20, 30, 41])
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_decomposable_oracle_matches_one_move_per_call(self, monkeypatch, n, grid_n):
+        got = D.brute_force_minimize(n, grid_n)
+        monkeypatch.setattr(K, "greedy_descent", _one_move_per_call)
+        assert D.brute_force_minimize(n, grid_n) == got
+
+    @pytest.mark.parametrize("grid_n", [10, 60])
+    @pytest.mark.parametrize("lam", [1.0, 1.5, 2.0, 3.0])
+    def test_simplex_oracle_matches_one_move_per_call(self, monkeypatch, lam, grid_n):
+        got = S.grid_simplex_max(lam, grid_n=grid_n)
+        monkeypatch.setattr(K, "greedy_descent", _one_move_per_call)
+        assert S.grid_simplex_max(lam, grid_n=grid_n) == got
 
 
 def _products_of_norms(*vs):
