@@ -6,9 +6,11 @@ batch kernels below, the simplex grid scan, the simplex objective and
 the one local search: the simplex and decomposable brute-force oracles
 both refine their best grid point with it, evaluating the candidate
 moves of a sweep in one call.  ``_chord_lengths`` is the one ball clip.
-``cross3`` and ``det3`` are the one cross product and the one triple
-product of 3-vectors: component formulas over the last axis, with none
-of the per-call overhead of ``np.cross`` or a batched LU ``np.linalg.det``.
+``_cross_rows`` is the one cross product of 3-vectors, on three component
+rows each.  ``cross3`` and ``det3`` apply it over the last axis, without
+the per-call overhead of ``np.cross`` or a batched LU ``np.linalg.det``;
+the two batch kernels apply it to the (4, 3, N) component rows of their
+(N, 4, 3) frames, so every coordinate they read is one contiguous row.
 """
 
 from __future__ import annotations
@@ -16,25 +18,33 @@ from __future__ import annotations
 import numpy as np
 
 
+def _cross_rows(a, b):
+    """Cross product of two 3-vectors given as sequences of three component rows."""
+    return a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]
+
+
+def _dot_rows(a, b):
+    """Dot product of two 3-vectors given as sequences of three component rows."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _last_axis_rows(a):
+    """The three components over the last axis of a (..., 3) array, as views."""
+    a = np.asarray(a, dtype=np.float64)
+    return a[..., 0], a[..., 1], a[..., 2]
+
+
 def cross3(a, b):
     """Cross product over the last axis of two broadcastable (..., 3) arrays."""
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    x = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
+    x, y, z = _cross_rows(_last_axis_rows(a), _last_axis_rows(b))
     out = np.empty(x.shape + (3,))
-    out[..., 0] = x
-    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
-    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    out[..., 0], out[..., 1], out[..., 2] = x, y, z
     return out
-
-
-def _dot3(a, b):
-    """Dot product over the last axis of (..., 3) arrays, by component."""
-    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
 def det3(a, b, c):
     """Triple product a . (b x c), the determinant with rows a, b, c, over the last axis."""
-    return _dot3(np.asarray(a, dtype=np.float64), cross3(b, c))
+    return _dot_rows(_last_axis_rows(a), _cross_rows(_last_axis_rows(b), _last_axis_rows(c)))
 
 
 def volume_cubic(t12, t13, t14, t23, t24, t34):
@@ -60,6 +70,21 @@ def volume_poly_many(tau: np.ndarray) -> np.ndarray:
     return volume_cubic(*(tau[..., k] for k in range(6)))
 
 
+def _ramps(counts):
+    """0, 1, ..., k - 1 for each k in ``counts``, concatenated."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _triples_by_sum(n: int):
+    """Every (b, c, d) >= 0 with s = b + c + d <= n, and s, sorted by s and then
+    lexicographically; built from the counts per (s, b), with no larger array."""
+    s = np.repeat(np.arange(n + 1), np.arange(1, n + 2))  # one entry per (s, b), b = 0..s
+    b = _ramps(np.arange(1, n + 2))
+    width = s - b + 1  # c = 0..s - b
+    s, b, c = np.repeat(s, width), np.repeat(b, width), _ramps(width)
+    return b, c, s - b - c, s
+
+
 def simplex_grid_scan(lam: float, grid_n: int, budget: float):
     """Maximum of the lambda-scaled cubic (tau34 = 0) over a composition grid.
 
@@ -71,12 +96,8 @@ def simplex_grid_scan(lam: float, grid_n: int, budget: float):
     table, with e = grid_n - a - s.
     """
     n = grid_n
-    bcd = np.indices((n + 1,) * 3).reshape(3, -1)
-    bcd = bcd[:, bcd.sum(axis=0) <= n]
-    bcd = bcd[:, np.argsort(bcd.sum(axis=0), kind="stable")]
-    b, c, d = bcd
-    s = b + c + d
-    t13, t14, t23 = bcd * budget / n
+    b, c, d, s = _triples_by_sum(n)
+    t13, t14, t23 = (x * budget / n for x in (b, c, d))
     ends = np.searchsorted(s, np.arange(n + 1), side="right")
     best = -1.0
     best_idx = (0, 0, 0, 0, 0)
@@ -99,28 +120,29 @@ def greedy_descent(f_many, moves, x, step: float, rounds: int):
     A sweep takes the moves in row order, each from the current point, and
     keeps every strict improvement: one call evaluates all remaining
     allowed moves, the first improving one is taken, and only the moves
-    after it are evaluated again, from the new point.  These are the
-    points a one-at-a-time sweep visits, in the same order.  A sweep that
-    improves nothing halves ``step``; that happens ``rounds`` times.
+    after it are evaluated again, from the new point.  A sweep that
+    improves nothing ends its round, halving ``step``, ``rounds`` times;
+    as it leaves the point as it was, the next call evaluates the sweeps of
+    the next two rounds, then four, and so on until one improves.  These
+    are the points a one-at-a-time sweep visits, in the same order.
     """
     x = np.asarray(x, dtype=np.float64)
     best = f_many(x[:, None])[0]
-    for _ in range(rounds):
-        improved = True
-        while improved:
-            improved, start = False, 0
-            while True:
-                cand, allowed = moves(x, step)
-                rows = allowed[start:].nonzero()[0] + start
-                if not rows.size:
-                    break
-                vals = f_many(cand[rows].T)
-                hits = (vals < best).nonzero()[0]
-                if not hits.size:
-                    break
-                i = hits[0]
-                best, x, improved, start = vals[i], cand[rows[i]], True, rows[i] + 1
-        step *= 0.5
+    start, span = 0, 1
+    while rounds:
+        batch = [moves(x, step * 0.5**j) for j in range(min(span, rounds))]
+        cand, allowed = (np.concatenate(parts) for parts in zip(*batch))
+        rows = allowed[start:].nonzero()[0] + start
+        vals = f_many(cand[rows].T) if rows.size else np.empty(0)
+        hits = (vals < best).nonzero()[0]
+        if hits.size:  # skip the rounds before the hit, which found nothing
+            skip, move = divmod(int(rows[hits[0]]), len(batch[0][1]))
+            best, x, start, span = vals[hits[0]], cand[rows[hits[0]]], move + 1, 1
+        elif start:  # the rest of an improving sweep found nothing: sweep again
+            skip, start = 0, 0
+        else:
+            skip, span = len(batch), 2 * span
+        rounds, step = rounds - skip, step * 0.5**skip
     return float(best), x
 
 
@@ -129,34 +151,38 @@ def greedy_descent(f_many, moves, x, step: float, rounds: int):
 PAIRS: tuple[tuple[int, int], ...] = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
+def _frame_rows(v):
+    """(4, 3, N) component rows of (N, 4, 3) frames; free for a transposed view of such rows."""
+    return np.ascontiguousarray(np.moveaxis(np.asarray(v, dtype=np.float64), 0, -1))
+
+
 def pair_scalars_many(p: np.ndarray):
-    """Per-pair gamma and zeta, and the volume, of (N, 4, 3) centered tetrahedra."""
-    p = np.asarray(p, dtype=np.float64)
-    gamma, zeta = np.empty((2, p.shape[0], 6))
+    """Per-pair gamma and zeta ((N, 6) views of rows) and the volume of (N, 4, 3) centered tetrahedra."""
+    r = _frame_rows(p)
+    gamma, zeta = np.empty((2, 6, r.shape[-1]))
     for k, (i, j) in enumerate(PAIRS):
         s, t = PAIRS[5 - k]
-        gamma[:, k] = -_dot3(p[:, s], p[:, t])
-        cr = cross3(p[:, i], p[:, j])
-        zeta[:, k] = gamma[:, k] * _dot3(cr, cr)
-    vol = np.abs(det3(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0], p[:, 3] - p[:, 0])) / 6.0
-    return gamma, zeta, vol
+        gamma[k] = -_dot_rows(r[s], r[t])
+        cr = _cross_rows(r[i], r[j])
+        zeta[k] = gamma[k] * _dot_rows(cr, cr)
+    vol = np.abs(_dot_rows(r[1] - r[0], _cross_rows(r[2] - r[0], r[3] - r[0]))) / 6.0
+    return gamma.T, zeta.T, vol
 
 
 def type4_functional_many(v: np.ndarray, beta: np.ndarray, a6: float, a4: float):
     """Weighted edge functional at unit volume of type-4 bodies.
 
     ``v`` holds (N, 4, 3) frames and ``beta`` the (N, 5) coefficients in
-    pair order (12, 13, 14, 23, 24); the 34 coefficient is zero.
+    pair order (12, 13, 14, 23, 24); the 34 coefficient is zero.  Each beta
+    row is scaled by a power of two to a maximum in [1/2, 1) before the cubic:
+    exact, as the functional is homogeneous of degree 0 in beta.
     """
-    v = np.asarray(v, dtype=np.float64)
-    beta = np.asarray(beta, dtype=np.float64)
-    cross_norm = np.empty((v.shape[0], 5))
-    for k, (i, j) in enumerate(PAIRS[:5]):
-        cr = cross3(v[:, i], v[:, j])
-        cross_norm[:, k] = np.sqrt(_dot3(cr, cr))
-    w_raw = a4 * beta[:, 0] * cross_norm[:, 0] + a6 * (beta[:, 1:] * cross_norm[:, 1:]).sum(axis=1)
-    vol = volume_cubic(*(beta[:, k] for k in range(5)), 0.0)
-    return w_raw / np.cbrt(vol)
+    r = _frame_rows(v)
+    b = np.ascontiguousarray(np.asarray(beta, dtype=np.float64).T)
+    b = np.ldexp(b, -np.frexp(np.maximum.reduce(b))[1])
+    norm = [np.sqrt(_dot_rows(cr, cr)) for cr in (_cross_rows(r[i], r[j]) for i, j in PAIRS[:5])]
+    w_raw = a4 * b[0] * norm[0] + a6 * (b[1] * norm[1] + b[2] * norm[2] + b[3] * norm[3] + b[4] * norm[4])
+    return w_raw / np.cbrt(volume_cubic(*b, 0.0))
 
 
 def _chord_lengths(a, b, c):

@@ -149,12 +149,11 @@ def _bound_arrays(es: list, areas: list, length):
     k = len(es)
     total = 0.0
     for i in range(k):
-        others = 1.0
+        others = 2.0 ** (1 - k)  # the bound's 1 / 2^(k - 1): a power of two, so exact here
         for j in range(k):
             if j != i:
                 others = others * (es[j] - 2.0)
         total = total + np.sqrt(es[i] * np.tan(np.pi / es[i]) * areas[i]) * others
-    total = total / 2.0 ** (k - 1)
     if length is not None:
         cross = length / 2.0**k
         for e in es:

@@ -117,7 +117,8 @@ def batch_identity_residuals(
     """Worst relative residual of each identity over random tetrahedra.
 
     Sampling and evaluation are vectorized through the kernel layer;
-    rejection keeps volumes above ``reject_volume_below``.
+    rejection keeps volumes above ``reject_volume_below``.  A block is drawn
+    as (n, 4, 3) vertices and evaluated as (4, 3, n) component rows.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -126,21 +127,18 @@ def batch_identity_residuals(
     worst1 = worst2 = 0.0
     while collected < samples:
         n = min(4096, max(256, samples - collected))
-        p = rng.uniform(-1.0, 1.0, size=(n, 4, 3))
-        p -= ((p[:, 0] + p[:, 1] + p[:, 2] + p[:, 3]) / 4.0)[:, None]
-        gamma, zeta, vol = _kernels.pair_scalars_many(p)
-        keep = vol > reject_volume_below
-        gamma, zeta, vol = gamma[keep], zeta[keep], vol[keep]
-        if len(vol) == 0:
+        q = rng.uniform(-1.0, 1.0, size=(n, 4, 3)).transpose(1, 2, 0).copy()
+        q -= (q[0] + q[1] + q[2] + q[3]) / 4.0
+        gamma, zeta, vol = _kernels.pair_scalars_many(q.transpose(2, 0, 1))
+        keep = np.flatnonzero(vol > reject_volume_below)[: samples - collected]
+        if not keep.size:
             continue
-        take = min(len(vol), samples - collected)
-        gamma, zeta, vol = gamma[:take], zeta[:take], vol[:take]
-        collected += take
+        collected += keep.size
+        gamma, zeta, vol = gamma.T.take(keep, axis=1), zeta.T.take(keep, axis=1), vol[keep]  # gamma, zeta: (6, k) rows
         v2 = vol**2
         scale = np.maximum(1.0, v2)
-        pv = _kernels.volume_poly_many(np.ascontiguousarray(gamma))
-        r1 = np.abs(pv - 2.25 * v2) / scale
-        r2 = np.abs(zeta.sum(axis=1) - 6.75 * v2) / scale
+        r1 = np.abs(_kernels.volume_poly_many(gamma.T) - 2.25 * v2) / scale
+        r2 = np.abs(zeta.sum(axis=0) - 6.75 * v2) / scale
         worst1 = max(worst1, float(r1.max()))
         worst2 = max(worst2, float(r2.max()))
     return worst1, worst2

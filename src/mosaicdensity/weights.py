@@ -300,7 +300,9 @@ def type4_sweep(m: WeightPair, samples: int, seed: int = 0) -> Type4SweepReport:
     """Random search over type-4 bodies versus the closed-form lower bound.
 
     Draws from the first stream spawned by ``SeedSequence(seed)``, so a
-    fixed seed gives the same minimum on every run.
+    fixed seed gives the same minimum on every run.  A block is drawn as
+    (n, 4, 3) frames, then (k, 5) coefficients for the k kept frames, and
+    evaluated as (4, 3, n) component rows.
     """
     if samples < 100:
         raise ValueError("need at least 100 samples")
@@ -309,20 +311,20 @@ def type4_sweep(m: WeightPair, samples: int, seed: int = 0) -> Type4SweepReport:
     done = 0
     while done < samples:
         n = min(2048, samples - done)
-        p = rng.uniform(-1.0, 1.0, size=(n, 4, 3))
-        p -= ((p[:, 0] + p[:, 1] + p[:, 2] + p[:, 3]) / 4.0)[:, None]
-        d = _kernels.det3(p[:, 0], p[:, 1], p[:, 2])
-        keep = np.abs(d) > 5e-2
-        p, d = p[keep], d[keep]
-        if len(p) == 0:  # a whole tail batch can be slivers; redraw
+        q = rng.uniform(-1.0, 1.0, size=(n, 4, 3)).transpose(1, 2, 0).copy()
+        q -= (q[0] + q[1] + q[2] + q[3]) / 4.0
+        d = _kernels.det3(q[0].T, q[1].T, q[2].T)
+        keep = np.flatnonzero(np.abs(d) > 5e-2)
+        if not keep.size:  # a whole tail batch can be slivers; redraw
             continue
+        q, d = q.take(keep, axis=2), d[keep]
         neg = d < 0
-        p[neg] = p[neg][:, [1, 0, 2, 3]]
-        p *= np.abs(d)[:, None, None] ** (-1.0 / 3.0)
-        beta = 1.0 - rng.random(size=(len(p), 5))  # uniform on (0, 1]
-        vals = _kernels.type4_functional_many(p, beta, m.alpha6, m.alpha4)
+        q[0], q[1] = np.where(neg, q[1], q[0]), np.where(neg, q[0], q[1])
+        q *= np.abs(d) ** (-1.0 / 3.0)
+        beta = 1.0 - rng.random(size=(keep.size, 5))  # uniform on (0, 1]
+        vals = _kernels.type4_functional_many(q.transpose(2, 0, 1), beta, m.alpha6, m.alpha4)
         best = min(best, float(vals.min()))
-        done += len(p)
+        done += keep.size
     return Type4SweepReport(samples, best, type_minimum(4, m).value, type_minimum(5, m).value)
 
 

@@ -54,7 +54,55 @@ def _cubic_reference(tau):
     return total
 
 
+def _triples_by_sum_reference(n):
+    # the table as built before: the whole (n + 1)^3 cube, masked to
+    # b + c + d <= n, then stably sorted by the sum
+    bcd = np.indices((n + 1,) * 3).reshape(3, -1)
+    bcd = bcd[:, bcd.sum(axis=0) <= n]
+    return bcd[:, np.argsort(bcd.sum(axis=0), kind="stable")]
+
+
+# (value, composition) of simplex_grid_scan(lam, grid_n, 1.0), recorded
+# from the scan over the masked-cube table
+_GRID_SCAN_PINNED = {
+    (10, 1.0): (0.06400000000000002, [2, 2, 2, 2, 2]),
+    (10, 1.5): (0.08, [2, 2, 2, 2, 2]),
+    (10, 2.0): (0.09600000000000002, [2, 2, 2, 2, 2]),
+    (10, 2.37): (0.10784000000000002, [2, 2, 2, 2, 2]),
+    (10, 3.0): (0.12800000000000003, [3, 1, 2, 2, 2]),
+    (37, 1.0): (0.0657019327581782, [4, 8, 8, 8, 9]),
+    (37, 1.5): (0.07980771129054548, [7, 7, 8, 7, 8]),
+    (37, 2.0): (0.09673661974611575, [9, 7, 7, 7, 7]),
+    (37, 2.37): (0.10962193749629837, [9, 7, 7, 7, 7]),
+    (37, 3.0): (0.13197638836791506, [10, 6, 7, 7, 7]),
+    (60, 1.0): (0.06578240740740741, [7, 13, 13, 14, 13]),
+    (60, 1.5): (0.08, [12, 12, 12, 12, 12]),
+    (60, 2.0): (0.0966851851851852, [14, 11, 12, 11, 12]),
+    (60, 2.37): (0.10961703703703701, [16, 11, 11, 11, 11]),
+    (60, 3.0): (0.13220370370370368, [16, 11, 11, 11, 11]),
+    (150, 1.0): (0.06583377777777777, [17, 33, 33, 33, 34]),
+    (150, 1.5): (0.08, [30, 30, 30, 30, 30]),
+    (150, 2.0): (0.09673955555555556, [36, 28, 29, 28, 29]),
+    (150, 2.37): (0.109699602962963, [38, 28, 28, 28, 28]),
+    (150, 3.0): (0.132216, [41, 27, 27, 27, 28]),
+}
+
+
 class TestGridScan:
+    @pytest.mark.parametrize("grid_n", [1, 10, 37, 60, 150])
+    def test_triples_table_matches_masked_cube(self, grid_n):
+        b, c, d, s = K._triples_by_sum(grid_n)
+        want = _triples_by_sum_reference(grid_n)
+        assert np.array_equal(np.stack((b, c, d)), want)
+        assert np.array_equal(s, want.sum(axis=0))
+        assert b.dtype == c.dtype == d.dtype == want.dtype
+
+    @pytest.mark.parametrize("grid_n, lam", sorted(_GRID_SCAN_PINNED))
+    def test_pinned_value_and_composition(self, grid_n, lam):
+        value, comp = K.simplex_grid_scan(lam, grid_n, 1.0)
+        want_value, want_comp = _GRID_SCAN_PINNED[grid_n, lam]
+        assert value == want_value and comp.tolist() == want_comp
+
     @pytest.mark.parametrize("grid_n", [10, 16, 24])
     @pytest.mark.parametrize("lam", [1.0, 1.3, 2.0, 2.05, 3.0])
     def test_matches_plain_python_scan(self, grid_n, lam):
@@ -154,6 +202,49 @@ class TestGreedyDescent:
         best, x = K.greedy_descent(lambda y: np.ones(y.shape[1]), _axis_moves, [2.0, 3.0], 0.5, 5)
         assert best == 1.0 and x.tolist() == [2.0, 3.0]
 
+    def test_stalled_rounds_share_calls(self):
+        # no move ever improves: after the first round's sweep, each call
+        # takes the sweeps of twice as many rounds, the last one what is left
+        calls, steps = [], []
+
+        def f_many(y):
+            calls.append(y.shape[1])
+            return np.ones(y.shape[1])
+
+        def moves(x, step):
+            steps.append(step)
+            return _axis_moves(x, step)
+
+        best, x = K.greedy_descent(f_many, moves, [2.0, 3.0], 0.5, 60)
+        assert best == 1.0 and x.tolist() == [2.0, 3.0]
+        assert calls == [1] + [4 * r for r in (1, 2, 4, 8, 16, 29)]
+        assert steps == [0.5 * 0.5**r for r in range(60)]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_one_move_per_call_when_stalls_end(self, seed):
+        # a weighted L1 distance with a coupling term: sweeps stall until the
+        # step drops below a coordinate's distance to its target, then
+        # improve again; the points taken, in order, are the reference's
+        rng = np.random.default_rng(seed)
+        target, weight = rng.uniform(-2.0, 2.0, 3), rng.uniform(0.5, 2.0, 3)
+
+        def taking(log):
+            def f_many(y):
+                vals = (weight[:, None] * np.abs(y - target[:, None])).sum(axis=0) + 0.7 * np.abs(y[0] - y[1])
+                better = (vals < log[-1][0]).nonzero()[0] if log else [0]
+                if len(better):  # the first improving column of a call is taken
+                    log.append((vals[better[0]], y[:, better[0]].tolist()))
+                assert len(log) < 10_000, "the descent does not end"
+                return vals
+            return f_many
+
+        x0 = rng.uniform(-2.0, 2.0, 3)
+        got, want = [], []
+        best, x = K.greedy_descent(taking(got), _axis_moves, x0, 1.0, 40)
+        want_best, want_x = _one_move_per_call(taking(want), _axis_moves, x0, 1.0, 40)
+        assert best == want_best and x.tolist() == want_x.tolist()
+        assert got == want and len(got) > 10
+
     @pytest.mark.parametrize("grid_n", [20, 30, 41])
     @pytest.mark.parametrize("n", range(2, 8))
     def test_decomposable_oracle_matches_one_move_per_call(self, monkeypatch, n, grid_n):
@@ -227,13 +318,17 @@ class TestCrossAndTripleProduct:
 
 
 def test_one_cross_and_triple_product():
-    # 3-vector cross and triple products go through cross3/det3; LAPACK's
-    # det stays for single 3x3 matrices and lattice bases, never for stacks
+    # 3-vector cross and triple products go through cross3/det3 or the batch
+    # kernels, all on the one component formula; LAPACK's det stays for
+    # single 3x3 matrices and lattice bases, never for stacks
+    copies = 0
     for path in sorted(Path(K.__file__).parent.glob("*.py")):
         text = path.read_text()
         assert "np.cross(" not in text, path.name
+        copies += len(re.findall(r"\[1\] \* \w+\[2\] - \w+\[2\] \* \w+\[1\]", text))
         for arg in re.findall(r"np\.linalg\.det\((.*)", text):
             assert "[:," not in arg and "[..." not in arg, f"{path.name}: det of a stack: {arg}"
+    assert copies == 1
 
 
 class TestVolumeCubic:
@@ -262,6 +357,50 @@ class TestType4Functional:
             want.append(Z.weighted_edge_functional(z, m) / z.volume() ** (1.0 / 3.0))
         got = K.type4_functional_many(np.array(frames), np.array(betas), m.alpha6, m.alpha4)
         assert np.allclose(got, want, rtol=1e-10)
+
+
+    @pytest.mark.parametrize("scale", [1e110, 1e-110, 1e300, 1e-300])
+    def test_beta_scale_does_not_matter(self, scale):
+        # homogeneous of degree 0 in beta; unscaled, the cubic overflowed to
+        # inf at 1e110 (value 0) and underflowed to 0 at 1e-110 (value inf)
+        rng = np.random.default_rng(2)
+        v, beta = rng.normal(size=(400, 4, 3)), rng.uniform(0.01, 1.3, size=(400, 5))
+        want = K.type4_functional_many(v, beta, 1.0, 0.8)
+        got = K.type4_functional_many(v, beta * scale, 1.0, 0.8)
+        assert np.isfinite(got).all()
+        assert (np.abs(got / want - 1.0) <= 1e-15).all()
+
+    def test_power_of_two_scale_is_exact(self):
+        rng = np.random.default_rng(2)
+        v, beta = rng.normal(size=(400, 4, 3)), rng.uniform(0.01, 1.3, size=(400, 5))
+        want = K.type4_functional_many(v, beta, 1.0, 0.8)
+        for k in (-1000, -3, 5, 1000):
+            assert np.array_equal(K.type4_functional_many(v, np.ldexp(beta, k), 1.0, 0.8), want)
+
+
+class TestComponentRows:
+    """The batch kernels give the same bits for every layout of the same frames."""
+
+    @staticmethod
+    def _layouts():
+        strided = np.random.default_rng(4).uniform(-1.0, 1.0, size=(2 * 999, 4, 3))[::2]
+        dense = strided.copy()
+        rows = dense.transpose(1, 2, 0).copy()
+        view = rows.transpose(2, 0, 1)
+        assert dense.flags.c_contiguous and not view.flags.c_contiguous and not strided.flags.c_contiguous
+        assert np.shares_memory(K._frame_rows(view), rows)  # the view's rows are not copied
+        return dense, view, strided
+
+    def test_type4_functional_many(self):
+        beta = np.random.default_rng(5).uniform(0.01, 1.0, size=(999, 5))
+        got = [K.type4_functional_many(v, beta, 1.0, 0.7).tobytes() for v in self._layouts()]
+        assert got[1] == got[0] and got[2] == got[0]
+
+    def test_pair_scalars_many(self):
+        got = [K.pair_scalars_many(v) for v in self._layouts()]
+        for outputs in zip(*got):  # gamma, zeta, vol
+            dense, view, strided = (np.ascontiguousarray(x).tobytes() for x in outputs)
+            assert view == dense and strided == dense
 
 
 class TestBallClipGeometry:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mosaicdensity import _kernels
 from mosaicdensity import tetra as T
 from mosaicdensity import zonotope as Z
 
@@ -90,7 +91,6 @@ def test_batch_matches_scalar_path():
     rng = np.random.default_rng(11)
     p = rng.uniform(-1, 1, size=(50, 4, 3))
     p -= p.mean(axis=1, keepdims=True)
-    from mosaicdensity import _kernels
 
     gamma, zeta, vol = _kernels.pair_scalars_many(p)
     for i in range(50):
@@ -105,6 +105,73 @@ def test_batch_matches_scalar_path():
         inv = T.pair_invariants(T.CenteredTetrahedron(p[i]))
         assert np.allclose(inv.neg_opposite_dot, want_gamma, atol=1e-12)
         assert np.allclose(inv.cross_weighted, want_zeta, atol=1e-12)
+
+
+def _pair_scalars_many_reference(p):
+    # the batch kernel as written on (N, 4, 3) vertices, one strided pair at a time
+    def dot(a, b):
+        return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
+
+    gamma, zeta = np.empty((2, len(p), 6))
+    for k, (i, j) in enumerate(Z.PAIRS):
+        s, u = Z.PAIRS[5 - k]
+        gamma[:, k] = -dot(p[:, s], p[:, u])
+        cr = np.cross(p[:, i], p[:, j])
+        zeta[:, k] = gamma[:, k] * dot(cr, cr)
+    vol = np.abs(dot(p[:, 1] - p[:, 0], np.cross(p[:, 2] - p[:, 0], p[:, 3] - p[:, 0]))) / 6.0
+    return gamma, zeta, vol
+
+
+def _batch_identity_reference(samples, seed, reject_volume_below=1e-3):
+    # batch_identity_residuals' block loop on (N, 4, 3) vertices, as it was
+    # written before the vertices became component rows
+    rng = np.random.default_rng(seed)
+    collected = 0
+    worst1 = worst2 = 0.0
+    while collected < samples:
+        p = rng.uniform(-1.0, 1.0, size=(min(4096, max(256, samples - collected)), 4, 3))
+        p -= ((p[:, 0] + p[:, 1] + p[:, 2] + p[:, 3]) / 4.0)[:, None]
+        gamma, zeta, vol = _pair_scalars_many_reference(p)
+        keep = vol > reject_volume_below
+        gamma, zeta, vol = gamma[keep], zeta[keep], vol[keep]
+        if len(vol) == 0:
+            continue
+        take = min(len(vol), samples - collected)
+        gamma, zeta, vol = gamma[:take], zeta[:take], vol[:take]
+        collected += take
+        v2 = vol**2
+        scale = np.maximum(1.0, v2)
+        r1 = np.abs(_kernels.volume_poly_many(gamma) - 2.25 * v2) / scale
+        r2 = np.abs(zeta.sum(axis=1) - 6.75 * v2) / scale
+        worst1, worst2 = max(worst1, float(r1.max())), max(worst2, float(r2.max()))
+    return worst1, worst2
+
+
+@pytest.mark.parametrize("samples, reject", [(20_000, 1e-3), (5_001, 0.05)])
+@pytest.mark.parametrize("seed", [0, 1, 2, 5, 11, 23])
+def test_batch_matches_vertex_loop_reference(seed, samples, reject):
+    got = T.batch_identity_residuals(samples, seed, reject_volume_below=reject)
+    assert got == _batch_identity_reference(samples, seed, reject)
+
+
+def test_batch_kernel_sees_the_reference_blocks(monkeypatch):
+    # every block's vertices and per-pair scalars, bit for bit
+    seen, kernel = [], _kernels.pair_scalars_many
+
+    def recording(p):
+        out = kernel(p)
+        seen.append((np.array(p),) + out)
+        return out
+
+    monkeypatch.setattr(_kernels, "pair_scalars_many", recording)
+    T.batch_identity_residuals(10_000, seed=3)
+    rng = np.random.default_rng(3)
+    assert len(seen) > 2
+    for got in seen:
+        p = rng.uniform(-1.0, 1.0, size=got[0].shape)
+        p -= ((p[:, 0] + p[:, 1] + p[:, 2] + p[:, 3]) / 4.0)[:, None]
+        for g, r in zip(got, (p,) + _pair_scalars_many_reference(p)):
+            assert np.ascontiguousarray(g).tobytes() == r.tobytes()
 
 
 def test_batch_residuals_small():

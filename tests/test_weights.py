@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import random_body
 from mosaicdensity import weights as W
+from mosaicdensity._kernels import volume_cubic
 from mosaicdensity.tetra import CenteredTetrahedron
 from mosaicdensity.zonotope import WeightPair, weighted_edge_functional
 
@@ -229,6 +230,40 @@ class TestStationaryBetas:
             W.stationary_betas_type4(CenteredTetrahedron(raw), UNIT)
 
 
+def _type4_functional_reference(v, beta, a6, a4):
+    # the kernel as written on (N, 4, 3) frames, one strided pair at a time,
+    # with beta unscaled
+    cross_norm = np.empty((len(v), 5))
+    for k, (i, j) in enumerate([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]):
+        cr = np.cross(v[:, i], v[:, j])
+        cross_norm[:, k] = np.sqrt(cr[:, 0] * cr[:, 0] + cr[:, 1] * cr[:, 1] + cr[:, 2] * cr[:, 2])
+    w_raw = a4 * beta[:, 0] * cross_norm[:, 0] + a6 * (beta[:, 1:] * cross_norm[:, 1:]).sum(axis=1)
+    return w_raw / np.cbrt(volume_cubic(*(beta[:, k] for k in range(5)), 0.0))
+
+
+def _type4_sweep_reference(m, samples, seed):
+    # type4_sweep's block loop on (N, 4, 3) frames, as it was written before
+    # the frames became component rows; yields each block's kernel arguments
+    # and values
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    done = 0
+    while done < samples:
+        p = rng.uniform(-1.0, 1.0, size=(min(2048, samples - done), 4, 3))
+        p -= ((p[:, 0] + p[:, 1] + p[:, 2] + p[:, 3]) / 4.0)[:, None]
+        cr = np.cross(p[:, 1], p[:, 2])
+        d = p[:, 0, 0] * cr[:, 0] + p[:, 0, 1] * cr[:, 1] + p[:, 0, 2] * cr[:, 2]
+        keep = np.abs(d) > 5e-2
+        p, d = p[keep], d[keep]
+        if len(p) == 0:
+            continue
+        neg = d < 0
+        p[neg] = p[neg][:, [1, 0, 2, 3]]
+        p *= np.abs(d)[:, None, None] ** (-1.0 / 3.0)
+        beta = 1.0 - rng.random(size=(len(p), 5))
+        yield p, beta, _type4_functional_reference(p, beta, m.alpha6, m.alpha4)
+        done += len(p)
+
+
 class TestSweep:
     def test_respects_bound(self):
         m = WeightPair(1.0, 0.9)
@@ -256,6 +291,30 @@ class TestSweep:
         # size and the draw order, uniform(n, 4, 3) then random(k, 5)
         rep = W.type4_sweep(WeightPair(1.0, 0.9), 100_000, seed)
         assert rep.min_observed == pytest.approx(recorded, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha4", [0.5, 0.9, 1.3])
+    @pytest.mark.parametrize("seed", [0, 5, 7, 11])
+    def test_matches_frame_loop_reference(self, seed, alpha4):
+        m = WeightPair(1.0, alpha4)
+        want = min(float(vals.min()) for _, _, vals in _type4_sweep_reference(m, 100_000, seed))
+        assert W.type4_sweep(m, 100_000, seed).min_observed == want
+
+    def test_kernel_sees_the_reference_blocks(self, monkeypatch):
+        # every block's frames, coefficients and values, bit for bit
+        seen, kernel = [], W._kernels.type4_functional_many
+
+        def recording(v, beta, a6, a4):
+            vals = kernel(v, beta, a6, a4)
+            seen.append((np.array(v), beta, vals))
+            return vals
+
+        monkeypatch.setattr(W._kernels, "type4_functional_many", recording)
+        m = WeightPair(1.0, 0.8)
+        W.type4_sweep(m, 20_000, seed=3)
+        want = list(_type4_sweep_reference(m, 20_000, 3))
+        assert len(seen) == len(want) > 1
+        for got, ref in zip(seen, want):
+            assert all(g.tobytes() == r.tobytes() for g, r in zip(got, ref))
 
     def test_sample_floor(self):
         with pytest.raises(ValueError):
