@@ -190,6 +190,30 @@ def _axis_points(grid_n: int, dims: int) -> int:
     return max(r - (r - m) % 2, 4 + m % 2)
 
 
+#: Most points the oracle scan evaluates at once, in slabs of its first axis.
+SLAB_POINTS = 65_536
+
+
+def _scan_min(axes: list, k: int, odd: bool) -> tuple[float, tuple[int, ...]]:
+    """Value and index of the first minimum in C order of ``_oracle_bound``
+    over the grid of ``axes``.  It is evaluated on an open mesh, in slabs of
+    the first axis of at most ``SLAB_POINTS`` points: the exponentials and
+    tangents run on the axes and the products broadcast to the slab, so
+    the temporaries stay small.  A slab replaces the best only with a
+    strictly smaller value, so the index is that of a whole-grid scan."""
+    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
+    shape = tuple(len(a) for a in axes)
+    row = math.prod(shape[1:])
+    rows = max(1, SLAB_POINTS // row)
+    best, flat = math.inf, 0
+    for lo in range(0, shape[0], rows):
+        vals = _oracle_bound([mesh[0][lo : lo + rows], *mesh[1:]], k, odd)
+        i = int(np.argmin(vals))
+        if vals.flat[i] < best:
+            best, flat = vals.flat[i], lo * row + i
+    return best, np.unravel_index(flat, shape)
+
+
 def brute_force_minimize(n: int, grid_n: int = 30, refine_rounds: int = 60) -> float:
     """Grid plus coordinate-descent search for the bound's true minimum.
 
@@ -197,10 +221,8 @@ def brute_force_minimize(n: int, grid_n: int = 30, refine_rounds: int = 60) -> f
     constraint eliminates the last area (even case) or the segment
     length (odd case), so every evaluated point is exactly feasible.
     The per-axis grid resolution shrinks in higher dimensions to keep
-    the scan at most a quarter million points.  The scan evaluates
-    ``_oracle_bound`` on an open mesh: the exponentials and tangents run
-    on the axes, the products broadcast to the grid, and the argmin maps
-    back to the axes.  ``_kernels.greedy_descent`` refines the best grid
+    the scan at most a quarter million points.  ``_scan_min`` finds the
+    best grid point.  ``_kernels.greedy_descent`` refines the best grid
     point from step 3 / grid_n; a sweep evaluates, in one call, the
     steps of each coordinate down and up (e_hats clipped to [3, 6]).
     """
@@ -213,9 +235,7 @@ def brute_force_minimize(n: int, grid_n: int = 30, refine_rounds: int = 60) -> f
 
     m = _axis_points(grid_n, dims)
     axes = [np.linspace(3.0, 6.0, m)] * k + [np.linspace(-1.5, 1.5, m)] * (dims - k)
-    vals = _oracle_bound(np.meshgrid(*axes, indexing="ij", sparse=True), k, odd)
-    idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
-    x = np.array([axis[i] for axis, i in zip(axes, idx)])
+    x = np.array([axis[i] for axis, i in zip(axes, _scan_min(axes, k, odd)[1])])
 
     signs = np.repeat(np.eye(dims), 2, axis=0) * np.tile([-1.0, 1.0], dims)[:, None]
     lo = np.array([3.0] * k + [-np.inf] * (dims - k))

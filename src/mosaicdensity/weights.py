@@ -7,8 +7,8 @@ parallelohedron type the minimum has a closed form (exact for types 1,
 function of alpha4/alpha6 switches from the cube to the hexagonal prism
 at sqrt(3)/2 and from the prism to the truncated octahedron at
 (2/3)^(1/4).  This module also provides the isotropic-position fixed
-point used in the type-5 argument and the stationarity formulas on the
-type-4 stratum.
+point used in the type-5 argument, run on a stack of bodies at once,
+and the stationarity formulas on the type-4 stratum.
 """
 
 from __future__ import annotations
@@ -207,25 +207,37 @@ class FacetMeasure:
 
     def isotropy_residual(self) -> tuple[np.ndarray, float]:
         """Second-moment matrix M and max-abs deviation of M from identity."""
-        return _second_moment(self.normals, self.areas)
+        mat, res = _second_moment(self.normals, self.areas)
+        return mat, float(res)
 
     def transformed(self, a: np.ndarray) -> "FacetMeasure":
         """Measure of the body mapped by the volume-preserving matrix a."""
         return FacetMeasure(*_mapped(self.normals, self.areas, a))
 
 
-def _second_moment(u: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, float]:
-    """3 sum(F_i u_i u_i^T) / sum(F_i) and its max-abs deviation from I."""
-    mat = 3.0 * (f[:, None, None] * u[:, :, None] * u[:, None, :]).sum(axis=0) / f.sum()
-    return mat, float(np.abs(mat - np.eye(3)).max())
+def _second_moment(u: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """3 sum(F_i u_i u_i^T) / sum(F_i) and its max-abs deviation from I, per
+    measure: ``u`` is (..., F, 3) and ``f`` is (..., F)."""
+    mat = 3.0 * (f[..., None, None] * u[..., :, None] * u[..., None, :]).sum(axis=-3)
+    mat /= f.sum(axis=-1)[..., None, None]
+    return mat, np.abs(mat - np.eye(3)).max(axis=(-2, -1))
 
 
 def _mapped(u: np.ndarray, f: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Facet normals and areas after mapping the body by a (det 1); the
-    rows of ``u @ inv(a)`` are the normals mapped by a^{-T}."""
+    """Facet normals and areas after mapping each body by its a (det 1);
+    the rows of ``u @ inv(a)`` are the normals mapped by a^{-T}."""
     raw = u @ np.linalg.inv(a)
-    ln = np.linalg.norm(raw, axis=1)
-    return raw / ln[:, None], f * ln
+    ln = np.linalg.norm(raw, axis=-1)
+    return raw / ln[..., None], f * ln
+
+
+def _det_one(a: np.ndarray) -> np.ndarray:
+    """Each (3, 3) matrix of a stack divided by the cube root of its determinant.
+
+    The root is taken one scalar at a time: numpy's array ``power`` may
+    round differently from the scalar ``pow`` of a single matrix."""
+    root = [d ** (1.0 / 3.0) for d in np.linalg.det(a).tolist()]
+    return a / np.array(root)[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -235,30 +247,56 @@ class IsotropicResult:
     residual: float
 
 
-def isotropic_position(
-    fm: FacetMeasure, tol: float = 1e-8, max_iter: int = 200
-) -> IsotropicResult:
-    """Volume-preserving map bringing the facet measure to isotropy.
+def isotropic_positions(
+    normals: np.ndarray, areas: np.ndarray, tol: float = 1e-8, max_iter: int = 200
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Volume-preserving maps bringing a stack of facet measures to isotropy.
 
-    Fixed point: the body is repeatedly mapped by the determinant-1
-    square root of its second-moment matrix; normals and areas transform
-    accordingly and the hull itself is never rebuilt.
+    ``normals`` is (B, F, 3) and ``areas`` (B, F): B bodies with F facets
+    each.  Fixed point: every body is repeatedly mapped by the
+    determinant-1 square root of its second-moment matrix; normals and
+    areas transform accordingly and no hull is rebuilt.  A body whose
+    residual reaches ``tol`` is frozen and leaves the stack, so each one
+    takes the steps, and gets the bits, it would take alone.  Returns the
+    (B, 3, 3) matrices, the iterations and the residuals.
     """
-    u, f = fm.normals, fm.areas
-    acc = np.eye(3)
+    u, f = np.asarray(normals, dtype=np.float64), np.asarray(areas, dtype=np.float64)
+    live = np.arange(len(u))
+    acc = np.tile(np.eye(3), (len(u), 1, 1))
+    matrix, iterations, residual = np.empty_like(acc), np.empty_like(live), np.empty(len(u))
     for it in range(max_iter):
         mat, res = _second_moment(u, f)
-        if res <= tol:
-            acc = acc / np.linalg.det(acc) ** (1.0 / 3.0)
-            return IsotropicResult(acc, it, res)
+        done = res <= tol
+        if done.any():
+            matrix[live[done]] = _det_one(acc[done])
+            iterations[live[done]], residual[live[done]] = it, res[done]
+            go = ~done
+            live, u, f, acc, mat = live[go], u[go], f[go], acc[go], mat[go]
+        if not live.size:
+            return matrix, iterations, residual
         w, q = np.linalg.eigh(mat)
-        if w.min() <= 0:
+        if (w <= 0).any():
             raise NoConvergence("second-moment matrix lost positive definiteness")
-        s = (q * np.sqrt(w)) @ q.T
-        s /= np.linalg.det(s) ** (1.0 / 3.0)
+        s = _det_one((q * np.sqrt(w)[:, None, :]) @ q.transpose(0, 2, 1))
         acc = s @ acc
         u, f = _mapped(u, f, s)
     raise NoConvergence(f"no isotropic position within {max_iter} iterations")
+
+
+def isotropic_position(
+    fm: FacetMeasure, tol: float = 1e-8, max_iter: int = 200
+) -> IsotropicResult:
+    """Volume-preserving map bringing one facet measure to isotropy: the
+    one-body case of :func:`isotropic_positions`."""
+    matrix, its, res = isotropic_positions(fm.normals[None], fm.areas[None], tol, max_iter)
+    return IsotropicResult(matrix[0], int(its[0]), float(res[0]))
+
+
+def isotropy_residuals(normals: np.ndarray, areas: np.ndarray, matrices: np.ndarray) -> np.ndarray:
+    """Max-abs deviation from isotropy of each stacked measure mapped by its
+    matrix: the (B,) residuals of ``FacetMeasure.transformed(m).isotropy_residual``."""
+    u, f = np.asarray(normals, dtype=np.float64), np.asarray(areas, dtype=np.float64)
+    return _second_moment(*_mapped(u, f, matrices))[1]
 
 
 def stationary_betas_type4(t: CenteredTetrahedron, m: WeightPair) -> BetaVector:
@@ -301,8 +339,8 @@ def type4_sweep(m: WeightPair, samples: int, seed: int = 0) -> Type4SweepReport:
 
     Draws from the first stream spawned by ``SeedSequence(seed)``, so a
     fixed seed gives the same minimum on every run.  A block is drawn as
-    (n, 4, 3) frames, then (k, 5) coefficients for the k kept frames, and
-    evaluated as (4, 3, n) component rows.
+    (n, 4, 3) frames, uniform on [-1, 1), then (k, 5) coefficients for the
+    k kept frames, and evaluated as (4, 3, n) component rows.
     """
     if samples < 100:
         raise ValueError("need at least 100 samples")
@@ -311,7 +349,9 @@ def type4_sweep(m: WeightPair, samples: int, seed: int = 0) -> Type4SweepReport:
     done = 0
     while done < samples:
         n = min(2048, samples - done)
-        q = rng.uniform(-1.0, 1.0, size=(n, 4, 3)).transpose(1, 2, 0).copy()
+        q = rng.random(size=(n, 4, 3)).transpose(1, 2, 0).copy()
+        q *= 2.0  # uniform(-1, 1) is -1 + 2 U: these are its bits
+        q -= 1.0
         q -= (q[0] + q[1] + q[2] + q[3]) / 4.0
         d = _kernels.det3(q[0].T, q[1].T, q[2].T)
         keep = np.flatnonzero(np.abs(d) > 5e-2)

@@ -6,8 +6,11 @@ facet normal comes from a coplanar class of generators, every facet is a
 zonogon of the generators in its class, and every vertex is a subset sum
 of generators.  The boundary of each zonogon follows from the angular
 order of its generators, read off the signs of triple products with the
-facet normal; no projection or planar hull is formed.  Working with
-subsets instead of raw coordinates keeps the incidence structure exact;
+facet normal: each member is turned to lie counterclockwise of the first
+one, and det3(n, a, b) > 0 exactly when b follows a; no projection or
+planar hull is formed.  A subset of generators is an integer bitmask, so
+the whole complex is built on small integer arrays; working with subsets
+instead of raw coordinates keeps the incidence structure exact, and
 floating point only enters when positions, areas and normals are
 evaluated.
 
@@ -285,52 +288,9 @@ def _as_segments(segments: Iterable[Segment] | np.ndarray) -> list[Segment]:
     return out
 
 
-def _coplanar_classes(gens: np.ndarray, norms: np.ndarray, tol: float) -> dict:
-    """Unit normal of each coplanar class, keyed by its members, in the
-    ``combinations`` order of the pairs spanning them; raises
-    :class:`ParallelSegments` when a pair's cross product is below ``tol``."""
-    i, j = np.array(list(combinations(range(len(gens)), 2))).T
-    cr = cross3(gens[i], gens[j])
-    crn = np.linalg.norm(cr, axis=1)
-    parallel = crn <= tol * norms[i] * norms[j]
-    if parallel.any():
-        q = int(np.argmax(parallel))
-        raise ParallelSegments(f"segments {i[q]} and {j[q]} are parallel")
-    normals = cr / crn[:, None]
-    inplane = np.abs(normals @ gens.T) <= tol * norms
-    classes: dict[tuple[int, ...], np.ndarray] = {}
-    for n, row in zip(normals, inplane):
-        members = tuple(np.flatnonzero(row).tolist())
-        if members in classes:
-            if abs(abs(classes[members] @ n) - 1.0) > 1e-9:
-                raise ConstructionError("inconsistent coplanar classes")
-        else:
-            classes[members] = -n if n[np.argmax(np.abs(n))] < 0 else n
-    return classes
-
-
-def _zonogon_cycle(
-    gens: np.ndarray, members: tuple[int, ...], n: np.ndarray
-) -> list[frozenset[int]]:
-    """Corner subsets of the zonogon of ``members``, CCW about ``n``.
-
-    Each member is turned to lie CCW of the first one about n, so the
-    turned vectors lie in a half-plane, where det3(n, a, b) > 0 exactly when
-    b follows a.  From the corner holding the turned members, toggling the
-    members in that order walks the boundary, once per round.  Every sign
-    read is bounded away from 0 by the :class:`ParallelSegments` check.
-    """
-    g = gens[list(members)]
-    turned = det3(n, g[0], g) < 0
-    d = np.where(turned[:, None], -g, g)
-    before = det3(n, d[:, None], d[None]) > 0  # before[i, j]: d_i precedes d_j
-    order = np.argsort(before.sum(axis=0))
-    corner = frozenset(m for m, t in zip(members, turned) if t)
-    cycle = []
-    for i in np.concatenate([order, order]):
-        cycle.append(corner)
-        corner = corner ^ {members[i]}
-    return cycle
+_BITS = np.left_shift(1, np.arange(6))
+#: Index pairs (i, j), i < j, of k segments in ``combinations`` order, as two rows.
+_PAIR_INDEX = {k: np.array(list(combinations(range(k), 2))).reshape(-1, 2).T for k in range(7)}
 
 
 def build_zonotope(
@@ -340,76 +300,115 @@ def build_zonotope(
 
     Zero-length segments are dropped.  The remaining ones must span R^3
     (:class:`FlatBody` otherwise) and be pairwise non-parallel
-    (:class:`ParallelSegments`).  Facets are found as coplanar classes of
-    segments at relative tolerance ``tol``, one for each sign of the class
-    normal; each facet cycle comes from the triple-product order of its
-    class (see ``_zonogon_cycle``), not from a hull.  Vertices are subset
-    sums, recentered so the body is symmetric about the origin.  Each edge
-    is a translate of exactly one segment and carries that segment's index.
+    (:class:`ParallelSegments`).  A set of segments is an integer bitmask.
+    The coplanar classes at relative tolerance ``tol`` are the distinct
+    in-plane masks of the pair normals, in first-pair order, and each
+    gives a facet for each sign of its normal.  A facet cycle starts at
+    the facet's base (the segments on the normal's side) plus its turned
+    members and toggles the members in the triple-product order of the
+    module docstring, once per round; no hull is formed.  Vertex ids
+    follow first occurrence in the cycles; vertices are subset sums,
+    recentered so the body is symmetric about the origin.  Each edge is a
+    translate of exactly one segment and carries that segment's index.
     """
     all_segs = _as_segments(segments)
-    segs = [s for s in all_segs if s.length > 0.0]
-    k = len(segs)
-    gens = np.array([s.direction for s in segs]).reshape(k, 3)
+    gens = np.array([s.direction for s in all_segs]).reshape(len(all_segs), 3)
     norms = np.linalg.norm(gens, axis=1)
-    if k < 3 or np.linalg.matrix_rank(gens, tol=1e-12 * max(1.0, norms.max())) < 3:
+    keep = norms > 0.0
+    segs = [s for s, kept in zip(all_segs, keep.tolist()) if kept]
+    k, gens, norms = len(segs), gens[keep], norms[keep]
+    if k < 3 or (np.linalg.svd(gens, compute_uv=False) > 1e-12 * max(1.0, norms.max())).sum() < 3:
         raise FlatBody("nonzero segments do not span R^3")
-    classes = _coplanar_classes(gens, norms, tol)
+    bit = _BITS[:k]
+
+    i, j = _PAIR_INDEX[k]
+    cr = cross3(gens[i], gens[j])
+    crn = np.linalg.norm(cr, axis=1)
+    parallel = crn <= tol * norms[i] * norms[j]
+    if parallel.any():
+        q = int(np.argmax(parallel))
+        raise ParallelSegments(f"segments {i[q]} and {j[q]} are parallel")
+    normals = cr / crn[:, None]
+    masks, first, inverse = np.unique(
+        (np.abs(normals @ gens.T) <= tol * norms) @ bit, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)  # classes in first-pair order
+    n0 = normals[first[order]]
+    if (np.abs(np.abs((n0[np.argsort(order)[inverse]] * normals).sum(axis=1)) - 1.0) > 1e-9).any():
+        raise ConstructionError("inconsistent coplanar classes")
+    n0[n0[np.arange(len(n0)), np.abs(n0).argmax(axis=1)] < 0] *= -1.0
+
+    # facets 2c and 2c + 1 are class c about n0 and about -n0
+    normal = np.empty((2 * len(n0), 3))
+    normal[0::2], normal[1::2] = n0, -n0
+    inbits = (np.repeat(masks[order], 2)[:, None] >> np.arange(k)) & 1
+    base = (normal @ gens.T > tol * norms) @ bit
+    size = inbits.sum(axis=1)
+    start = np.cumsum(2 * size) - 2 * size
+    cyc = np.empty(2 * size.sum(), dtype=np.int64)
+    groups = []  # facets, members and cycle positions per class size
+    for c in sorted(set(size.tolist())):
+        fs = np.flatnonzero(size == c)
+        mem = np.nonzero(inbits[fs])[1].reshape(len(fs), c)
+        g = gens[mem]
+        t = det3(normal[fs, None, None], g[:, :, None], g[:, None, :])  # det3(n, g_a, g_b)
+        turned = t[:, 0] < 0
+        sgn = np.where(turned, -1.0, 1.0)
+        before = t * sgn[:, :, None] * sgn[:, None, :] > 0  # turned a precedes turned b
+        toggle = bit[mem[np.arange(len(fs))[:, None], np.argsort(before.sum(axis=1), axis=1)]]
+        corner = base[fs] | (turned * bit[mem]).sum(axis=1)
+        pos = start[fs, None] + np.arange(2 * c)
+        cyc[pos] = np.bitwise_xor.accumulate(
+            np.concatenate([corner[:, None], toggle, toggle[:, :-1]], axis=1), axis=1
+        )
+        groups.append((fs, mem, pos))
+
+    vmask, vfirst, vinv = np.unique(cyc, return_index=True, return_inverse=True)
+    vorder = np.argsort(vfirst)
+    ids, vmask = np.argsort(vorder)[vinv], vmask[vorder]
+    sums = np.zeros((1 << k, 3))  # every subset sum, added in ascending segment order
+    for m in range(k):
+        sums[1 << m : 2 << m] = sums[: 1 << m] + gens[m]
     center = gens.sum(axis=0) / 2.0
-    facet_raw: list[tuple[np.ndarray, list[frozenset[int]], tuple[int, ...]]] = []
-    for members, n0 in classes.items():
-        for sign in (1.0, -1.0):
-            n = sign * n0
-            base = frozenset(m for m in range(k) if gens[m] @ n > tol * norms[m])
-            cycle = [base | s for s in _zonogon_cycle(gens, members, n)]
-            facet_raw.append((n, cycle, members))
+    verts = np.where(vmask[:, None] == 0, -center, sums[vmask] - center)
 
-    vertex_id: dict[frozenset[int], int] = {}
-    for _, cycle, _ in facet_raw:
-        for s in cycle:
-            if s not in vertex_id:
-                vertex_id[s] = len(vertex_id)
-    verts = np.empty((len(vertex_id), 3))
-    for s, i in vertex_id.items():
-        verts[i] = gens[sorted(s)].sum(axis=0) - center if s else -center
-
-    edge_label: dict[tuple[int, int], int] = {}
-    edge_facets: dict[tuple[int, int], int] = {}
-    for _, cycle, _ in facet_raw:
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            diff = a ^ b
-            if len(diff) != 1:
-                raise ConstructionError("facet cycle step is not a single segment")
-            u, v = vertex_id[a], vertex_id[b]
-            key = (u, v) if u < v else (v, u)
-            lab = next(iter(diff))
-            if key in edge_label and edge_label[key] != lab:
-                raise ConstructionError("conflicting edge labels")
-            edge_label[key] = lab
-            edge_facets[key] = edge_facets.get(key, 0) + 1
-    if any(c != 2 for c in edge_facets.values()):
+    nxt = np.arange(1, len(cyc) + 1)
+    nxt[start + 2 * size - 1] = start
+    diff = cyc ^ cyc[nxt]
+    if not diff.all() or (diff & (diff - 1)).any():
+        raise ConstructionError("facet cycle step is not a single segment")
+    n_v = len(verts)
+    ekeys, efirst, ecount = np.unique(
+        np.minimum(ids, ids[nxt]) * n_v + np.maximum(ids, ids[nxt]),
+        return_index=True, return_counts=True,
+    )
+    if (ecount != 2).any():
         raise ConstructionError("an edge is not shared by exactly two facets")
 
-    facets: list[Facet] = []
-    for n, cycle, members in facet_raw:
-        ids = [vertex_id[s] for s in cycle]
-        poly = verts[ids]
-        signed = float(cross3(poly - poly[0], np.roll(poly, -1, axis=0) - poly[0]).sum(axis=0) @ n) / 2.0
-        if signed <= 0:
-            raise ConstructionError("facet cycle is not counterclockwise about its normal")
-        facets.append(Facet(tuple(ids), n, signed, members))
+    area = np.empty(len(normal))
+    members: list = [None] * len(normal)
+    for fs, mem, pos in groups:
+        corner = verts[ids[pos[:, :1]]]
+        twice = cross3(verts[ids[pos]] - corner, verts[ids[nxt[pos]]] - corner).sum(axis=1)
+        area[fs] = (twice[:, None] @ normal[fs, :, None])[:, 0, 0] / 2.0  # row dots, as 1-D ``@``
+        for f, m in zip(fs.tolist(), mem.tolist()):
+            members[f] = tuple(m)
+    if (area <= 0).any():
+        raise ConstructionError("facet cycle is not counterclockwise about its normal")
 
-    n_v, n_e, n_f = len(verts), len(edge_label), len(facets)
+    n_e, n_f = len(ekeys), len(normal)
     if n_v - n_e + n_f != 2:
         raise ConstructionError(f"Euler relation failed: V={n_v} E={n_e} F={n_f}")
-
-    ekeys = sorted(edge_label)
+    id_list, lo = ids.tolist(), start.tolist()
     return Zonotope(
         segments=segs,
         vertices=verts,
-        edge_vertex_ids=np.array(ekeys, dtype=np.int64).reshape(n_e, 2),
-        edge_segment=np.array([edge_label[e] for e in ekeys], dtype=np.int64),
-        facets=facets,
+        edge_vertex_ids=np.stack([ekeys // n_v, ekeys % n_v], axis=1),
+        edge_segment=np.log2(diff[efirst]).astype(np.int64),
+        facets=[
+            Facet(tuple(id_list[a : a + 2 * c]), n, float(s), m)
+            for a, c, n, s, m in zip(lo, size.tolist(), normal, area, members)
+        ],
     )
 
 

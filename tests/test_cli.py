@@ -4,9 +4,10 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
-from mosaicdensity import cli
+from mosaicdensity import cli, weights, zonotope
 from mosaicdensity.cli import main
 
 
@@ -21,6 +22,28 @@ def run_csv(capsys, argv):
     code = main(argv)
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
     return code, rows
+
+
+def _verify_isotropy_reference(seed, samples):
+    # the isotropy suite as it ran one body at a time, before bodies were stacked
+    rng = np.random.default_rng(seed)
+    worst_it, worst_det, worst_res = 0, 0.0, 0.0
+    n = max(10, samples // 100)
+    for _ in range(n):
+        while True:
+            v = rng.normal(size=(4, 3))
+            v[3] = -(v[0] + v[1] + v[2])
+            if abs(np.linalg.det(v[:3])) >= 5e-2:
+                break
+        g = zonotope.validate_generators(v)
+        b = zonotope.BetaVector(rng.uniform(0.2, 1.3, 6))
+        fm = weights.FacetMeasure.from_zonotope(zonotope.build_from_parameters(g, b))
+        res = weights.isotropic_position(fm, tol=1e-8)
+        _, post = fm.transformed(res.matrix).isotropy_residual()
+        worst_it = max(worst_it, res.iterations)
+        worst_det = max(worst_det, abs(float(np.linalg.det(res.matrix)) - 1.0))
+        worst_res = max(worst_res, post)
+    return {"bodies": n, "max_iterations": worst_it, "max_det_error": worst_det, "max_residual": worst_res}
 
 
 class TestWm:
@@ -161,6 +184,15 @@ class TestVerify:
         code, doc = run_json(capsys, ["verify", "--lemma", "isotropy", "--samples", "1000"])
         assert code == 0
         assert doc["outputs"]["isotropy"]["max_residual"] <= 1e-8
+
+    @pytest.mark.parametrize("chunk, samples", [(7, 1000), (64, 7000), (4, 1500)])
+    def test_isotropy_chunks_match_the_per_body_loop(self, capsys, monkeypatch, chunk, samples):
+        # 10, 70 and 15 bodies: a last chunk shorter than the others
+        assert max(10, samples // 100) % chunk
+        monkeypatch.setattr(cli, "_ISOTROPY_CHUNK", chunk)
+        code, doc = run_json(capsys, ["verify", "--lemma", "isotropy", "--samples", str(samples), "--seed", "4"])
+        assert code == 0
+        assert doc["outputs"]["isotropy"] == _verify_isotropy_reference(4, samples)
 
 
 class TestCsvReports:

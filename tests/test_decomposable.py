@@ -197,6 +197,23 @@ class TestBruteForce:
         # with no descent the oracle returns the bound at the grid argmin
         assert D.brute_force_minimize(n, grid_n, refine_rounds=0) == dense[np.argmin(dense)]
 
+    @pytest.mark.parametrize("slab", [None, 1, 1000])
+    @pytest.mark.parametrize("grid_n", [20, 30, 41])
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_slab_scan_matches_dense_scan(self, n, grid_n, slab, monkeypatch):
+        # the default cap, one point per slab (one first-axis row each), and a cap between
+        if slab is not None:
+            monkeypatch.setattr(D, "SLAB_POINTS", slab)
+        k, odd = divmod(n, 2)
+        dims = 2 * k - 1 + odd
+        m = D._axis_points(grid_n, dims)
+        axes = [np.linspace(3.0, 6.0, m)] * k + [np.linspace(-1.5, 1.5, m)] * (dims - k)
+        dense = D._oracle_bound(np.meshgrid(*axes, indexing="ij", sparse=True), k, odd)
+        i = int(np.argmin(dense))
+        value, index = D._scan_min(axes, k, odd)
+        assert value == dense.flat[i]
+        assert index == np.unravel_index(i, dense.shape)
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             D.brute_force_minimize(8)

@@ -186,6 +186,66 @@ class TestIsotropicPosition:
             W.isotropic_position(fm.transformed(a), max_iter=1)
 
 
+def _isotropic_position_reference(fm, tol=1e-8, max_iter=200):
+    # the fixed point as it ran one body at a time, before bodies were stacked
+    u, f = fm.normals, fm.areas
+    acc = np.eye(3)
+    for it in range(max_iter):
+        mat = 3.0 * (f[:, None, None] * u[:, :, None] * u[:, None, :]).sum(axis=0) / f.sum()
+        res = float(np.abs(mat - np.eye(3)).max())
+        if res <= tol:
+            return acc / np.linalg.det(acc) ** (1.0 / 3.0), it, res
+        w, q = np.linalg.eigh(mat)
+        if w.min() <= 0:
+            raise W.NoConvergence("second-moment matrix lost positive definiteness")
+        s = (q * np.sqrt(w)) @ q.T
+        s /= np.linalg.det(s) ** (1.0 / 3.0)
+        acc = s @ acc
+        raw = u @ np.linalg.inv(s)
+        ln = np.linalg.norm(raw, axis=1)
+        u, f = raw / ln[:, None], f * ln
+    raise W.NoConvergence(f"no isotropic position within {max_iter} iterations")
+
+
+class TestStackedIsotropy:
+    """One stacked fixed point gives every body the steps and the bits of
+    the one-body loop it replaced."""
+
+    @pytest.fixture(scope="class")
+    def measures(self):
+        rng = np.random.default_rng(77)
+        return [W.FacetMeasure.from_zonotope(random_body(rng)) for _ in range(60)]
+
+    def test_stack_matches_the_per_body_loop(self, measures):
+        u = np.array([fm.normals for fm in measures])
+        f = np.array([fm.areas for fm in measures])
+        matrix, iterations, residual = W.isotropic_positions(u, f)
+        assert len(set(iterations.tolist())) > 3  # bodies leave the stack at different steps
+        for b, fm in enumerate(measures):
+            want, it, res = _isotropic_position_reference(fm)
+            assert matrix[b].tobytes() == want.tobytes()
+            assert iterations[b] == it and residual[b] == res
+            one = W.isotropic_position(fm)
+            assert one.matrix.tobytes() == want.tobytes()
+            assert (one.iterations, one.residual) == (it, res)
+
+    def test_residuals_match_the_transformed_measures(self, measures):
+        u = np.array([fm.normals for fm in measures])
+        f = np.array([fm.areas for fm in measures])
+        matrix, _, _ = W.isotropic_positions(u, f)
+        got = W.isotropy_residuals(u, f, matrix)
+        want = [fm.transformed(m).isotropy_residual()[1] for fm, m in zip(measures, matrix)]
+        assert got.tolist() == want
+
+    def test_stacked_failures(self, unit_shapes):
+        fm = W.FacetMeasure.from_zonotope(unit_shapes["cube"]).transformed(np.diag([4.0, 1.0, 0.25]))
+        u, f = np.array([fm.normals] * 3), np.array([fm.areas] * 3)
+        with pytest.raises(W.NoConvergence, match="within 1 iterations"):
+            W.isotropic_positions(u, f, max_iter=1)
+        matrix, iterations, _ = W.isotropic_positions(u, f)
+        assert (iterations == iterations[0]).all() and (matrix == matrix[0]).all()
+
+
 def _symmetric_type4_tetra() -> CenteredTetrahedron:
     # b chosen so the weighted cross terms of the 4-belt and 6-belt
     # slots coincide: b^2 = (10 + sqrt(52)) / 8
@@ -265,6 +325,15 @@ def _type4_sweep_reference(m, samples, seed):
 
 
 class TestSweep:
+    @pytest.mark.parametrize("seed", [0, 5, 11])
+    def test_scaled_random_draw_is_the_uniform_draw(self, seed):
+        # type4_sweep draws random() and maps it by 2 U - 1 in place: the bits of uniform(-1, 1)
+        q = np.random.default_rng(seed).random(size=(2048, 4, 3))
+        q *= 2.0
+        q -= 1.0
+        want = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(2048, 4, 3))
+        assert q.tobytes() == want.tobytes()
+
     def test_respects_bound(self):
         m = WeightPair(1.0, 0.9)
         rep = W.type4_sweep(m, 2000, seed=0)

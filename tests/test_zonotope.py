@@ -188,6 +188,173 @@ def _coplanar_classes_reference(gens, norms, tol):
     return classes
 
 
+def _coplanar_classes_batched(gens, norms, tol):
+    # the classes with one batched cross per pair set, keyed by member tuples
+    i, j = np.array(list(combinations(range(len(gens)), 2))).T
+    cr = Z.cross3(gens[i], gens[j])
+    crn = np.linalg.norm(cr, axis=1)
+    parallel = crn <= tol * norms[i] * norms[j]
+    if parallel.any():
+        q = int(np.argmax(parallel))
+        raise Z.ParallelSegments(f"segments {i[q]} and {j[q]} are parallel")
+    normals = cr / crn[:, None]
+    inplane = np.abs(normals @ gens.T) <= tol * norms
+    classes = {}
+    for n, row in zip(normals, inplane):
+        members = tuple(np.flatnonzero(row).tolist())
+        if members in classes:
+            if abs(abs(classes[members] @ n) - 1.0) > 1e-9:
+                raise Z.ConstructionError("inconsistent coplanar classes")
+        else:
+            classes[members] = -n if n[np.argmax(np.abs(n))] < 0 else n
+    return classes
+
+
+def _zonogon_cycle_signs(gens, members, n):
+    # corner subsets of the zonogon of ``members``, CCW about n, from the
+    # signs of triple products: each member is turned CCW of the first one,
+    # and from the corner of the turned members the members are toggled in
+    # their angular order, once per round
+    g = gens[list(members)]
+    turned = Z.det3(n, g[0], g) < 0
+    d = np.where(turned[:, None], -g, g)
+    before = Z.det3(n, d[:, None], d[None]) > 0  # before[i, j]: d_i precedes d_j
+    order = np.argsort(before.sum(axis=0))
+    corner = frozenset(m for m, t in zip(members, turned) if t)
+    cycle = []
+    for i in np.concatenate([order, order]):
+        cycle.append(corner)
+        corner = corner ^ {members[i]}
+    return cycle
+
+
+def _build_zonotope_reference(
+    segments, tol=Z.COPLANAR_TOL, classes=_coplanar_classes_batched, cycle=_zonogon_cycle_signs
+):
+    # build_zonotope as it was before vertex sets became bitmasks: frozensets
+    # and dicts, one facet at a time; ``classes`` and ``cycle`` swap in the
+    # constructions it replaced
+    all_segs = Z._as_segments(segments)
+    segs = [s for s in all_segs if s.length > 0.0]
+    k = len(segs)
+    gens = np.array([s.direction for s in segs]).reshape(k, 3)
+    norms = np.linalg.norm(gens, axis=1)
+    if k < 3 or np.linalg.matrix_rank(gens, tol=1e-12 * max(1.0, norms.max())) < 3:
+        raise Z.FlatBody("nonzero segments do not span R^3")
+    center = gens.sum(axis=0) / 2.0
+    facet_raw = []
+    for members, n0 in classes(gens, norms, tol).items():
+        for sign in (1.0, -1.0):
+            n = sign * n0
+            base = frozenset(m for m in range(k) if gens[m] @ n > tol * norms[m])
+            facet_raw.append((n, [base | s for s in cycle(gens, members, n)], members))
+    vertex_id = {}
+    for _, cyc, _ in facet_raw:
+        for s in cyc:
+            vertex_id.setdefault(s, len(vertex_id))
+    verts = np.empty((len(vertex_id), 3))
+    for s, i in vertex_id.items():
+        verts[i] = gens[sorted(s)].sum(axis=0) - center if s else -center
+    edge_label, edge_facets = {}, {}
+    for _, cyc, _ in facet_raw:
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            diff = a ^ b
+            if len(diff) != 1:
+                raise Z.ConstructionError("facet cycle step is not a single segment")
+            u, v = vertex_id[a], vertex_id[b]
+            key = (u, v) if u < v else (v, u)
+            lab = next(iter(diff))
+            if key in edge_label and edge_label[key] != lab:
+                raise Z.ConstructionError("conflicting edge labels")
+            edge_label[key] = lab
+            edge_facets[key] = edge_facets.get(key, 0) + 1
+    if any(c != 2 for c in edge_facets.values()):
+        raise Z.ConstructionError("an edge is not shared by exactly two facets")
+    facets = []
+    for n, cyc, members in facet_raw:
+        ids = [vertex_id[s] for s in cyc]
+        poly = verts[ids]
+        signed = float(Z.cross3(poly - poly[0], np.roll(poly, -1, axis=0) - poly[0]).sum(axis=0) @ n) / 2.0
+        if signed <= 0:
+            raise Z.ConstructionError("facet cycle is not counterclockwise about its normal")
+        facets.append(Z.Facet(tuple(ids), n, signed, members))
+    n_v, n_e, n_f = len(verts), len(edge_label), len(facets)
+    if n_v - n_e + n_f != 2:
+        raise Z.ConstructionError(f"Euler relation failed: V={n_v} E={n_e} F={n_f}")
+    ekeys = sorted(edge_label)
+    return Z.Zonotope(
+        segments=segs,
+        vertices=verts,
+        edge_vertex_ids=np.array(ekeys, dtype=np.int64).reshape(n_e, 2),
+        edge_segment=np.array([edge_label[e] for e in ekeys], dtype=np.int64),
+        facets=facets,
+    )
+
+
+def _assert_same_body(z, ref, name=""):
+    # every field, bit for bit
+    segments = [[(s.generator_index, s.direction.tobytes()) for s in b.segments] for b in (z, ref)]
+    assert segments[0] == segments[1], name
+    assert z.vertices.tobytes() == ref.vertices.tobytes() and z.vertices.shape == ref.vertices.shape, name
+    for got, want in ((z.edge_vertex_ids, ref.edge_vertex_ids), (z.edge_segment, ref.edge_segment)):
+        assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want), name
+    assert len(z.facets) == len(ref.facets), name
+    for f, r in zip(z.facets, ref.facets):
+        assert f.vertex_ids == r.vertex_ids, name
+        assert f.normal.tobytes() == r.normal.tobytes(), name
+        assert type(f.area) is float and f.area == r.area, name
+        assert f.segment_members == r.segment_members, name
+
+
+def _random_segment_sets(seed, count):
+    rng = np.random.default_rng(seed)
+    sets = {}
+    for q in range(count):
+        ty = q % 5 + 1
+        segs = Z.segments_from_parameters(random_frame(rng), random_beta(rng, ty))
+        sets[f"type{ty}-{q}"] = [s for s in segs if s.length > 0.0]
+    return sets
+
+
+class TestBitmaskBuild:
+    """The bitmask face lattice gives the body of the frozenset construction
+    it replaced, field by field and bit for bit."""
+
+    def test_unit_shapes(self, unit_shapes):
+        for name, z in unit_shapes.items():
+            _assert_same_body(Z.build_zonotope(z.segments), _build_zonotope_reference(z.segments), name)
+
+    def test_random_bodies_of_every_type(self):
+        sets = _random_segment_sets(1013, 1005)
+        assert {name.split("-")[0] for name in sets} == {f"type{t}" for t in range(1, 6)}
+        for name, segs in sets.items():
+            _assert_same_body(Z.build_zonotope(segs), _build_zonotope_reference(segs), name)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(*[st.integers(-2, 2).map(float)] * 3),
+                st.tuples(*[st.floats(-4.0, 4.0, allow_subnormal=False)] * 3),
+            ),
+            min_size=3,
+            max_size=6,
+        )
+    )
+    def test_same_body_or_same_error(self, vectors):
+        # small integer vectors make zero, parallel, flat and many-member
+        # coplanar sets common
+        gens = np.array(vectors)
+        try:
+            ref = _build_zonotope_reference(gens)
+        except Z.GeometryError as exc:
+            with pytest.raises(type(exc)) as got:
+                Z.build_zonotope(gens)
+            assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        else:
+            _assert_same_body(Z.build_zonotope(gens), ref)
+
+
 class TestBatchedPairCrosses:
     """``build_zonotope`` with one batched cross per pair set gives the
     bodies of the per-pair loop: same classes, order, ids and labels."""
@@ -208,20 +375,22 @@ class TestBatchedPairCrosses:
         return sets
 
     def test_classes_match_the_per_pair_loop(self, segment_sets):
+        # facets 2c and 2c + 1 hold class c, about its normal and the opposite one
         for name, segs in segment_sets.items():
             gens = np.array([s.direction for s in segs])
             norms = np.linalg.norm(gens, axis=1)
-            got = Z._coplanar_classes(gens, norms, Z.COPLANAR_TOL)
             ref = _coplanar_classes_reference(gens, norms, Z.COPLANAR_TOL)
-            assert list(got) == list(ref), name
-            for key, n in ref.items():
-                assert np.abs(got[key] - n).max() <= 1e-14, name
+            facets = Z.build_zonotope(segs).facets
+            assert [f.segment_members for f in facets[::2]] == list(ref), name
+            assert [f.segment_members for f in facets[1::2]] == list(ref), name
+            for f, g, n in zip(facets[::2], facets[1::2], ref.values()):
+                assert np.abs(f.normal - n).max() <= 1e-14, name
+                assert np.array_equal(g.normal, -f.normal), name
 
-    def test_body_matches_the_per_pair_loop(self, segment_sets, monkeypatch):
-        got = {name: Z.build_zonotope(segs) for name, segs in segment_sets.items()}
-        monkeypatch.setattr(Z, "_coplanar_classes", _coplanar_classes_reference)
+    def test_body_matches_the_per_pair_loop(self, segment_sets):
         for name, segs in segment_sets.items():
-            z, ref = got[name], Z.build_zonotope(segs)
+            z = Z.build_zonotope(segs)
+            ref = _build_zonotope_reference(segs, classes=_coplanar_classes_reference)
             assert [f.segment_members for f in z.facets] == [f.segment_members for f in ref.facets]
             assert [f.vertex_ids for f in z.facets] == [f.vertex_ids for f in ref.facets]
             assert np.array_equal(z.edge_vertex_ids, ref.edge_vertex_ids), name
@@ -280,35 +449,37 @@ class TestZonogonCycles:
     @pytest.fixture(scope="class")
     def segment_sets(self, unit_shapes):
         sets = {name: z.segments for name, z in unit_shapes.items()}
-        rng = np.random.default_rng(1010)
-        for q in range(200):
-            ty = q % 5 + 1
-            segs = Z.segments_from_parameters(random_frame(rng), random_beta(rng, ty))
-            sets[f"type{ty}-{q}"] = [s for s in segs if s.length > 0.0]
+        sets.update(_random_segment_sets(1010, 200))
         return sets
 
     def test_cycles_are_the_hull_cycles_up_to_rotation(self, segment_sets):
         turned_hexagons = 0
         for name, segs in segment_sets.items():
+            z = Z.build_zonotope(segs)
             gens = np.array([s.direction for s in segs])
             norms = np.linalg.norm(gens, axis=1)
-            for members, n0 in Z._coplanar_classes(gens, norms, Z.COPLANAR_TOL).items():
-                for n in (n0, -n0):
-                    got = Z._zonogon_cycle(gens, members, n)
-                    ref = _zonogon_cycle_reference(gens, members, n)
-                    assert len(got) == len(ref) == 2 * len(members), name
-                    i = got.index(ref[0])
-                    assert got[i:] + got[:i] == ref, name
-                    g = gens[list(members)]
-                    turned_hexagons += len(members) == 3 and (Z.det3(n, g[0], g) < 0).any()
+            k = len(gens)
+            # each vertex's subset of segments, by its position among all subset sums
+            subsets = [frozenset(m for m in range(k) if mask >> m & 1) for mask in range(1 << k)]
+            sums = np.array([gens[sorted(s)].sum(axis=0) for s in subsets]) - gens.sum(axis=0) / 2.0
+            vertex_set = [subsets[int(np.abs(sums - v).max(axis=1).argmin())] for v in z.vertices]
+            for f in z.facets:
+                n, members = f.normal, f.segment_members
+                base = frozenset(m for m in range(k) if gens[m] @ n > Z.COPLANAR_TOL * norms[m])
+                got = [vertex_set[i] - base for i in f.vertex_ids]
+                ref = _zonogon_cycle_reference(gens, members, n)
+                assert len(got) == len(ref) == 2 * len(members), name
+                i = got.index(ref[0])
+                assert got[i:] + got[:i] == ref, name
+                g = gens[list(members)]
+                turned_hexagons += len(members) == 3 and (Z.det3(n, g[0], g) < 0).any()
         # the turn step only changes the order when a class has three members
         assert turned_hexagons > 300
 
-    def test_body_matches_the_hull_construction(self, segment_sets, monkeypatch):
-        got = {name: Z.build_zonotope(segs) for name, segs in segment_sets.items()}
-        monkeypatch.setattr(Z, "_zonogon_cycle", _zonogon_cycle_reference)
+    def test_body_matches_the_hull_construction(self, segment_sets):
         for name, segs in segment_sets.items():
-            z, ref = got[name], Z.build_zonotope(segs)
+            z = Z.build_zonotope(segs)
+            ref = _build_zonotope_reference(segs, cycle=_zonogon_cycle_reference)
             scale = np.abs(ref.vertices).max()
             # the vertex sets agree; match ids through coordinates
             dist = np.linalg.norm(z.vertices[:, None] - ref.vertices[None], axis=2)
