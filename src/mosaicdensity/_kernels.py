@@ -5,7 +5,8 @@ batch kernels below, the simplex grid scan, the simplex objective and
 ``zonotope.volume_polynomial`` all evaluate it.  ``greedy_descent`` is
 the one local search: the simplex and decomposable brute-force oracles
 both refine their best grid point with it, evaluating the candidate
-moves of a sweep in one call.  ``_chord_lengths`` is the one ball clip.
+moves of a sweep in one call.  ``_chord_lengths`` is the one chord formula;
+``skeleton_density`` runs it only on shell edges that may cross the sphere.
 ``_cross_rows`` is the one cross product of 3-vectors, on three component
 rows each.  ``cross3`` and ``det3`` apply it over the last axis, without
 the per-call overhead of ``np.cross`` or a batched LU ``np.linalg.det``;

@@ -232,6 +232,8 @@ def _density_row(est: tiling.DensityEstimate) -> dict:
         "target": est.target,
         "relative_error": est.relative_error,
         "cells": est.cells,
+        "shell": est.shell,
+        "crossing": est.crossing,
     }
 
 

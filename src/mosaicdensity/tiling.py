@@ -11,7 +11,8 @@ cell sharing the edge, 4 on a 4-belt and 3 on a 6-belt.
 So the per-cell functional with weights (2, 1) over cell volume is the
 limit density.  Translates are enumerated line by line: cells strictly
 inside the ball are mostly counted, not formed, and add their edge lengths
-in closed form; only edges crossing the sphere are clipped and summed.
+in closed form; edges near the sphere are whole, missing or crossing by
+their endpoint norms, and only crossing edges are clipped and summed.
 """
 
 from __future__ import annotations
@@ -146,6 +147,8 @@ class DensityEstimate:
     target: float
     weighted_length: float
     cells: int
+    shell: int  # translates whose edges were classified one by one
+    crossing: int  # (translate, edge) pairs given to the chord formula
 
     @property
     def relative_error(self) -> float:
@@ -301,13 +304,19 @@ def _check_radius(z: Zonotope, radius: float) -> None:
         )
 
 
-def _shell_clip(t: np.ndarray, start: np.ndarray, end: np.ndarray, radius: float) -> np.ndarray:
-    """(S, E) length inside the ball of edge start[j]-end[j] of translate t[i];
-    |t + start + s d|^2 expands into per-edge terms and the products t d, t start."""
+def _shell_pairs(t: np.ndarray, start: np.ndarray, end: np.ndarray, radius: float):
+    """(S, E) mask of the pairs (translate t[i], edge start[j]-end[j]) inside the ball, and the
+    flat indices and chords of the pairs that may cross the sphere.  The rest miss, as for
+    p(s) = t + start + s d, |p(s)|^2 = (1 - s)|p(0)|^2 + s|p(1)|^2 - s(1 - s)|d|^2."""
     d = end - start
+    a = (d * d).sum(axis=1)
     b = 2.0 * (t @ d.T + (start * d).sum(axis=1))
     c = (t * t).sum(axis=1)[:, None] + 2.0 * (t @ start.T) + (start * start).sum(axis=1)
-    return _kernels._chord_lengths((d * d).sum(axis=1), b, c - radius * radius)
+    c1, r2 = c + b + a, radius * radius  # c = |p(0)|^2, c1 = |p(1)|^2
+    inside, near = r2 * (1.0 - 1e-12), r2 * (1.0 + 1e-12) + a / 4.0  # margins for rounding in c
+    whole = (c <= inside) & (c1 <= inside)
+    idx = np.flatnonzero(((c <= near) | (c1 <= near)) & ~whole)
+    return whole, idx, _kernels._chord_lengths(a[idx % len(a)], b.ravel()[idx], c.ravel()[idx] - r2)
 
 
 def skeleton_density(z: Zonotope, lat: Lattice, radius: float) -> DensityEstimate:
@@ -315,28 +324,32 @@ def skeleton_density(z: Zonotope, lat: Lattice, radius: float) -> DensityEstimat
 
     Two totals are formed: each tiling edge counted once, through the
     class representatives of every translate, and every cell edge
-    weighted by 1/k.  Edges of cells counted inside the ball by
-    ``_ball_lines`` and edges clipped to their full length add count x
-    length; only edges crossing the sphere are summed one by one.  The
-    totals must agree to 1e-9.
+    weighted by 1/k.  Cells counted inside the ball by ``_ball_lines``
+    or strictly inside it add count x length; of the other translates,
+    pairs with both endpoints inside add length, and only the pairs that
+    may cross the sphere (``_shell_pairs``) are clipped and summed, a
+    pairwise sum per block.  The totals must agree to 1e-9.
     """
     _check_radius(z, radius)
     cls = edge_classes(z, lat)
-    reps = cls.reps
     circ = z.circumradius()
     lengths = np.linalg.norm(cls.end - cls.start, axis=1)
+    is_rep = np.isin(np.arange(len(lengths)), cls.reps)
     whole = np.zeros(len(lengths), dtype=np.int64)  # per edge, the translates holding it whole
-    cells, totals, weighted = 0, [], []
+    cells, shell, crossing, totals, weighted = 0, 0, 0, [], []
     for counted, t in _ball_lines(lat.basis, radius + circ, radius - circ):
         inner = np.linalg.norm(t, axis=1) + circ < radius
         cells += counted + len(t)
-        clip = _shell_clip(t[~inner], cls.start, cls.end, radius)
-        full = clip == lengths
-        whole += counted + int(inner.sum()) + full.sum(axis=0)
-        cut = (clip > 0.0) & ~full
-        totals.append(math.fsum(clip[:, reps][cut[:, reps]].tolist()))
-        weighted.append(math.fsum((clip / cls.share)[cut].tolist()))
-    totals.extend((whole * lengths)[reps].tolist())
+        inside, idx, chord = _shell_pairs(t[~inner], cls.start, cls.end, radius)
+        col = idx % len(lengths)
+        full = chord == lengths[col]
+        whole += counted + int(inner.sum()) + inside.sum(axis=0)
+        whole += np.bincount(col[full], minlength=len(lengths))
+        cut = (chord > 0.0) & ~full
+        totals.append(chord[cut & is_rep[col]].sum())
+        weighted.append((chord / cls.share[col])[cut].sum())
+        shell, crossing = shell + len(inside), crossing + len(chord)
+    totals.extend((whole * lengths)[cls.reps].tolist())
     weighted.extend((whole * lengths / cls.share).tolist())
     total = math.fsum(totals)
     weighted_total = math.fsum(weighted)
@@ -346,7 +359,7 @@ def skeleton_density(z: Zonotope, lat: Lattice, radius: float) -> DensityEstimat
         )
     density = total / (4.0 / 3.0 * math.pi * radius**3)
     target = weighted_edge_functional(z, WeightPair(2.0, 1.0)) / z.volume()
-    return DensityEstimate(radius, total, density, target, weighted_total, cells)
+    return DensityEstimate(radius, total, density, target, weighted_total, cells, shell, crossing)
 
 
 @dataclass(frozen=True)

@@ -106,6 +106,8 @@ class TestTile:
         assert rows[0]["relative_error"] <= 0.02
         assert doc["outputs"]["covering_fraction"] == 1.0
         assert doc["outputs"]["translates_checked"] == 26
+        # the chord formula runs on some, but at most all, edges of the shell translates
+        assert 0 < rows[0]["crossing"] <= rows[0]["shell"] * len(zonotope.cube().edge_vertex_ids)
         covolume = [r for r in doc["residuals"] if r["name"] == "covolume_minus_volume"]
         assert len(covolume) == 1 and covolume[0]["pass"]
         assert covolume[0]["value"] == 0.0 and covolume[0]["tolerance"] == 1e-9

@@ -442,11 +442,20 @@ def _segment_ball_clip_reference(p0, p1, radius):
     return out
 
 
+def _shell_clip(t, start, end, radius):
+    """(S, E) lengths inside the ball from tiling._shell_pairs: whole pairs at
+    their edge length, crossing pairs at their chord, the rest zero."""
+    whole, idx, chord = TL._shell_pairs(t, start, end, radius)
+    clip = np.where(whole, np.linalg.norm(end - start, axis=1), 0.0)
+    clip.flat[idx] = chord
+    return clip
+
+
 class TestShellClip:
-    """The projected shell clip of tiling.skeleton_density against segment_ball_clip."""
+    """The endpoint-classified shell clip of tiling.skeleton_density against segment_ball_clip."""
 
     # at translate 0 and radius 5: inside, outside, tangent at (5, 0, 0),
-    # crossing once, crossing twice, zero length
+    # crossing once, crossing twice with both endpoints outside, zero length
     START = np.array(
         [[0.0, 0, 0], [10, 0, 0], [5, -1, 0], [4, 0, 0], [-10, 0.3, 0], [0.1, 0.2, 0.3]]
     )
@@ -461,7 +470,10 @@ class TestShellClip:
         return K.segment_ball_clip(p0, p1, radius).reshape(len(t), -1)
 
     def test_each_case_at_the_origin(self):
-        got = TL._shell_clip(np.zeros((1, 3)), self.START, self.END, 5.0)[0]
+        whole, idx, _ = TL._shell_pairs(np.zeros((1, 3)), self.START, self.END, 5.0)
+        assert whole[0].tolist() == [True, False, False, False, False, True]
+        assert idx.tolist() == [2, 3, 4]  # the tangent pair reaches the chord formula
+        got = _shell_clip(np.zeros((1, 3)), self.START, self.END, 5.0)[0]
         want = [1.0, 0.0, 0.0, 1.0, 2.0 * np.sqrt(25.0 - 0.09), 0.0]
         assert np.abs(got - want).max() <= 1e-12
         assert got[[1, 2, 5]].tolist() == [0.0, 0.0, 0.0]
@@ -469,7 +481,7 @@ class TestShellClip:
     def test_matches_segment_ball_clip_on_translates(self):
         t = np.random.default_rng(5).uniform(-8.0, 8.0, size=(400, 3))
         t[0] = 0.0
-        got = TL._shell_clip(t, self.START, self.END, 5.0)
+        got = _shell_clip(t, self.START, self.END, 5.0)
         want = self._translated(t, self.START, self.END, 5.0)
         assert got.shape == (400, 6)
         assert np.abs(got - want).max() <= 1e-12
@@ -482,7 +494,7 @@ class TestShellClip:
         radius, circ = 20.0, z.circumradius()
         t = lat.points_in_ball(radius + circ)
         shell = t[np.linalg.norm(t, axis=1) + circ >= radius]
-        got = TL._shell_clip(shell, cls.start, cls.end, radius)
+        got = _shell_clip(shell, cls.start, cls.end, radius)
         want = self._translated(shell, cls.start, cls.end, radius)
         assert np.abs(got - want).max() <= 1e-12
         # every kind occurs: whole edges, crossing edges and edges outside

@@ -11,6 +11,7 @@ from scipy.spatial import ConvexHull, cKDTree
 
 from conftest import random_body
 from mosaicdensity import tiling as TL
+from mosaicdensity._kernels import segment_ball_clip
 from mosaicdensity.zonotope import BeltClass, GeometryError, belts, cube
 
 SHAPES = ("cube", "hexprism", "rhombic", "elongated", "truncocta")
@@ -299,6 +300,41 @@ class TestSkeletonDensity:
         est = TL.skeleton_density(z, lat, radius)
         want = _reference_skeleton_length(z, lat, radius)
         assert abs(est.skeleton_length - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("name", SHAPES)
+    def test_shell_classification_against_segment_ball_clip(self, unit_shapes, name):
+        z = unit_shapes[name]
+        lat = TL.lattice_from_parallelohedron(z)
+        cls = TL.edge_classes(z, lat)
+        circ = z.circumradius()
+        for radius in (3.0 * z.diameter(), 20.0):
+            t = lat.points_in_ball(radius + circ)
+            shell = t[np.linalg.norm(t, axis=1) + circ >= radius]
+            whole, idx, _ = TL._shell_pairs(shell, cls.start, cls.end, radius)
+            cross = np.zeros(whole.shape, dtype=bool)
+            cross.flat[idx] = True
+            p0 = (shell[:, None] + cls.start).reshape(-1, 3)
+            p1 = (shell[:, None] + cls.end).reshape(-1, 3)
+            clip = segment_ball_clip(p0, p1, radius).reshape(whole.shape)
+            length = np.linalg.norm(p1 - p0, axis=1).reshape(whole.shape)
+            assert not (whole & cross).any()
+            assert (clip[whole] == length[whole]).all()
+            assert (clip[~whole & ~cross] == 0.0).all()
+            partial = (clip > 0.0) & (clip < length)
+            assert partial.any() and cross[partial].all()
+
+    @pytest.mark.parametrize("name", ["truncocta", "elongated"])
+    def test_independent_of_the_block_size(self, unit_shapes, monkeypatch, name):
+        z = unit_shapes[name]
+        lat = TL.lattice_from_parallelohedron(z)
+        ests = []
+        for chunk in (1, 7, 256):
+            monkeypatch.setattr(TL, "_LINE_CHUNK", chunk)
+            ests.append(TL.skeleton_density(z, lat, 20.0))
+        ref = ests[-1]
+        for est in ests[:-1]:
+            assert (est.cells, est.shell, est.crossing) == (ref.cells, ref.shell, ref.crossing)
+            assert abs(est.density - ref.density) <= 1e-15 * ref.density
 
 
 # cells and density at the commit before line enumeration and the shell sum
