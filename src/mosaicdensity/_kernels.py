@@ -86,31 +86,41 @@ def _triples_by_sum(n: int):
     return b, c, s - b - c, s
 
 
+_SCAN_ROWS = 4096  # rows per step of the simplex scan: (2, rows) temporaries stay below glibc's mmap threshold
+
+
 def simplex_grid_scan(lam: float, grid_n: int, budget: float):
     """Maximum of the lambda-scaled cubic (tau34 = 0) over a composition grid.
 
-    Scans every integer composition (a, b, c, d, e) of ``grid_n`` into
-    five parts, with coordinates ``(lam a, b, c, d, e) * budget / grid_n``,
-    and returns the best value and its composition.  The triples
-    (b, c, d) with b + c + d <= grid_n are tabulated once, sorted by their
-    sum s; for each a, the compositions of grid_n - a are a prefix of the
-    table, with e = grid_n - a - s.
+    Over every integer composition (a, b, c, d, e) of ``grid_n`` into five
+    parts, with coordinates ``(lam a, b, c, d, e) * budget / grid_n`` and
+    lam, budget > 0, returns the best value and its composition.  The
+    triples (b, c, d) with s = b + c + d <= grid_n are tabulated once,
+    sorted by s.  With e = grid_n - s - a, the cubic of a triple is a
+    quadratic in a with leading coefficient -lam (b + c) (budget / grid_n)^3:
+    concave, so its integer maximum on [0, grid_n - s] lies at the floor or
+    the ceiling of its clipped vertex, and only those two are evaluated.
+    Ties go to the smallest a, then the first table row, as in a scan of
+    every a that keeps only strict improvements.
     """
     n = grid_n
     b, c, d, s = _triples_by_sum(n)
-    t13, t14, t23 = (x * budget / n for x in (b, c, d))
-    ends = np.searchsorted(s, np.arange(n + 1), side="right")
-    best = -1.0
-    best_idx = (0, 0, 0, 0, 0)
-    for a in range(n + 1):
-        m = ends[n - a]
-        e = n - a - s[:m]
-        vals = volume_cubic(lam * a * budget / n, t13[:m], t14[:m], t23[:m], e * budget / n, 0.0)
-        k = int(np.argmax(vals))
-        if vals[k] > best:
-            best = float(vals[k])
-            best_idx = (a, int(b[k]), int(c[k]), int(d[k]), int(e[k]))
-    return best, np.array(best_idx, dtype=np.int64)
+    best, best_key = -1.0, (n + 1, 0)
+    for lo in range(0, len(s), _SCAN_ROWS):
+        rows = slice(lo, lo + _SCAN_ROWS)
+        b_, c_, d_, m = b[rows], c[rows], d[rows], n - s[rows]
+        bc = b_ + c_  # the vertex (d + m) / 2 - (bc + bd + cd) / (2 lam (b + c)), 0 where b = c = 0
+        v = np.clip((lam * bc * (d_ + m) - (b_ * c_ + bc * d_)) / (2.0 * lam * np.maximum(bc, 1)), 0, m)
+        a = np.stack((np.floor(v), np.ceil(v))).astype(np.int64)
+        vals = volume_cubic(lam * a * budget / n, b_ * budget / n, c_ * budget / n, d_ * budget / n,
+                            (m - a) * budget / n, 0.0)
+        top = vals.max()
+        first_a = np.where(vals == top, a, n + 1).min(axis=0)
+        key = (int(first_a.min()), lo + int(np.argmin(first_a)))
+        if top > best or (top == best and key < best_key):
+            best, best_key = float(top), key
+    a, k = best_key
+    return best, np.array((a, b[k], c[k], d[k], n - a - s[k]), dtype=np.int64)
 
 
 def greedy_descent(f_many, moves, x, step: float, rounds: int):

@@ -26,7 +26,8 @@ _SHAPES = ("cube", "hexprism", "rhombic", "elongated", "truncocta")
 _TILING_SUITE = ("cube", "truncocta")  # shapes measured by verify --lemma tiling
 _MAX_DIM = 1000  # the published minima hold 2**(dim // 2), a float overflow from dim 2048
 _FIG2_MAX_STEPS = 100_000  # fig2 computes the five type minima of each row in Python
-_MAX_GRID = 150  # the simplex scan builds its (b, c, d) table directly; at 150 it peaks ~58 MB above the interpreter
+_MAX_GRID = 150  # verify --lemma simplex at 150: ~0.1 s, peak ~19 MB above the interpreter (the (b, c, d) table)
+_MAX_LAMBDA = 1e6  # simplex_gap is absolute (1e-5) while the maximum grows like lambda / 27
 _ISOTROPY_CHUNK = 64  # bodies per stacked isotropy fixed point, so memory stays flat as --samples grows
 
 
@@ -98,14 +99,16 @@ def _int_at_least(low: int, high: int | None = None):
     return parse
 
 
-def _finite_real(low: float, *, strict: bool):
-    """Argparse type: a finite float above ``low`` (or at least ``low``)."""
+def _finite_real(low: float, *, strict: bool, high: float = math.inf):
+    """Argparse type: a finite float above ``low`` (or at least ``low``), at most ``high``."""
 
     def parse(text: str) -> float:
         value = float(text)
         if not (math.isfinite(value) and (value > low if strict else value >= low)):
             bound = f"> {low:g}" if strict else f"at least {low:g}"
             raise argparse.ArgumentTypeError(f"must be finite and {bound}, got {text}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high:g}, got {text}")
         return value
 
     parse.__name__ = "float"
@@ -445,8 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--samples", type=_int_at_least(1), default=10_000, help="sample count for randomized suites")
     p.add_argument(
-        "--lambda", dest="lam", type=_finite_real(1.0, strict=False), default=1.0,
-        help="scale factor (simplex suite)",
+        "--lambda", dest="lam", type=_finite_real(1.0, strict=False, high=_MAX_LAMBDA), default=1.0,
+        help=f"scale factor (simplex suite, 1..{_MAX_LAMBDA:g})",
     )
     p.add_argument(
         "--grid", type=_int_at_least(10, _MAX_GRID), default=60,

@@ -11,6 +11,9 @@ attained at tau13 = tau14 = tau23 = tau24 = 2 lambda C / (12 lambda - 3)
 and tau12 = ((4 lambda - 3) / (2 lambda)) tau13.  A grid scan over exact
 integer compositions plus coordinate-transfer refinement serves as an
 independent check that no boundary stratum beats the interior point.
+The scan is exact without visiting every composition: trading tau12 against
+tau24 at fixed (tau13, tau14, tau23), the cubic is a concave quadratic, so
+only the two grid points around its vertex can be that line's maximum.
 """
 
 from __future__ import annotations
@@ -95,16 +98,20 @@ def grid_simplex_max(
 ) -> float:
     """Brute-force maximum: composition grid scan, then local refinement.
 
-    The scan enumerates all integer compositions of ``grid_n`` into five
-    parts (exact feasibility, no floating-point drift on the constraint)
-    and is the hot path handled by the kernel layer.  Refinement runs
-    ``_kernels.greedy_descent`` on the negated objective from the best
-    grid point, with step ``budget / grid_n``: the 20 pairwise mass
-    transfers of a sweep, each allowed where its source holds at least
+    The scan covers all integer compositions of ``grid_n`` into five parts
+    (exact feasibility, no floating-point drift on the constraint), two per
+    (b, c, d): the cubic is concave in a, so ``_kernels.simplex_grid_scan``
+    evaluates the floor and the ceiling of its vertex, and of tied maxima
+    keeps the smallest a, then the first (b, c, d) by sum, then by (b, c).
+    Refinement runs ``_kernels.greedy_descent`` on the negated objective
+    from the best grid point, with step ``budget / grid_n``: the 20 pairwise
+    mass transfers of a sweep, each allowed where its source holds at least
     the step, are evaluated in one call and keep every point on the simplex.
     """
     if lam < 1.0:
         raise DomainError(f"scale factor {lam} < 1")
+    if budget <= 0.0:
+        raise ValueError("budget must be positive")
     if grid_n < 10:
         raise ValueError("grid_n must be at least 10")
     best, comp = _kernels.simplex_grid_scan(lam, grid_n, budget)

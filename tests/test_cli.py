@@ -3,11 +3,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mosaicdensity import cli, weights, zonotope
+from mosaicdensity import cli, simplex, weights, zonotope
 from mosaicdensity.cli import main
 
 
@@ -165,6 +169,46 @@ class TestVerify:
         assert out["gap"] <= 1e-5
         assert all(r["pass"] for r in doc["residuals"])
 
+    def test_simplex_gap_can_fail(self, capsys, monkeypatch):
+        closed, _ = simplex.scaled_simplex_max(2.0)
+        monkeypatch.setattr(simplex, "grid_simplex_max", lambda *args, **kwargs: closed - 2e-5)
+        code, doc = run_json(capsys, ["verify", "--lemma", "simplex", "--lambda", "2"])
+        assert code == 1
+        assert {r["name"]: r["pass"] for r in doc["residuals"]} == {
+            "simplex_gap": False, "boundary_below_interior": True,
+        }
+
+    def test_boundary_below_interior_can_fail(self, capsys, monkeypatch):
+        closed, _ = simplex.scaled_simplex_max(2.0)
+        monkeypatch.setattr(simplex, "boundary_candidates", lambda lam: [1.0 / 27.0, closed + 1e-9])
+        code, doc = run_json(capsys, ["verify", "--lemma", "simplex", "--lambda", "2"])
+        assert code == 1
+        assert {r["name"]: r["pass"] for r in doc["residuals"]} == {
+            "simplex_gap": True, "boundary_below_interior": False,
+        }
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
+    def test_simplex_memory_is_bounded_at_the_grid_cap(self):
+        # VmHWM is the peak RSS of the child's own address space: its
+        # ru_maxrss would start at the peak of this (pytest) process, which
+        # Linux carries across fork and exec
+        script = "\n".join([
+            "import contextlib, io",
+            "from mosaicdensity import cli",
+            "def peak_kib():",
+            "    with open('/proc/self/status') as fh:",
+            "        return next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))",
+            "before = peak_kib()",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            f"    code = cli.main(['verify', '--lemma', 'simplex', '--grid', '{cli._MAX_GRID}'])",
+            "print(code, peak_kib() - before)",
+        ])
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        code, grown_kib = map(int, run.stdout.split())
+        assert code == 0
+        assert grown_kib <= 45 * 1024
+
     def test_tetra_suite(self, capsys):
         code, doc = run_json(capsys, ["verify", "--lemma", "tetra", "--samples", "2000"])
         assert code == 0
@@ -263,6 +307,8 @@ class TestBadInput:
              "--step: more than 100000 steps from --start to --stop"),
             (["decomp", "--dim", "2100"], "--dim: must be at most 1000, got 2100"),
             (["verify", "--lemma", "simplex", "--grid", "151"], "--grid: must be at most 150, got 151"),
+            (["verify", "--lemma", "simplex", "--lambda", "1e300"],
+             "--lambda: must be at most 1e+06, got 1e300"),
         ],
         ids=[
             "sweep-0", "sweep-neg", "sweep-below-floor", "grid-0", "oracle-1",
@@ -270,7 +316,7 @@ class TestBadInput:
             "lambda-half", "fig2-step-0", "fig2-start-0", "fig2-step-neg", "fig2-stop-below-start",
             "tile-radius-neg", "tile-series-nan", "tile-series-below-floor",
             "verify-tiling-radius-below-floor", "fig2-too-many-steps", "dim-above-cap",
-            "grid-above-cap",
+            "grid-above-cap", "lambda-above-cap",
         ],
     )
     def test_rejected_at_parse_time(self, capsys, argv, message):

@@ -43,6 +43,26 @@ def _grid_scan_reference(lam, grid_n, budget):
     return best, best_idx
 
 
+def _grid_scan_full_reference(lam, grid_n, budget):
+    # the scan over every a: for each a, the (b, c, d) rows with s <= n - a,
+    # keeping the first row of the first a that strictly improves
+    n = grid_n
+    b, c, d, s = K._triples_by_sum(n)
+    t13, t14, t23 = (x * budget / n for x in (b, c, d))
+    ends = np.searchsorted(s, np.arange(n + 1), side="right")
+    best = -1.0
+    best_idx = (0, 0, 0, 0, 0)
+    for a in range(n + 1):
+        m = ends[n - a]
+        e = n - a - s[:m]
+        vals = K.volume_cubic(lam * a * budget / n, t13[:m], t14[:m], t23[:m], e * budget / n, 0.0)
+        k = int(np.argmax(vals))
+        if vals[k] > best:
+            best = float(vals[k])
+            best_idx = (a, int(b[k]), int(c[k]), int(d[k]), int(e[k]))
+    return best, np.array(best_idx, dtype=np.int64)
+
+
 def _cubic_reference(tau):
     # the volume cubic expanded: t_e t_f t_g over every three frame pairs
     # that do not all share one frame vector (16 of the 20 triples)
@@ -114,6 +134,28 @@ class TestGridScan:
         assert (comp >= 0).all() and comp.sum() == grid_n
         t = comp / grid_n
         assert abs(Z.volume_polynomial([lam * t[0], t[1], t[2], t[3], t[4], 0.0]) - value) <= 1e-15
+
+    # 1.5 has exact ties between compositions; 1e6 is the CLI's cap on lambda
+    @pytest.mark.parametrize(
+        "lam", [1.0, 1.5, 2.0, 2.05, 3.0, 1e6, *np.random.default_rng(15).uniform(1.0, 6.0, 3)]
+    )
+    def test_two_points_per_triple_match_every_a(self, lam):
+        for grid_n in range(10, 41):
+            for budget in (0.3, 1.0, 7.5):
+                value, comp = K.simplex_grid_scan(lam, grid_n, budget)
+                want_value, want_comp = _grid_scan_full_reference(lam, grid_n, budget)
+                assert type(value) is float and value == want_value
+                assert comp.dtype == np.int64 and comp.tolist() == want_comp.tolist()
+
+    @pytest.mark.parametrize("rows", [1, 7, 100])
+    @pytest.mark.parametrize("lam", [1.5, 2.0])
+    def test_ties_across_row_blocks(self, monkeypatch, rows, lam):
+        # tied maxima in different blocks still go to the smallest a, then the first row
+        monkeypatch.setattr(K, "_SCAN_ROWS", rows)
+        for grid_n in (10, 12, 20, 24):
+            value, comp = K.simplex_grid_scan(lam, grid_n, 1.0)
+            want_value, want_comp = _grid_scan_full_reference(lam, grid_n, 1.0)
+            assert value == want_value and comp.tolist() == want_comp.tolist()
 
 
 def _axis_moves(x, step):

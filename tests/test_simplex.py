@@ -52,6 +52,13 @@ def test_domain_error():
         S.grid_simplex_max(1.0, grid_n=5)
 
 
+@pytest.mark.parametrize("budget", [0.0, -1.0])
+def test_grid_budget_must_be_positive(budget):
+    # the scan's concavity in a needs (budget / grid_n)^3 > 0
+    with pytest.raises(ValueError, match="budget must be positive"):
+        S.grid_simplex_max(2.0, budget=budget)
+
+
 def test_boundary_candidates_lambda_one():
     cands = S.boundary_candidates(1.0)
     assert cands == [1.0 / 16.0, 4.0 / 81.0, 1.0 / 27.0, 1.0 / 27.0]
