@@ -251,6 +251,8 @@ def cmd_tile(args: argparse.Namespace) -> int:
         n = report.translates_checked
         _note(f"lattice certified: no overlap among {n} translates, covolume = volume")
         rows = tiling.convergence_series(z, lat, radii).rows
+    except (tiling.NoValidBasis, tiling.NotFaceToFace) as exc:  # a body that cannot be measured
+        raise _OptionError(f"argument --shape: {exc}") from exc
     except ValueError as exc:  # geometry errors
         raise SystemExit(f"tiling failed: {exc}") from exc
     if args.csv:

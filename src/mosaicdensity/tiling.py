@@ -8,11 +8,11 @@ the total edge length of the tiling inside a large ball from edge
 orbits: the edges of one cell fall into classes of lattice translates,
 one class per orbit of tiling edges, and a class has one member per
 cell sharing the edge, 4 on a 4-belt and 3 on a 6-belt.
-So the per-cell functional with weights (2, 1) over cell volume is the
-limit density.  Translates are enumerated line by line: cells strictly
-inside the ball are mostly counted, not formed, and add their edge lengths
-in closed form; edges near the sphere are whole, missing or crossing by
-their endpoint norms, and only crossing edges are clipped and summed.
+So the per-cell functional with weights (2, 1) over cell volume is the limit
+density.  Translates are enumerated line by line: cells strictly inside the ball
+are mostly counted, not formed, and add their edge lengths in closed form; edges
+near the sphere are whole, missing or crossing by their endpoint norms, and only
+crossing edges are clipped and summed, in work arrays reused from block to block.
 """
 
 from __future__ import annotations
@@ -36,6 +36,10 @@ from .zonotope import (
 
 class NoValidBasis(GeometryError):
     """No facet-center triple generates a valid tiling lattice."""
+
+
+class NotFaceToFace(GeometryError):
+    """A lattice edge class is not its belt's sharing count: the tiling is not face to face."""
 
 
 class Overlap(GeometryError):
@@ -275,7 +279,7 @@ def edge_classes(z: Zonotope, lat: Lattice) -> EdgeClasses:
     coordinates under the basis (to within 1e-7).  In a face to face
     lattice tiling the class of an edge lists its position in every cell
     containing it, so each class size must equal the belt's sharing
-    count; a mismatch raises :class:`GeometryError`.
+    count; a mismatch raises :class:`NotFaceToFace`.
     """
     labels = z.edge_segment
     ends = z.vertices[z.edge_vertex_ids]  # (E, 2, 3)
@@ -291,7 +295,7 @@ def edge_classes(z: Zonotope, lat: Lattice) -> EdgeClasses:
     sizes = same.sum(axis=1)
     if (sizes != share).any() or sum(map(len, members)) != len(labels):
         bad = int(np.abs(sizes - share).max())
-        raise GeometryError(f"edge multiplicity off by {bad} in a lattice edge class")
+        raise NotFaceToFace(f"tiling is not face to face: edge multiplicity off by {bad} in a lattice edge class")
     return EdgeClasses(start, end, share, members, np.array([m[0] for m in members]))
 
 
@@ -304,19 +308,28 @@ def _check_radius(z: Zonotope, radius: float) -> None:
         )
 
 
-def _shell_pairs(t: np.ndarray, start: np.ndarray, end: np.ndarray, radius: float):
-    """(S, E) mask of the pairs (translate t[i], edge start[j]-end[j]) inside the ball, and the
-    flat indices and chords of the pairs that may cross the sphere.  The rest miss, as for
-    p(s) = t + start + s d, |p(s)|^2 = (1 - s)|p(0)|^2 + s|p(1)|^2 - s(1 - s)|d|^2."""
-    d = end - start
-    a = (d * d).sum(axis=1)
-    b = 2.0 * (t @ d.T + (start * d).sum(axis=1))
-    c = (t * t).sum(axis=1)[:, None] + 2.0 * (t @ start.T) + (start * start).sum(axis=1)
-    c1, r2 = c + b + a, radius * radius  # c = |p(0)|^2, c1 = |p(1)|^2
+def _shell_pairs(start: np.ndarray, end: np.ndarray, radius: float):
+    """Classifier pairs(t): the (S, E) mask of pairs (translate t[i], edge start[j]-end[j]) inside the
+    ball, and the flat indices and chords of the pairs that may cross the sphere; the rest miss, as for
+    p(s) = t + start + s d, |p(s)|^2 = (1 - s)|p(0)|^2 + s|p(1)|^2 - s(1 - s)|d|^2.  Per-edge constants
+    are formed once; each call works in place in arrays grown to the largest t, valid until the next."""
+    d, r2 = end - start, radius * radius
+    a, sd, ss = (d * d).sum(axis=1), (start * d).sum(axis=1), (start * start).sum(axis=1)
     inside, near = r2 * (1.0 - 1e-12), r2 * (1.0 + 1e-12) + a / 4.0  # margins for rounding in c
-    whole = (c <= inside) & (c1 <= inside)
-    idx = np.flatnonzero(((c <= near) | (c1 <= near)) & ~whole)
-    return whole, idx, _kernels._chord_lengths(a[idx % len(a)], b.ravel()[idx], c.ravel()[idx] - r2)
+    work = [np.empty((3, 0, len(a))), np.empty((2, 0, len(a)), dtype=bool)]
+
+    def pairs(t: np.ndarray):
+        if len(t) > work[0].shape[1]:
+            work[:] = np.empty((3, len(t), len(a))), np.empty((2, len(t), len(a)), dtype=bool)
+        (b, c, c1), (whole, cross) = (w[:, : len(t)] for w in work)
+        np.multiply(np.add(np.matmul(t, d.T, out=b), sd, out=b), 2.0, out=b)
+        np.add(np.multiply(np.matmul(t, start.T, out=c), 2.0, out=c), (t * t).sum(axis=1)[:, None], out=c)
+        np.add(np.add(np.add(c, ss, out=c), b, out=c1), a, out=c1)  # c = |p(0)|^2, c1 = |p(1)|^2
+        np.logical_and(np.less_equal(c, inside, out=whole), np.less_equal(c1, inside, out=cross), out=whole)
+        np.logical_xor(np.less_equal(np.minimum(c, c1, out=c1), near, out=cross), whole, out=cross)  # inside < near
+        idx = np.flatnonzero(cross)
+        return whole, idx, _kernels._chord_lengths(a[idx % len(a)], b.ravel()[idx], c.ravel()[idx] - r2)
+    return pairs
 
 
 def skeleton_density(z: Zonotope, lat: Lattice, radius: float) -> DensityEstimate:
@@ -327,12 +340,12 @@ def skeleton_density(z: Zonotope, lat: Lattice, radius: float) -> DensityEstimat
     weighted by 1/k.  Cells counted inside the ball by ``_ball_lines``
     or strictly inside it add count x length; of the other translates,
     pairs with both endpoints inside add length, and only the pairs that
-    may cross the sphere (``_shell_pairs``) are clipped and summed, a
-    pairwise sum per block.  The totals must agree to 1e-9.
+    may cross the sphere are clipped and summed, a pairwise sum per block,
+    by one ``_shell_pairs`` classifier.  The totals must agree to 1e-9.
     """
     _check_radius(z, radius)
     cls = edge_classes(z, lat)
-    circ = z.circumradius()
+    circ, pairs = z.circumradius(), _shell_pairs(cls.start, cls.end, radius)
     lengths = np.linalg.norm(cls.end - cls.start, axis=1)
     is_rep = np.isin(np.arange(len(lengths)), cls.reps)
     whole = np.zeros(len(lengths), dtype=np.int64)  # per edge, the translates holding it whole
@@ -340,10 +353,10 @@ def skeleton_density(z: Zonotope, lat: Lattice, radius: float) -> DensityEstimat
     for counted, t in _ball_lines(lat.basis, radius + circ, radius - circ):
         inner = np.linalg.norm(t, axis=1) + circ < radius
         cells += counted + len(t)
-        inside, idx, chord = _shell_pairs(t[~inner], cls.start, cls.end, radius)
+        inside, idx, chord = pairs(t[~inner])
         col = idx % len(lengths)
         full = chord == lengths[col]
-        whole += counted + int(inner.sum()) + inside.sum(axis=0)
+        whole += counted + int(inner.sum()) + np.count_nonzero(inside, axis=0)
         whole += np.bincount(col[full], minlength=len(lengths))
         cut = (chord > 0.0) & ~full
         totals.append(chord[cut & is_rep[col]].sum())
@@ -351,8 +364,7 @@ def skeleton_density(z: Zonotope, lat: Lattice, radius: float) -> DensityEstimat
         shell, crossing = shell + len(inside), crossing + len(chord)
     totals.extend((whole * lengths)[cls.reps].tolist())
     weighted.extend((whole * lengths / cls.share).tolist())
-    total = math.fsum(totals)
-    weighted_total = math.fsum(weighted)
+    total, weighted_total = math.fsum(totals), math.fsum(weighted)
     if abs(total - weighted_total) > 1e-9 * max(1.0, total):
         raise GeometryError(
             f"unique-edge total {total!r} and weighted total {weighted_total!r} disagree"

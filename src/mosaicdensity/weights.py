@@ -338,21 +338,22 @@ def type4_sweep(m: WeightPair, samples: int, seed: int = 0) -> Type4SweepReport:
     """Random search over type-4 bodies versus the closed-form lower bound.
 
     Draws from the first stream spawned by ``SeedSequence(seed)``, so a
-    fixed seed gives the same minimum on every run.  A block is drawn as
-    (n, 4, 3) frames, uniform on [-1, 1), then (k, 5) coefficients for the
-    k kept frames, and evaluated as (4, 3, n) component rows.
+    fixed seed gives the same minimum on every run.  A block is drawn as (n, 4, 3)
+    frames, uniform on [-1, 1) and centred in buffers that every block reuses, then
+    (k, 5) coefficients for the k kept frames, and evaluated as (4, 3, n) component rows.
     """
     if samples < 100:
         raise ValueError("need at least 100 samples")
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     best = math.inf
     done = 0
+    raw, rows, centre = np.empty((2048, 4, 3)), np.empty((4, 3, 2048)), np.empty((3, 2048))
     while done < samples:
         n = min(2048, samples - done)
-        q = rng.random(size=(n, 4, 3)).transpose(1, 2, 0).copy()
-        q *= 2.0  # uniform(-1, 1) is -1 + 2 U: these are its bits
-        q -= 1.0
-        q -= (q[0] + q[1] + q[2] + q[3]) / 4.0
+        q = np.multiply(rng.random(out=raw[:n]).transpose(1, 2, 0), 2.0, out=rows[..., :n])
+        q -= 1.0  # uniform(-1, 1) is -1 + 2 U: these are its bits
+        mid = np.add(q[0], q[1], out=centre[:, :n])
+        q -= np.divide(np.add(np.add(mid, q[2], out=mid), q[3], out=mid), 4.0, out=mid)
         d = _kernels.det3(q[0].T, q[1].T, q[2].T)
         keep = np.flatnonzero(np.abs(d) > 5e-2)
         if not keep.size:  # a whole tail batch can be slivers; redraw

@@ -389,6 +389,36 @@ class TestBadInput:
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
         assert len(errors) == 1 and message in errors[0]
 
+    @staticmethod
+    def _one_error_line(capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and errors[0].endswith(message)
+        assert "Traceback" not in captured.err
+
+    def test_body_that_does_not_tile(self, capsys, tmp_path):
+        # six generators in general position: a zonotope with 30 facets, not a parallelohedron
+        z = zonotope.unit_volume(zonotope.build_zonotope(np.random.default_rng(3).normal(size=(6, 3))))
+        assert len(z.facets) == 30
+        path = tmp_path / "six.json"
+        path.write_text(json.dumps(zonotope.to_json(z)))
+        argv = ["tile", "--shape", f"file:{path}", "--radius", "30"]
+        self._one_error_line(capsys, argv, "--shape: no facet-center triple yields a disjoint unit-index lattice")
+
+    def test_lattice_that_is_not_face_to_face(self, capsys, monkeypatch):
+        # sheared cube layers: validate_tiling certifies them, the skeleton measure cannot use them
+        from mosaicdensity import tiling
+
+        sheared = tiling.Lattice(np.array([[1.0, 0, 0], [0, 1.0, 0], [0.3, 0, 1.0]]))
+        monkeypatch.setattr(tiling, "lattice_from_parallelohedron", lambda z: sheared)
+        argv = ["tile", "--shape", "cube", "--radius", "8"]
+        message = "--shape: tiling is not face to face: edge multiplicity off by 2 in a lattice edge class"
+        self._one_error_line(capsys, argv, message)
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -487,7 +487,7 @@ def _segment_ball_clip_reference(p0, p1, radius):
 def _shell_clip(t, start, end, radius):
     """(S, E) lengths inside the ball from tiling._shell_pairs: whole pairs at
     their edge length, crossing pairs at their chord, the rest zero."""
-    whole, idx, chord = TL._shell_pairs(t, start, end, radius)
+    whole, idx, chord = TL._shell_pairs(start, end, radius)(t)
     clip = np.where(whole, np.linalg.norm(end - start, axis=1), 0.0)
     clip.flat[idx] = chord
     return clip
@@ -512,7 +512,7 @@ class TestShellClip:
         return K.segment_ball_clip(p0, p1, radius).reshape(len(t), -1)
 
     def test_each_case_at_the_origin(self):
-        whole, idx, _ = TL._shell_pairs(np.zeros((1, 3)), self.START, self.END, 5.0)
+        whole, idx, _ = TL._shell_pairs(self.START, self.END, 5.0)(np.zeros((1, 3)))
         assert whole[0].tolist() == [True, False, False, False, False, True]
         assert idx.tolist() == [2, 3, 4]  # the tangent pair reaches the chord formula
         got = _shell_clip(np.zeros((1, 3)), self.START, self.END, 5.0)[0]

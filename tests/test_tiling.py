@@ -61,6 +61,20 @@ def _reference_skeleton_length(z, lat, radius, tol=1e-7):
     return math.fsum(clip.tolist())
 
 
+def _shell_pairs_reference(t, start, end, radius):
+    """The shell classification with fresh temporaries for every block of translates:
+    the (S, E) whole mask, and the flat indices and chords of the pairs that may cross."""
+    d = end - start
+    a = (d * d).sum(axis=1)
+    b = 2.0 * (t @ d.T + (start * d).sum(axis=1))
+    c = (t * t).sum(axis=1)[:, None] + 2.0 * (t @ start.T) + (start * start).sum(axis=1)
+    c1, r2 = c + b + a, radius * radius  # c = |p(0)|^2, c1 = |p(1)|^2
+    inside, near = r2 * (1.0 - 1e-12), r2 * (1.0 + 1e-12) + a / 4.0
+    whole = (c <= inside) & (c1 <= inside)
+    idx = np.flatnonzero(((c <= near) | (c1 <= near)) & ~whole)
+    return whole, idx, TL._kernels._chord_lengths(a[idx % len(a)], b.ravel()[idx], c.ravel()[idx] - r2)
+
+
 def _box_points_reference(basis, rmax):
     """Lattice vectors of norm at most rmax from the whole coefficient box
     of the LLL-reduced basis, in lexicographic coefficient order."""
@@ -310,7 +324,7 @@ class TestSkeletonDensity:
         for radius in (3.0 * z.diameter(), 20.0):
             t = lat.points_in_ball(radius + circ)
             shell = t[np.linalg.norm(t, axis=1) + circ >= radius]
-            whole, idx, _ = TL._shell_pairs(shell, cls.start, cls.end, radius)
+            whole, idx, _ = TL._shell_pairs(cls.start, cls.end, radius)(shell)
             cross = np.zeros(whole.shape, dtype=bool)
             cross.flat[idx] = True
             p0 = (shell[:, None] + cls.start).reshape(-1, 3)
@@ -337,23 +351,91 @@ class TestSkeletonDensity:
             assert abs(est.density - ref.density) <= 1e-15 * ref.density
 
 
-# cells and density at the commit before line enumeration and the shell sum
+class TestShellPairs:
+    """The classifier's reused work arrays against fresh temporaries, block by block."""
+
+    @staticmethod
+    def _assert_blocks_match_reference(z, lat, radius, monkeypatch):
+        blocks, make = [], TL._shell_pairs
+
+        def recording(start, end, r):
+            pairs = make(start, end, r)
+
+            def record(t):
+                got = pairs(t)
+                blocks.append((t.copy(), start, end, r, *(np.array(x) for x in got)))
+                return got
+
+            return record
+
+        monkeypatch.setattr(TL, "_shell_pairs", recording)
+        est = TL.skeleton_density(z, lat, radius)
+        sizes = [len(t) for t, *_ in blocks]
+        for t, start, end, r, *got in blocks:
+            want = _shell_pairs_reference(t, start, end, r)
+            for g, w in zip(got, want):
+                assert (g.shape, g.dtype) == (w.shape, w.dtype)
+                assert g.tobytes() == w.tobytes()
+        assert sum(sizes) == est.shell
+        return sizes
+
+    @pytest.mark.parametrize("chunk", [1, 7, 256])
+    @pytest.mark.parametrize("name", SHAPES)
+    def test_unit_shapes_bitwise(self, unit_shapes, monkeypatch, name, chunk):
+        monkeypatch.setattr(TL, "_LINE_CHUNK", chunk)
+        z = unit_shapes[name]
+        lat = TL.lattice_from_parallelohedron(z)
+        for radius in (3.0 * z.diameter(), 20.0, 30.0):
+            sizes = self._assert_blocks_match_reference(z, lat, radius, monkeypatch)
+            if chunk < 256:  # blocks both shrink and grow within one call
+                assert any(np.diff(sizes) < 0) and any(np.diff(sizes[1:]) > 0)
+                assert max(sizes[1:]) > sizes[0]
+
+    @pytest.mark.parametrize("chunk", [1, 7, 256])
+    @pytest.mark.parametrize("type_index", [1, 2, 3, 4, 5])
+    def test_random_bodies_bitwise(self, monkeypatch, type_index, chunk):
+        monkeypatch.setattr(TL, "_LINE_CHUNK", chunk)
+        z = random_body(np.random.default_rng(40 + type_index), type_index)
+        lat = TL.lattice_from_parallelohedron(z)
+        self._assert_blocks_match_reference(z, lat, 3.0 * z.diameter(), monkeypatch)
+
+
+class TestNotFaceToFace:
+    """Sheared cube layers tile, and are certified, but are not face to face."""
+
+    @pytest.mark.parametrize("row", [(0.3, 0.0, 1.0), (0.3, 0.2, 1.0)])
+    def test_certified_tiling_is_refused_in_one_line(self, row):
+        lat = TL.Lattice(np.array([[1.0, 0, 0], [0, 1.0, 0], row]))
+        rep = TL.validate_tiling(cube(), lat)
+        assert abs(rep.determinant - rep.cell_volume) <= 1e-12
+        for measure in (TL.edge_classes, lambda z, l: TL.skeleton_density(z, l, 10.0)):
+            with pytest.raises(TL.NotFaceToFace, match="^tiling is not face to face: ") as exc:
+                measure(cube(), lat)
+            assert isinstance(exc.value, GeometryError)
+            assert "\n" not in str(exc.value)
+
+    def test_face_to_face_lattice_passes(self):
+        assert len(TL.edge_classes(cube(), TL.Lattice(np.eye(3))).members) == 3
+
+
+# cells and density at the commit before line enumeration and the shell sum; shell
+# translates and crossing pairs at the commit before the shell pass reused its work arrays
 PINNED = {
-    ("cube", 20.0): (38089, 3.002269744021391),
-    ("cube", 30.0): (123065, 3.0012012490735303),
-    ("cube", 40.0): (286145, 3.0005512895547515),
-    ("hexprism", 20.0): (37623, 3.634689216352712),
-    ("hexprism", 30.0): (122605, 3.6375092266615767),
-    ("hexprism", 40.0): (285125, 3.6370018800991315),
-    ("rhombic", 20.0): (37863, 5.5041432532758),
-    ("rhombic", 30.0): (122231, 5.499530350371891),
-    ("rhombic", 40.0): (284039, 5.499002928354329),
-    ("elongated", 20.0): (38457, 5.021228655685158),
-    ("elongated", 30.0): (123889, 5.025197766416012),
-    ("elongated", 40.0): (286743, 5.025795343742795),
-    ("truncocta", 20.0): (37309, 5.342829614997286),
-    ("truncocta", 30.0): (121125, 5.344170333279854),
-    ("truncocta", 40.0): (282417, 5.346120109902546),
+    ("cube", 20.0): (38089, 8666, 30336, 3.002269744021391),
+    ("cube", 30.0): (123065, 19682, 67872, 3.0012012490735303),
+    ("cube", 40.0): (286145, 34706, 120576, 3.0005512895547515),
+    ("hexprism", 20.0): (37623, 8008, 32280, 3.634689216352712),
+    ("hexprism", 30.0): (122605, 18436, 74376, 3.6375092266615767),
+    ("hexprism", 40.0): (285125, 32790, 133032, 3.6370018800991315),
+    ("rhombic", 20.0): (37863, 8282, 44880, 5.5041432532758),
+    ("rhombic", 30.0): (122231, 17786, 98352, 5.499530350371891),
+    ("rhombic", 40.0): (284039, 31614, 167136, 5.499002928354329),
+    ("elongated", 20.0): (38457, 9354, 40320, 5.021228655685158),
+    ("elongated", 30.0): (123889, 20852, 87648, 5.025197766416012),
+    ("elongated", 40.0): (286743, 36694, 157320, 5.025795343742795),
+    ("truncocta", 20.0): (37309, 7154, 39312, 5.342829614997286),
+    ("truncocta", 30.0): (121125, 16042, 90432, 5.344170333279854),
+    ("truncocta", 40.0): (282417, 28070, 160632, 5.346120109902546),
 }
 
 
@@ -361,8 +443,8 @@ PINNED = {
 def test_skeleton_density_pinned(unit_shapes, name, radius):
     z = unit_shapes[name]
     est = TL.skeleton_density(z, TL.lattice_from_parallelohedron(z), radius)
-    cells, density = PINNED[name, radius]
-    assert est.cells == cells
+    cells, shell, crossing, density = PINNED[name, radius]
+    assert (est.cells, est.shell, est.crossing) == (cells, shell, crossing)
     assert abs(est.density - density) <= 1e-15 * density
 
 
