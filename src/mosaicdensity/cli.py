@@ -206,24 +206,35 @@ def cmd_wm(args: argparse.Namespace) -> int:
     )
 
 
+def _spec_doc(spec: decomposable.DecompositionSpec) -> dict:
+    return {
+        "planars": [{"area": c.area, "e_hat": c.e_hat} for c in spec.planars],
+        "segment": None if spec.segment is None else {"length": spec.segment.length},
+    }
+
+
 def cmd_decomp(args: argparse.Namespace) -> int:
     value, spec = decomposable.minimize_density(args.dim)
+    corrected, corrected_spec = decomposable.corrected_minimum(args.dim)
     outputs = {
         "minimum": value,
-        "spec": {
-            "planars": [{"area": c.area, "e_hat": c.e_hat} for c in spec.planars],
-            "segment": None if spec.segment is None else {"length": spec.segment.length},
-        },
+        "spec": _spec_doc(spec),
+        "corrected_minimum": corrected,
+        "corrected_spec": _spec_doc(corrected_spec),
     }
     bound = decomposable.density_bound_odd if spec.segment else decomposable.density_bound_even
     excess = max(0.0, value - bound(spec))
-    residuals = [_residual("published_minimum_at_or_below_bound_at_spec", excess, 1e-12)]
+    residuals = [
+        _residual("published_minimum_at_or_below_bound_at_spec", excess, 1e-12),
+        _residual("corrected_minimum_is_bound_at_spec", corrected - bound(corrected_spec), 1e-12),
+    ]
     if args.oracle:
         _note(f"running grid oracle with grid_n={args.oracle}")
         oracle = decomposable.brute_force_minimize(args.dim, args.oracle)
         outputs["oracle_value"] = oracle
         shortfall = max(0.0, value - oracle)
         residuals.append(_residual("oracle_at_or_above_minimum", shortfall, 1e-6))
+        residuals.append(_residual("oracle_at_corrected_minimum", oracle - corrected, 1e-6))
     return _emit("decomp", {"dim": args.dim, "oracle": args.oracle}, outputs, residuals)
 
 
@@ -237,7 +248,19 @@ def _density_row(est: tiling.DensityEstimate) -> dict:
         "cells": est.cells,
         "shell": est.shell,
         "crossing": est.crossing,
+        "exact_density": est.exact_density,
     }
+
+
+def _exact_residuals(est: tiling.DensityEstimate, covolume: float) -> tuple[float, float]:
+    """The exact density's relative distance from w_(2,1)/vol, and how far, relative to the
+    skeleton length, the length leaves the bracket (cells - shell) L_reps <= length <= cells L_reps,
+    L_reps the class representatives' total length: a translate off the shell holds its
+    representatives whole, and no translate holds more."""
+    reps = est.exact_density * covolume
+    length = est.skeleton_length
+    outside = max(0.0, (est.cells - est.shell) * reps - length, length - est.cells * reps)
+    return abs(est.exact_density - est.target) / est.target, outside / length
 
 
 def cmd_tile(args: argparse.Namespace) -> int:
@@ -262,6 +285,9 @@ def cmd_tile(args: argparse.Namespace) -> int:
         return 0 if rows[-1].relative_error <= 0.02 else 1
     residuals = [_covolume_residual(report)]
     residuals.append(_residual("final_relative_error", rows[-1].relative_error, 0.02))
+    exact, bracket = np.max([_exact_residuals(est, lat.covolume) for est in rows], axis=0)
+    residuals.append(_residual("exact_density_vs_target", exact, 1e-12))
+    residuals.append(_residual("skeleton_length_in_exact_bracket", bracket, 1e-12))
     outputs = {
         "basis": lat.basis,
         "covering_fraction": report.covering_fraction,
@@ -350,6 +376,9 @@ def _verify_tiling(args: argparse.Namespace) -> tuple[dict, list[dict]]:
         residuals.append(
             _residual(f"{name}_mode_agreement", est.skeleton_length - est.weighted_length, 1e-9)
         )
+        exact, bracket = _exact_residuals(est, lat.covolume)
+        residuals.append(_residual(f"{name}_exact_density_vs_target", exact, 1e-12))
+        residuals.append(_residual(f"{name}_skeleton_length_in_exact_bracket", bracket, 1e-12))
     return {"radius": args.radius, "rows": rows}, residuals
 
 

@@ -7,9 +7,9 @@ and an average edge-count parameter e_hat in [3, 6]; the isoperimetric
 inequality for polygons turns these into a lower bound on skeleton
 length per unit area, and products of the per-factor vertex and skeleton
 densities bound the edge density of the product mosaic.  This module
-evaluates those bounds, returns the published closed-form minima with
-their attaining parameters, and re-checks the monotonicity and convexity
-facts the derivation leans on.
+evaluates those bounds, returns the published closed-form minima and the
+corrected ones with their attaining parameters, and re-checks the
+monotonicity and convexity facts the derivation leans on.
 """
 
 from __future__ import annotations
@@ -138,6 +138,27 @@ def minimize_density(n: int) -> tuple[float, DecompositionSpec]:
         tuple(PlanarComponent(area, 3.0) for _ in range(k)), SegmentComponent(length)
     )
     return value, spec
+
+
+def corrected_minimum(n: int) -> tuple[float, DecompositionSpec]:
+    """True minimum of the bound in dimension n with its attaining parameters.
+
+    Even n: the published minimum, which the bound attains.  Odd n = 2k + 1:
+    e_hat = 3 with equal areas and segment length l* = 3^(3k / (2(2k + 1))),
+    where the bound is (2k + 1) 3^(3k / (4k + 2)) / 2^k, read off the odd
+    column of ``bound_curve`` at e_hat = 3.  It equals the published closed
+    form only at n = 3 (2.4164775561647036 against 2.0621 at n = 5).
+    """
+    k, odd = divmod(n, 2)
+    if n < 2 or not odd:
+        return minimize_density(n)
+    _, table = bound_curve(k, np.array([3.0]))
+    length = 3.0 ** (3.0 * k / (2.0 * (2.0 * k + 1.0)))
+    area = length ** (-1.0 / k)
+    spec = DecompositionSpec(
+        tuple(PlanarComponent(area, 3.0) for _ in range(k)), SegmentComponent(length)
+    )
+    return float(table[0, 2]), spec
 
 
 def _bound_arrays(es: list, areas: list, length):

@@ -1,4 +1,4 @@
-"""Lattice tilings by parallelohedra and empirical skeleton density.
+"""Lattice tilings by parallelohedra, skeleton density in a ball and exactly.
 
 A parallelohedron tiles space face to face by lattice translates.  This
 module finds a tiling lattice (doubled facet centers supply candidate
@@ -9,10 +9,15 @@ orbits: the edges of one cell fall into classes of lattice translates,
 one class per orbit of tiling edges, and a class has one member per
 cell sharing the edge, 4 on a 4-belt and 3 on a 6-belt.
 So the per-cell functional with weights (2, 1) over cell volume is the limit
-density.  Translates are enumerated line by line: cells strictly inside the ball
-are mostly counted, not formed, and add their edge lengths in closed form; edges
-near the sphere are whole, missing or crossing by their endpoint norms, and only
-crossing edges are clipped and summed, in work arrays reused from block to block.
+density, and the sum of the class representatives' lengths over the covolume
+is the density exactly.  The cell is centred and the lattice symmetric, so the
+skeleton is symmetric under x -> -x, which takes edge j of translate t to edge
+sigma(j) of translate -t.  Translates are enumerated line by line over half the
+ball, the (0, 0) line and the lines after it, and each other line stands for its
+mirror too: cells strictly inside the ball are mostly counted, not formed, and
+add their edge lengths in closed form; edges near the sphere are whole, missing
+or crossing by their endpoint norms, and only crossing edges are clipped and
+summed, in work arrays reused from block to block.
 """
 
 from __future__ import annotations
@@ -88,19 +93,24 @@ _LINE_CHUNK = 256  # lattice lines whose band is formed, and clipped, per block
 
 
 def _ball_lines(basis: np.ndarray, rmax: float, rin: float = 0.0):
-    """Lattice vectors of norm at most rmax: per block of lines, a count and a band.
+    """Lattice vectors of norm at most rmax in half the ball: per block of lines, a count and a band.
 
     Each line c1 b1 + c2 b2 + c3 b3 of the LLL-reduced basis meets a ball in
     one c3 interval.  Points whose two neighbours on the line lie in the interval
     of radius ``rin`` are counted (by convexity |t|^2 <= rin^2 - |b3|^2); the rest
     of the interval of radius rmax, rounded outwards, is formed from the stored
     basis and kept where norm(t) <= rmax, in lexicographic (c1, c2, c3) order.
+    Only the (0, 0) line, alone in the first block, and the lines after it in
+    lexicographic (c1, c2) order are enumerated; the line -(c1, c2) holds the
+    negated points, with the same count, so the lines before (0, 0) are the
+    mirror image of the lines after it.
     """
     u = _lll_unimodular(basis)
     red = u @ basis
     # |c_i| <= |t| * ||column i of basis inverse|| for t = c @ basis
     lim = np.floor(np.linalg.norm(np.linalg.inv(red), axis=0)[:2] * rmax).astype(np.int64) + 1
     c12 = np.stack(np.meshgrid(*(np.arange(-l, l + 1) for l in lim), indexing="ij"), -1).reshape(-1, 2)
+    c12 = c12[len(c12) // 2 :]  # (0, 0) sits in the middle of the symmetric table
     g = red @ red.T  # |c @ red|^2 = c g c
     mid = -(c12 @ g[:2, 2]) / g[2, 2]
     d2 = ((c12 @ g[:2, :2]) * c12).sum(axis=1) - g[2, 2] * mid * mid  # squared distance of a line from 0
@@ -111,13 +121,14 @@ def _ball_lines(basis: np.ndarray, rmax: float, rin: float = 0.0):
     lo_in = np.ceil(mid - half_in).astype(np.int64) + 1  # lo < lo_in <= hi + 1
     count = np.maximum(np.floor(mid + half_in).astype(np.int64) - lo_in, 0)
     band = hi - lo + 1 - count
-    for k in range(0, len(lo), _LINE_CHUNK):
-        n = band[k : k + _LINE_CHUNK]
-        line = np.repeat(np.arange(k, k + len(n)), n)
+    bounds = [0, *range(1, len(lo), _LINE_CHUNK), len(lo)]  # the (0, 0) line is always near
+    for k, stop in zip(bounds, bounds[1:]):
+        n = band[k:stop]
+        line = np.repeat(np.arange(k, stop), n)
         c3 = lo[line] + np.arange(len(line)) - np.repeat(np.cumsum(n) - n, n)
         c3 += np.where(c3 >= lo_in[line], count[line], 0)  # step over the counted run
         t = (np.column_stack([c12[line], c3]) @ u) @ basis
-        yield int(count[k : k + _LINE_CHUNK].sum()), t[np.linalg.norm(t, axis=1) <= rmax]
+        yield int(count[k:stop].sum()), t[np.linalg.norm(t, axis=1) <= rmax]
 
 
 @dataclass(frozen=True)
@@ -139,8 +150,12 @@ class Lattice:
         return abs(float(np.linalg.det(self.basis)))
 
     def points_in_ball(self, rmax: float) -> np.ndarray:
-        """All lattice vectors of norm at most rmax (see ``_ball_lines``)."""
-        return np.concatenate([band for _, band in _ball_lines(self.basis, rmax)])
+        """All lattice vectors of norm at most rmax, in lexicographic coefficient
+        order: the half ball of ``_ball_lines`` and its mirror image."""
+        zero, *rest = (band for _, band in _ball_lines(self.basis, rmax))
+        after = np.concatenate([zero[:0], *rest])
+        # 0 - t, not -t: a zero coordinate stays +0.0, as the matmul forms it
+        return np.concatenate([0.0 - after[::-1], zero, after])
 
 
 @dataclass(frozen=True)
@@ -153,6 +168,7 @@ class DensityEstimate:
     cells: int
     shell: int  # translates whose edges were classified one by one
     crossing: int  # (translate, edge) pairs given to the chord formula
+    exact_density: float  # the class representatives' total length over the covolume
 
     @property
     def relative_error(self) -> float:
@@ -312,7 +328,9 @@ def _shell_pairs(start: np.ndarray, end: np.ndarray, radius: float):
     """Classifier pairs(t): the (S, E) mask of pairs (translate t[i], edge start[j]-end[j]) inside the
     ball, and the flat indices and chords of the pairs that may cross the sphere; the rest miss, as for
     p(s) = t + start + s d, |p(s)|^2 = (1 - s)|p(0)|^2 + s|p(1)|^2 - s(1 - s)|d|^2.  Per-edge constants
-    are formed once; each call works in place in arrays grown to the largest t, valid until the next."""
+    are formed once; each call works in place in arrays valid until the next, grown to twice the t that
+    outgrows them: blocks of the half ball grow outwards from the (0, 0) line, and each fresh array faults
+    in its pages."""
     d, r2 = end - start, radius * radius
     a, sd, ss = (d * d).sum(axis=1), (start * d).sum(axis=1), (start * start).sum(axis=1)
     inside, near = r2 * (1.0 - 1e-12), r2 * (1.0 + 1e-12) + a / 4.0  # margins for rounding in c
@@ -320,7 +338,8 @@ def _shell_pairs(start: np.ndarray, end: np.ndarray, radius: float):
 
     def pairs(t: np.ndarray):
         if len(t) > work[0].shape[1]:
-            work[:] = np.empty((3, len(t), len(a))), np.empty((2, len(t), len(a)), dtype=bool)
+            rows = 2 * len(t)
+            work[:] = np.empty((3, rows, len(a))), np.empty((2, rows, len(a)), dtype=bool)
         (b, c, c1), (whole, cross) = (w[:, : len(t)] for w in work)
         np.multiply(np.add(np.matmul(t, d.T, out=b), sd, out=b), 2.0, out=b)
         np.add(np.multiply(np.matmul(t, start.T, out=c), 2.0, out=c), (t * t).sum(axis=1)[:, None], out=c)
@@ -332,8 +351,23 @@ def _shell_pairs(start: np.ndarray, end: np.ndarray, radius: float):
     return pairs
 
 
+def _antipodal_edges(start: np.ndarray, end: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """sigma with start[sigma] = -end and end[sigma] = -start: x -> -x maps edge j to sigma(j).
+
+    The edge of the same segment label whose start is nearest -end[j] is taken;
+    raises GeometryError unless it lies within 1e-9 and sigma is an involution.
+    """
+    gap = np.abs(start[None] + end[:, None]).max(axis=2)  # gap[j, i] = |start[i] + end[j]|_inf
+    gap[labels[:, None] != labels[None]] = np.inf
+    sigma = gap.argmin(axis=1)
+    ids = np.arange(len(sigma))
+    if not (gap[ids, sigma] <= 1e-9).all() or (sigma[sigma] != ids).any():
+        raise GeometryError("cell edges are not symmetric under x -> -x: the cell is not centred")
+    return sigma
+
+
 def skeleton_density(z: Zonotope, lat: Lattice, radius: float) -> DensityEstimate:
-    """Edge length of the tiling per unit ball volume at one radius.
+    """Edge length of the tiling per unit ball volume at one radius, and exactly.
 
     Two totals are formed: each tiling edge counted once, through the
     class representatives of every translate, and every cell edge
@@ -341,29 +375,40 @@ def skeleton_density(z: Zonotope, lat: Lattice, radius: float) -> DensityEstimat
     or strictly inside it add count x length; of the other translates,
     pairs with both endpoints inside add length, and only the pairs that
     may cross the sphere are clipped and summed, a pairwise sum per block,
-    by one ``_shell_pairs`` classifier.  The totals must agree to 1e-9.
+    by one ``_shell_pairs`` classifier.  Only half the ball is enumerated:
+    the (0, 0) line has weight 1, and each other line weight 2, as pair
+    (t, j) stands for its mirror (-t, sigma(j)) too.  So a chord of edge j
+    adds (rep_j + rep_sigma(j)) to the first total and 2/k to the second,
+    and the translates holding edge j whole number whole[j] + whole[sigma(j)].
+    The totals must agree to 1e-9.  The counts are those of the whole ball.
+    ``exact_density`` is the representatives' total length over the covolume.
     """
     _check_radius(z, radius)
     cls = edge_classes(z, lat)
+    sigma = _antipodal_edges(cls.start, cls.end, z.edge_segment)
     circ, pairs = z.circumradius(), _shell_pairs(cls.start, cls.end, radius)
     lengths = np.linalg.norm(cls.end - cls.start, axis=1)
-    is_rep = np.isin(np.arange(len(lengths)), cls.reps)
-    whole = np.zeros(len(lengths), dtype=np.int64)  # per edge, the translates holding it whole
+    rep = np.isin(np.arange(len(lengths)), cls.reps).astype(np.float64)
+    fold = (rep, rep + rep[sigma])  # chord weights of the (0, 0) line and of the other lines
+    whole = np.zeros((2, len(lengths)), dtype=np.int64)  # per line kind and edge, translates holding it whole
     cells, shell, crossing, totals, weighted = 0, 0, 0, [], []
-    for counted, t in _ball_lines(lat.basis, radius + circ, radius - circ):
+    for k, (counted, t) in enumerate(_ball_lines(lat.basis, radius + circ, radius - circ)):
+        m = min(k, 1)  # block 0 is the (0, 0) line, its own mirror image
+        w = m + 1  # the lines that each line of the block stands for
         inner = np.linalg.norm(t, axis=1) + circ < radius
-        cells += counted + len(t)
+        cells += w * (counted + len(t))
         inside, idx, chord = pairs(t[~inner])
         col = idx % len(lengths)
         full = chord == lengths[col]
-        whole += counted + int(inner.sum()) + np.count_nonzero(inside, axis=0)
-        whole += np.bincount(col[full], minlength=len(lengths))
+        whole[m] += counted + int(inner.sum()) + np.count_nonzero(inside, axis=0)
+        whole[m] += np.bincount(col[full], minlength=len(lengths))
         cut = (chord > 0.0) & ~full
-        totals.append(chord[cut & is_rep[col]].sum())
-        weighted.append((chord / cls.share[col])[cut].sum())
-        shell, crossing = shell + len(inside), crossing + len(chord)
-    totals.extend((whole * lengths)[cls.reps].tolist())
-    weighted.extend((whole * lengths / cls.share).tolist())
+        totals.append((chord * fold[m][col])[cut].sum())
+        weighted.append(w * (chord / cls.share[col])[cut].sum())
+        shell, crossing = shell + w * len(inside), crossing + w * len(chord)
+    held = whole[0] + whole[1] + whole[1][sigma]
+    totals.extend((held * lengths)[cls.reps].tolist())
+    weighted.extend((held * lengths / cls.share).tolist())
     total, weighted_total = math.fsum(totals), math.fsum(weighted)
     if abs(total - weighted_total) > 1e-9 * max(1.0, total):
         raise GeometryError(
@@ -371,7 +416,8 @@ def skeleton_density(z: Zonotope, lat: Lattice, radius: float) -> DensityEstimat
         )
     density = total / (4.0 / 3.0 * math.pi * radius**3)
     target = weighted_edge_functional(z, WeightPair(2.0, 1.0)) / z.volume()
-    return DensityEstimate(radius, total, density, target, weighted_total, cells, shell, crossing)
+    exact = math.fsum(lengths[cls.reps].tolist()) / lat.covolume
+    return DensityEstimate(radius, total, density, target, weighted_total, cells, shell, crossing, exact)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Command-line interface: JSON/CSV output shapes and exit codes."""
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mosaicdensity import cli, simplex, weights, zonotope
+from mosaicdensity import cli, decomposable, simplex, tiling, weights, zonotope
 from mosaicdensity.cli import main
 
 
@@ -90,9 +91,36 @@ class TestDecomp:
     def test_published_minimum_checked_without_oracle(self, capsys, dim):
         code, doc = run_json(capsys, ["decomp", "--dim", str(dim)])
         assert code == 0
-        [res] = doc["residuals"]
-        assert res["name"] == "published_minimum_at_or_below_bound_at_spec"
-        assert res["pass"] and res["tolerance"] == 1e-12
+        published, corrected = doc["residuals"]
+        assert published["name"] == "published_minimum_at_or_below_bound_at_spec"
+        assert corrected["name"] == "corrected_minimum_is_bound_at_spec"
+        assert all(res["pass"] and res["tolerance"] == 1e-12 for res in (published, corrected))
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7])
+    def test_corrected_minimum_is_the_oracle_minimum(self, capsys, dim):
+        code, doc = run_json(capsys, ["decomp", "--dim", str(dim), "--oracle", "30"])
+        assert code == 0
+        out = doc["outputs"]
+        k = dim // 2
+        if dim % 2:  # (2k + 1) 3^(3k / (4k + 2)) / 2^k, the published value only at n = 3
+            closed = (2 * k + 1) * 3.0 ** (3 * k / (4 * k + 2)) / 2**k
+            assert abs(out["corrected_minimum"] - closed) <= 1e-15 * closed
+            assert out["corrected_spec"]["segment"]["length"] == 3.0 ** (3 * k / (2 * (2 * k + 1)))
+            assert (out["corrected_minimum"] > out["minimum"] + 0.3) == (dim >= 5)
+        else:
+            assert (out["corrected_minimum"], out["corrected_spec"]) == (out["minimum"], out["spec"])
+        assert abs(out["oracle_value"] - out["corrected_minimum"]) <= 1e-15
+        names = {r["name"]: r["pass"] for r in doc["residuals"]}
+        assert names["oracle_at_corrected_minimum"] and names["corrected_minimum_is_bound_at_spec"]
+
+    @pytest.mark.parametrize("oracle", [[], ["--oracle", "30"]], ids=["bound", "oracle"])
+    def test_corrected_minimum_off_by_a_thousandth_fails(self, capsys, monkeypatch, oracle):
+        correct = decomposable.corrected_minimum
+        monkeypatch.setattr(decomposable, "corrected_minimum", lambda n: (correct(n)[0] + 1e-3, correct(n)[1]))
+        code, doc = run_json(capsys, ["decomp", "--dim", "5", *oracle])
+        assert code == 1
+        failed = {r["name"] for r in doc["residuals"] if not r["pass"]}
+        assert failed == {"corrected_minimum_is_bound_at_spec", *(["oracle_at_corrected_minimum"] if oracle else [])}
 
     def test_with_oracle(self, capsys):
         code, doc = run_json(capsys, ["decomp", "--dim", "2", "--oracle", "30"])
@@ -115,6 +143,49 @@ class TestTile:
         covolume = [r for r in doc["residuals"] if r["name"] == "covolume_minus_volume"]
         assert len(covolume) == 1 and covolume[0]["pass"]
         assert covolume[0]["value"] == 0.0 and covolume[0]["tolerance"] == 1e-9
+
+    def test_exact_density_in_every_row(self, capsys):
+        code, doc = run_json(capsys, ["tile", "--shape", "truncocta", "--series", "20,30"])
+        assert code == 0
+        rows = doc["outputs"]["rows"]
+        assert len(rows) == 2 and rows[0]["exact_density"] == rows[1]["exact_density"]
+        assert abs(rows[0]["exact_density"] - rows[0]["target"]) <= 5e-16 * rows[0]["target"]
+        names = {r["name"]: r for r in doc["residuals"]}
+        for name in ("exact_density_vs_target", "skeleton_length_in_exact_bracket"):
+            assert names[name]["pass"] and names[name]["tolerance"] == 1e-12
+
+    @staticmethod
+    def _patched_estimate(monkeypatch, change):
+        measure = tiling.skeleton_density
+
+        def patched(z, lat, radius):
+            est = measure(z, lat, radius)
+            return dataclasses.replace(est, **change(est, est.exact_density * lat.covolume))
+
+        monkeypatch.setattr(tiling, "skeleton_density", patched)
+
+    @pytest.mark.parametrize(
+        "change, failing",
+        [
+            (lambda est, reps: {"exact_density": est.exact_density * (1.0 + 1e-9)}, "exact_density_vs_target"),
+            (lambda est, reps: {"skeleton_length": (est.cells + 1) * reps}, "skeleton_length_in_exact_bracket"),
+            (lambda est, reps: {"skeleton_length": (est.cells - est.shell - 1) * reps},
+             "skeleton_length_in_exact_bracket"),
+        ],
+        ids=["exact-density-off-by-1e-9", "one-cell-above-bracket", "one-cell-below-bracket"],
+    )
+    @pytest.mark.parametrize("argv", [["tile", "--shape", "cube", "--radius", "8"],
+                                      ["verify", "--lemma", "tiling", "--radius", "8"]], ids=["tile", "verify"])
+    def test_exact_residuals_can_fail(self, capsys, monkeypatch, change, failing, argv):
+        self._patched_estimate(monkeypatch, change)
+        code, doc = run_json(capsys, argv)
+        assert code == 1
+        failed = {r["name"] for r in doc["residuals"] if not r["pass"]}
+        if argv[0] == "tile":
+            assert failed == {failing}
+        else:  # a changed length also fails the agreement with the weighted length
+            assert {f"cube_{failing}", f"truncocta_{failing}"} <= failed
+            assert failed <= {f"{s}_{n}" for s in ("cube", "truncocta") for n in (failing, "mode_agreement")}
 
     def test_series_csv(self, capsys):
         code, rows = run_csv(
@@ -225,6 +296,15 @@ class TestVerify:
         assert code == 0
         names = {r["name"]: r["pass"] for r in doc["residuals"]}
         assert names["cube_covolume_minus_volume"] and names["truncocta_covolume_minus_volume"]
+
+    def test_tiling_suite_reports_exact_density(self, capsys):
+        code, doc = run_json(capsys, ["verify", "--lemma", "tiling", "--radius", "8"])
+        assert code == 0
+        rows = {row["shape"]: row for row in doc["outputs"]["tiling"]["rows"]}
+        assert rows["cube"]["exact_density"] == 3.0
+        names = {r["name"]: r["pass"] for r in doc["residuals"]}
+        for shape in ("cube", "truncocta"):
+            assert names[f"{shape}_exact_density_vs_target"] and names[f"{shape}_skeleton_length_in_exact_bracket"]
 
     def test_isotropy_suite(self, capsys):
         code, doc = run_json(capsys, ["verify", "--lemma", "isotropy", "--samples", "1000"])

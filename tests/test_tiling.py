@@ -75,6 +75,60 @@ def _shell_pairs_reference(t, start, end, radius):
     return whole, idx, TL._kernels._chord_lengths(a[idx % len(a)], b.ravel()[idx], c.ravel()[idx] - r2)
 
 
+def _ball_lines_full_reference(basis, rmax, rin):
+    """The line enumeration over the whole ball, every line of the coefficient table
+    in lexicographic order, 256 lines per block: a count and a band per block."""
+    u = TL._lll_unimodular(basis)
+    red = u @ basis
+    lim = np.floor(np.linalg.norm(np.linalg.inv(red), axis=0)[:2] * rmax).astype(np.int64) + 1
+    c12 = np.stack(np.meshgrid(*(np.arange(-l, l + 1) for l in lim), indexing="ij"), -1).reshape(-1, 2)
+    g = red @ red.T
+    mid = -(c12 @ g[:2, 2]) / g[2, 2]
+    d2 = ((c12 @ g[:2, :2]) * c12).sum(axis=1) - g[2, 2] * mid * mid
+    near = d2 <= rmax * rmax * (1.0 + 1e-9)
+    c12, mid, d2 = c12[near], mid[near], d2[near]
+    half, half_in = (np.sqrt(np.maximum(r * r - d2, 0.0) / g[2, 2]) for r in (rmax, rin))
+    lo, hi = np.floor(mid - half).astype(np.int64), np.ceil(mid + half).astype(np.int64)
+    lo_in = np.ceil(mid - half_in).astype(np.int64) + 1
+    count = np.maximum(np.floor(mid + half_in).astype(np.int64) - lo_in, 0)
+    band = hi - lo + 1 - count
+    for k in range(0, len(lo), 256):
+        n = band[k : k + 256]
+        line = np.repeat(np.arange(k, k + len(n)), n)
+        c3 = lo[line] + np.arange(len(line)) - np.repeat(np.cumsum(n) - n, n)
+        c3 += np.where(c3 >= lo_in[line], count[line], 0)
+        t = (np.column_stack([c12[line], c3]) @ u) @ basis
+        yield int(count[k : k + 256].sum()), t[np.linalg.norm(t, axis=1) <= rmax]
+
+
+def _skeleton_density_full_reference(z, lat, radius):
+    """skeleton_density over every translate of the whole ball, without the mirror fold:
+    (cells, shell, crossing, density, skeleton length, weighted length)."""
+    cls = TL.edge_classes(z, lat)
+    circ = z.circumradius()
+    lengths = np.linalg.norm(cls.end - cls.start, axis=1)
+    is_rep = np.isin(np.arange(len(lengths)), cls.reps)
+    whole = np.zeros(len(lengths), dtype=np.int64)
+    cells, shell, crossing, totals, weighted = 0, 0, 0, [], []
+    for counted, t in _ball_lines_full_reference(lat.basis, radius + circ, radius - circ):
+        inner = np.linalg.norm(t, axis=1) + circ < radius
+        cells += counted + len(t)
+        inside, idx, chord = _shell_pairs_reference(t[~inner], cls.start, cls.end, radius)
+        col = idx % len(lengths)
+        full = chord == lengths[col]
+        whole += counted + int(inner.sum()) + np.count_nonzero(inside, axis=0)
+        whole += np.bincount(col[full], minlength=len(lengths))
+        cut = (chord > 0.0) & ~full
+        totals.append(chord[cut & is_rep[col]].sum())
+        weighted.append((chord / cls.share[col])[cut].sum())
+        shell, crossing = shell + len(inside), crossing + len(chord)
+    totals.extend((whole * lengths)[cls.reps].tolist())
+    weighted.extend((whole * lengths / cls.share).tolist())
+    total, weighted_total = math.fsum(totals), math.fsum(weighted)
+    assert abs(total - weighted_total) <= 1e-9 * max(1.0, total)
+    return cells, shell, crossing, total / (4.0 / 3.0 * math.pi * radius**3), total, weighted_total
+
+
 def _box_points_reference(basis, rmax):
     """Lattice vectors of norm at most rmax from the whole coefficient box
     of the LLL-reduced basis, in lexicographic coefficient order."""
@@ -156,7 +210,7 @@ def _basis(name, unit_shapes):
 
 
 class TestBallLines:
-    """The line enumeration against the whole coefficient box."""
+    """The half-ball line enumeration and its mirror image against the whole coefficient box."""
 
     @staticmethod
     def _tangent_radius(basis):
@@ -174,9 +228,10 @@ class TestBallLines:
             "tangent": (tangent, 0.0),
             "tangent-inner": (tangent + 0.75, 0.75),
         }[case]
-        blocks = list(TL._ball_lines(basis, radius + circ, radius - circ))
-        count = sum(n for n, _ in blocks)
-        band = np.concatenate([b for _, b in blocks])
+        (zero_count, zero), *after = TL._ball_lines(basis, radius + circ, radius - circ)
+        count = zero_count + 2 * sum(n for n, _ in after)  # each line after (0, 0) and its mirror
+        half = np.concatenate([zero[:0], *(b for _, b in after)])
+        band = np.concatenate([0.0 - half[::-1], zero, half])
         ref = _box_points_reference(basis, radius + circ)
         index = {row.tobytes(): i for i, row in enumerate(ref)}
         pos = np.array([index[row.tobytes()] for row in band])
@@ -351,6 +406,10 @@ class TestSkeletonDensity:
             assert abs(est.density - ref.density) <= 1e-15 * ref.density
 
 
+def _seeded_body(type_index):
+    return random_body(np.random.default_rng(40 + type_index), type_index)
+
+
 class TestShellPairs:
     """The classifier's reused work arrays against fresh temporaries, block by block."""
 
@@ -376,7 +435,7 @@ class TestShellPairs:
             for g, w in zip(got, want):
                 assert (g.shape, g.dtype) == (w.shape, w.dtype)
                 assert g.tobytes() == w.tobytes()
-        assert sum(sizes) == est.shell
+        assert sizes[0] + 2 * sum(sizes[1:]) == est.shell  # (0, 0) line, then each line and its mirror
         return sizes
 
     @pytest.mark.parametrize("chunk", [1, 7, 256])
@@ -395,9 +454,55 @@ class TestShellPairs:
     @pytest.mark.parametrize("type_index", [1, 2, 3, 4, 5])
     def test_random_bodies_bitwise(self, monkeypatch, type_index, chunk):
         monkeypatch.setattr(TL, "_LINE_CHUNK", chunk)
-        z = random_body(np.random.default_rng(40 + type_index), type_index)
+        z = _seeded_body(type_index)
         lat = TL.lattice_from_parallelohedron(z)
         self._assert_blocks_match_reference(z, lat, 3.0 * z.diameter(), monkeypatch)
+
+
+class TestMirrorFold:
+    """skeleton_density over half the ball, folded by x -> -x, against the whole ball."""
+
+    @pytest.mark.parametrize("name", [*SHAPES, "random"])
+    def test_antipodal_map_is_an_involution(self, unit_shapes, name):
+        for z in [_seeded_body(ty) for ty in (1, 2, 3, 4, 5)] if name == "random" else [unit_shapes[name]]:
+            cls = TL.edge_classes(z, TL.lattice_from_parallelohedron(z))
+            sigma = TL._antipodal_edges(cls.start, cls.end, z.edge_segment)
+            assert (sigma[sigma] == np.arange(len(sigma))).all()
+            assert np.abs(cls.start[sigma] + cls.end).max() <= 1e-9
+            assert np.abs(cls.end[sigma] + cls.start).max() <= 1e-9
+            assert (z.edge_segment[sigma] == z.edge_segment).all()
+            assert (sigma != np.arange(len(sigma))).all()  # no edge of a centred cell is its own mirror
+
+    def test_off_centre_edges_are_refused_in_one_line(self, unit_shapes):
+        z = unit_shapes["truncocta"]
+        cls = TL.edge_classes(z, TL.lattice_from_parallelohedron(z))
+        shift = np.array([0.01, 0.0, 0.0])
+        with pytest.raises(GeometryError, match="^cell edges are not symmetric under x -> -x") as exc:
+            TL._antipodal_edges(cls.start + shift, cls.end + shift, z.edge_segment)
+        assert "\n" not in str(exc.value)
+
+    @staticmethod
+    def _assert_matches_full_reference(z, lat, radius, monkeypatch):
+        cells, shell, crossing, density, total, weighted = _skeleton_density_full_reference(z, lat, radius)
+        for chunk in (1, 7, 256):
+            monkeypatch.setattr(TL, "_LINE_CHUNK", chunk)
+            est = TL.skeleton_density(z, lat, radius)
+            assert (est.cells, est.shell, est.crossing) == (cells, shell, crossing)
+            assert abs(est.density - density) <= 1e-15 * density
+            assert abs(est.weighted_length - weighted) <= 1e-15 * weighted
+
+    @pytest.mark.parametrize("name", SHAPES)
+    def test_unit_shapes(self, unit_shapes, monkeypatch, name):
+        z = unit_shapes[name]
+        lat = TL.lattice_from_parallelohedron(z)
+        for radius in (3.0 * z.diameter(), 20.0, 30.0):
+            self._assert_matches_full_reference(z, lat, radius, monkeypatch)
+
+    @pytest.mark.parametrize("type_index", [1, 2, 3, 4, 5])
+    def test_random_bodies(self, monkeypatch, type_index):
+        z = _seeded_body(type_index)
+        lat = TL.lattice_from_parallelohedron(z)
+        self._assert_matches_full_reference(z, lat, 3.0 * z.diameter(), monkeypatch)
 
 
 class TestNotFaceToFace:
