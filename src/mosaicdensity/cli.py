@@ -249,6 +249,7 @@ def _density_row(est: tiling.DensityEstimate) -> dict:
         "shell": est.shell,
         "crossing": est.crossing,
         "exact_density": est.exact_density,
+        "symmetries": est.symmetries,
     }
 
 

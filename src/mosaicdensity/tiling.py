@@ -10,11 +10,12 @@ one class per orbit of tiling edges, and a class has one member per
 cell sharing the edge, 4 on a 4-belt and 3 on a 6-belt.
 So the per-cell functional with weights (2, 1) over cell volume is the limit
 density, and the sum of the class representatives' lengths over the covolume
-is the density exactly.  The cell is centred and the lattice symmetric, so the
-skeleton is symmetric under x -> -x, which takes edge j of translate t to edge
-sigma(j) of translate -t.  Translates are enumerated line by line over half the
-ball, the (0, 0) line and the lines after it, and each other line stands for its
-mirror too: cells strictly inside the ball are mostly counted, not formed, and
+is the density exactly.  The tiling's point group G, the orthogonal maps that
+take the lattice onto itself and the cell's edges onto edges (order 48 for the
+cube, 2 for a generic body, and always holding x -> -x as the cell is centred),
+maps the skeleton in a centred ball onto itself.  So translates are enumerated
+line by line, one per orbit of G, its lexicographic maximum, standing for the
+whole orbit: cells strictly inside the ball are mostly counted, not formed, and
 add their edge lengths in closed form; edges near the sphere are whole, missing
 or crossing by their endpoint norms, and only crossing edges are clipped and
 summed, in work arrays reused from block to block.
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import numpy as np
 
@@ -90,45 +91,96 @@ def _lll_unimodular(basis: np.ndarray) -> np.ndarray:
 
 
 _LINE_CHUNK = 256  # lattice lines whose band is formed, and clipped, per block
+_CENTRAL = np.array([np.eye(3), -np.eye(3)], dtype=np.int64)  # x -> x and x -> -x, on any coefficients
 
 
-def _ball_lines(basis: np.ndarray, rmax: float, rin: float = 0.0):
-    """Lattice vectors of norm at most rmax in half the ball: per block of lines, a count and a band.
+def _facet_walls(n: np.ndarray) -> np.ndarray:
+    """The rows of n that bound a 2-face of the cone n @ c >= 0: those vanishing on two extreme rays,
+    nonzero cross products of two walls, either way round, on which every wall is >= 0.  float64 holds
+    the products exactly while 6 max|n|^3 < 2^53; else, or if the cone holds a line, all rows are kept."""
+    if len(n) < 3 or 6.0 * float(np.abs(n).max()) ** 3 >= 2.0**53:
+        return n
+    f = n.astype(np.float64)
+    r = _kernels.cross3(f[:, None], f[None]).reshape(-1, 3)
+    s = r @ f.T
+    ray = (r != 0.0).any(axis=1) & (s >= 0.0).all(axis=1)
+    r, tight = r[ray], s[ray] == 0.0
+    other = (_kernels.cross3(r[tight.argmax(axis=0)][:, None], r) != 0.0).any(axis=2) & tight.T
+    facet = other.any(axis=1)
+    return n[facet] if facet.any() else n
 
-    Each line c1 b1 + c2 b2 + c3 b3 of the LLL-reduced basis meets a ball in
-    one c3 interval.  Points whose two neighbours on the line lie in the interval
-    of radius ``rin`` are counted (by convexity |t|^2 <= rin^2 - |b3|^2); the rest
-    of the interval of radius rmax, rounded outwards, is formed from the stored
-    basis and kept where norm(t) <= rmax, in lexicographic (c1, c2, c3) order.
-    Only the (0, 0) line, alone in the first block, and the lines after it in
-    lexicographic (c1, c2) order are enumerated; the line -(c1, c2) holds the
-    negated points, with the same count, so the lines before (0, 0) are the
-    mirror image of the lines after it.
+
+def _ball_lines(basis: np.ndarray, rmax: float, rin: float = 0.0, group: np.ndarray = _CENTRAL):
+    """Lattice vectors of norm at most rmax, one per orbit of ``group`` (integer matrices on the
+    coefficients of ``basis``, c -> c @ m): per block of lines, the orbit-weighted count, the band and
+    the orbit size of each band point.
+
+    A point c of the LLL-reduced basis is taken when it is the lexicographic maximum of its orbit,
+    c - c m >=lex 0 for every m.  In the coefficient box, x >=lex 0 iff x . (K^2, K, 1) >= 0 for K
+    beyond |x_2| and |x_3|, so each m is a wall n = (I - m)(K^2, K, 1), and the cone's facet walls
+    cut each line c1 b1 + c2 b2 + c3 b3 to an exact c3 interval.  All walls are >= 0 on it, so only
+    its two ends can lie on a wall, n . c = 0 (c m = c), that the whole line does not: the points
+    between share the line's stabiliser, and the ends, always formed, have theirs counted.  Points
+    strictly inside the cone interval whose two neighbours lie in the ball of radius ``rin`` are
+    counted (by convexity |t|^2 <= rin^2 - |b3|^2); the rest of the line in the ball of radius rmax,
+    rounded outwards, is formed from the stored basis and kept where norm(t) <= rmax, in
+    lexicographic (c1, c2, c3) order.
     """
     u = _lll_unimodular(basis)
     red = u @ basis
+    m = u @ group @ np.rint(np.linalg.inv(u)).astype(np.int64)
     # |c_i| <= |t| * ||column i of basis inverse|| for t = c @ basis
-    lim = np.floor(np.linalg.norm(np.linalg.inv(red), axis=0)[:2] * rmax).astype(np.int64) + 1
-    c12 = np.stack(np.meshgrid(*(np.arange(-l, l + 1) for l in lim), indexing="ij"), -1).reshape(-1, 2)
-    c12 = c12[len(c12) // 2 :]  # (0, 0) sits in the middle of the symmetric table
+    lim = np.floor(np.linalg.norm(np.linalg.inv(red), axis=0) * rmax).astype(np.int64) + 1
+    d = np.eye(3, dtype=np.int64) - m
+    base = int(np.einsum("i,gik->gk", lim + 1, np.abs(d[:, :, 1:])).max()) + 2  # |x_2|, |x_3| < base
+    n = d @ np.array([base * base, base, 1])
+    walls = _facet_walls(n[(n != 0).any(axis=1)])
+    c1 = np.repeat(np.arange(-lim[0], lim[0] + 1), 2 * lim[1] + 1)
+    c2 = np.tile(np.arange(-lim[1], lim[1] + 1), 2 * lim[0] + 1)
+    cl, ch = np.full(len(c1), -lim[2] - 1.0), np.full(len(c1), lim[2] + 1.0)  # cone interval, or past the box
+    cone = np.ones(len(c1), dtype=bool)
+    for w1, w2, w3 in walls.tolist():  # w3 c3 >= -a; a / w3 is exact in float64 while |a| < 2^53
+        a = c1 * w1 + c2 * w2
+        if w3 == 0:
+            cone &= a >= 0
+        elif w3 > 0:
+            np.maximum(cl, np.ceil(-a / w3), out=cl)
+        else:
+            np.minimum(ch, np.floor(-a / w3), out=ch)
+    cone &= cl <= ch
+    c1, c2, cl, ch = c1[cone], c2[cone], cl[cone].astype(np.int64), ch[cone].astype(np.int64)
     g = red @ red.T  # |c @ red|^2 = c g c
-    mid = -(c12 @ g[:2, 2]) / g[2, 2]
-    d2 = ((c12 @ g[:2, :2]) * c12).sum(axis=1) - g[2, 2] * mid * mid  # squared distance of a line from 0
-    near = d2 <= rmax * rmax * (1.0 + 1e-9)  # a margin for rounding; bands are exact
-    c12, mid, d2 = c12[near], mid[near], d2[near]
+    mid = -(c1 * g[0, 2] + c2 * g[1, 2]) / g[2, 2]
+    d2 = (c1 * g[0, 0] + c2 * g[1, 0]) * c1 + (c1 * g[0, 1] + c2 * g[1, 1]) * c2 - g[2, 2] * mid * mid
     half, half_in = (np.sqrt(np.maximum(r * r - d2, 0.0) / g[2, 2]) for r in (rmax, rin))
     lo, hi = np.floor(mid - half).astype(np.int64), np.ceil(mid + half).astype(np.int64)
     lo_in = np.ceil(mid - half_in).astype(np.int64) + 1  # lo < lo_in <= hi + 1
-    count = np.maximum(np.floor(mid + half_in).astype(np.int64) - lo_in, 0)
-    band = hi - lo + 1 - count
-    bounds = [0, *range(1, len(lo), _LINE_CHUNK), len(lo)]  # the (0, 0) line is always near
+    hi_in = np.floor(mid + half_in).astype(np.int64) - 1
+    first, last = np.maximum(lo, cl), np.minimum(hi, ch)
+    # d2 is the squared distance of a line from 0, with a margin for rounding; bands are exact
+    keep = (d2 <= rmax * rmax * (1.0 + 1e-9)) & (first <= last)
+    c12 = np.column_stack([c1[keep], c2[keep]])
+    cl, ch, first, last = cl[keep], ch[keep], first[keep], last[keep]
+    lo_in, hi_in = np.maximum(lo_in[keep], cl + 1), np.minimum(hi_in[keep], ch - 1)
+    count = np.maximum(hi_in - lo_in + 1, 0)
+    band = last - first + 1 - count
+    # orbit sizes at each line's first band point, the next and the last: c . n = 0 (exact in float64,
+    # as a / w3) counts the stabiliser, and the next point has the one of every point between the ends
+    at = np.stack([first, first + 1, last])[..., None] * n[:, 2].astype(np.float64) + c12 @ n[:, :2].T
+    q_first, weight, q_last = len(m) // np.count_nonzero(at == 0.0, axis=2)
+    bounds = [*range(0, len(band), _LINE_CHUNK), len(band)]
     for k, stop in zip(bounds, bounds[1:]):
-        n = band[k:stop]
-        line = np.repeat(np.arange(k, stop), n)
-        c3 = lo[line] + np.arange(len(line)) - np.repeat(np.cumsum(n) - n, n)
+        size = band[k:stop]
+        start = np.cumsum(size) - size  # where each line's band begins in the block
+        line = np.repeat(np.arange(k, stop), size)
+        c3 = first[line] + np.arange(len(line)) - np.repeat(start, size)
         c3 += np.where(c3 >= lo_in[line], count[line], 0)  # step over the counted run
-        t = (np.column_stack([c12[line], c3]) @ u) @ basis
-        yield int(count[k:stop].sum()), t[np.linalg.norm(t, axis=1) <= rmax]
+        c = np.column_stack([c12[line], c3])
+        t = c @ u @ basis
+        q = np.repeat(weight[k:stop], size)
+        q[start], q[start + size - 1] = q_first[k:stop], q_last[k:stop]
+        inside = np.linalg.norm(t, axis=1) <= rmax
+        yield int((count * weight)[k:stop].sum()), t[inside], q[inside]
 
 
 @dataclass(frozen=True)
@@ -151,11 +203,10 @@ class Lattice:
 
     def points_in_ball(self, rmax: float) -> np.ndarray:
         """All lattice vectors of norm at most rmax, in lexicographic coefficient
-        order: the half ball of ``_ball_lines`` and its mirror image."""
-        zero, *rest = (band for _, band in _ball_lines(self.basis, rmax))
-        after = np.concatenate([zero[:0], *rest])
+        order: the half ball of ``_ball_lines``, led by 0, and its mirror image."""
+        half = np.concatenate([band for _, band, _ in _ball_lines(self.basis, rmax)])
         # 0 - t, not -t: a zero coordinate stays +0.0, as the matmul forms it
-        return np.concatenate([0.0 - after[::-1], zero, after])
+        return np.concatenate([0.0 - half[:0:-1], half])
 
 
 @dataclass(frozen=True)
@@ -169,6 +220,7 @@ class DensityEstimate:
     shell: int  # translates whose edges were classified one by one
     crossing: int  # (translate, edge) pairs given to the chord formula
     exact_density: float  # the class representatives' total length over the covolume
+    symmetries: int  # order of the tiling's point group, which folds the ball
 
     @property
     def relative_error(self) -> float:
@@ -329,8 +381,7 @@ def _shell_pairs(start: np.ndarray, end: np.ndarray, radius: float):
     ball, and the flat indices and chords of the pairs that may cross the sphere; the rest miss, as for
     p(s) = t + start + s d, |p(s)|^2 = (1 - s)|p(0)|^2 + s|p(1)|^2 - s(1 - s)|d|^2.  Per-edge constants
     are formed once; each call works in place in arrays valid until the next, grown to twice the t that
-    outgrows them: blocks of the half ball grow outwards from the (0, 0) line, and each fresh array faults
-    in its pages."""
+    outgrows them: blocks vary in size along the enumeration, and each fresh array faults in its pages."""
     d, r2 = end - start, radius * radius
     a, sd, ss = (d * d).sum(axis=1), (start * d).sum(axis=1), (start * start).sum(axis=1)
     inside, near = r2 * (1.0 - 1e-12), r2 * (1.0 + 1e-12) + a / 4.0  # margins for rounding in c
@@ -351,19 +402,37 @@ def _shell_pairs(start: np.ndarray, end: np.ndarray, radius: float):
     return pairs
 
 
-def _antipodal_edges(start: np.ndarray, end: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """sigma with start[sigma] = -end and end[sigma] = -start: x -> -x maps edge j to sigma(j).
+def _point_group(z: Zonotope, lat: Lattice, mid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The tiling's point group G: the orthogonal maps x -> x @ a taking the lattice onto itself and
+    the cell's edges, with midpoints ``mid``, onto edges, and so its generators onto generators up to sign.
 
-    The edge of the same segment label whose start is nearest -end[j] is taken;
-    raises GeometryError unless it lies within 1e-9 and sigma is an involution.
+    An orthogonal map is fixed by its images of an independent triple of generators, so the
+    candidates are the signed images of the first such triple with the triple's Gram matrix.
+    Returns each element as an integer matrix on lattice coefficients, c -> c @ m, and its edge
+    permutation, edge j onto edge perm[g, j]; raises GeometryError unless x -> -x is in G.
     """
-    gap = np.abs(start[None] + end[:, None]).max(axis=2)  # gap[j, i] = |start[i] + end[j]|_inf
-    gap[labels[:, None] != labels[None]] = np.inf
-    sigma = gap.argmin(axis=1)
-    ids = np.arange(len(sigma))
-    if not (gap[ids, sigma] <= 1e-9).all() or (sigma[sigma] != ids).any():
+    gens = np.array([s.direction for s in z.segments])
+    scale = np.abs(gens).max()
+    independent = (t for t in combinations(range(len(gens)), 3) if abs(np.linalg.det(gens[list(t)])) > 1e-9 * scale**3)
+    tri = np.array(next(independent))
+    idx = np.array(list(permutations(range(len(gens)), 3)))  # candidate image triples
+    signs = np.array(list(product((1, -1), repeat=3)))
+    i, j = [0, 0, 1, 0, 1, 2], [1, 2, 2, 0, 1, 2]  # the entries of a symmetric 3x3 matrix
+    gram = gens @ gens.T
+    fits = gram[idx[:, i], idx[:, j]] * (signs[:, i] * signs[:, j])[:, None] - gram[tri[i], tri[j]]
+    sign, triple = np.nonzero((np.abs(fits) <= 1e-9 * scale**2).all(axis=2))
+    maps = np.linalg.inv(gens[tri]) @ (gens[idx[triple]] * signs[sign, :, None])  # gens[tri] @ a = image triple
+    image = mid @ maps
+    # a ray from the centre leaves the cell once, so an image midpoint is nearest in direction to its edge's
+    cosine = image.reshape(-1, 3) @ (mid / np.linalg.norm(mid, axis=1)[:, None]).T
+    perm = cosine.argmax(axis=1).reshape(len(maps), -1)
+    coeffs = lat.basis @ maps @ np.linalg.inv(lat.basis)
+    ok = (np.abs(image - mid[perm]) <= 1e-9 * scale).all(axis=(1, 2))
+    ok &= (np.abs(coeffs - np.rint(coeffs)) <= 1e-7).all(axis=(1, 2))
+    group = np.rint(coeffs[ok]).astype(np.int64)
+    if not (group == -np.eye(3, dtype=np.int64)).all(axis=(1, 2)).any():
         raise GeometryError("cell edges are not symmetric under x -> -x: the cell is not centred")
-    return sigma
+    return group, perm[ok]
 
 
 def skeleton_density(z: Zonotope, lat: Lattice, radius: float) -> DensityEstimate:
@@ -371,42 +440,51 @@ def skeleton_density(z: Zonotope, lat: Lattice, radius: float) -> DensityEstimat
 
     Two totals are formed: each tiling edge counted once, through the
     class representatives of every translate, and every cell edge
-    weighted by 1/k.  Cells counted inside the ball by ``_ball_lines``
-    or strictly inside it add count x length; of the other translates,
-    pairs with both endpoints inside add length, and only the pairs that
-    may cross the sphere are clipped and summed, a pairwise sum per block,
-    by one ``_shell_pairs`` classifier.  Only half the ball is enumerated:
-    the (0, 0) line has weight 1, and each other line weight 2, as pair
-    (t, j) stands for its mirror (-t, sigma(j)) too.  So a chord of edge j
-    adds (rep_j + rep_sigma(j)) to the first total and 2/k to the second,
-    and the translates holding edge j whole number whole[j] + whole[sigma(j)].
-    The totals must agree to 1e-9.  The counts are those of the whole ball.
-    ``exact_density`` is the representatives' total length over the covolume.
+    weighted by 1/k.  Only one translate per orbit of the tiling's point
+    group G is formed or counted, by ``_ball_lines``, with weight q, the
+    orbit's size: g in G maps edge j of translate t onto edge perm[g, j]
+    of translate g t, so pair (t, j) stands for its images.  Cells
+    counted inside the ball or strictly inside it add q x length; of the
+    other translates, pairs with both endpoints inside add length, and
+    only the pairs that may cross the sphere are clipped and summed, a
+    pairwise sum per block, by one ``_shell_pairs`` classifier.  A chord
+    of edge j adds q/|G| x (the number of representatives among its
+    images) to the first total and q/k to the second; whole counts, kept
+    in integers scaled by |G|, fold as sum over g of whole[perm[g, j]],
+    and a sum that |G| does not divide raises GeometryError.  The totals
+    must agree to 1e-9.  The counts are those of the whole ball.
+    ``exact_density`` is the representatives' total length over the
+    covolume; ``symmetries`` is |G|.
     """
     _check_radius(z, radius)
     cls = edge_classes(z, lat)
-    sigma = _antipodal_edges(cls.start, cls.end, z.edge_segment)
+    group, perm = _point_group(z, lat, (cls.start + cls.end) / 2.0)
+    order = len(group)
     circ, pairs = z.circumradius(), _shell_pairs(cls.start, cls.end, radius)
     lengths = np.linalg.norm(cls.end - cls.start, axis=1)
-    rep = np.isin(np.arange(len(lengths)), cls.reps).astype(np.float64)
-    fold = (rep, rep + rep[sigma])  # chord weights of the (0, 0) line and of the other lines
-    whole = np.zeros((2, len(lengths)), dtype=np.int64)  # per line kind and edge, translates holding it whole
+    fold = np.isin(perm, cls.reps).sum(axis=0)  # representatives among the images of edge j
+    whole = np.zeros(len(lengths), dtype=np.int64)  # per edge, translates holding it whole, times their q
     cells, shell, crossing, totals, weighted = 0, 0, 0, [], []
-    for k, (counted, t) in enumerate(_ball_lines(lat.basis, radius + circ, radius - circ)):
-        m = min(k, 1)  # block 0 is the (0, 0) line, its own mirror image
-        w = m + 1  # the lines that each line of the block stands for
+    for counted, t, q in _ball_lines(lat.basis, radius + circ, radius - circ, group):
         inner = np.linalg.norm(t, axis=1) + circ < radius
-        cells += w * (counted + len(t))
+        counted += int(q[inner].sum())
+        q = q[~inner]
         inside, idx, chord = pairs(t[~inner])
-        col = idx % len(lengths)
+        row, col = np.divmod(idx, len(lengths))
+        w = q[row]
         full = chord == lengths[col]
-        whole[m] += counted + int(inner.sum()) + np.count_nonzero(inside, axis=0)
-        whole[m] += np.bincount(col[full], minlength=len(lengths))
+        odd = np.flatnonzero(q != order)  # translates with a stabiliser beyond 1: few, and weighted apart
+        whole += counted + order * np.count_nonzero(inside, axis=0) + (q[odd] - order) @ inside[odd]
+        whole += np.bincount(col[full], w[full], len(lengths)).astype(np.int64)
         cut = (chord > 0.0) & ~full
-        totals.append((chord * fold[m][col])[cut].sum())
-        weighted.append(w * (chord / cls.share[col])[cut].sum())
-        shell, crossing = shell + w * len(inside), crossing + w * len(chord)
-    held = whole[0] + whole[1] + whole[1][sigma]
+        chord, col = (chord * w)[cut], col[cut]
+        totals.append((chord * fold[col]).sum() / order)
+        weighted.append((chord / cls.share[col]).sum())
+        cells += counted + int(q.sum())
+        shell, crossing = shell + int(q.sum()), crossing + int(w.sum())
+    held, rest = np.divmod(whole[perm].sum(axis=0), order)
+    if rest.any():
+        raise GeometryError(f"folded whole-edge count is not a multiple of |G| = {order}: an orbit weight is off")
     totals.extend((held * lengths)[cls.reps].tolist())
     weighted.extend((held * lengths / cls.share).tolist())
     total, weighted_total = math.fsum(totals), math.fsum(weighted)
@@ -417,7 +495,7 @@ def skeleton_density(z: Zonotope, lat: Lattice, radius: float) -> DensityEstimat
     density = total / (4.0 / 3.0 * math.pi * radius**3)
     target = weighted_edge_functional(z, WeightPair(2.0, 1.0)) / z.volume()
     exact = math.fsum(lengths[cls.reps].tolist()) / lat.covolume
-    return DensityEstimate(radius, total, density, target, weighted_total, cells, shell, crossing, exact)
+    return DensityEstimate(radius, total, density, target, weighted_total, cells, shell, crossing, exact, order)
 
 
 @dataclass(frozen=True)

@@ -196,6 +196,15 @@ class TestTile:
         assert len(rows) == 3
         assert float(rows[1][0]) == 6.0 and float(rows[2][0]) == 9.0
 
+    def test_symmetries_in_every_row(self, capsys):
+        # the order of the point group that folds the ball: 48 for the cube's tiling
+        code, doc = run_json(capsys, ["tile", "--shape", "cube", "--series", "6,9"])
+        assert code == 0
+        assert [row["symmetries"] for row in doc["outputs"]["rows"]] == [48, 48]
+        code, rows = run_csv(capsys, ["tile", "--shape", "hexprism", "--series", "6,9", "--csv"])
+        assert code == 0
+        assert rows[0][-1] == "symmetries" and [row[-1] for row in rows[1:]] == ["24", "24"]
+
     # an unusable --shape is a usage error (exit 2), not a failed certificate (exit 1)
     def test_unknown_shape(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -305,6 +314,7 @@ class TestVerify:
         names = {r["name"]: r["pass"] for r in doc["residuals"]}
         for shape in ("cube", "truncocta"):
             assert names[f"{shape}_exact_density_vs_target"] and names[f"{shape}_skeleton_length_in_exact_bracket"]
+        assert rows["cube"]["symmetries"] == rows["truncocta"]["symmetries"] == 48
 
     def test_isotropy_suite(self, capsys):
         code, doc = run_json(capsys, ["verify", "--lemma", "isotropy", "--samples", "1000"])

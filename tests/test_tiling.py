@@ -1,5 +1,6 @@
 """Tiling lattices, validation witnesses, and skeleton density."""
 
+import dataclasses
 import math
 from itertools import product
 
@@ -209,29 +210,49 @@ def _basis(name, unit_shapes):
     return TL.lattice_from_parallelohedron(unit_shapes[name]).basis
 
 
+def _group(z, lat):
+    """The tiling's point group on lattice coefficients, and its edge permutations."""
+    cls = TL.edge_classes(z, lat)
+    return TL._point_group(z, lat, (cls.start + cls.end) / 2.0)
+
+
+def _coefficients(lat, t):
+    return np.rint(t @ np.linalg.inv(lat.basis)).astype(np.int64)
+
+
+def _orbit_sizes(lat, group, t):
+    """The number of distinct images of each lattice vector t under the group."""
+    images = _coefficients(lat, t) @ group  # (G, S, 3)
+    keys = np.sort(images @ (np.abs(images).max(initial=0) * 2 + 1) ** np.arange(3), axis=0)
+    return 1 + (np.diff(keys, axis=0) != 0).sum(axis=0)
+
+
 class TestBallLines:
-    """The half-ball line enumeration and its mirror image against the whole coefficient box."""
+    """The orbit enumeration against the whole coefficient box: under x -> -x, the half ball and
+    its mirror image; under a tiling's point group, one point per orbit."""
 
     @staticmethod
-    def _tangent_radius(basis):
-        # a radius with a lattice point exactly on the sphere
-        return float(np.linalg.norm(_box_points_reference(basis, 5.0), axis=1).max())
+    def _radii(basis, case, reach=5.0):
+        # radius and circumradius; tangent: a lattice point exactly on the sphere of radius + circ
+        tangent = float(np.linalg.norm(_box_points_reference(basis, reach), axis=1).max())
+        return {
+            "non-integer": (7.3, 1.1),
+            "tangent": (tangent, 0.0),
+            "tangent-inner": (tangent + 0.75, 0.75),
+        }[case]
 
     @pytest.mark.parametrize("name", [*BASES, *SHAPES])
     @pytest.mark.parametrize("case", ["non-integer", "tangent", "tangent-inner"])
     def test_count_and_band_partition_the_box(self, unit_shapes, monkeypatch, name, case):
         monkeypatch.setattr(TL, "_LINE_CHUNK", 7)  # many blocks, each boundary crossed
         basis = _basis(name, unit_shapes)
-        tangent = self._tangent_radius(basis)
-        radius, circ = {
-            "non-integer": (7.3, 1.1),
-            "tangent": (tangent, 0.0),
-            "tangent-inner": (tangent + 0.75, 0.75),
-        }[case]
-        (zero_count, zero), *after = TL._ball_lines(basis, radius + circ, radius - circ)
-        count = zero_count + 2 * sum(n for n, _ in after)  # each line after (0, 0) and its mirror
-        half = np.concatenate([zero[:0], *(b for _, b in after)])
-        band = np.concatenate([0.0 - half[::-1], zero, half])
+        radius, circ = self._radii(basis, case)
+        blocks = list(TL._ball_lines(basis, radius + circ, radius - circ))
+        count = sum(n for n, _, _ in blocks)  # counted points and their mirror images
+        half = np.concatenate([b for _, b, _ in blocks])
+        q = np.concatenate([w for _, _, w in blocks])
+        assert not half[0].any() and q[0] == 1 and (q[1:] == 2).all()  # 0 is its own mirror image
+        band = np.concatenate([0.0 - half[:0:-1], half])
         ref = _box_points_reference(basis, radius + circ)
         index = {row.tobytes(): i for i, row in enumerate(ref)}
         pos = np.array([index[row.tobytes()] for row in band])
@@ -244,6 +265,28 @@ class TestBallLines:
         assert np.array_equal(got, ref)
         if case == "tangent":
             assert (np.linalg.norm(got, axis=1) == radius).any()
+
+    @pytest.mark.parametrize("name", SHAPES)
+    @pytest.mark.parametrize("case", ["non-integer", "tangent", "tangent-inner"])
+    def test_orbits_partition_the_box(self, unit_shapes, monkeypatch, name, case):
+        monkeypatch.setattr(TL, "_LINE_CHUNK", 7)
+        z = unit_shapes[name]
+        lat = TL.lattice_from_parallelohedron(z)
+        group, _ = _group(z, lat)
+        radius, circ = self._radii(lat.basis, case, reach=7.0)
+        blocks = list(TL._ball_lines(lat.basis, radius + circ, radius - circ, group))
+        formed = np.concatenate([b for _, b, _ in blocks])
+        q = np.concatenate([w for _, _, w in blocks])
+        ref = _box_points_reference(lat.basis, radius + circ)
+        index = {c: i for i, c in enumerate(map(tuple, _coefficients(lat, ref).tolist()))}
+        images = _coefficients(lat, formed) @ group  # (G, F, 3)
+        orbits = [{index[c] for c in map(tuple, images[:, i].tolist())} for i in range(len(formed))]
+        assert [len(o) for o in orbits] == q.tolist()  # q is the orbit size
+        covered = set().union(*orbits)
+        assert len(covered) == int(q.sum())  # one point per orbit
+        counted = np.setdiff1d(np.arange(len(ref)), list(covered))
+        assert sum(n for n, _, _ in blocks) == len(counted) > 0
+        assert (np.linalg.norm(ref[counted], axis=1) + circ < radius).all()
 
 
 class TestLatticeSearch:
@@ -435,7 +478,8 @@ class TestShellPairs:
             for g, w in zip(got, want):
                 assert (g.shape, g.dtype) == (w.shape, w.dtype)
                 assert g.tobytes() == w.tobytes()
-        assert sizes[0] + 2 * sum(sizes[1:]) == est.shell  # (0, 0) line, then each line and its mirror
+        group, _ = _group(z, lat)  # each shell translate stands for its orbit
+        assert sum(int(_orbit_sizes(lat, group, t).sum()) for t, *_ in blocks) == est.shell
         return sizes
 
     @pytest.mark.parametrize("chunk", [1, 7, 256])
@@ -446,7 +490,9 @@ class TestShellPairs:
         lat = TL.lattice_from_parallelohedron(z)
         for radius in (3.0 * z.diameter(), 20.0, 30.0):
             sizes = self._assert_blocks_match_reference(z, lat, radius, monkeypatch)
-            if chunk < 256:  # blocks both shrink and grow within one call
+            # blocks both shrink and grow within one call; at 3 diam, with one translate per orbit,
+            # 7 lines a block leave too few blocks for that
+            if chunk == 1 or (chunk == 7 and radius >= 20.0):
                 assert any(np.diff(sizes) < 0) and any(np.diff(sizes[1:]) > 0)
                 assert max(sizes[1:]) > sizes[0]
 
@@ -460,13 +506,15 @@ class TestShellPairs:
 
 
 class TestMirrorFold:
-    """skeleton_density over half the ball, folded by x -> -x, against the whole ball."""
+    """skeleton_density folded by the tiling's point group, which holds x -> -x, against the whole ball."""
 
     @pytest.mark.parametrize("name", [*SHAPES, "random"])
     def test_antipodal_map_is_an_involution(self, unit_shapes, name):
         for z in [_seeded_body(ty) for ty in (1, 2, 3, 4, 5)] if name == "random" else [unit_shapes[name]]:
-            cls = TL.edge_classes(z, TL.lattice_from_parallelohedron(z))
-            sigma = TL._antipodal_edges(cls.start, cls.end, z.edge_segment)
+            lat = TL.lattice_from_parallelohedron(z)
+            cls = TL.edge_classes(z, lat)
+            group, perm = _group(z, lat)
+            (sigma,) = perm[(group == -np.eye(3, dtype=np.int64)).all(axis=(1, 2))]  # the permutation of x -> -x
             assert (sigma[sigma] == np.arange(len(sigma))).all()
             assert np.abs(cls.start[sigma] + cls.end).max() <= 1e-9
             assert np.abs(cls.end[sigma] + cls.start).max() <= 1e-9
@@ -475,10 +523,10 @@ class TestMirrorFold:
 
     def test_off_centre_edges_are_refused_in_one_line(self, unit_shapes):
         z = unit_shapes["truncocta"]
-        cls = TL.edge_classes(z, TL.lattice_from_parallelohedron(z))
-        shift = np.array([0.01, 0.0, 0.0])
+        lat = TL.lattice_from_parallelohedron(z)
+        off = dataclasses.replace(z, vertices=z.vertices + np.array([0.01, 0.0, 0.0]))
         with pytest.raises(GeometryError, match="^cell edges are not symmetric under x -> -x") as exc:
-            TL._antipodal_edges(cls.start + shift, cls.end + shift, z.edge_segment)
+            TL.skeleton_density(off, lat, 3.0 * off.diameter())
         assert "\n" not in str(exc.value)
 
     @staticmethod
@@ -503,6 +551,73 @@ class TestMirrorFold:
         z = _seeded_body(type_index)
         lat = TL.lattice_from_parallelohedron(z)
         self._assert_matches_full_reference(z, lat, 3.0 * z.diameter(), monkeypatch)
+
+
+class TestSymmetryGroup:
+    """The tiling's point group: its order, its elements and their edge permutations."""
+
+    @pytest.mark.parametrize(
+        "name, order", [("cube", 48), ("hexprism", 24), ("rhombic", 48), ("elongated", 16), ("truncocta", 48)]
+    )
+    def test_order_of_the_unit_shapes(self, unit_shapes, name, order):
+        z = unit_shapes[name]
+        lat = TL.lattice_from_parallelohedron(z)
+        group, perm = _group(z, lat)
+        assert group.shape == (order, 3, 3) and perm.shape == (order, len(z.edge_segment))
+        assert TL.skeleton_density(z, lat, 3.0 * z.diameter()).symmetries == order
+
+    @pytest.mark.parametrize("name", SHAPES)
+    def test_elements_map_the_tiling_onto_itself(self, unit_shapes, name):
+        z = unit_shapes[name]
+        lat = TL.lattice_from_parallelohedron(z)
+        cls = TL.edge_classes(z, lat)
+        group, perm = _group(z, lat)
+        assert group.dtype == np.int64  # integral on lattice coefficients, c -> c @ m
+        keys = {m.tobytes() for m in group}
+        assert len(keys) == len(group) and np.eye(3, dtype=np.int64).tobytes() in keys
+        assert (-np.eye(3, dtype=np.int64)).tobytes() in keys
+        assert all((a @ b).tobytes() in keys for a in group for b in group)  # closed: a group
+        maps = np.linalg.inv(lat.basis) @ group @ lat.basis  # the same maps in space, x -> x @ a
+        assert np.abs(maps @ maps.transpose(0, 2, 1) - np.eye(3)).max() <= 1e-12
+        gens = np.array([s.direction for s in z.segments])
+        for a, p in zip(maps, perm):
+            image = (z.vertices @ a)[:, None] - z.vertices
+            assert np.abs(image).max(axis=2).min(axis=1).max() <= 1e-9  # vertices onto vertices
+            image = (gens @ a)[:, None]
+            assert np.minimum(np.abs(image - gens), np.abs(image + gens)).max(axis=2).min(axis=1).max() <= 1e-9
+            assert sorted(p.tolist()) == list(range(len(p)))  # edge j onto edge p[j], one to one
+            s, e = cls.start @ a, cls.end @ a
+            kept = np.maximum(np.abs(s - cls.start[p]).max(axis=1), np.abs(e - cls.end[p]).max(axis=1))
+            turned = np.maximum(np.abs(s - cls.end[p]).max(axis=1), np.abs(e - cls.start[p]).max(axis=1))
+            assert np.minimum(kept, turned).max() <= 1e-9
+
+    @pytest.mark.parametrize("type_index", [1, 2, 3, 4, 5])
+    def test_random_bodies_have_order_two(self, type_index):
+        rng = np.random.default_rng(60 + type_index)
+        for z in [_seeded_body(type_index), *(random_body(rng, type_index) for _ in range(4))]:
+            group, _ = _group(z, TL.lattice_from_parallelohedron(z))
+            assert sorted(map(bytes, group)) == sorted(map(bytes, TL._CENTRAL))
+
+    def test_off_centre_cell_is_refused_in_one_line(self, unit_shapes):
+        z = unit_shapes["cube"]
+        off = dataclasses.replace(z, vertices=z.vertices + np.array([0.0, 0.02, 0.01]))
+        message = "^cell edges are not symmetric under x -> -x: the cell is not centred$"  # one line
+        with pytest.raises(GeometryError, match=message):
+            _group(off, TL.Lattice(np.eye(3)))
+
+    def test_wrong_orbit_weight_is_refused_in_one_line(self, unit_shapes, monkeypatch):
+        z = unit_shapes["truncocta"]
+        lat = TL.lattice_from_parallelohedron(z)
+        lines = TL._ball_lines
+
+        def fixed_by_all(*args):  # every formed translate taken as fixed by all of G, so of weight 1
+            for counted, t, q in lines(*args):
+                yield counted, t, np.ones_like(q)
+
+        monkeypatch.setattr(TL, "_ball_lines", fixed_by_all)
+        with pytest.raises(GeometryError, match=r"^folded whole-edge count is not a multiple of \|G\| = 48") as exc:
+            TL.skeleton_density(z, lat, 20.0)
+        assert "\n" not in str(exc.value)
 
 
 class TestNotFaceToFace:
