@@ -134,10 +134,11 @@ class _OptionError(Exception):
 
 
 def _require_radius(z: zonotope.Zonotope, radii: list[float], option: str) -> None:
-    """Refuse a ball radius below the floor of ``skeleton_density`` before any search."""
+    """Refuse a ball radius below the floor of ``skeleton_density``, or above its cap, before any search."""
     try:
-        tiling._check_radius(z, min(radii))
-    except tiling.RadiusTooSmall as exc:
+        for radius in (min(radii), max(radii)):
+            tiling._check_radius(z, radius)
+    except ValueError as exc:
         raise _OptionError(f"argument {option}: {exc}") from exc
 
 

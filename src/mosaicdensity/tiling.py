@@ -18,11 +18,13 @@ line by line, one per orbit of G, its lexicographic maximum, standing for the
 whole orbit: cells strictly inside the ball are mostly counted, not formed, and
 add their edge lengths in closed form; edges near the sphere are whole, missing
 or crossing by their endpoint norms, and only crossing edges are clipped and
-summed, in work arrays reused from block to block.
+summed, in work arrays reused from block to block.  A lattice is reduced once,
+and G, the edge classes and the cone serve a whole series of radii.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
@@ -91,6 +93,7 @@ def _lll_unimodular(basis: np.ndarray) -> np.ndarray:
 
 
 _LINE_CHUNK = 256  # lattice lines whose band is formed, and clipped, per block
+_MAX_RADIUS = 100.0  # ball radius in cell diameters; the (c1, c2) line table grows as its square
 _CENTRAL = np.array([np.eye(3), -np.eye(3)], dtype=np.int64)  # x -> x and x -> -x, on any coefficients
 
 
@@ -110,10 +113,21 @@ def _facet_walls(n: np.ndarray) -> np.ndarray:
     return n[facet] if facet.any() else n
 
 
-def _ball_lines(basis: np.ndarray, rmax: float, rin: float = 0.0, group: np.ndarray = _CENTRAL):
-    """Lattice vectors of norm at most rmax, one per orbit of ``group`` (integer matrices on the
-    coefficients of ``basis``, c -> c @ m): per block of lines, the orbit-weighted count, the band and
-    the orbit size of each band point.
+def _cone(lat: Lattice, group: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """The walls n = (I - m)(K^2, K, 1) of ``_ball_lines``, one per m in ``group``, and the facet walls, for a K
+    beyond |x_2|, |x_3| on the coefficient box of radius ``reach``, and so on every box of a smaller radius."""
+    u, red, scale = lat._reduction
+    d = np.eye(3, dtype=np.int64) - u @ group @ np.rint(np.linalg.inv(u)).astype(np.int64)  # m = u group u^-1
+    lim = np.floor(scale * reach).astype(np.int64) + 1
+    base = int(np.einsum("i,gik->gk", lim + 1, np.abs(d[:, :, 1:])).max()) + 2  # |x_2|, |x_3| < base
+    n = d @ np.array([base * base, base, 1])
+    return n, _facet_walls(n[(n != 0).any(axis=1)])
+
+
+def _ball_lines(lat: Lattice, rmax: float, rin: float, cone: tuple[np.ndarray, np.ndarray]):
+    """Lattice vectors of norm at most rmax, one per orbit of the group of ``cone`` (from ``_cone`` at
+    a radius of at least rmax): per block of lines, the orbit-weighted count, the band and the orbit
+    size of each band point.
 
     A point c of the LLL-reduced basis is taken when it is the lexicographic maximum of its orbit,
     c - c m >=lex 0 for every m.  In the coefficient box, x >=lex 0 iff x . (K^2, K, 1) >= 0 for K
@@ -126,29 +140,22 @@ def _ball_lines(basis: np.ndarray, rmax: float, rin: float = 0.0, group: np.ndar
     rounded outwards, is formed from the stored basis and kept where norm(t) <= rmax, in
     lexicographic (c1, c2, c3) order.
     """
-    u = _lll_unimodular(basis)
-    red = u @ basis
-    m = u @ group @ np.rint(np.linalg.inv(u)).astype(np.int64)
-    # |c_i| <= |t| * ||column i of basis inverse|| for t = c @ basis
-    lim = np.floor(np.linalg.norm(np.linalg.inv(red), axis=0) * rmax).astype(np.int64) + 1
-    d = np.eye(3, dtype=np.int64) - m
-    base = int(np.einsum("i,gik->gk", lim + 1, np.abs(d[:, :, 1:])).max()) + 2  # |x_2|, |x_3| < base
-    n = d @ np.array([base * base, base, 1])
-    walls = _facet_walls(n[(n != 0).any(axis=1)])
+    (u, red, scale), (n, walls) = lat._reduction, cone
+    lim = np.floor(scale * rmax).astype(np.int64) + 1
     c1 = np.repeat(np.arange(-lim[0], lim[0] + 1), 2 * lim[1] + 1)
     c2 = np.tile(np.arange(-lim[1], lim[1] + 1), 2 * lim[0] + 1)
     cl, ch = np.full(len(c1), -lim[2] - 1.0), np.full(len(c1), lim[2] + 1.0)  # cone interval, or past the box
-    cone = np.ones(len(c1), dtype=bool)
+    meets = np.ones(len(c1), dtype=bool)
     for w1, w2, w3 in walls.tolist():  # w3 c3 >= -a; a / w3 is exact in float64 while |a| < 2^53
         a = c1 * w1 + c2 * w2
         if w3 == 0:
-            cone &= a >= 0
+            meets &= a >= 0
         elif w3 > 0:
             np.maximum(cl, np.ceil(-a / w3), out=cl)
         else:
             np.minimum(ch, np.floor(-a / w3), out=ch)
-    cone &= cl <= ch
-    c1, c2, cl, ch = c1[cone], c2[cone], cl[cone].astype(np.int64), ch[cone].astype(np.int64)
+    meets &= cl <= ch
+    c1, c2, cl, ch = c1[meets], c2[meets], cl[meets].astype(np.int64), ch[meets].astype(np.int64)
     g = red @ red.T  # |c @ red|^2 = c g c
     mid = -(c1 * g[0, 2] + c2 * g[1, 2]) / g[2, 2]
     d2 = (c1 * g[0, 0] + c2 * g[1, 0]) * c1 + (c1 * g[0, 1] + c2 * g[1, 1]) * c2 - g[2, 2] * mid * mid
@@ -167,7 +174,7 @@ def _ball_lines(basis: np.ndarray, rmax: float, rin: float = 0.0, group: np.ndar
     # orbit sizes at each line's first band point, the next and the last: c . n = 0 (exact in float64,
     # as a / w3) counts the stabiliser, and the next point has the one of every point between the ends
     at = np.stack([first, first + 1, last])[..., None] * n[:, 2].astype(np.float64) + c12 @ n[:, :2].T
-    q_first, weight, q_last = len(m) // np.count_nonzero(at == 0.0, axis=2)
+    q_first, weight, q_last = len(n) // np.count_nonzero(at == 0.0, axis=2)
     bounds = [*range(0, len(band), _LINE_CHUNK), len(band)]
     for k, stop in zip(bounds, bounds[1:]):
         size = band[k:stop]
@@ -176,7 +183,7 @@ def _ball_lines(basis: np.ndarray, rmax: float, rin: float = 0.0, group: np.ndar
         c3 = first[line] + np.arange(len(line)) - np.repeat(start, size)
         c3 += np.where(c3 >= lo_in[line], count[line], 0)  # step over the counted run
         c = np.column_stack([c12[line], c3])
-        t = c @ u @ basis
+        t = c @ u @ lat.basis
         q = np.repeat(weight[k:stop], size)
         q[start], q[start + size - 1] = q_first[k:stop], q_last[k:stop]
         inside = np.linalg.norm(t, axis=1) <= rmax
@@ -185,7 +192,7 @@ def _ball_lines(basis: np.ndarray, rmax: float, rin: float = 0.0, group: np.ndar
 
 @dataclass(frozen=True)
 class Lattice:
-    """Three independent vectors, one per row."""
+    """Three independent vectors, one per row, and their LLL reduction, formed once, on first use."""
 
     basis: np.ndarray  # (3, 3)
 
@@ -201,10 +208,15 @@ class Lattice:
     def covolume(self) -> float:
         return abs(float(np.linalg.det(self.basis)))
 
+    @functools.cached_property
+    def _reduction(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        u = _lll_unimodular(self.basis)  # U, U @ basis and its inverse's column norms: |c_i| <= |t| norm_i
+        return u, u @ self.basis, np.linalg.norm(np.linalg.inv(u @ self.basis), axis=0)
+
     def points_in_ball(self, rmax: float) -> np.ndarray:
         """All lattice vectors of norm at most rmax, in lexicographic coefficient
         order: the half ball of ``_ball_lines``, led by 0, and its mirror image."""
-        half = np.concatenate([band for _, band, _ in _ball_lines(self.basis, rmax)])
+        half = np.concatenate([band for _, band, _ in _ball_lines(self, rmax, 0.0, _cone(self, _CENTRAL, rmax))])
         # 0 - t, not -t: a zero coordinate stays +0.0, as the matmul forms it
         return np.concatenate([0.0 - half[:0:-1], half])
 
@@ -368,12 +380,12 @@ def edge_classes(z: Zonotope, lat: Lattice) -> EdgeClasses:
 
 
 def _check_radius(z: Zonotope, radius: float) -> None:
-    """Raise RadiusTooSmall unless radius is finite and at least 3x the cell diameter."""
-    floor = 3.0 * z.diameter()
+    """Raise RadiusTooSmall unless radius is finite and at least 3x the cell diameter; ValueError past the cap."""
+    floor, cap = 3.0 * z.diameter(), _MAX_RADIUS * z.diameter()
     if not (math.isfinite(radius) and radius >= floor):
-        raise RadiusTooSmall(
-            f"radius must be finite and at least 3x cell diameter {floor:.6g}, got {radius}"
-        )
+        raise RadiusTooSmall(f"radius must be finite and at least 3x cell diameter {floor:.6g}, got {radius}")
+    if radius > cap:
+        raise ValueError(f"radius must be at most {_MAX_RADIUS:g}x cell diameter {cap:.6g}, got {radius}")
 
 
 def _shell_pairs(start: np.ndarray, end: np.ndarray, radius: float):
@@ -435,6 +447,54 @@ def _point_group(z: Zonotope, lat: Lattice, mid: np.ndarray) -> tuple[np.ndarray
     return group, perm[ok]
 
 
+def _densities(z: Zonotope, lat: Lattice, radii: list[float]):
+    """Yield ``skeleton_density`` at each of the ascending ``radii``, built once: the edge classes, the point group
+    and its fold, the target, the exact density and the cone at the largest radius; ``_shell_pairs`` per radius."""
+    if not len(radii) or list(radii) != sorted(radii):
+        raise ValueError(f"radii must be a nonempty ascending list, got {list(radii)}")
+    for radius in radii:
+        _check_radius(z, radius)
+    cls = edge_classes(z, lat)
+    group, perm = _point_group(z, lat, (cls.start + cls.end) / 2.0)
+    order, circ = len(group), z.circumradius()
+    lengths = np.linalg.norm(cls.end - cls.start, axis=1)
+    fold = np.isin(perm, cls.reps).sum(axis=0)  # representatives among the images of edge j
+    target = weighted_edge_functional(z, WeightPair(2.0, 1.0)) / z.volume()
+    exact = math.fsum(lengths[cls.reps].tolist()) / lat.covolume
+    cone = _cone(lat, group, radii[-1] + circ)
+    for radius in radii:
+        pairs = _shell_pairs(cls.start, cls.end, radius)
+        whole = np.zeros(len(lengths), dtype=np.int64)  # per edge, translates holding it whole, times their q
+        cells, shell, crossing, totals, weighted = 0, 0, 0, [], []
+        for counted, t, q in _ball_lines(lat, radius + circ, radius - circ, cone):
+            inner = np.linalg.norm(t, axis=1) + circ < radius
+            counted += int(q[inner].sum())
+            q = q[~inner]
+            inside, idx, chord = pairs(t[~inner])
+            row, col = np.divmod(idx, len(lengths))
+            w = q[row]
+            full = chord == lengths[col]
+            odd = np.flatnonzero(q != order)  # translates with a stabiliser beyond 1: few, and weighted apart
+            whole += counted + order * np.count_nonzero(inside, axis=0) + (q[odd] - order) @ inside[odd]
+            whole += np.bincount(col[full], w[full], len(lengths)).astype(np.int64)
+            cut = (chord > 0.0) & ~full
+            chord, col = (chord * w)[cut], col[cut]
+            totals.append((chord * fold[col]).sum() / order)
+            weighted.append((chord / cls.share[col]).sum())
+            cells += counted + int(q.sum())
+            shell, crossing = shell + int(q.sum()), crossing + int(w.sum())
+        held, rest = np.divmod(whole[perm].sum(axis=0), order)
+        if rest.any():
+            raise GeometryError(f"folded whole-edge count is not a multiple of |G| = {order}: an orbit weight is off")
+        totals.extend((held * lengths)[cls.reps].tolist())
+        weighted.extend((held * lengths / cls.share).tolist())
+        total, weighted_total = math.fsum(totals), math.fsum(weighted)
+        if abs(total - weighted_total) > 1e-9 * max(1.0, total):
+            raise GeometryError(f"unique-edge total {total!r} and weighted total {weighted_total!r} disagree")
+        density = total / (4.0 / 3.0 * math.pi * radius**3)
+        yield DensityEstimate(radius, total, density, target, weighted_total, cells, shell, crossing, exact, order)
+
+
 def skeleton_density(z: Zonotope, lat: Lattice, radius: float) -> DensityEstimate:
     """Edge length of the tiling per unit ball volume at one radius, and exactly.
 
@@ -454,48 +514,9 @@ def skeleton_density(z: Zonotope, lat: Lattice, radius: float) -> DensityEstimat
     and a sum that |G| does not divide raises GeometryError.  The totals
     must agree to 1e-9.  The counts are those of the whole ball.
     ``exact_density`` is the representatives' total length over the
-    covolume; ``symmetries`` is |G|.
+    covolume; ``symmetries`` is |G|.  A ``convergence_series`` of one.
     """
-    _check_radius(z, radius)
-    cls = edge_classes(z, lat)
-    group, perm = _point_group(z, lat, (cls.start + cls.end) / 2.0)
-    order = len(group)
-    circ, pairs = z.circumradius(), _shell_pairs(cls.start, cls.end, radius)
-    lengths = np.linalg.norm(cls.end - cls.start, axis=1)
-    fold = np.isin(perm, cls.reps).sum(axis=0)  # representatives among the images of edge j
-    whole = np.zeros(len(lengths), dtype=np.int64)  # per edge, translates holding it whole, times their q
-    cells, shell, crossing, totals, weighted = 0, 0, 0, [], []
-    for counted, t, q in _ball_lines(lat.basis, radius + circ, radius - circ, group):
-        inner = np.linalg.norm(t, axis=1) + circ < radius
-        counted += int(q[inner].sum())
-        q = q[~inner]
-        inside, idx, chord = pairs(t[~inner])
-        row, col = np.divmod(idx, len(lengths))
-        w = q[row]
-        full = chord == lengths[col]
-        odd = np.flatnonzero(q != order)  # translates with a stabiliser beyond 1: few, and weighted apart
-        whole += counted + order * np.count_nonzero(inside, axis=0) + (q[odd] - order) @ inside[odd]
-        whole += np.bincount(col[full], w[full], len(lengths)).astype(np.int64)
-        cut = (chord > 0.0) & ~full
-        chord, col = (chord * w)[cut], col[cut]
-        totals.append((chord * fold[col]).sum() / order)
-        weighted.append((chord / cls.share[col]).sum())
-        cells += counted + int(q.sum())
-        shell, crossing = shell + int(q.sum()), crossing + int(w.sum())
-    held, rest = np.divmod(whole[perm].sum(axis=0), order)
-    if rest.any():
-        raise GeometryError(f"folded whole-edge count is not a multiple of |G| = {order}: an orbit weight is off")
-    totals.extend((held * lengths)[cls.reps].tolist())
-    weighted.extend((held * lengths / cls.share).tolist())
-    total, weighted_total = math.fsum(totals), math.fsum(weighted)
-    if abs(total - weighted_total) > 1e-9 * max(1.0, total):
-        raise GeometryError(
-            f"unique-edge total {total!r} and weighted total {weighted_total!r} disagree"
-        )
-    density = total / (4.0 / 3.0 * math.pi * radius**3)
-    target = weighted_edge_functional(z, WeightPair(2.0, 1.0)) / z.volume()
-    exact = math.fsum(lengths[cls.reps].tolist()) / lat.covolume
-    return DensityEstimate(radius, total, density, target, weighted_total, cells, shell, crossing, exact, order)
+    return tuple(_densities(z, lat, [radius]))[0]
 
 
 @dataclass(frozen=True)
@@ -508,8 +529,6 @@ class ConvergenceReport:
 
 
 def convergence_series(z: Zonotope, lat: Lattice, radii: list[float]) -> ConvergenceReport:
-    """Density estimates over ascending radii."""
-    if list(radii) != sorted(radii):
-        raise ValueError("radii must ascend")
-    rows = tuple(skeleton_density(z, lat, r) for r in radii)
-    return ConvergenceReport(rows)
+    """Density estimates over ascending radii, each the ``skeleton_density`` at its radius to the bit; the
+    tiling's geometry is built once.  Every radius is checked first; ValueError on empty or unsorted radii."""
+    return ConvergenceReport(tuple(_densities(z, lat, radii)))

@@ -156,13 +156,14 @@ class TestTile:
 
     @staticmethod
     def _patched_estimate(monkeypatch, change):
-        measure = tiling.skeleton_density
+        # the shared core of skeleton_density (verify) and convergence_series (tile)
+        measure = tiling._densities
 
-        def patched(z, lat, radius):
-            est = measure(z, lat, radius)
-            return dataclasses.replace(est, **change(est, est.exact_density * lat.covolume))
+        def patched(z, lat, radii):
+            rows = measure(z, lat, radii)
+            return tuple(dataclasses.replace(est, **change(est, est.exact_density * lat.covolume)) for est in rows)
 
-        monkeypatch.setattr(tiling, "skeleton_density", patched)
+        monkeypatch.setattr(tiling, "_densities", patched)
 
     @pytest.mark.parametrize(
         "change, failing",
@@ -399,6 +400,12 @@ class TestBadInput:
             (["verify", "--lemma", "simplex", "--grid", "151"], "--grid: must be at most 150, got 151"),
             (["verify", "--lemma", "simplex", "--lambda", "1e300"],
              "--lambda: must be at most 1e+06, got 1e300"),
+            (["tile", "--shape", "truncocta", "--series", "20,1e300"],
+             "--series: radius must be at most 100x cell diameter 140.863, got 1e+300"),
+            (["tile", "--shape", "cube", "--radius", "1e20"],
+             "--radius: radius must be at most 100x cell diameter 173.205, got 1e+20"),
+            (["verify", "--lemma", "tiling", "--radius", "1e300"],
+             "--radius: radius must be at most 100x cell diameter 173.205, got 1e+300"),
         ],
         ids=[
             "sweep-0", "sweep-neg", "sweep-below-floor", "grid-0", "oracle-1",
@@ -406,7 +413,8 @@ class TestBadInput:
             "lambda-half", "fig2-step-0", "fig2-start-0", "fig2-step-neg", "fig2-stop-below-start",
             "tile-radius-neg", "tile-series-nan", "tile-series-below-floor",
             "verify-tiling-radius-below-floor", "fig2-too-many-steps", "dim-above-cap",
-            "grid-above-cap", "lambda-above-cap",
+            "grid-above-cap", "lambda-above-cap", "tile-series-above-cap", "tile-radius-above-cap",
+            "verify-tiling-radius-above-cap",
         ],
     )
     def test_rejected_at_parse_time(self, capsys, argv, message):

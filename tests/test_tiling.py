@@ -247,7 +247,8 @@ class TestBallLines:
         monkeypatch.setattr(TL, "_LINE_CHUNK", 7)  # many blocks, each boundary crossed
         basis = _basis(name, unit_shapes)
         radius, circ = self._radii(basis, case)
-        blocks = list(TL._ball_lines(basis, radius + circ, radius - circ))
+        lat = TL.Lattice(basis)
+        blocks = list(TL._ball_lines(lat, radius + circ, radius - circ, TL._cone(lat, TL._CENTRAL, radius + circ)))
         count = sum(n for n, _, _ in blocks)  # counted points and their mirror images
         half = np.concatenate([b for _, b, _ in blocks])
         q = np.concatenate([w for _, _, w in blocks])
@@ -274,7 +275,7 @@ class TestBallLines:
         lat = TL.lattice_from_parallelohedron(z)
         group, _ = _group(z, lat)
         radius, circ = self._radii(lat.basis, case, reach=7.0)
-        blocks = list(TL._ball_lines(lat.basis, radius + circ, radius - circ, group))
+        blocks = list(TL._ball_lines(lat, radius + circ, radius - circ, TL._cone(lat, group, radius + circ)))
         formed = np.concatenate([b for _, b, _ in blocks])
         q = np.concatenate([w for _, _, w in blocks])
         ref = _box_points_reference(lat.basis, radius + circ)
@@ -710,3 +711,83 @@ class TestConvergence:
         assert rep.final_relative_error == rep.rows[-1].relative_error
         with pytest.raises(ValueError):
             TL.convergence_series(z, lat, [9.0, 6.0])
+
+    def test_empty_radii_are_refused_in_one_line(self):
+        with pytest.raises(ValueError, match=r"^radii must be a nonempty ascending list, got \[\]$"):
+            TL.convergence_series(cube(), TL.Lattice(np.eye(3)), [])
+
+    @pytest.mark.parametrize("name", SHAPES)
+    def test_radius_cap_is_checked_before_any_work(self, unit_shapes, name):
+        # never measured: near the cap a ball costs tens of MB, and far above it the box overflows
+        z = unit_shapes[name]
+        cap = TL._MAX_RADIUS * z.diameter()
+        TL._check_radius(z, cap)
+        for bad in (math.nextafter(cap, math.inf), 1e20, 1e300):
+            with pytest.raises(ValueError, match=r"^radius must be at most 100x cell diameter [\d.]+, got ") as exc:
+                TL._check_radius(z, bad)
+            assert not isinstance(exc.value, TL.RadiusTooSmall) and "\n" not in str(exc.value)
+        # every radius of a series is checked before any geometry: on Z^3 only the cube has edge classes
+        with pytest.raises(ValueError, match="^radius must be at most"):
+            TL.convergence_series(z, TL.Lattice(np.eye(3)), [3.0 * z.diameter(), 1e300])
+
+
+def _bits(est):
+    """Every field of an estimate, typed and exact: repr round-trips a float."""
+    return [(type(v), repr(v)) for v in dataclasses.astuple(est)]
+
+
+class TestSeriesGeometry:
+    """convergence_series is skeleton_density at each radius, with the tiling's geometry built once."""
+
+    @staticmethod
+    def _assert_rows_are_fresh_estimates(z, lat, radii, monkeypatch):
+        blocks, lines = [], TL._ball_lines
+
+        def recording(*args):
+            for counted, t, q in lines(*args):
+                blocks.append((counted, t.tobytes(), q.tobytes()))
+                yield counted, t, q
+
+        monkeypatch.setattr(TL, "_ball_lines", recording)
+        rows = TL.convergence_series(z, lat, radii).rows
+        series, blocks[:] = blocks[:], []
+        assert [_bits(row) for row in rows] == [_bits(TL.skeleton_density(z, lat, r)) for r in radii]
+        assert series == blocks  # the same translates, weights and blocks: one cone serves every radius
+
+    @pytest.mark.parametrize("name", SHAPES)
+    def test_unit_shapes_bitwise(self, unit_shapes, monkeypatch, name):
+        z = unit_shapes[name]
+        lat = TL.lattice_from_parallelohedron(z)
+        self._assert_rows_are_fresh_estimates(z, lat, [3.0 * z.diameter(), 20.0, 30.0], monkeypatch)
+
+    def test_rhombic_past_the_float_limit_of_facet_walls(self, unit_shapes, monkeypatch):
+        z = unit_shapes["rhombic"]
+        lat = TL.lattice_from_parallelohedron(z)
+        group, _ = _group(z, lat)
+        walls = [len(TL._cone(lat, group, r + z.circumradius())[1]) for r in (40.0, 60.0)]
+        assert walls[0] < len(group) - 1 == walls[1]  # at 60 every nonzero wall is kept
+        self._assert_rows_are_fresh_estimates(z, lat, [40.0, 60.0], monkeypatch)
+
+    @pytest.mark.parametrize("type_index", [1, 2, 3, 4, 5])
+    def test_random_bodies_bitwise(self, monkeypatch, type_index):
+        # from 3 to 10 diameters: a cone built for the smaller radius picks other orbit representatives
+        z = _seeded_body(type_index)
+        lat = TL.lattice_from_parallelohedron(z)
+        self._assert_rows_are_fresh_estimates(z, lat, [3.0 * z.diameter(), 10.0 * z.diameter()], monkeypatch)
+
+    @pytest.mark.parametrize("name", SHAPES)
+    def test_built_once(self, unit_shapes, monkeypatch, name):
+        calls = {"edge_classes": [], "_point_group": [], "_lll_unimodular": []}
+        for fn in calls:
+            def counting(*args, _fn=getattr(TL, fn), _calls=calls[fn]):
+                _calls.append(args[0].tobytes() if isinstance(args[0], np.ndarray) else None)
+                return _fn(*args)
+
+            monkeypatch.setattr(TL, fn, counting)
+        z = unit_shapes[name]
+        lat = TL.lattice_from_parallelohedron(z)
+        TL.validate_tiling(z, lat)
+        TL.convergence_series(z, lat, [3.0 * z.diameter(), 20.0, 30.0])
+        assert len(calls["edge_classes"]) == len(calls["_point_group"]) == 1
+        reduced = calls["_lll_unimodular"]  # the basis of each reduction: once per lattice searched
+        assert len(set(reduced)) == len(reduced) and lat.basis.tobytes() in reduced
