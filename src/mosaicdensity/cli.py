@@ -22,7 +22,7 @@ import numpy as np
 from . import decomposable, simplex, tetra, tiling, weights, zonotope
 from .zonotope import WeightPair
 
-_SHAPES = ("cube", "hexprism", "rhombic", "elongated", "truncocta")
+_SHAPES = zonotope.UNIT_SHAPES
 _TILING_SUITE = ("cube", "truncocta")  # shapes measured by verify --lemma tiling
 _MAX_DIM = 1000  # the published minima hold 2**(dim // 2), a float overflow from dim 2048
 _FIG2_MAX_STEPS = 100_000  # fig2 computes the five type minima of each row in Python
@@ -32,18 +32,9 @@ _ISOTROPY_CHUNK = 64  # bodies per stacked isotropy fixed point, so memory stays
 
 
 def _canonical_shape(name: str) -> zonotope.Zonotope:
-    """Unit-volume canonical body for each named shape."""
-    if name == "cube":
-        return zonotope.cube()
-    if name == "hexprism":
-        edge = (2.0 / (3.0 * np.sqrt(3.0))) ** (1.0 / 3.0)
-        return zonotope.hexagonal_prism(edge, edge)
-    if name == "rhombic":
-        return zonotope.rhombic_dodecahedron(np.sqrt(3.0) / 2.0 ** (4.0 / 3.0))
-    if name == "elongated":
-        return zonotope.unit_volume(zonotope.elongated_rhombic_dodecahedron(0.6))
-    if name == "truncocta":
-        return zonotope.truncated_octahedron(2.0 ** (-7.0 / 6.0))
+    """Unit-volume canonical body for each named shape, or the body of a ``file:`` JSON document."""
+    if name in _SHAPES:
+        return zonotope.unit_shape(name)
     if name.startswith("file:"):
         path = name[5:]
         try:
@@ -51,22 +42,12 @@ def _canonical_shape(name: str) -> zonotope.Zonotope:
                 return zonotope.from_json(json.load(fh))
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise _OptionError(f"argument --shape: cannot load shape from {path!r}: {exc}") from exc
-    raise _OptionError(
-        f"argument --shape: unknown shape {name!r}; choose from {_SHAPES} or file:<path>"
-    )
+    raise _OptionError(f"argument --shape: unknown shape {name!r}; choose from {_SHAPES} or file:<path>")
 
 
-def _py(obj):
-    """Recursively convert numpy scalars/arrays for json.dumps."""
-    if isinstance(obj, dict):
-        return {k: _py(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_py(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_py(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
+def _tolist(obj):
+    """``json.dump`` hook for numpy arrays and integers (``np.float64`` is a float already)."""
+    return obj.tolist()
 
 
 def _residual(name: str, value: float, tolerance: float) -> dict:
@@ -78,10 +59,8 @@ def _residual(name: str, value: float, tolerance: float) -> dict:
     }
 
 
-def _covolume_residual(report: tiling.TilingReport, prefix: str = "") -> dict:
-    tolerance = 1e-9 * max(1.0, report.cell_volume)
-    diff = report.determinant - report.cell_volume
-    return _residual(f"{prefix}covolume_minus_volume", diff, tolerance)
+def _status(residuals: list[dict]) -> int:
+    return 0 if all(r["pass"] for r in residuals) else 1
 
 
 def _int_at_least(low: int, high: int | None = None):
@@ -143,16 +122,10 @@ def _require_radius(z: zonotope.Zonotope, radii: list[float], option: str) -> No
 
 
 def _emit(command: str, inputs: dict, outputs: dict, residuals: list[dict]) -> int:
-    doc = {
-        "schema": "1",
-        "command": command,
-        "inputs": _py(inputs),
-        "outputs": _py(outputs),
-        "residuals": residuals,
-    }
-    json.dump(doc, sys.stdout, indent=2, sort_keys=True)
+    doc = {"schema": "1", "command": command, "inputs": inputs, "outputs": outputs, "residuals": residuals}
+    json.dump(doc, sys.stdout, indent=2, sort_keys=True, default=_tolist)
     sys.stdout.write("\n")
-    return 0 if all(r["pass"] for r in residuals) else 1
+    return _status(residuals)
 
 
 def _note(msg: str) -> None:
@@ -265,31 +238,40 @@ def _exact_residuals(est: tiling.DensityEstimate, covolume: float) -> tuple[floa
     return abs(est.exact_density - est.target) / est.target, outside / length
 
 
+def _certify_tiling(z: zonotope.Zonotope, radii: list[float], seed: int, prefix: str = ""):
+    """Lattice search, ``validate_tiling`` and ``convergence_series`` for z: the lattice, the report, the rows
+    and the residuals covolume_minus_volume, relative_error (last row; final_relative_error with no ``prefix``),
+    exact_density_vs_target and skeleton_length_in_exact_bracket (worst row), each name led by ``prefix``."""
+    lat = tiling.lattice_from_parallelohedron(z)
+    report = tiling.validate_tiling(z, lat, seed=seed)
+    rows = tiling.convergence_series(z, lat, radii).rows
+    exact, bracket = np.max([_exact_residuals(est, lat.covolume) for est in rows], axis=0)
+    covolume = report.determinant - report.cell_volume
+    return lat, report, rows, [
+        _residual(f"{prefix}covolume_minus_volume", covolume, tiling._covolume_tol(report.cell_volume)),
+        _residual(f"{prefix}relative_error" if prefix else "final_relative_error", rows[-1].relative_error, 0.02),
+        _residual(f"{prefix}exact_density_vs_target", exact, 1e-12),
+        _residual(f"{prefix}skeleton_length_in_exact_bracket", bracket, 1e-12),
+    ]
+
+
 def cmd_tile(args: argparse.Namespace) -> int:
     z = _canonical_shape(args.shape)
     radii = args.series or [args.radius]
     _require_radius(z, radii, "--series" if args.series else "--radius")
     _note(f"shape {args.shape}: volume={z.volume():.6f}, searching tiling lattice")
     try:
-        lat = tiling.lattice_from_parallelohedron(z)
-        report = tiling.validate_tiling(z, lat, seed=args.seed)
-        n = report.translates_checked
-        _note(f"lattice certified: no overlap among {n} translates, covolume = volume")
-        rows = tiling.convergence_series(z, lat, radii).rows
+        lat, report, rows, residuals = _certify_tiling(z, radii, args.seed)
     except (tiling.NoValidBasis, tiling.NotFaceToFace) as exc:  # a body that cannot be measured
         raise _OptionError(f"argument --shape: {exc}") from exc
     except ValueError as exc:  # geometry errors
         raise SystemExit(f"tiling failed: {exc}") from exc
+    _note(f"lattice certified: no overlap among {report.translates_checked} translates, covolume = volume")
     if args.csv:
         writer = csv.DictWriter(sys.stdout, fieldnames=list(_density_row(rows[0])))
         writer.writeheader()
         writer.writerows(_density_row(est) for est in rows)
-        return 0 if rows[-1].relative_error <= 0.02 else 1
-    residuals = [_covolume_residual(report)]
-    residuals.append(_residual("final_relative_error", rows[-1].relative_error, 0.02))
-    exact, bracket = np.max([_exact_residuals(est, lat.covolume) for est in rows], axis=0)
-    residuals.append(_residual("exact_density_vs_target", exact, 1e-12))
-    residuals.append(_residual("skeleton_length_in_exact_bracket", bracket, 1e-12))
+        return _status(residuals)
     outputs = {
         "basis": lat.basis,
         "covering_fraction": report.covering_fraction,
@@ -332,14 +314,9 @@ def _verify_simplex(args: argparse.Namespace) -> tuple[dict, list[dict]]:
 
 
 def _isotropy_measure(rng: np.random.Generator) -> weights.FacetMeasure:
-    """Facet measure of one random truncated octahedron: a Gaussian frame
-    with |det| >= 5e-2, then six coefficients uniform on [0.2, 1.3)."""
-    while True:
-        v = rng.normal(size=(4, 3))
-        v[3] = -(v[0] + v[1] + v[2])
-        if abs(np.linalg.det(v[:3])) >= 5e-2:
-            break
-    g = zonotope.validate_generators(v)
+    """Facet measure of one random truncated octahedron: a ``random_frame``,
+    then six coefficients uniform on [0.2, 1.3)."""
+    g = zonotope.random_frame(rng)
     b = zonotope.BetaVector(rng.uniform(0.2, 1.3, 6))
     return weights.FacetMeasure.from_zonotope(zonotope.build_from_parameters(g, b))
 
@@ -363,39 +340,30 @@ def _verify_isotropy(args: argparse.Namespace) -> tuple[dict, list[dict]]:
     ]
 
 
-def _verify_tiling(args: argparse.Namespace) -> tuple[dict, list[dict]]:
+def _verify_tiling(args: argparse.Namespace, shapes: dict) -> tuple[dict, list[dict]]:
     rows = []
     residuals = []
-    for name in _TILING_SUITE:
-        z = _canonical_shape(name)
-        lat = tiling.lattice_from_parallelohedron(z)
-        report = tiling.validate_tiling(z, lat, seed=args.seed)
-        est = tiling.skeleton_density(z, lat, args.radius)
+    for name, z in shapes.items():
+        _, _, (est,), certified = _certify_tiling(z, [args.radius], args.seed, f"{name}_")
         _note(f"{name}: density {est.density:.6f} vs {est.target:.6f}")
         rows.append({"shape": name, **_density_row(est)})
-        residuals.append(_covolume_residual(report, f"{name}_"))
-        residuals.append(_residual(f"{name}_relative_error", est.relative_error, 0.02))
-        residuals.append(
-            _residual(f"{name}_mode_agreement", est.skeleton_length - est.weighted_length, 1e-9)
-        )
-        exact, bracket = _exact_residuals(est, lat.covolume)
-        residuals.append(_residual(f"{name}_exact_density_vs_target", exact, 1e-12))
-        residuals.append(_residual(f"{name}_skeleton_length_in_exact_bracket", bracket, 1e-12))
+        agreement = _residual(f"{name}_mode_agreement", est.skeleton_length - est.weighted_length, 1e-9)
+        residuals.extend([*certified[:2], agreement, *certified[2:]])
     return {"radius": args.radius, "rows": rows}, residuals
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     suites = ("tetra", "simplex", "isotropy", "tiling") if args.lemma == "all" else (args.lemma,)
-    if "tiling" in suites:
-        for name in _TILING_SUITE:
-            _require_radius(_canonical_shape(name), [args.radius], "--radius")
+    shapes = {name: _canonical_shape(name) for name in _TILING_SUITE} if "tiling" in suites else {}
+    for z in shapes.values():
+        _require_radius(z, [args.radius], "--radius")
     outputs: dict = {}
     residuals: list[dict] = []
     runner = {
         "tetra": _verify_tetra,
         "simplex": _verify_simplex,
         "isotropy": _verify_isotropy,
-        "tiling": _verify_tiling,
+        "tiling": functools.partial(_verify_tiling, shapes=shapes),
     }
     for suite in suites:
         _note(f"verifying: {suite}")
@@ -419,7 +387,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
         shape = tm.optimal_shape or {}
         params = {k: v for k, v in shape.items() if k != "shape"}
         writer.writerow(
-            [i, repr(tm.value), tm.is_exact, shape.get("shape", ""), json.dumps(_py(params))]
+            [i, repr(tm.value), tm.is_exact, shape.get("shape", ""), json.dumps(params, default=_tolist)]
         )
     return 0
 

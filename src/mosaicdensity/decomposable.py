@@ -97,18 +97,18 @@ def density_bound_even(spec: DecompositionSpec) -> float:
     """Edge-density lower bound for a pure planar product (dimension 2k)."""
     if spec.segment is not None:
         raise ValueError("even-dimensional bound takes a spec without segment")
-    es = [c.e_hat for c in spec.planars]
-    areas = [c.area for c in spec.planars]
-    return float(_bound_arrays(es, areas, None))
+    return _spec_bound(spec, None)
 
 
 def density_bound_odd(spec: DecompositionSpec) -> float:
     """Edge-density lower bound with a segment factor (dimension 2k + 1)."""
     if spec.segment is None:
         raise ValueError("odd-dimensional bound needs a segment component")
-    es = [c.e_hat for c in spec.planars]
-    areas = [c.area for c in spec.planars]
-    return float(_bound_arrays(es, areas, spec.segment.length))
+    return _spec_bound(spec, spec.segment.length)
+
+
+def _spec_bound(spec: DecompositionSpec, length: float | None) -> float:
+    return float(_bound_arrays([c.e_hat for c in spec.planars], [c.area for c in spec.planars], length))
 
 
 def minimize_density(n: int) -> tuple[float, DecompositionSpec]:
@@ -165,20 +165,25 @@ def _bound_arrays(es: list, areas: list, length):
     """The even bound, plus the segment term when ``length`` is given.
 
     Elementwise: each e_hat, area and the length may be a float or an
-    array, so specs and whole oracle grids share this one formula.
+    array, so specs and whole oracle grids share this one formula.  The
+    product over the other factors of term i is the running prefix before
+    i times the suffix table's product after it, so k factors cost O(k).
+    For k <= 3, or factors e_hat - 2 that are powers of two, it is to the
+    bit each product formed left to right; otherwise it is within ulps.
     """
     k = len(es)
-    total = 0.0
-    for i in range(k):
-        others = 2.0 ** (1 - k)  # the bound's 1 / 2^(k - 1): a power of two, so exact here
-        for j in range(k):
-            if j != i:
-                others = others * (es[j] - 2.0)
-        total = total + np.sqrt(es[i] * np.tan(np.pi / es[i]) * areas[i]) * others
+    rest = [e - 2.0 for e in es]
+    after = [1.0]  # after[j]: the product of the factors past the last j
+    for f in reversed(rest[1:]):
+        after.append(f * after[-1])
+    total, before = 0.0, 2.0 ** (1 - k)  # the bound's 1 / 2^(k - 1): a power of two, so exact here
+    for e, area, f, tail in zip(es, areas, rest, reversed(after)):
+        total = total + np.sqrt(e * np.tan(np.pi / e) * area) * (before * tail)
+        before = before * f
     if length is not None:
         cross = length / 2.0**k
-        for e in es:
-            cross = cross * (e - 2.0)
+        for f in rest:
+            cross = cross * f
         total = total + cross
     return total
 

@@ -50,7 +50,7 @@ def center(raw: np.ndarray, min_volume: float = 0.0) -> CenteredTetrahedron:
     if p.shape != (4, 3) or not np.isfinite(p).all():
         raise GeometryError("expected four finite vertices")
     p = p - p.mean(axis=0)
-    vol = abs(float(np.linalg.det(p[1:] - p[0]))) / 6.0
+    vol = CenteredTetrahedron(p).volume
     if vol <= min_volume:
         raise DegenerateTetrahedron(f"volume {vol:.3e} at or below {min_volume:.3e}")
     if np.linalg.det(p[:3]) < 0:
@@ -102,13 +102,17 @@ class IdentityReport:
 def verify_identities(t: CenteredTetrahedron, tol: float = 1e-9) -> IdentityReport:
     """Check both quadratic identities; residuals are relative to max(1, V^2)."""
     inv = pair_invariants(t)
-    v2 = t.volume**2
     pv = volume_polynomial(inv.neg_opposite_dot)
     ws = float(inv.cross_weighted.sum())
-    scale = max(1.0, v2)
-    r1 = abs(pv - 2.25 * v2) / scale
-    r2 = abs(ws - 6.75 * v2) / scale
+    r1, r2 = map(float, _identity_residuals(pv, ws, t.volume**2))
     return IdentityReport(t.volume, pv, ws, r1, r2, bool(r1 <= tol and r2 <= tol))
+
+
+def _identity_residuals(poly, weighted, v2):
+    """Residuals of f(gamma) = 9 V^2 / 4 and sum(zeta) = 27 V^2 / 4 relative to
+    max(1, V^2), from the cubic on gamma, the sum of zeta and V^2; elementwise."""
+    scale = np.maximum(1.0, v2)
+    return np.abs(poly - 2.25 * v2) / scale, np.abs(weighted - 6.75 * v2) / scale
 
 
 def batch_identity_residuals(
@@ -135,10 +139,7 @@ def batch_identity_residuals(
             continue
         collected += keep.size
         gamma, zeta, vol = gamma.T.take(keep, axis=1), zeta.T.take(keep, axis=1), vol[keep]  # gamma, zeta: (6, k) rows
-        v2 = vol**2
-        scale = np.maximum(1.0, v2)
-        r1 = np.abs(_kernels.volume_poly_many(gamma.T) - 2.25 * v2) / scale
-        r2 = np.abs(zeta.sum(axis=0) - 6.75 * v2) / scale
+        r1, r2 = _identity_residuals(_kernels.volume_poly_many(gamma.T), zeta.sum(axis=0), vol**2)
         worst1 = max(worst1, float(r1.max()))
         worst2 = max(worst2, float(r2.max()))
     return worst1, worst2

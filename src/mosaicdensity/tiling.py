@@ -287,6 +287,11 @@ def _gap_witness(
     return None, max(samples, 0)
 
 
+def _covolume_tol(volume: float) -> float:
+    """How far a covolume may stand from the cell volume and still count as equal to it."""
+    return 1e-9 * max(1.0, volume)
+
+
 def validate_tiling(
     z: Zonotope, lat: Lattice, samples: int = 1_000_000, seed: int = 0
 ) -> TilingReport:
@@ -308,11 +313,11 @@ def validate_tiling(
         raise Overlap(f"translate interiors meet near {witness}", witness)
     vol = z.volume()
     det = lat.covolume
-    if det - vol > 1e-9 * max(1.0, vol):
+    if det - vol > _covolume_tol(vol):
         gap, drawn = _gap_witness(z, lat, samples, seed)
         msg = f"covolume {det:.12g} > volume {vol:.12g}; uncovered point {gap} in {drawn} samples"
         raise Gap(msg, gap)
-    if vol - det > 1e-9 * max(1.0, vol):
+    if vol - det > _covolume_tol(vol):
         msg = f"covolume {det:.12g} < volume {vol:.12g}, yet no overlap in {checked} translates"
         raise GeometryError(f"overlap screen fault: {msg}")
     return TilingReport(det, vol, checked, 1.0, 0)
@@ -332,7 +337,7 @@ def lattice_from_parallelohedron(z: Zonotope) -> Lattice:
     )
     for tri in combinations(range(len(centers)), 3):
         b = centers[list(tri)]
-        if abs(abs(np.linalg.det(b)) - vol) > 1e-9 * max(1.0, vol):
+        if abs(abs(np.linalg.det(b)) - vol) > _covolume_tol(vol):
             continue
         lat = Lattice(b)
         if _has_overlap(z, lat)[0] is None:

@@ -19,18 +19,9 @@ from enum import Enum
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, zonotope
 from .tetra import CenteredTetrahedron, pair_invariants
-from .zonotope import (
-    BetaVector,
-    ParallelohedronType,
-    WeightPair,
-    Zonotope,
-    cube,
-    hexagonal_prism,
-    rhombic_dodecahedron,
-    truncated_octahedron,
-)
+from .zonotope import BetaVector, ParallelohedronType, WeightPair, Zonotope
 
 # winner switches at these alpha4/alpha6 ratios
 CUBE_PRISM_RATIO = math.sqrt(3.0) / 2.0
@@ -104,12 +95,11 @@ def type_minimum(i: int, m: WeightPair) -> TypeMinimum:
             {"shape": "hexagonal_prism", "base_edge": base, "height": lateral},
         )
     if i == 3:
-        edge = math.sqrt(3.0) / 2.0 ** (4.0 / 3.0)
         return TypeMinimum(
             ParallelohedronType.RHOMBIC_DODECAHEDRON,
             2.0 ** (2.0 / 3.0) * math.sqrt(3.0) * a6,
             True,
-            {"shape": "rhombic_dodecahedron", "edge": edge},
+            {"shape": "rhombic_dodecahedron", "edge": zonotope.RHOMBIC_EDGE},
         )
     if i == 4:
         if a4 <= a6:
@@ -120,29 +110,23 @@ def type_minimum(i: int, m: WeightPair) -> TypeMinimum:
             note = "exceeds the type-5 minimum; shown value is that minimum"
         return TypeMinimum(ParallelohedronType.ELONGATED_RHOMBIC_DODECAHEDRON, value, False, None, note)
     if i == 5:
-        edge = 2.0 ** (-7.0 / 6.0)
         return TypeMinimum(
             ParallelohedronType.TRUNCATED_OCTAHEDRON,
             3.0 * a6 / 2.0 ** (1.0 / 6.0),
             True,
-            {"shape": "truncated_octahedron", "edge": edge},
+            {"shape": "truncated_octahedron", "edge": zonotope.TRUNCOCTA_EDGE},
         )
     raise ValueError(f"type index must be 1..5, got {i}")
 
 
 def optimal_shape_zonotope(i: int, m: WeightPair) -> Zonotope | None:
-    """Build the unit-volume minimizer of type i, or None when unknown."""
-    tm = type_minimum(i, m)
-    if tm.optimal_shape is None:
+    """The unit-volume minimizer of type i, or None when unknown: the ``zonotope``
+    builder that ``optimal_shape["shape"]`` names, on the other keys."""
+    shape = type_minimum(i, m).optimal_shape
+    if shape is None:
         return None
-    p = tm.optimal_shape
-    if p["shape"] == "cube":
-        return cube(p["edge"])
-    if p["shape"] == "hexagonal_prism":
-        return hexagonal_prism(p["base_edge"], p["height"])
-    if p["shape"] == "rhombic_dodecahedron":
-        return rhombic_dodecahedron(p["edge"])
-    return truncated_octahedron(p["edge"])
+    params = {k: v for k, v in shape.items() if k != "shape"}
+    return getattr(zonotope, shape["shape"])(**params)
 
 
 def classify_optimal(m: WeightPair) -> OptimalAnswer:

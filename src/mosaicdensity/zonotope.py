@@ -115,9 +115,6 @@ class BetaVector:
             raise GeometryError("coefficients must be nonnegative")
         object.__setattr__(self, "values", vals)
 
-    def zero_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(PAIRS[k] for k in range(6) if self.values[k] == 0.0)
-
 
 @dataclass(frozen=True)
 class WeightPair:
@@ -225,6 +222,16 @@ def validate_generators(raw: Iterable[Iterable[float]]) -> GeneratorSet:
         if abs(abs(det3(*v[list(tri)])) - 1.0) > 1e-8:
             raise DegenerateFrame("triple products are not of unit magnitude")
     return GeneratorSet(v)
+
+
+def random_frame(rng: np.random.Generator) -> GeneratorSet:
+    """A random normalized frame: Gaussian v1, v2, v3 and v4 = -(v1 + v2 + v3),
+    redrawn until |det(v1, v2, v3)| >= 5e-2, so slivers are rejected."""
+    while True:
+        v = rng.normal(size=(4, 3))
+        v[3] = -(v[0] + v[1] + v[2])
+        if abs(np.linalg.det(v[:3])) >= 5e-2:
+            return validate_generators(v)
 
 
 def segments_from_parameters(g: GeneratorSet, b: BetaVector) -> list[Segment]:
@@ -467,19 +474,19 @@ def hexagonal_prism(base_edge: float, height: float) -> Zonotope:
     return build_zonotope(gens)
 
 
+_DIAGONALS = np.array([(1, 1, 1), (1, 1, -1), (1, -1, 1), (-1, 1, 1)], dtype=np.float64) / math.sqrt(3.0)
+
+
 def rhombic_dodecahedron(edge: float = 1.0) -> Zonotope:
     """Zonotope of the four main diagonals of a cube, all of length ``edge``."""
-    dirs = np.array([(1, 1, 1), (1, 1, -1), (1, -1, 1), (-1, 1, 1)], dtype=np.float64)
-    return build_zonotope(dirs / math.sqrt(3.0) * edge)
+    return build_zonotope(_DIAGONALS * edge)
 
 
 def elongated_rhombic_dodecahedron(edge: float = 1.0, elongation: float | None = None) -> Zonotope:
     """The rhombic dodecahedron's four diagonals plus an axial segment."""
     if elongation is None:
         elongation = edge
-    dirs = np.array([(1, 1, 1), (1, 1, -1), (1, -1, 1), (-1, 1, 1)], dtype=np.float64)
-    gens = np.vstack([dirs / math.sqrt(3.0) * edge, [(0.0, 0.0, elongation)]])
-    return build_zonotope(gens)
+    return build_zonotope(np.vstack([_DIAGONALS * edge, [(0.0, 0.0, elongation)]]))
 
 
 def truncated_octahedron(edge: float = 1.0) -> Zonotope:
@@ -497,6 +504,30 @@ def unit_volume(z: Zonotope) -> Zonotope:
     return build_zonotope(
         [Segment(s.direction * scale, s.generator_index) for s in z.segments]
     )
+
+
+#: Edges that give the regular shapes unit volume: the hexagonal prism (base edge = height),
+#: the rhombic dodecahedron and the truncated octahedron.
+HEXPRISM_EDGE = (2.0 / (3.0 * math.sqrt(3.0))) ** (1.0 / 3.0)
+RHOMBIC_EDGE = math.sqrt(3.0) / 2.0 ** (4.0 / 3.0)
+TRUNCOCTA_EDGE = 2.0 ** (-7.0 / 6.0)
+#: Edge, and so elongation, of the elongated rhombic dodecahedron before it is rescaled to unit volume.
+ELONGATION = 0.6
+
+_UNIT_SHAPES = {
+    "cube": cube,
+    "hexprism": lambda: hexagonal_prism(HEXPRISM_EDGE, HEXPRISM_EDGE),
+    "rhombic": lambda: rhombic_dodecahedron(RHOMBIC_EDGE),
+    "elongated": lambda: unit_volume(elongated_rhombic_dodecahedron(ELONGATION)),
+    "truncocta": lambda: truncated_octahedron(TRUNCOCTA_EDGE),
+}
+#: Names of the five unit-volume parallelohedra of :func:`unit_shape`.
+UNIT_SHAPES = tuple(_UNIT_SHAPES)
+
+
+def unit_shape(name: str) -> Zonotope:
+    """The unit-volume parallelohedron ``name``, one of :data:`UNIT_SHAPES` (KeyError otherwise)."""
+    return _UNIT_SHAPES[name]()
 
 
 def to_json(z: Zonotope, beta: BetaVector | None = None) -> dict:

@@ -12,7 +12,7 @@ import time
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from conftest import random_beta, random_frame
+from conftest import random_beta
 from mosaicdensity import decomposable as D
 from mosaicdensity import simplex
 from mosaicdensity import tetra
@@ -31,7 +31,7 @@ def test_01_volume_oracle():
     rng = np.random.default_rng(42)
     worst = 0.0
     for _ in range(1000):
-        g = random_frame(rng)
+        g = Z.random_frame(rng)
         b = random_beta(rng, int(rng.integers(1, 6)))
         body = Z.build_from_parameters(g, b)
         poly = Z.volume_polynomial(b.values)
@@ -199,10 +199,7 @@ def test_09_tiling_convergence():
     worst_mode = 0.0
     shares_ok = True
     for name, want in targets.items():
-        if name == "cube":
-            z = Z.cube()
-        else:
-            z = Z.truncated_octahedron(2.0 ** (-7.0 / 6.0))
+        z = Z.unit_shape(name)
         lat = tiling.lattice_from_parallelohedron(z)
         est = tiling.skeleton_density(z, lat, 20.0)
         assert abs(est.target - want) <= 1e-12
@@ -227,7 +224,7 @@ def test_10_isotropic_position():
     rng = np.random.default_rng(0)
     worst_res, worst_det, worst_it = 0.0, 0.0, 0
     for _ in range(100):
-        g = random_frame(rng)
+        g = Z.random_frame(rng)
         b = random_beta(rng, 5)
         fm = W.FacetMeasure.from_zonotope(Z.build_from_parameters(g, b))
         out = W.isotropic_position(fm, tol=1e-8, max_iter=200)

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -175,10 +176,19 @@ class TestTile:
         ],
         ids=["exact-density-off-by-1e-9", "one-cell-above-bracket", "one-cell-below-bracket"],
     )
-    @pytest.mark.parametrize("argv", [["tile", "--shape", "cube", "--radius", "8"],
-                                      ["verify", "--lemma", "tiling", "--radius", "8"]], ids=["tile", "verify"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["tile", "--shape", "cube", "--radius", "8"],
+         ["tile", "--shape", "cube", "--radius", "8", "--csv"],
+         ["tile", "--shape", "cube", "--series", "6,9", "--csv"],
+         ["verify", "--lemma", "tiling", "--radius", "8"]],
+        ids=["tile", "tile-csv", "tile-series-csv", "verify"],
+    )
     def test_exact_residuals_can_fail(self, capsys, monkeypatch, change, failing, argv):
         self._patched_estimate(monkeypatch, change)
+        if "--csv" in argv:  # CSV rows carry no residuals: the exit status reports all of them
+            assert run_csv(capsys, argv)[0] == 1
+            return
         code, doc = run_json(capsys, argv)
         assert code == 1
         failed = {r["name"] for r in doc["residuals"] if not r["pass"]}
@@ -238,6 +248,41 @@ class TestTile:
             main(["tile", "--shape", "cube", "--radius", "nan"])
         assert exc.value.code == 2
         assert "--radius: must be finite and > 0, got nan" in capsys.readouterr().err
+
+
+def _same_body(a, b):
+    # repr round-trips every float, so equal JSON text means bit-identical bodies
+    return json.dumps(zonotope.to_json(a)) == json.dumps(zonotope.to_json(b))
+
+
+class TestShapeTables:
+    def test_canonical_shapes_are_the_direct_constructors(self):
+        hx = (2.0 / (3.0 * math.sqrt(3.0))) ** (1.0 / 3.0)
+        direct = {
+            "cube": zonotope.cube(),
+            "hexprism": zonotope.hexagonal_prism(hx, hx),
+            "rhombic": zonotope.rhombic_dodecahedron(math.sqrt(3.0) / 2.0 ** (4.0 / 3.0)),
+            "elongated": zonotope.unit_volume(zonotope.elongated_rhombic_dodecahedron(0.6)),
+            "truncocta": zonotope.truncated_octahedron(2.0 ** (-7.0 / 6.0)),
+        }
+        assert cli._SHAPES == tuple(direct)
+        for name, z in direct.items():
+            assert _same_body(cli._canonical_shape(name), z), name
+
+    @pytest.mark.parametrize("a6, a4", [(1.0, 1.0), (1.0, 0.9), (6.0, 4.0), (0.3, 2.0)])
+    def test_optimal_shapes_are_the_direct_constructors(self, a6, a4):
+        m = zonotope.WeightPair(a6, a4)
+        base = 2.0 ** (2.0 / 3.0) * a6 ** (1.0 / 3.0) / (3.0 ** (5.0 / 6.0) * a4 ** (1.0 / 3.0))
+        height = 3.0 ** (1.0 / 6.0) * a4 ** (2.0 / 3.0) / (2.0 ** (1.0 / 3.0) * a6 ** (2.0 / 3.0))
+        direct = {
+            1: zonotope.cube(1.0),
+            2: zonotope.hexagonal_prism(base, height),
+            3: zonotope.rhombic_dodecahedron(math.sqrt(3.0) / 2.0 ** (4.0 / 3.0)),
+            5: zonotope.truncated_octahedron(2.0 ** (-7.0 / 6.0)),
+        }
+        for i, z in direct.items():
+            assert _same_body(weights.optimal_shape_zonotope(i, m), z), i
+        assert weights.optimal_shape_zonotope(4, m) is None
 
 
 class TestVerify:

@@ -221,6 +221,52 @@ class TestBruteForce:
             D.brute_force_minimize(3, grid_n=10)
 
 
+def _bound_arrays_reference(es, areas, length):
+    # the bound as it was evaluated before the prefix and suffix products: O(k^2)
+    k = len(es)
+    total = 0.0
+    for i in range(k):
+        others = 2.0 ** (1 - k)
+        for j in range(k):
+            if j != i:
+                others = others * (es[j] - 2.0)
+        total = total + np.sqrt(es[i] * np.tan(np.pi / es[i]) * areas[i]) * others
+    if length is not None:
+        cross = length / 2.0**k
+        for e in es:
+            cross = cross * (e - 2.0)
+        total = total + cross
+    return total
+
+
+class TestBoundArrays:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_bit_identical_to_the_pairwise_loop(self, k, odd):
+        # 2000 random (e_hat, area, length) cases per k and parity, 12 000 in all; up to
+        # k = 3 (the oracle's) the new products differ only by the exact power of two
+        rng = np.random.default_rng(k + 10 * odd)
+        es = [rng.uniform(3.0, 6.0, 2000) for _ in range(k)]
+        areas = [np.exp(rng.uniform(-1.5, 1.5, 2000)) for _ in range(k)]
+        length = np.exp(rng.uniform(-1.5, 1.5, 2000)) if odd else None
+        got = D._bound_arrays(es, areas, length)
+        assert (got == _bound_arrays_reference(es, areas, length)).all()
+
+    @pytest.mark.parametrize("k", [250, 499])
+    def test_bound_curve_columns_of_corrected_minimum(self, k, monkeypatch):
+        # the columns behind corrected_minimum(2k + 1); e_hat - 2 = 1, 2 and 4 are exact factors
+        e = np.array([3.0, 4.0, 6.0])
+        _, got = D.bound_curve(k, e)
+        monkeypatch.setattr(D, "_bound_arrays", _bound_arrays_reference)
+        _, want = D.bound_curve(k, e)
+        assert (got == want).all()
+
+    def test_linear_in_the_factor_count(self):
+        t0 = time.perf_counter()
+        D.corrected_minimum(999)
+        assert time.perf_counter() - t0 < 0.25  # 0.5 s with the pairwise loop
+
+
 class TestBoundCurve:
     def test_header_and_triangle_endpoints(self):
         header, rows = D.bound_curve(1, np.array([3.0, 6.0]))

@@ -10,7 +10,7 @@ from scipy.special import roots_legendre
 
 from mosaicdensity import zonotope as Z
 
-from conftest import TYPE_PATTERNS, random_beta, random_body, random_frame
+from conftest import TYPE_PATTERNS, random_beta, random_body
 
 
 def mean_width_estimate(z: Z.Zonotope, n_polar: int = 256, n_azimuth: int = 512) -> float:
@@ -39,13 +39,13 @@ def mean_width_estimate(z: Z.Zonotope, n_polar: int = 256, n_azimuth: int = 512)
 
 class TestValidateGenerators:
     def test_accepts_and_normalizes(self, rng):
-        g = random_frame(rng)
+        g = Z.random_frame(rng)
         v = g.vectors
         assert np.allclose(v.sum(axis=0), 0, atol=1e-9)
         assert abs(np.linalg.det(v[:3]) - 1.0) < 1e-9
 
     def test_all_triples_unimodular(self, rng):
-        v = random_frame(rng).vectors
+        v = Z.random_frame(rng).vectors
         from itertools import combinations
 
         for tri in combinations(range(4), 3):
@@ -117,7 +117,7 @@ class TestBuild:
         from scipy.spatial import ConvexHull
 
         for ty in (1, 2, 3, 4, 5):
-            g = random_frame(rng)
+            g = Z.random_frame(rng)
             b = random_beta(rng, ty)
             z = Z.build_from_parameters(g, b)
             poly = Z.volume_polynomial(b.values)
@@ -129,7 +129,7 @@ class TestBuild:
     @given(st.integers(0, 2**31 - 1), st.sampled_from([1, 2, 3, 4, 5]))
     def test_volume_identity_property(self, seed, ty):
         r = np.random.default_rng(seed)
-        g = random_frame(r)
+        g = Z.random_frame(r)
         b = random_beta(r, ty)
         z = Z.build_from_parameters(g, b)
         assert abs(z.volume() - Z.volume_polynomial(b.values)) < 1e-9
@@ -311,7 +311,7 @@ def _random_segment_sets(seed, count):
     sets = {}
     for q in range(count):
         ty = q % 5 + 1
-        segs = Z.segments_from_parameters(random_frame(rng), random_beta(rng, ty))
+        segs = Z.segments_from_parameters(Z.random_frame(rng), random_beta(rng, ty))
         sets[f"type{ty}-{q}"] = [s for s in segs if s.length > 0.0]
     return sets
 
@@ -365,7 +365,7 @@ class TestBatchedPairCrosses:
         rng = np.random.default_rng(2024)
         for q in range(20):
             ty = q % 5 + 1
-            g, b = random_frame(rng), random_beta(rng, ty)
+            g, b = Z.random_frame(rng), random_beta(rng, ty)
             segs = Z.segments_from_parameters(g, b)
             v = g.vectors
             for k, (i, j) in enumerate(Z.PAIRS):
@@ -582,7 +582,7 @@ class TestJson:
 
     def test_roundtrip_with_beta(self, rng):
         b = random_beta(rng, 5)
-        z = Z.build_from_parameters(random_frame(rng), b)
+        z = Z.build_from_parameters(Z.random_frame(rng), b)
         doc = Z.to_json(z, beta=b)
         z2 = Z.from_json(doc)
         assert np.allclose(doc["beta"], b.values)
