@@ -53,7 +53,7 @@ class SimplexPoint:
 def _objective(lam: float, t):
     """The lambda-scaled volume cubic (tau34 = 0) at five coordinates,
     each a float or a row of a column stack of points."""
-    return _kernels.volume_cubic(lam * t[0], *t[1:], 0.0)
+    return _kernels.volume_cubic(lam * t[0], *t[1:])
 
 
 def scaled_simplex_max(lam: float, budget: float = 1.0) -> tuple[float, SimplexPoint]:

@@ -100,8 +100,10 @@ _CENTRAL = np.array([np.eye(3), -np.eye(3)], dtype=np.int64)  # x -> x and x -> 
 def _facet_walls(n: np.ndarray) -> np.ndarray:
     """The rows of n that bound a 2-face of the cone n @ c >= 0: those vanishing on two extreme rays,
     nonzero cross products of two walls, either way round, on which every wall is >= 0.  float64 holds
-    the products exactly while 6 max|n|^3 < 2^53; else, or if the cone holds a line, all rows are kept."""
-    if len(n) < 3 or 6.0 * float(np.abs(n).max()) ** 3 >= 2.0**53:
+    the products exactly while 6 max|n|^3 < 2^53; past that, and while int64 holds them, the rows found
+    are kept only if ``_spans_the_cone`` proves it.  Else, or if the cone holds a line, all rows are kept."""
+    cube = 6 * int(np.abs(n).max(initial=0)) ** 3
+    if len(n) < 3 or cube >= 2**63:
         return n
     f = n.astype(np.float64)
     r = _kernels.cross3(f[:, None], f[None]).reshape(-1, 3)
@@ -110,7 +112,21 @@ def _facet_walls(n: np.ndarray) -> np.ndarray:
     r, tight = r[ray], s[ray] == 0.0
     other = (_kernels.cross3(r[tight.argmax(axis=0)][:, None], r) != 0.0).any(axis=2) & tight.T
     facet = other.any(axis=1)
-    return n[facet] if facet.any() else n
+    if not facet.any() or (cube >= 2**53 and not _spans_the_cone(n[facet], n)):
+        return n
+    return n[facet]
+
+
+def _spans_the_cone(walls: np.ndarray, n: np.ndarray) -> bool:
+    """Whether the cone walls @ c >= 0 is the cone n @ c >= 0, for walls among the rows of n, exactly in
+    int64 while 6 max|n|^3 < 2^63: the walls have rank 3, so their cone is pointed and spanned by its
+    extreme rays, the cross products of two walls on which every wall is >= 0, and every row of n is
+    >= 0 on those rays."""
+    w = walls.T
+    r = np.stack(_kernels._cross_rows(w[:, :, None], w[:, None, :])).reshape(3, -1)
+    on_walls = w.T @ r
+    ray = r.any(axis=0) & (on_walls >= 0).all(axis=0)
+    return bool(on_walls.any()) and bool((n @ r[:, ray] >= 0).all())
 
 
 def _cone(lat: Lattice, group: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray]:

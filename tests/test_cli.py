@@ -81,6 +81,33 @@ class TestWm:
         assert "type4_sweep_above_bound" in names
 
 
+    def test_sweep_below_the_bound_fails(self, capsys, monkeypatch):
+        sweep = weights.type4_sweep
+        monkeypatch.setattr(weights, "type4_sweep", lambda m, samples, seed=0: dataclasses.replace(
+            sweep(m, samples, seed=seed), min_observed=weights.type_minimum(4, m).value - 1e-8))
+        code, doc = run_json(capsys, ["wm", "--alpha6", "1", "--alpha4", "0.9", "--sweep", "100"])
+        assert code == 1
+        assert [r["name"] for r in doc["residuals"] if not r["pass"]] == ["type4_sweep_above_bound"]
+
+    @pytest.mark.parametrize("scaled", [1, 2, 3, 5])
+    def test_shape_consistency_fails_on_a_scaled_body(self, capsys, monkeypatch, scaled):
+        # w_m is homogeneous of degree 1, so the body scaled by 1 + 1e-8 misses its value by about 2.6e-8
+        shape = weights.optimal_shape_zonotope
+
+        def patched(i, m):
+            z = shape(i, m)
+            if i != scaled:
+                return z
+            return zonotope.build_zonotope(
+                [zonotope.Segment(s.direction * (1.0 + 1e-8), s.generator_index) for s in z.segments]
+            )
+
+        monkeypatch.setattr(weights, "optimal_shape_zonotope", patched)
+        code, doc = run_json(capsys, ["wm", "--alpha6", "1", "--alpha4", "0.9"])
+        assert code == 1
+        assert [r["name"] for r in doc["residuals"] if not r["pass"]] == [f"type{scaled}_shape_consistency"]
+
+
 class TestDecomp:
     def test_three_dimensional(self, capsys):
         code, doc = run_json(capsys, ["decomp", "--dim", "3"])
@@ -122,6 +149,16 @@ class TestDecomp:
         assert code == 1
         failed = {r["name"] for r in doc["residuals"] if not r["pass"]}
         assert failed == {"corrected_minimum_is_bound_at_spec", *(["oracle_at_corrected_minimum"] if oracle else [])}
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7])
+    def test_oracle_below_the_published_minimum_fails(self, capsys, monkeypatch, dim):
+        monkeypatch.setattr(
+            decomposable, "brute_force_minimize", lambda n, grid_n: decomposable.minimize_density(n)[0] - 1e-5
+        )
+        code, doc = run_json(capsys, ["decomp", "--dim", str(dim), "--oracle", "30"])
+        assert code == 1
+        failed = {r["name"] for r in doc["residuals"] if not r["pass"]}
+        assert failed == {"oracle_at_or_above_minimum", "oracle_at_corrected_minimum"}
 
     def test_with_oracle(self, capsys):
         code, doc = run_json(capsys, ["decomp", "--dim", "2", "--oracle", "30"])

@@ -7,6 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mosaicdensity import _kernels as K
 from mosaicdensity import decomposable as D
@@ -302,6 +305,72 @@ class TestGreedyDescent:
         assert S.grid_simplex_max(lam, grid_n=grid_n) == got
 
 
+def _coupled_l1(seed):
+    # the weighted L1 distance with a coupling term of test_matches_one_move_per_call_when_stalls_end
+    rng = np.random.default_rng(seed)
+    target, weight = rng.uniform(-2.0, 2.0, 3), rng.uniform(0.5, 2.0, 3)
+
+    def f_many(y):
+        return (weight[:, None] * np.abs(y - target[:, None])).sum(axis=0) + 0.7 * np.abs(y[0] - y[1])
+
+    return f_many, rng.uniform(-2.0, 2.0, 3)
+
+
+def _each_move_once(descent, calls):
+    """``descent`` on points that carry the step and the row of the move that made them, so that
+    equal columns are the same move; fails on a move evaluated twice from the same point.  The
+    first improving column of a call is the next point, and the columns after it are discarded."""
+
+    def checked(f_many, moves, x, step, rounds):
+        state = {"best": None, "seen": set()}
+
+        def labelled(x, step):
+            cand, allowed = moves(x[:-2], step)
+            return np.column_stack([cand, np.full(len(cand), step), np.arange(len(cand))]), allowed
+
+        def checking(y):
+            calls.append(y.shape[1])
+            vals = f_many(y[:-2])
+            for col, v in zip(y.T, vals):
+                assert col.tobytes() not in state["seen"], "a move evaluated twice from the same point"
+                state["seen"].add(col.tobytes())
+                if state["best"] is None or v < state["best"]:
+                    state["best"], state["seen"] = v, set()
+                    break
+            return vals
+
+        best, x = descent(checking, labelled, np.append(x, (0.0, -1.0)), step, rounds)
+        return best, x[:-2]
+
+    return checked
+
+
+class TestEachMoveOnce:
+    """After a hit a call wraps round its sweep instead of sweeping again: no move is evaluated
+    twice from one point, and the oracles keep their values with fewer calls."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_coupled_l1(self, seed):
+        f_many, x0 = _coupled_l1(seed)
+        calls = []
+        best, x = _each_move_once(K.greedy_descent, calls)(f_many, _axis_moves, x0, 1.0, 40)
+        want_best, want_x = K.greedy_descent(f_many, _axis_moves, x0, 1.0, 40)
+        assert best == want_best and x.tolist() == want_x.tolist() and len(calls) > 10
+
+    # the descent is deterministic, so each oracle's f_many calls are an exact count
+    @pytest.mark.parametrize("n, count", [(3, 24), (5, 41), (7, 86)])
+    def test_decomposable_oracle(self, monkeypatch, n, count):
+        want, calls = D.brute_force_minimize(n, 30), []
+        monkeypatch.setattr(K, "greedy_descent", _each_move_once(K.greedy_descent, calls))
+        assert D.brute_force_minimize(n, 30) == want and len(calls) == count
+
+    @pytest.mark.parametrize("lam, count", [(1.5, 11), (2.0, 65), (2.5, 53)])
+    def test_simplex_oracle(self, monkeypatch, lam, count):
+        want, calls = S.grid_simplex_max(lam, grid_n=60), []
+        monkeypatch.setattr(K, "greedy_descent", _each_move_once(K.greedy_descent, calls))
+        assert S.grid_simplex_max(lam, grid_n=60) == want and len(calls) == count
+
+
 def _products_of_norms(*vs):
     return np.prod([np.linalg.norm(v, axis=-1) for v in np.broadcast_arrays(*vs)], axis=0)
 
@@ -379,6 +448,46 @@ class TestVolumeCubic:
         got = K.volume_poly_many(tau)
         want = np.array([_cubic_reference(t) for t in tau])
         assert np.allclose(got, want, rtol=1e-13, atol=0)
+
+
+_NONNEGATIVE = st.floats(0.0, 1e100) | st.just(0.0)  # products stay finite, and zeros are common
+
+
+def _typed_bytes(v):
+    return type(v), np.asarray(v).shape, np.asarray(v).tobytes()
+
+
+class TestVolumeCubicFace:
+    """With tau34 omitted, volume_cubic is the cubic at tau34 = 0.0."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_same_bits_on_nonnegative_arrays(self, data):
+        shapes = data.draw(hnp.mutually_broadcastable_shapes(num_shapes=5, max_dims=3, max_side=4))
+        t = [data.draw(hnp.arrays(np.float64, shape, elements=_NONNEGATIVE)) for shape in shapes.input_shapes]
+        assert _typed_bytes(K.volume_cubic(*t)) == _typed_bytes(K.volume_cubic(*t, 0.0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(*[_NONNEGATIVE] * 5))
+    def test_same_bits_on_scalars(self, t):
+        assert _typed_bytes(K.volume_cubic(*t)) == _typed_bytes(K.volume_cubic(*t, 0.0))
+
+    def test_same_bits_on_many_rows(self):
+        rng = np.random.default_rng(21)
+        t = rng.uniform(0.0, 2.0, size=(5, 100_000))
+        t[rng.random(t.shape) < 0.2] = 0.0
+        assert K.volume_cubic(*t).tobytes() == K.volume_cubic(*t, 0.0).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_same_numbers_on_signed_arrays(self, data):
+        signed = st.floats(-1e100, 1e100) | st.just(0.0) | st.just(-0.0)
+        t = [data.draw(hnp.arrays(np.float64, 7, elements=signed)) for _ in range(5)]
+        assert np.array_equal(K.volume_cubic(*t), K.volume_cubic(*t, 0.0))
+
+    def test_signed_zero_is_why_signed_callers_pass_tau34(self):
+        t = (0.0, -1.0, -1.0, 1.0, 1.0)  # t13 t14 t34 = +0.0 turns the face's -0.0 into +0.0
+        assert np.signbit(K.volume_cubic(*t)) and not np.signbit(K.volume_cubic(*t, 0.0))
 
 
 class TestType4Functional:

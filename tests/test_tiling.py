@@ -2,7 +2,7 @@
 
 import dataclasses
 import math
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -772,9 +772,25 @@ class TestSeriesGeometry:
         z = unit_shapes["rhombic"]
         lat = TL.lattice_from_parallelohedron(z)
         group, _ = _group(z, lat)
-        walls = [len(TL._cone(lat, group, r + z.circumradius())[1]) for r in (40.0, 60.0)]
-        assert walls[0] < len(group) - 1 == walls[1]  # at 60 every nonzero wall is kept
+        cones = [TL._cone(lat, group, r + z.circumradius()) for r in (40.0, 60.0)]
+        assert [6 * int(np.abs(n).max()) ** 3 >= 2**53 for n, _ in cones] == [False, True]
+        assert [len(walls) for _, walls in cones] == [3, 3]  # at 60 the facet walls are proved in int64
         self._assert_rows_are_fresh_estimates(z, lat, [40.0, 60.0], monkeypatch)
+
+    @pytest.mark.parametrize("name", UNIT_SHAPES)
+    def test_facet_walls_at_the_radius_cap(self, unit_shapes, name):
+        z = unit_shapes[name]
+        lat = TL.lattice_from_parallelohedron(z)
+        group, _ = _group(z, lat)
+        n, walls = TL._cone(lat, group, TL._MAX_RADIUS * z.diameter() + z.circumradius())
+        n = n[(n != 0).any(axis=1)]
+        assert 2**53 <= 6 * int(np.abs(n).max()) ** 3 < 2**63 and len(walls) == 3
+        assert TL._spans_the_cone(walls, n)
+        # two of the walls cut a wedge, which holds a line; w0, w1 and w2 + w0 cut a pointed cone that
+        # holds the points with w2 < 0 <= w2 + w0: both are more than the cone
+        for pair in combinations(walls, 2):
+            assert not TL._spans_the_cone(np.array(pair), n)
+        assert not TL._spans_the_cone(np.array([walls[0], walls[1], walls[2] + walls[0]]), n)
 
     @pytest.mark.parametrize("type_index", [1, 2, 3, 4, 5])
     def test_random_bodies_bitwise(self, monkeypatch, type_index):
