@@ -172,12 +172,8 @@ def cmd_wm(args: argparse.Namespace) -> int:
         }
         shortfall = max(0.0, rep.bound - rep.min_observed)
         residuals.append(_residual("type4_sweep_above_bound", shortfall, 1e-9))
-    return _emit(
-        "wm",
-        {"alpha6": args.alpha6, "alpha4": args.alpha4, "type": args.type, "sweep": args.sweep},
-        outputs,
-        residuals,
-    )
+    inputs = {"alpha6": args.alpha6, "alpha4": args.alpha4, "type": args.type, "sweep": args.sweep}
+    return _emit("wm", inputs, outputs, residuals)
 
 
 def _spec_doc(spec: decomposable.DecompositionSpec) -> dict:
@@ -204,7 +200,10 @@ def cmd_decomp(args: argparse.Namespace) -> int:
     ]
     if args.oracle:
         _note(f"running grid oracle with grid_n={args.oracle}")
-        oracle = decomposable.brute_force_minimize(args.dim, args.oracle)
+        try:
+            oracle = decomposable.brute_force_minimize(args.dim, args.oracle)
+        except decomposable.OracleBoxEdge as exc:
+            raise SystemExit(f"oracle failed: {exc}") from exc
         outputs["oracle_value"] = oracle
         shortfall = max(0.0, value - oracle)
         residuals.append(_residual("oracle_at_or_above_minimum", shortfall, 1e-6))
@@ -262,7 +261,7 @@ def cmd_tile(args: argparse.Namespace) -> int:
     _note(f"shape {args.shape}: volume={z.volume():.6f}, searching tiling lattice")
     try:
         lat, report, rows, residuals = _certify_tiling(z, radii, args.seed)
-    except (tiling.NoValidBasis, tiling.NotFaceToFace) as exc:  # a body that cannot be measured
+    except (tiling.NoValidBasis, tiling.Overlap, tiling.NotFaceToFace) as exc:  # a body that cannot be measured
         raise _OptionError(f"argument --shape: {exc}") from exc
     except ValueError as exc:  # geometry errors
         raise SystemExit(f"tiling failed: {exc}") from exc
@@ -278,12 +277,7 @@ def cmd_tile(args: argparse.Namespace) -> int:
         "translates_checked": report.translates_checked,
         "rows": [_density_row(est) for est in rows],
     }
-    return _emit(
-        "tile",
-        {"shape": args.shape, "radius": args.radius, "series": args.series},
-        outputs,
-        residuals,
-    )
+    return _emit("tile", {"shape": args.shape, "radius": args.radius, "series": args.series}, outputs, residuals)
 
 
 def _verify_tetra(args: argparse.Namespace) -> tuple[dict, list[dict]]:
@@ -370,12 +364,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         out, res = runner[suite](args)
         outputs[suite] = out
         residuals.extend(res)
-    return _emit(
-        "verify",
-        {"lemma": args.lemma, "samples": args.samples, "lambda": args.lam, "grid": args.grid},
-        outputs,
-        residuals,
-    )
+    inputs = {"lemma": args.lemma, "samples": args.samples, "lambda": args.lam, "grid": args.grid}
+    return _emit("verify", inputs, outputs, residuals)
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
@@ -413,9 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0, help="RNG seed for randomized routines")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "wm", help="per-type minima of the weighted edge functional", parents=[common]
-    )
+    p = sub.add_parser("wm", help="per-type minima of the weighted edge functional", parents=[common])
     p.add_argument("--alpha6", type=_positive_real, required=True, help="weight of 6-belt segments")
     p.add_argument("--alpha4", type=_positive_real, required=True, help="weight of 4-belt segments")
     p.add_argument("--type", type=int, choices=range(1, 6), help="restrict to one type")
@@ -423,9 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--sweep", type=_int_at_least(100), help="random type-4 bodies to sweep against the bound"
     )
 
-    p = sub.add_parser(
-        "decomp", help="minimum density bound for decomposable mosaics", parents=[common]
-    )
+    p = sub.add_parser("decomp", help="minimum density bound for decomposable mosaics")
     p.add_argument("--dim", type=_int_at_least(2, _MAX_DIM), required=True, help=f"ambient dimension (2..{_MAX_DIM})")
     p.add_argument(
         "--oracle", type=_int_at_least(20),
@@ -433,20 +419,14 @@ def build_parser() -> argparse.ArgumentParser:
         f"{decomposable.MAX_SCAN_POINTS} points)",
     )
 
-    p = sub.add_parser(
-        "tile", help="simulate a lattice tiling and measure edge density", parents=[common]
-    )
+    p = sub.add_parser("tile", help="simulate a lattice tiling and measure edge density", parents=[common])
     p.add_argument("--shape", required=True, help=f"one of {_SHAPES} or file:<json>")
     p.add_argument("--radius", type=_positive_real, default=20.0, help="measurement ball radius")
     p.add_argument("--series", type=_ascending_radii, help="comma-separated ascending radii")
     p.add_argument("--csv", action="store_true", help="emit CSV rows instead of JSON")
 
     p = sub.add_parser("verify", help="run numeric verification suites", parents=[common])
-    p.add_argument(
-        "--lemma",
-        choices=("tetra", "simplex", "isotropy", "tiling", "all"),
-        default="all",
-    )
+    p.add_argument("--lemma", choices=("tetra", "simplex", "isotropy", "tiling", "all"), default="all")
     p.add_argument("--samples", type=_int_at_least(1), default=10_000, help="sample count for randomized suites")
     p.add_argument(
         "--lambda", dest="lam", type=_finite_real(1.0, strict=False, high=_MAX_LAMBDA), default=1.0,
@@ -458,15 +438,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--radius", type=_positive_real, default=20.0, help="ball radius (tiling suite)")
 
-    p = sub.add_parser(
-        "table1", help="CSV of per-type minima for one weight pair", parents=[common]
-    )
+    p = sub.add_parser("table1", help="CSV of per-type minima for one weight pair")
     p.add_argument("--alpha6", type=_positive_real, required=True)
     p.add_argument("--alpha4", type=_positive_real, required=True)
 
-    p = sub.add_parser(
-        "fig2", help="CSV curves of the minima vs alpha4 at alpha6 = 1", parents=[common]
-    )
+    p = sub.add_parser("fig2", help="CSV curves of the minima vs alpha4 at alpha6 = 1")
     p.add_argument("--start", type=_positive_real, default=0.05)
     p.add_argument("--stop", type=_positive_real, default=1.2)
     p.add_argument("--step", type=_positive_real, default=0.01)

@@ -30,6 +30,10 @@ class CertificateFailed(RuntimeError):
     """A numeric monotonicity/convexity certificate found a bad grid point."""
 
 
+class OracleBoxEdge(RuntimeError):
+    """The oracle's best grid point lies on the edge of the log-area box, so the box may hide the minimum."""
+
+
 @dataclass(frozen=True)
 class PlanarComponent:
     """One planar factor: cell area and average edge-count parameter."""
@@ -200,6 +204,9 @@ def _oracle_bound(x, k: int, odd: bool):
     return _bound_arrays(list(x[:k]), areas + [rest], None)
 
 
+#: The oracle scans each free log area on [-LOG_AREA_HALF_WIDTH, LOG_AREA_HALF_WIDTH].
+LOG_AREA_HALF_WIDTH = 1.5
+
 #: Most points in the decomposable oracle's grid scan.
 MAX_SCAN_POINTS = 250_000
 
@@ -248,7 +255,9 @@ def brute_force_minimize(n: int, grid_n: int = 30, refine_rounds: int = 60) -> f
     length (odd case), so every evaluated point is exactly feasible.
     The per-axis grid resolution shrinks in higher dimensions to keep
     the scan at most a quarter million points.  ``_scan_min`` finds the
-    best grid point.  ``_kernels.greedy_descent`` refines the best grid
+    best grid point; one on the edge of the log-area box raises
+    ``OracleBoxEdge`` (the e_hat axes span the bound's domain [3, 6], so an
+    edge there is expected).  ``_kernels.greedy_descent`` refines the best grid
     point from step 3 / grid_n; a sweep evaluates, in one call, the
     steps of each coordinate down and up (e_hats clipped to [3, 6]).
     """
@@ -259,9 +268,13 @@ def brute_force_minimize(n: int, grid_n: int = 30, refine_rounds: int = 60) -> f
     k, odd = divmod(n, 2)
     dims = 2 * k - 1 + odd
 
-    m = _axis_points(grid_n, dims)
-    axes = [np.linspace(3.0, 6.0, m)] * k + [np.linspace(-1.5, 1.5, m)] * (dims - k)
-    x = np.array([axis[i] for axis, i in zip(axes, _scan_min(axes, k, odd)[1])])
+    m, w = _axis_points(grid_n, dims), LOG_AREA_HALF_WIDTH
+    axes = [np.linspace(3.0, 6.0, m)] * k + [np.linspace(-w, w, m)] * (dims - k)
+    at = _scan_min(axes, k, odd)[1]
+    for j in range(k, dims):
+        if at[j] in (0, m - 1):
+            raise OracleBoxEdge(f"grid argmin on the edge of log-area axis {j - k} at {axes[j][at[j]]:+g}")
+    x = np.array([axis[i] for axis, i in zip(axes, at)])
 
     signs = np.repeat(np.eye(dims), 2, axis=0) * np.tile([-1.0, 1.0], dims)[:, None]
     lo = np.array([3.0] * k + [-np.inf] * (dims - k))

@@ -1,13 +1,14 @@
 """Lattice tilings by parallelohedra, skeleton density in a ball and exactly.
 
 A parallelohedron tiles space face to face by lattice translates.  This
-module finds a tiling lattice (doubled facet centers supply candidate
-vectors), certifies it exactly (no two translates overlap and the
-covolume equals the cell volume, so the translates tile), and measures
-the total edge length of the tiling inside a large ball from edge
-orbits: the edges of one cell fall into classes of lattice translates,
-one class per orbit of tiling edges, and a class has one member per
-cell sharing the edge, 4 on a 4-belt and 3 on a 6-belt.
+module proposes the tiling lattice (its doubled facet centers lie in it,
+so a triple of them spanning the cell volume is a basis), certifies it
+exactly (no two translates overlap and the covolume equals the cell
+volume, so the translates tile), and measures the total edge length of
+the tiling inside a large ball from edge orbits: the edges of one cell
+fall into classes of lattice translates, one class per orbit of tiling
+edges, and a class has one member per cell sharing the edge, 4 on a
+4-belt and 3 on a 6-belt.
 So the per-cell functional with weights (2, 1) over cell volume is the limit
 density, and the sum of the class representatives' lengths over the covolume
 is the density exactly.  The tiling's point group G, the orthogonal maps that
@@ -311,7 +312,7 @@ def _covolume_tol(volume: float) -> float:
 def validate_tiling(
     z: Zonotope, lat: Lattice, samples: int = 1_000_000, seed: int = 0
 ) -> TilingReport:
-    """Certify exactly that lattice translates of z tile space, sampling nothing.
+    """Certify exactly that lattice translates of z tile space, sampling nothing: the one test of the tiling rule.
 
     z is convex and centrally symmetric, so z and z + t overlap iff t/2
     is interior to z.  Without such t the translates pack with density
@@ -319,7 +320,9 @@ def validate_tiling(
     uncovered set would be open and periodic, so of positive density
     (P. McMullen, "Convex bodies which tile space by translation",
     Mathematika 27 (1980); P. M. Gruber, Convex and Discrete Geometry
-    (2007)).  Raises Overlap with its witness; Gap if covolume > volume,
+    (2007)).  A lattice that ``lattice_from_parallelohedron`` proposes for
+    a parallelohedron passes; for any other body it is screened here.
+    Raises Overlap with its witness; Gap if covolume > volume,
     with a witness from at most ``samples`` points drawn from ``seed``;
     GeometryError if covolume < volume with no overlap, which the
     packing bound rules out, so the overlap screen is at fault.
@@ -340,24 +343,19 @@ def validate_tiling(
 
 
 def lattice_from_parallelohedron(z: Zonotope) -> Lattice:
-    """Find a tiling lattice among doubled facet centers.
+    """Propose a tiling lattice from doubled facet centers; ``validate_tiling`` decides.
 
-    Accepts the first centroid triple whose covolume matches the cell
-    volume and whose translates stay disjoint; the covolume test alone
-    is not sufficient (some triples give half-volume fundamental
-    domains), so the overlap screen is part of the search.
+    The doubled facet centers of a parallelohedron lie in its face to face
+    tiling lattice, whose covolume is the cell volume (Venkov; McMullen,
+    Mathematika 27 (1980)), so the first triple of them whose determinant
+    matches the volume spans the whole lattice and is returned.
     """
     vol = z.volume()
-    centers = np.array(
-        [2.0 * z.vertices[list(f.vertex_ids)].mean(axis=0) for f in z.facets]
-    )
+    centers = np.array([2.0 * z.vertices[list(f.vertex_ids)].mean(axis=0) for f in z.facets])
     for tri in combinations(range(len(centers)), 3):
         b = centers[list(tri)]
-        if abs(abs(np.linalg.det(b)) - vol) > _covolume_tol(vol):
-            continue
-        lat = Lattice(b)
-        if _has_overlap(z, lat)[0] is None:
-            return lat
+        if abs(abs(np.linalg.det(b)) - vol) <= _covolume_tol(vol):
+            return Lattice(b)
     raise NoValidBasis("no facet-center triple yields a disjoint unit-index lattice")
 
 

@@ -160,6 +160,15 @@ class TestDecomp:
         failed = {r["name"] for r in doc["residuals"] if not r["pass"]}
         assert failed == {"oracle_at_or_above_minimum", "oracle_at_corrected_minimum"}
 
+    def test_argmin_on_the_log_area_box_edge_fails(self, capsys, monkeypatch):
+        # at n = 5 the minimum's log areas are -0.33, outside a box of half-width 0.05
+        monkeypatch.setattr(decomposable, "LOG_AREA_HALF_WIDTH", 0.05)
+        with pytest.raises(SystemExit) as exc:
+            main(["decomp", "--dim", "5", "--oracle", "30"])
+        assert exc.value.code == "oracle failed: grid argmin on the edge of log-area axis 0 at -0.05"
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "running grid oracle with grid_n=30\n"
+
     def test_with_oracle(self, capsys):
         code, doc = run_json(capsys, ["decomp", "--dim", "2", "--oracle", "30"])
         assert code == 0
@@ -285,6 +294,20 @@ class TestTile:
             main(["tile", "--shape", "cube", "--radius", "nan"])
         assert exc.value.code == 2
         assert "--radius: must be finite and > 0, got nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, screens",
+        [*((["tile", "--shape", name, "--radius", "20"], 1) for name in zonotope.UNIT_SHAPES),
+         (["verify", "--lemma", "tiling"], 2)],
+        ids=[*zonotope.UNIT_SHAPES, "verify-tiling"],
+    )
+    def test_one_overlap_screen_per_shape(self, capsys, monkeypatch, argv, screens):
+        calls = []
+        screen = tiling._has_overlap
+        monkeypatch.setattr(tiling, "_has_overlap", lambda z, lat: calls.append(z) or screen(z, lat))
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert len(calls) == screens
 
 
 def _same_body(a, b):
@@ -488,6 +511,9 @@ class TestBadInput:
              "--radius: radius must be at most 100x cell diameter 173.205, got 1e+20"),
             (["verify", "--lemma", "tiling", "--radius", "1e300"],
              "--radius: radius must be at most 100x cell diameter 173.205, got 1e+300"),
+            (["decomp", "--dim", "3", "--seed", "1"], "unrecognized arguments: --seed 1"),
+            (["table1", "--alpha6", "1", "--alpha4", "1", "--seed", "1"], "unrecognized arguments: --seed 1"),
+            (["fig2", "--seed", "1"], "unrecognized arguments: --seed 1"),
         ],
         ids=[
             "sweep-0", "sweep-neg", "sweep-below-floor", "grid-0", "oracle-1",
@@ -496,7 +522,7 @@ class TestBadInput:
             "tile-radius-neg", "tile-series-nan", "tile-series-below-floor",
             "verify-tiling-radius-below-floor", "fig2-too-many-steps", "dim-above-cap",
             "grid-above-cap", "lambda-above-cap", "tile-series-above-cap", "tile-radius-above-cap",
-            "verify-tiling-radius-above-cap",
+            "verify-tiling-radius-above-cap", "decomp-seed", "table1-seed", "fig2-seed",
         ],
     )
     def test_rejected_at_parse_time(self, capsys, argv, message):
@@ -598,6 +624,12 @@ class TestBadInput:
         argv = ["tile", "--shape", "cube", "--radius", "8"]
         message = "--shape: tiling is not face to face: edge multiplicity off by 2 in a lattice edge class"
         self._one_error_line(capsys, argv, message)
+
+    def test_lattice_that_overlaps(self, capsys, monkeypatch):
+        # a body that does not tile: validate_tiling screens the proposed lattice
+        monkeypatch.setattr(tiling, "lattice_from_parallelohedron", lambda z: tiling.Lattice(0.9 * np.eye(3)))
+        argv = ["tile", "--shape", "cube", "--radius", "8"]
+        self._one_error_line(capsys, argv, "--shape: translate interiors meet near [-0.45 -0.45 -0.45]")
 
     @pytest.mark.parametrize(
         "argv",

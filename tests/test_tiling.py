@@ -296,7 +296,28 @@ class TestBallLines:
         assert (np.linalg.norm(ref[counted], axis=1) + circ < radius).all()
 
 
+def _screened_search(z):
+    """The lattice search as it was with an overlap screen per covolume-matching triple."""
+    vol = z.volume()
+    centers = np.array([2.0 * z.vertices[list(f.vertex_ids)].mean(axis=0) for f in z.facets])
+    for tri in combinations(range(len(centers)), 3):
+        b = centers[list(tri)]
+        if abs(abs(np.linalg.det(b)) - vol) > TL._covolume_tol(vol):
+            continue
+        lat = TL.Lattice(b)
+        if TL._has_overlap(z, lat)[0] is None:
+            return lat
+    raise TL.NoValidBasis("no facet-center triple yields a disjoint unit-index lattice")
+
+
 class TestLatticeSearch:
+    def test_same_basis_as_the_screened_search(self, unit_shapes):
+        # doubled facet centres lie in the tiling lattice, so the first covolume match needs no screen
+        rng = np.random.default_rng(11)
+        bodies = [*unit_shapes.values(), *(random_body(rng, i % 5 + 1) for i in range(250))]
+        for z in bodies:
+            assert TL.lattice_from_parallelohedron(z).basis.tobytes() == _screened_search(z).basis.tobytes()
+
     def test_all_canonical_shapes(self, unit_shapes):
         for name, z in unit_shapes.items():
             lat = TL.lattice_from_parallelohedron(z)
