@@ -18,8 +18,6 @@ from .decomposable import (
     density_bound_odd,
     minimize_density,
     monotonicity_certificates,
-    planar_skeleton_density_bound,
-    planar_vertex_density,
 )
 from .simplex import (
     DomainError,
@@ -119,8 +117,7 @@ __all__ = [
     "NotOrthogonal", "NegativeBeta", "NoConvergence",
     # decomposable bounds
     "PlanarComponent", "SegmentComponent", "DecompositionSpec", "ConstraintViolated",
-    "CertificateFailed", "planar_vertex_density", "planar_skeleton_density_bound",
-    "density_bound_even", "density_bound_odd", "minimize_density",
+    "CertificateFailed", "density_bound_even", "density_bound_odd", "minimize_density",
     "brute_force_minimize", "monotonicity_certificates",
     # tiling simulation
     "Lattice", "DensityEstimate", "NoValidBasis", "Overlap", "Gap",

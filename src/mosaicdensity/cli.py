@@ -29,6 +29,7 @@ _FIG2_MAX_STEPS = 100_000  # fig2 computes the five type minima of each row in P
 _MAX_GRID = 150  # verify --lemma simplex at 150: ~0.1 s, peak ~19 MB above the interpreter (the (b, c, d) table)
 _MAX_LAMBDA = 1e6  # simplex_gap is absolute (1e-5) while the maximum grows like lambda / 27
 _ISOTROPY_CHUNK = 64  # bodies per stacked isotropy fixed point, so memory stays flat as --samples grows
+_MAX_WEIGHT = 1e300  # every type minimum is below 3 max(alpha6, alpha4), so minima and residuals stay finite
 
 
 def _canonical_shape(name: str) -> zonotope.Zonotope:
@@ -95,6 +96,7 @@ def _finite_real(low: float, *, strict: bool, high: float = math.inf):
 
 
 _positive_real = _finite_real(0.0, strict=True)
+_weight = _finite_real(0.0, strict=True, high=_MAX_WEIGHT)
 
 
 def _ascending_radii(text: str) -> list[float]:
@@ -150,8 +152,8 @@ def cmd_wm(args: argparse.Namespace) -> int:
         per_type.append(entry)
         z = weights.optimal_shape_zonotope(i, m)
         if z is not None:
-            diff = zonotope.weighted_edge_functional(z, m) - tm.value
-            residuals.append(_residual(f"type{i}_shape_consistency", diff, 1e-9))
+            diff = zonotope.weighted_edge_functional(z, m) - tm.value  # w_m is homogeneous of degree 1 in m
+            residuals.append(_residual(f"type{i}_shape_consistency", diff / args.alpha6, 1e-9))
     ans = weights.classify_optimal(m)
     outputs = {
         "per_type": per_type,
@@ -171,7 +173,7 @@ def cmd_wm(args: argparse.Namespace) -> int:
             "bound": rep.bound,
         }
         shortfall = max(0.0, rep.bound - rep.min_observed)
-        residuals.append(_residual("type4_sweep_above_bound", shortfall, 1e-9))
+        residuals.append(_residual("type4_sweep_above_bound", shortfall / args.alpha6, 1e-9))
     inputs = {"alpha6": args.alpha6, "alpha4": args.alpha4, "type": args.type, "sweep": args.sweep}
     return _emit("wm", inputs, outputs, residuals)
 
@@ -239,16 +241,16 @@ def _exact_residuals(est: tiling.DensityEstimate, covolume: float) -> tuple[floa
 
 def _certify_tiling(z: zonotope.Zonotope, radii: list[float], seed: int, prefix: str = ""):
     """Lattice search, ``validate_tiling`` and ``convergence_series`` for z: the lattice, the report, the rows
-    and the residuals covolume_minus_volume, relative_error (last row; final_relative_error with no ``prefix``),
+    and the residuals covolume_minus_volume, relative_error (last row; led by final_ with no ``prefix``),
     exact_density_vs_target and skeleton_length_in_exact_bracket (worst row), each name led by ``prefix``."""
     lat = tiling.lattice_from_parallelohedron(z)
     report = tiling.validate_tiling(z, lat, seed=seed)
-    rows = tiling.convergence_series(z, lat, radii).rows
+    rows = tiling.convergence_series(z, lat, radii)
     exact, bracket = np.max([_exact_residuals(est, lat.covolume) for est in rows], axis=0)
     covolume = report.determinant - report.cell_volume
     return lat, report, rows, [
         _residual(f"{prefix}covolume_minus_volume", covolume, tiling._covolume_tol(report.cell_volume)),
-        _residual(f"{prefix}relative_error" if prefix else "final_relative_error", rows[-1].relative_error, 0.02),
+        _residual(f"{prefix or 'final_'}relative_error", rows[-1].relative_error, 0.02),
         _residual(f"{prefix}exact_density_vs_target", exact, 1e-12),
         _residual(f"{prefix}skeleton_length_in_exact_bracket", bracket, 1e-12),
     ]
@@ -404,8 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("wm", help="per-type minima of the weighted edge functional", parents=[common])
-    p.add_argument("--alpha6", type=_positive_real, required=True, help="weight of 6-belt segments")
-    p.add_argument("--alpha4", type=_positive_real, required=True, help="weight of 4-belt segments")
+    p.add_argument("--alpha6", type=_weight, required=True, help="weight of 6-belt segments")
+    p.add_argument("--alpha4", type=_weight, required=True, help="weight of 4-belt segments")
     p.add_argument("--type", type=int, choices=range(1, 6), help="restrict to one type")
     p.add_argument(
         "--sweep", type=_int_at_least(100), help="random type-4 bodies to sweep against the bound"
@@ -427,7 +429,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run numeric verification suites", parents=[common])
     p.add_argument("--lemma", choices=("tetra", "simplex", "isotropy", "tiling", "all"), default="all")
-    p.add_argument("--samples", type=_int_at_least(1), default=10_000, help="sample count for randomized suites")
+    p.add_argument(
+        "--samples", type=_int_at_least(1), default=10_000,
+        help="tetrahedra of the tetra suite; the isotropy suite draws max(10, samples // 100) bodies",
+    )
     p.add_argument(
         "--lambda", dest="lam", type=_finite_real(1.0, strict=False, high=_MAX_LAMBDA), default=1.0,
         help=f"scale factor (simplex suite, 1..{_MAX_LAMBDA:g})",
@@ -439,8 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=_positive_real, default=20.0, help="ball radius (tiling suite)")
 
     p = sub.add_parser("table1", help="CSV of per-type minima for one weight pair")
-    p.add_argument("--alpha6", type=_positive_real, required=True)
-    p.add_argument("--alpha4", type=_positive_real, required=True)
+    p.add_argument("--alpha6", type=_weight, required=True)
+    p.add_argument("--alpha4", type=_weight, required=True)
 
     p = sub.add_parser("fig2", help="CSV curves of the minima vs alpha4 at alpha6 = 1")
     p.add_argument("--start", type=_positive_real, default=0.05)

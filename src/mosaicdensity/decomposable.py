@@ -87,16 +87,6 @@ class DecompositionSpec:
         return 2 * len(self.planars) + (0 if self.segment is None else 1)
 
 
-def planar_vertex_density(c: PlanarComponent) -> float:
-    """Vertices per unit area of a normal planar mosaic with these stats."""
-    return (c.e_hat - 2.0) / (2.0 * c.area)
-
-
-def planar_skeleton_density_bound(c: PlanarComponent) -> float:
-    """Isoperimetric lower bound on skeleton length per unit area."""
-    return math.sqrt(c.e_hat * math.tan(math.pi / c.e_hat) / c.area)
-
-
 def density_bound_even(spec: DecompositionSpec) -> float:
     """Edge-density lower bound for a pure planar product (dimension 2k)."""
     if spec.segment is not None:
@@ -182,7 +172,7 @@ def _bound_arrays(es: list, areas: list, length):
         after.append(f * after[-1])
     total, before = 0.0, 2.0 ** (1 - k)  # the bound's 1 / 2^(k - 1): a power of two, so exact here
     for e, area, f, tail in zip(es, areas, rest, reversed(after)):
-        total = total + np.sqrt(e * np.tan(np.pi / e) * area) * (before * tail)
+        total = total + np.sqrt(_h(e) * area) * (before * tail)
         before = before * f
     if length is not None:
         cross = length / 2.0**k
@@ -311,6 +301,7 @@ def bound_curve(k: int, e_values: np.ndarray) -> tuple[list[str], np.ndarray]:
 
 
 def _h(t):
+    """h(t) = t tan(pi / t), elementwise: a factor of area a and e_hat e has skeleton density >= sqrt(h(e) / a)."""
     return t * np.tan(np.pi / t)
 
 
@@ -362,7 +353,7 @@ def monotonicity_certificates(grid_points: int = 10_000) -> CertificateReport:
     if grid_points < 100:
         raise ValueError("need at least 100 grid points")
     x = np.linspace(3.0, 6.0, grid_points)
-    hx = x * np.tan(np.pi / x)
+    hx = _h(x)
     f_root = np.sqrt(hx)
     f_edge = (x - 2.0) * f_root
     f_prod = (x - 2.0) * hx

@@ -476,7 +476,7 @@ def _densities(z: Zonotope, lat: Lattice, radii: list[float]):
     cls = edge_classes(z, lat)
     group, perm = _point_group(z, lat, (cls.start + cls.end) / 2.0)
     order, circ = len(group), z.circumradius()
-    lengths = np.linalg.norm(cls.end - cls.start, axis=1)
+    lengths = z.edge_lengths()
     fold = np.isin(perm, cls.reps).sum(axis=0)  # representatives among the images of edge j
     target = weighted_edge_functional(z, WeightPair(2.0, 1.0)) / z.volume()
     exact = math.fsum(lengths[cls.reps].tolist()) / lat.covolume
@@ -538,16 +538,7 @@ def skeleton_density(z: Zonotope, lat: Lattice, radius: float) -> DensityEstimat
     return tuple(_densities(z, lat, [radius]))[0]
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
-    rows: tuple[DensityEstimate, ...]
-
-    @property
-    def final_relative_error(self) -> float:
-        return self.rows[-1].relative_error
-
-
-def convergence_series(z: Zonotope, lat: Lattice, radii: list[float]) -> ConvergenceReport:
+def convergence_series(z: Zonotope, lat: Lattice, radii: list[float]) -> tuple[DensityEstimate, ...]:
     """Density estimates over ascending radii, each the ``skeleton_density`` at its radius to the bit; the
     tiling's geometry is built once.  Every radius is checked first; ValueError on empty or unsorted radii."""
-    return ConvergenceReport(tuple(_densities(z, lat, radii)))
+    return tuple(_densities(z, lat, radii))

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _kernels, zonotope
 from .tetra import CenteredTetrahedron, pair_invariants
-from .zonotope import BetaVector, ParallelohedronType, WeightPair, Zonotope
+from .zonotope import BetaVector, WeightPair, Zonotope
 
 # winner switches at these alpha4/alpha6 ratios
 CUBE_PRISM_RATIO = math.sqrt(3.0) / 2.0
@@ -50,7 +50,6 @@ class TypeMinimum:
     there ``value`` is a proven lower bound and ``optimal_shape`` is None.
     """
 
-    type_tag: ParallelohedronType
     value: float
     is_exact: bool
     optimal_shape: dict | None
@@ -82,40 +81,27 @@ def type_minimum(i: int, m: WeightPair) -> TypeMinimum:
     """Closed-form minimum of w_m at unit volume for one type."""
     a6, a4 = m.alpha6, m.alpha4
     if i == 1:
-        return TypeMinimum(
-            ParallelohedronType.PARALLELEPIPED, 3.0 * a4, True, {"shape": "cube", "edge": 1.0}
-        )
+        return TypeMinimum(3.0 * a4, True, {"shape": "cube", "edge": 1.0})
     if i == 2:
         base, lateral = _prism_edges(m)
         value = 3.0 ** (7.0 / 6.0) / 2.0 ** (1.0 / 3.0) * a4 ** (2.0 / 3.0) * a6 ** (1.0 / 3.0)
-        return TypeMinimum(
-            ParallelohedronType.HEXAGONAL_PRISM,
-            value,
-            True,
-            {"shape": "hexagonal_prism", "base_edge": base, "height": lateral},
-        )
+        return TypeMinimum(value, True, {"shape": "hexagonal_prism", "base_edge": base, "height": lateral})
     if i == 3:
-        return TypeMinimum(
-            ParallelohedronType.RHOMBIC_DODECAHEDRON,
-            2.0 ** (2.0 / 3.0) * math.sqrt(3.0) * a6,
-            True,
-            {"shape": "rhombic_dodecahedron", "edge": zonotope.RHOMBIC_EDGE},
-        )
+        shape = {"shape": "rhombic_dodecahedron", "edge": zonotope.RHOMBIC_EDGE}
+        return TypeMinimum(2.0 ** (2.0 / 3.0) * math.sqrt(3.0) * a6, True, shape)
     if i == 4:
         if a4 <= a6:
-            value = 3.0 * a4 ** (1.0 / 3.0) * (4.0 * a6**2 - a4**2) ** (1.0 / 3.0) / 2.0 ** (2.0 / 3.0)
+            # 3 (a4 (4 a6^2 - a4^2))^(1/3) / 2^(2/3), a6^2 taken out of the root: no square leaves the float range
+            value = 3.0 * a4 ** (1.0 / 3.0) * a6 ** (2.0 / 3.0)
+            value = value * (4.0 - (a4 / a6) ** 2) ** (1.0 / 3.0) / 2.0 ** (2.0 / 3.0)
             note = "lower bound; the attaining shape is not known"
         else:
             value = type_minimum(5, m).value
             note = "exceeds the type-5 minimum; shown value is that minimum"
-        return TypeMinimum(ParallelohedronType.ELONGATED_RHOMBIC_DODECAHEDRON, value, False, None, note)
+        return TypeMinimum(value, False, None, note)
     if i == 5:
-        return TypeMinimum(
-            ParallelohedronType.TRUNCATED_OCTAHEDRON,
-            3.0 * a6 / 2.0 ** (1.0 / 6.0),
-            True,
-            {"shape": "truncated_octahedron", "edge": zonotope.TRUNCOCTA_EDGE},
-        )
+        shape = {"shape": "truncated_octahedron", "edge": zonotope.TRUNCOCTA_EDGE}
+        return TypeMinimum(3.0 * a6 / 2.0 ** (1.0 / 6.0), True, shape)
     raise ValueError(f"type index must be 1..5, got {i}")
 
 
@@ -312,10 +298,6 @@ class Type4SweepReport:
     min_observed: float
     bound: float
     type5_value: float
-
-    @property
-    def respects_bound(self) -> bool:
-        return self.min_observed >= self.bound - 1e-9
 
 
 def type4_sweep(m: WeightPair, samples: int, seed: int = 0) -> Type4SweepReport:

@@ -34,8 +34,6 @@ import numpy as np
 
 from ._kernels import PAIRS, cross3, det3, volume_cubic
 
-Vec3 = np.ndarray
-
 VECTOR_TOL = 1e-10
 DET_TOL = 1e-12
 COPLANAR_TOL = 1e-10

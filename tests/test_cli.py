@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mosaicdensity import cli, decomposable, simplex, tiling, weights, zonotope
+from mosaicdensity import cli, decomposable, simplex, tetra, tiling, weights, zonotope
 from mosaicdensity.cli import main
 
 
@@ -28,6 +29,77 @@ def run_csv(capsys, argv):
     code = main(argv)
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
     return code, rows
+
+
+# Faults under which one residual fails: each patches the library through ``monkeypatch``.
+
+
+def _sweep_below_bound(monkeypatch):
+    sweep = weights.type4_sweep
+    monkeypatch.setattr(weights, "type4_sweep", lambda m, samples, seed=0: dataclasses.replace(
+        sweep(m, samples, seed=seed), min_observed=weights.type_minimum(4, m).value - 1e-8))
+
+
+def _scaled_optimal_shape(monkeypatch, scaled):
+    # w_m is homogeneous of degree 1, so the body scaled by 1 + 1e-8 misses its value by about 2.6e-8
+    shape = weights.optimal_shape_zonotope
+
+    def patched(i, m):
+        z = shape(i, m)
+        if i != scaled:
+            return z
+        return zonotope.build_zonotope(
+            [zonotope.Segment(s.direction * (1.0 + 1e-8), s.generator_index) for s in z.segments]
+        )
+
+    monkeypatch.setattr(weights, "optimal_shape_zonotope", patched)
+
+
+def _corrected_minimum_off(monkeypatch):
+    correct = decomposable.corrected_minimum
+    monkeypatch.setattr(decomposable, "corrected_minimum", lambda n: (correct(n)[0] + 1e-3, correct(n)[1]))
+
+
+def _oracle_below_published(monkeypatch):
+    monkeypatch.setattr(
+        decomposable, "brute_force_minimize", lambda n, grid_n: decomposable.minimize_density(n)[0] - 1e-5
+    )
+
+
+def _patched_estimates(monkeypatch, change):
+    # the shared core of skeleton_density (verify) and convergence_series (tile)
+    measure = tiling._densities
+
+    def patched(z, lat, radii):
+        rows = measure(z, lat, radii)
+        return tuple(dataclasses.replace(est, **change(est, est.exact_density * lat.covolume)) for est in rows)
+
+    monkeypatch.setattr(tiling, "_densities", patched)
+
+
+def _simplex_gap(monkeypatch):
+    closed, _ = simplex.scaled_simplex_max(2.0)
+    monkeypatch.setattr(simplex, "grid_simplex_max", lambda *args, **kwargs: closed - 2e-5)
+
+
+def _boundary_above_interior(monkeypatch):
+    closed, _ = simplex.scaled_simplex_max(2.0)
+    monkeypatch.setattr(simplex, "boundary_candidates", lambda lam: [1.0 / 27.0, closed + 1e-9])
+
+
+def _published_minimum_above_bound(monkeypatch):
+    # at n = 3 the published minimum is the bound at its spec, so 1e-9 more lies above it
+    published = decomposable.minimize_density
+    monkeypatch.setattr(decomposable, "minimize_density", lambda n: (published(n)[0] + 1e-9, published(n)[1]))
+
+
+def _tetra_residuals(monkeypatch, poly, weighted):
+    monkeypatch.setattr(tetra, "batch_identity_residuals", lambda samples, seed=0: (poly, weighted))
+
+
+def _isotropy_off(monkeypatch):
+    residuals = weights.isotropy_residuals
+    monkeypatch.setattr(weights, "isotropy_residuals", lambda u, f, m: residuals(u, f, m) + 1e-7)
 
 
 def _verify_isotropy_reference(seed, samples):
@@ -82,30 +154,26 @@ class TestWm:
 
 
     def test_sweep_below_the_bound_fails(self, capsys, monkeypatch):
-        sweep = weights.type4_sweep
-        monkeypatch.setattr(weights, "type4_sweep", lambda m, samples, seed=0: dataclasses.replace(
-            sweep(m, samples, seed=seed), min_observed=weights.type_minimum(4, m).value - 1e-8))
+        _sweep_below_bound(monkeypatch)
         code, doc = run_json(capsys, ["wm", "--alpha6", "1", "--alpha4", "0.9", "--sweep", "100"])
         assert code == 1
         assert [r["name"] for r in doc["residuals"] if not r["pass"]] == ["type4_sweep_above_bound"]
 
     @pytest.mark.parametrize("scaled", [1, 2, 3, 5])
     def test_shape_consistency_fails_on_a_scaled_body(self, capsys, monkeypatch, scaled):
-        # w_m is homogeneous of degree 1, so the body scaled by 1 + 1e-8 misses its value by about 2.6e-8
-        shape = weights.optimal_shape_zonotope
-
-        def patched(i, m):
-            z = shape(i, m)
-            if i != scaled:
-                return z
-            return zonotope.build_zonotope(
-                [zonotope.Segment(s.direction * (1.0 + 1e-8), s.generator_index) for s in z.segments]
-            )
-
-        monkeypatch.setattr(weights, "optimal_shape_zonotope", patched)
+        _scaled_optimal_shape(monkeypatch, scaled)
         code, doc = run_json(capsys, ["wm", "--alpha6", "1", "--alpha4", "0.9"])
         assert code == 1
         assert [r["name"] for r in doc["residuals"] if not r["pass"]] == [f"type{scaled}_shape_consistency"]
+
+    @pytest.mark.parametrize("alpha6", [1e6, 1e200, 1e-200])
+    def test_every_weight_scale(self, capsys, alpha6):
+        # w_m is homogeneous of degree 1: every minimum scales with alpha6, and the residuals are relative to it
+        _, unit = run_json(capsys, ["wm", "--alpha6", "1", "--alpha4", "0.9"])
+        code, doc = run_json(capsys, ["wm", "--alpha6", repr(alpha6), "--alpha4", repr(0.9 * alpha6), "--sweep", "100"])
+        assert code == 0
+        for got, want in zip(doc["outputs"]["per_type"], unit["outputs"]["per_type"], strict=True):
+            assert abs(got["value"] - alpha6 * want["value"]) <= 1e-12 * alpha6 * want["value"]
 
 
 class TestDecomp:
@@ -143,8 +211,7 @@ class TestDecomp:
 
     @pytest.mark.parametrize("oracle", [[], ["--oracle", "30"]], ids=["bound", "oracle"])
     def test_corrected_minimum_off_by_a_thousandth_fails(self, capsys, monkeypatch, oracle):
-        correct = decomposable.corrected_minimum
-        monkeypatch.setattr(decomposable, "corrected_minimum", lambda n: (correct(n)[0] + 1e-3, correct(n)[1]))
+        _corrected_minimum_off(monkeypatch)
         code, doc = run_json(capsys, ["decomp", "--dim", "5", *oracle])
         assert code == 1
         failed = {r["name"] for r in doc["residuals"] if not r["pass"]}
@@ -152,9 +219,7 @@ class TestDecomp:
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7])
     def test_oracle_below_the_published_minimum_fails(self, capsys, monkeypatch, dim):
-        monkeypatch.setattr(
-            decomposable, "brute_force_minimize", lambda n, grid_n: decomposable.minimize_density(n)[0] - 1e-5
-        )
+        _oracle_below_published(monkeypatch)
         code, doc = run_json(capsys, ["decomp", "--dim", str(dim), "--oracle", "30"])
         assert code == 1
         failed = {r["name"] for r in doc["residuals"] if not r["pass"]}
@@ -201,17 +266,6 @@ class TestTile:
         for name in ("exact_density_vs_target", "skeleton_length_in_exact_bracket"):
             assert names[name]["pass"] and names[name]["tolerance"] == 1e-12
 
-    @staticmethod
-    def _patched_estimate(monkeypatch, change):
-        # the shared core of skeleton_density (verify) and convergence_series (tile)
-        measure = tiling._densities
-
-        def patched(z, lat, radii):
-            rows = measure(z, lat, radii)
-            return tuple(dataclasses.replace(est, **change(est, est.exact_density * lat.covolume)) for est in rows)
-
-        monkeypatch.setattr(tiling, "_densities", patched)
-
     @pytest.mark.parametrize(
         "change, failing",
         [
@@ -231,7 +285,7 @@ class TestTile:
         ids=["tile", "tile-csv", "tile-series-csv", "verify"],
     )
     def test_exact_residuals_can_fail(self, capsys, monkeypatch, change, failing, argv):
-        self._patched_estimate(monkeypatch, change)
+        _patched_estimates(monkeypatch, change)
         if "--csv" in argv:  # CSV rows carry no residuals: the exit status reports all of them
             assert run_csv(capsys, argv)[0] == 1
             return
@@ -356,8 +410,7 @@ class TestVerify:
         assert all(r["pass"] for r in doc["residuals"])
 
     def test_simplex_gap_can_fail(self, capsys, monkeypatch):
-        closed, _ = simplex.scaled_simplex_max(2.0)
-        monkeypatch.setattr(simplex, "grid_simplex_max", lambda *args, **kwargs: closed - 2e-5)
+        _simplex_gap(monkeypatch)
         code, doc = run_json(capsys, ["verify", "--lemma", "simplex", "--lambda", "2"])
         assert code == 1
         assert {r["name"]: r["pass"] for r in doc["residuals"]} == {
@@ -365,8 +418,7 @@ class TestVerify:
         }
 
     def test_boundary_below_interior_can_fail(self, capsys, monkeypatch):
-        closed, _ = simplex.scaled_simplex_max(2.0)
-        monkeypatch.setattr(simplex, "boundary_candidates", lambda lam: [1.0 / 27.0, closed + 1e-9])
+        _boundary_above_interior(monkeypatch)
         code, doc = run_json(capsys, ["verify", "--lemma", "simplex", "--lambda", "2"])
         assert code == 1
         assert {r["name"]: r["pass"] for r in doc["residuals"]} == {
@@ -447,6 +499,14 @@ class TestCsvReports:
         assert rows[4][3] == ""  # type 4 has no attaining shape
         assert json.loads(rows[5][4])["edge"] == pytest.approx(2.0 ** (-7.0 / 6.0))
 
+    @pytest.mark.parametrize("alpha6", [1e200, 1e-200])
+    def test_table1_at_every_weight_scale(self, capsys, alpha6):
+        _, unit = run_csv(capsys, ["table1", "--alpha6", "1", "--alpha4", "0.9"])
+        code, rows = run_csv(capsys, ["table1", "--alpha6", repr(alpha6), "--alpha4", repr(0.9 * alpha6)])
+        assert code == 0
+        for got, want in zip(rows[1:], unit[1:], strict=True):
+            assert abs(float(got[1]) - alpha6 * float(want[1])) <= 1e-12 * alpha6 * float(want[1])
+
     def test_fig2(self, capsys):
         code, rows = run_csv(
             capsys, ["fig2", "--start", "0.2", "--stop", "0.4", "--step", "0.1"]
@@ -514,6 +574,8 @@ class TestBadInput:
             (["decomp", "--dim", "3", "--seed", "1"], "unrecognized arguments: --seed 1"),
             (["table1", "--alpha6", "1", "--alpha4", "1", "--seed", "1"], "unrecognized arguments: --seed 1"),
             (["fig2", "--seed", "1"], "unrecognized arguments: --seed 1"),
+            (["wm", "--alpha6", "1e301", "--alpha4", "1"], "--alpha6: must be at most 1e+300, got 1e301"),
+            (["table1", "--alpha6", "1", "--alpha4", "1e301"], "--alpha4: must be at most 1e+300, got 1e301"),
         ],
         ids=[
             "sweep-0", "sweep-neg", "sweep-below-floor", "grid-0", "oracle-1",
@@ -523,6 +585,7 @@ class TestBadInput:
             "verify-tiling-radius-below-floor", "fig2-too-many-steps", "dim-above-cap",
             "grid-above-cap", "lambda-above-cap", "tile-series-above-cap", "tile-radius-above-cap",
             "verify-tiling-radius-above-cap", "decomp-seed", "table1-seed", "fig2-seed",
+            "alpha6-above-cap", "table1-alpha4-above-cap",
         ],
     )
     def test_rejected_at_parse_time(self, capsys, argv, message):
@@ -651,3 +714,78 @@ class TestBadInput:
             main(argv)
         assert exc.value.code == 2
         assert "3x cell diameter" in capsys.readouterr().err
+
+
+_WM = ["wm", "--alpha6", "1", "--alpha4", "0.9", "--sweep", "100"]
+_TILE = ["tile", "--shape", "cube", "--radius", "8"]
+_VERIFY_TILING = ["verify", "--lemma", "tiling", "--radius", "8"]
+
+
+def _relative_error_off(monkeypatch):
+    _patched_estimates(monkeypatch, lambda est, reps: {"density": est.target * 1.03})
+
+
+def _exact_density_off(monkeypatch):
+    _patched_estimates(monkeypatch, lambda est, reps: {"exact_density": est.exact_density * (1.0 + 1e-9)})
+
+
+def _length_above_bracket(monkeypatch):
+    _patched_estimates(monkeypatch, lambda est, reps: {"skeleton_length": (est.cells + 1) * reps})
+
+
+# Every residual name the commands emit: a command and a fault under which that residual fails and the command
+# exits 1, or, in _ECHOES, why it cannot fail on its own.
+_FAULTS = {
+    **{f"type{i}_shape_consistency": (_WM, functools.partial(_scaled_optimal_shape, scaled=i)) for i in (1, 2, 3, 5)},
+    "type4_sweep_above_bound": (_WM, _sweep_below_bound),
+    "published_minimum_at_or_below_bound_at_spec": (["decomp", "--dim", "3"], _published_minimum_above_bound),
+    "corrected_minimum_is_bound_at_spec": (["decomp", "--dim", "5"], _corrected_minimum_off),
+    "oracle_at_or_above_minimum": (["decomp", "--dim", "5", "--oracle", "30"], _oracle_below_published),
+    "oracle_at_corrected_minimum": (["decomp", "--dim", "5", "--oracle", "30"], _corrected_minimum_off),
+    "final_relative_error": (_TILE, _relative_error_off),
+    "exact_density_vs_target": (_TILE, _exact_density_off),
+    "skeleton_length_in_exact_bracket": (_TILE, _length_above_bracket),
+    "tetra_volume_polynomial": (["verify", "--lemma", "tetra"], lambda mp: _tetra_residuals(mp, 1e-8, 0.0)),
+    "tetra_weighted_sum": (["verify", "--lemma", "tetra"], lambda mp: _tetra_residuals(mp, 0.0, 1e-8)),
+    "simplex_gap": (["verify", "--lemma", "simplex", "--lambda", "2"], _simplex_gap),
+    "boundary_below_interior": (["verify", "--lemma", "simplex", "--lambda", "2"], _boundary_above_interior),
+    "isotropy_residual": (["verify", "--lemma", "isotropy", "--samples", "100"], _isotropy_off),
+    **{f"{shape}_{name}": (_VERIFY_TILING, fault) for shape in cli._TILING_SUITE for name, fault in (
+        ("relative_error", _relative_error_off),
+        ("exact_density_vs_target", _exact_density_off),
+        ("skeleton_length_in_exact_bracket", _length_above_bracket),
+    )},
+}
+_COVOLUME_ECHO = "validate_tiling raises at the same tolerance first"
+_ECHOES = {
+    "covolume_minus_volume": _COVOLUME_ECHO,
+    "isotropy_determinant": "it re-checks the last normalisation",
+    **{f"{shape}_covolume_minus_volume": _COVOLUME_ECHO for shape in cli._TILING_SUITE},
+    **{f"{shape}_mode_agreement": "_densities has already checked it at 1e-9 x total" for shape in cli._TILING_SUITE},
+}
+
+
+class TestResidualRegistry:
+    """Every residual a command emits can fail, or is marked as an echo of a check made before it."""
+
+    def test_every_emitted_residual_is_registered(self, capsys):
+        emitted = set()
+        for argv in (
+            _WM,
+            ["decomp", "--dim", "5", "--oracle", "30"],
+            _TILE,
+            ["verify", "--lemma", "all", "--samples", "100", "--grid", "10", "--radius", "8"],
+        ):
+            code, doc = run_json(capsys, argv)
+            assert code == 0
+            emitted |= {r["name"] for r in doc["residuals"]}
+        assert not set(_FAULTS) & set(_ECHOES)
+        assert emitted == set(_FAULTS) | set(_ECHOES)  # no unregistered name, and no stale entry
+
+    @pytest.mark.parametrize("name", sorted(_FAULTS))
+    def test_residual_fails_under_its_fault(self, capsys, monkeypatch, name):
+        argv, fault = _FAULTS[name]
+        fault(monkeypatch)
+        code, doc = run_json(capsys, argv)
+        assert code == 1
+        assert name in {r["name"] for r in doc["residuals"] if not r["pass"]}

@@ -50,21 +50,38 @@ class TestComponents:
         assert D.DecompositionSpec((D.PlanarComponent(1.0, 6.0),)).dimension == 2
 
 
+def planar_vertex_density(c: D.PlanarComponent) -> float:
+    """Reference: vertices per unit area of a normal planar mosaic with these stats."""
+    return (c.e_hat - 2.0) / (2.0 * c.area)
+
+
+def planar_skeleton_density_bound(c: D.PlanarComponent) -> float:
+    """Reference: the isoperimetric lower bound on skeleton length per unit area."""
+    return math.sqrt(c.e_hat * math.tan(math.pi / c.e_hat) / c.area)
+
+
 class TestPlanarDensities:
     def test_vertex_density(self):
-        assert D.planar_vertex_density(D.PlanarComponent(1.0, 6.0)) == 2.0
-        assert D.planar_vertex_density(D.PlanarComponent(1.0, 3.0)) == 0.5
-        assert D.planar_vertex_density(D.PlanarComponent(2.0, 4.0)) == 0.5
+        assert planar_vertex_density(D.PlanarComponent(1.0, 6.0)) == 2.0
+        assert planar_vertex_density(D.PlanarComponent(1.0, 3.0)) == 0.5
+        assert planar_vertex_density(D.PlanarComponent(2.0, 4.0)) == 0.5
 
     def test_skeleton_bound(self):
         # square grid: bound sqrt(4 tan(pi/4)) = 2 equals the true density
-        assert abs(D.planar_skeleton_density_bound(D.PlanarComponent(1.0, 4.0)) - 2.0) < 1e-14
+        assert abs(planar_skeleton_density_bound(D.PlanarComponent(1.0, 4.0)) - 2.0) < 1e-14
         # hexagonal mosaic attains sqrt(2 sqrt 3)
-        assert abs(D.planar_skeleton_density_bound(D.PlanarComponent(1.0, 6.0)) - HEX_MIN) < 1e-14
+        assert abs(planar_skeleton_density_bound(D.PlanarComponent(1.0, 6.0)) - HEX_MIN) < 1e-14
         # area scaling goes like 1/sqrt(a)
-        b1 = D.planar_skeleton_density_bound(D.PlanarComponent(1.0, 5.0))
-        b4 = D.planar_skeleton_density_bound(D.PlanarComponent(4.0, 5.0))
+        b1 = planar_skeleton_density_bound(D.PlanarComponent(1.0, 5.0))
+        b4 = planar_skeleton_density_bound(D.PlanarComponent(4.0, 5.0))
         assert abs(b1 - 2.0 * b4) < 1e-14
+
+    def test_one_factor_bound_is_area_times_skeleton_term(self):
+        # k = 1: the bound's one term is sqrt(h(e) a), the skeleton density bound of the factor times its area
+        for e in np.linspace(3.0, 6.0, 121).tolist():
+            for a in np.logspace(-6.0, 6.0, 25).tolist():
+                want = a * planar_skeleton_density_bound(D.PlanarComponent(a, e))
+                assert abs(float(D._bound_arrays([e], [a], None)) - want) <= 1e-15 * want, (e, a)
 
 
 class TestBounds:
