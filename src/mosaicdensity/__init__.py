@@ -70,7 +70,6 @@ from .zonotope import (
     GeometryError,
     NotCentered,
     ParallelohedronType,
-    Segment,
     WeightPair,
     Zonotope,
     belts,
@@ -100,7 +99,7 @@ __all__ = [
     # zonotope construction
     "GeometryError", "NotCentered", "DegenerateFrame", "FlatBody", "BeltAnomaly",
     "ParallelohedronType", "BeltClass", "GeneratorSet", "BetaVector", "WeightPair",
-    "Segment", "Zonotope", "validate_generators", "classify_type", "volume_polynomial",
+    "Zonotope", "validate_generators", "classify_type", "volume_polynomial",
     "build_zonotope", "build_from_parameters", "belts", "weighted_edge_functional",
     "to_json", "from_json",
     "cube", "hexagonal_prism", "rhombic_dodecahedron",

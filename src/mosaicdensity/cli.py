@@ -30,6 +30,10 @@ _MAX_GRID = 150  # verify --lemma simplex at 150: ~0.1 s, peak ~19 MB above the 
 _MAX_LAMBDA = 1e6  # simplex_gap is absolute (1e-5) while the maximum grows like lambda / 27
 _ISOTROPY_CHUNK = 64  # bodies per stacked isotropy fixed point, so memory stays flat as --samples grows
 _MAX_WEIGHT = 1e300  # every type minimum is below 3 max(alpha6, alpha4), so minima and residuals stay finite
+_MIN_WEIGHT = 1e-300  # below the normal doubles the weights lose precision and the residuals fail
+# wm's type-2 prism has height 1.5 (alpha4/alpha6) x base edge: below _MIN_RATIO it fails build_zonotope's
+# 1e-12 rank test (FlatBody); above _MAX_RATIO its residual's rounding passes 1e-9 (first seen at 1.6e8)
+_MIN_RATIO, _MAX_RATIO = 1e-12 / 1.5, 1e8
 
 
 def _canonical_shape(name: str) -> zonotope.Zonotope:
@@ -79,14 +83,16 @@ def _int_at_least(low: int, high: int | None = None):
     return parse
 
 
-def _finite_real(low: float, *, strict: bool, high: float = math.inf):
-    """Argparse type: a finite float above ``low`` (or at least ``low``), at most ``high``."""
+def _finite_real(low: float, *, strict: bool, high: float = math.inf, floor: float = -math.inf):
+    """Argparse type: a finite float above ``low`` (or at least ``low``), at least ``floor``, at most ``high``."""
 
     def parse(text: str) -> float:
         value = float(text)
         if not (math.isfinite(value) and (value > low if strict else value >= low)):
             bound = f"> {low:g}" if strict else f"at least {low:g}"
             raise argparse.ArgumentTypeError(f"must be finite and {bound}, got {text}")
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"must be at least {floor:g}, got {text}")
         if value > high:
             raise argparse.ArgumentTypeError(f"must be at most {high:g}, got {text}")
         return value
@@ -96,7 +102,7 @@ def _finite_real(low: float, *, strict: bool, high: float = math.inf):
 
 
 _positive_real = _finite_real(0.0, strict=True)
-_weight = _finite_real(0.0, strict=True, high=_MAX_WEIGHT)
+_weight = _finite_real(0.0, strict=True, high=_MAX_WEIGHT, floor=_MIN_WEIGHT)
 
 
 def _ascending_radii(text: str) -> list[float]:
@@ -459,6 +465,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "decomp" and args.oracle and args.dim > 7:
         parser.error(f"argument --oracle: the grid oracle covers --dim 2..7, got {args.dim}")
+    if args.command == "wm" and args.type in (None, 2) and not _MIN_RATIO <= args.alpha4 / args.alpha6 <= _MAX_RATIO:
+        parser.error(f"argument --alpha4: type 2 needs alpha4/alpha6 in [{_MIN_RATIO:g}, {_MAX_RATIO:g}], "
+                     f"got {args.alpha4 / args.alpha6!r}")
     if args.command == "fig2" and args.stop < args.start:
         parser.error(f"argument --stop: must be at least --start {args.start:g}, got {args.stop:g}")
     if args.command == "fig2" and (args.stop - args.start) / args.step > _FIG2_MAX_STEPS:

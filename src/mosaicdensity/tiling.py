@@ -351,7 +351,7 @@ def lattice_from_parallelohedron(z: Zonotope) -> Lattice:
     matches the volume spans the whole lattice and is returned.
     """
     vol = z.volume()
-    centers = np.array([2.0 * z.vertices[list(f.vertex_ids)].mean(axis=0) for f in z.facets])
+    centers = np.array([2.0 * z.vertices[list(c)].mean(axis=0) for c in z.facet_cycles])
     for tri in combinations(range(len(centers)), 3):
         b = centers[list(tri)]
         if abs(abs(np.linalg.det(b)) - vol) <= _covolume_tol(vol):
@@ -382,7 +382,7 @@ def edge_classes(z: Zonotope, lat: Lattice) -> EdgeClasses:
     """
     labels = z.edge_segment
     ends = z.vertices[z.edge_vertex_ids]  # (E, 2, 3)
-    dirs = np.array([s.direction for s in z.segments])[labels]
+    dirs = z.generators[labels]
     flip = ((ends[:, 1] - ends[:, 0]) * dirs).sum(axis=1) < 0
     ends[flip] = ends[flip, ::-1]
     start, end = ends[:, 0], ends[:, 1]
@@ -442,7 +442,7 @@ def _point_group(z: Zonotope, lat: Lattice, mid: np.ndarray) -> tuple[np.ndarray
     Returns each element as an integer matrix on lattice coefficients, c -> c @ m, and its edge
     permutation, edge j onto edge perm[g, j]; raises GeometryError unless x -> -x is in G.
     """
-    gens = np.array([s.direction for s in z.segments])
+    gens = z.generators
     scale = np.abs(gens).max()
     independent = (t for t in combinations(range(len(gens)), 3) if abs(np.linalg.det(gens[list(t)])) > 1e-9 * scale**3)
     tri = np.array(next(independent))

@@ -167,9 +167,7 @@ class FacetMeasure:
 
     @classmethod
     def from_zonotope(cls, z: Zonotope) -> "FacetMeasure":
-        u = np.array([f.normal for f in z.facets])
-        a = np.array([f.area for f in z.facets])
-        return cls(u, a)
+        return cls(z.facet_normals, z.facet_areas)
 
     @property
     def surface_area(self) -> float:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -126,47 +126,23 @@ class WeightPair:
             raise GeometryError("weights must be finite and positive")
 
 
-@dataclass(frozen=True)
-class Segment:
-    """A generating segment: its vector and where it came from.
-
-    ``generator_index`` is the frame pair (i, j) for parametrized bodies
-    and a plain ordinal for directly constructed shapes.
-    """
-
-    direction: np.ndarray
-    generator_index: tuple[int, int] | int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "direction", np.asarray(self.direction, dtype=np.float64))
-
-    @property
-    def length(self) -> float:
-        return float(np.linalg.norm(self.direction))
-
-
-@dataclass(frozen=True)
-class Facet:
-    vertex_ids: tuple[int, ...]  # CCW seen from outside
-    normal: np.ndarray           # outward unit normal
-    area: float
-    segment_members: tuple[int, ...]  # indices into Zonotope.segments
-
-
 @dataclass
 class Zonotope:
-    segments: list[Segment]
+    """A centered zonotope as arrays: its nonzero generators, vertices, edges and facets."""
+
+    generators: np.ndarray          # (k, 3), the nonzero segments
+    labels: tuple                   # per generator: frame pair (i, j) for parametrized bodies, else an ordinal
     vertices: np.ndarray            # (V, 3), centered at the origin
     edge_vertex_ids: np.ndarray     # (E, 2) int
-    edge_segment: np.ndarray        # (E,) int, index into segments
-    facets: list[Facet]
+    edge_segment: np.ndarray        # (E,) int, row of generators
+    facet_cycles: tuple[tuple[int, ...], ...]  # vertex ids of each facet, CCW seen from outside
+    facet_normals: np.ndarray       # (F, 3), outward unit normals
+    facet_areas: np.ndarray         # (F,)
+    facet_members: np.ndarray       # (F, k) bool, the generators parallel to each facet
 
     def volume(self) -> float:
-        """Volume by the divergence theorem over facet polygons."""
-        total = 0.0
-        for f in self.facets:
-            total += f.area * float(self.vertices[f.vertex_ids[0]] @ f.normal)
-        return total / 3.0
+        """Volume by the divergence theorem over facet polygons, summed in facet order."""
+        return sum((self.facet_areas * self.facet_planes()[1]).tolist()) / 3.0
 
     def circumradius(self) -> float:
         return float(np.linalg.norm(self.vertices, axis=1).max())
@@ -181,11 +157,8 @@ class Zonotope:
 
     def facet_planes(self) -> tuple[np.ndarray, np.ndarray]:
         """Outward normals (F, 3) and support offsets (F,) with n.x <= h."""
-        normals = np.array([f.normal for f in self.facets])
-        offsets = np.array(
-            [float(self.vertices[f.vertex_ids[0]] @ f.normal) for f in self.facets]
-        )
-        return normals, offsets
+        first = self.vertices[[c[0] for c in self.facet_cycles]]
+        return self.facet_normals, (first[:, None] @ self.facet_normals[:, :, None])[:, 0, 0]  # row dots
 
     def contains(self, points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         normals, offsets = self.facet_planes()
@@ -232,11 +205,10 @@ def random_frame(rng: np.random.Generator) -> GeneratorSet:
             return validate_generators(v)
 
 
-def segments_from_parameters(g: GeneratorSet, b: BetaVector) -> list[Segment]:
-    """The six segments beta_ij (v_i x v_j), zero length allowed."""
+def segments_from_parameters(g: GeneratorSet, b: BetaVector) -> np.ndarray:
+    """The six segments beta_ij (v_i x v_j) as (6, 3) rows ordered like :data:`PAIRS`, zero length allowed."""
     i, j = np.array(PAIRS).T
-    cr = cross3(g.vectors[i], g.vectors[j])
-    return [Segment(b.values[k] * cr[k], pair) for k, pair in enumerate(PAIRS)]
+    return b.values[:, None] * cross3(g.vectors[i], g.vectors[j])
 
 
 def classify_type(b: BetaVector) -> ParallelohedronType:
@@ -281,29 +253,16 @@ def volume_polynomial(tau: Sequence[float]) -> float:
     return float(volume_cubic(*t))
 
 
-def _as_segments(segments: Iterable[Segment] | np.ndarray) -> list[Segment]:
-    out: list[Segment] = []
-    for k, s in enumerate(segments):
-        if isinstance(s, Segment):
-            out.append(s)
-        else:
-            out.append(Segment(np.asarray(s, dtype=np.float64), k))
-    if len(out) > 6:
-        raise GeometryError("at most six segments are supported")
-    return out
-
-
 _BITS = np.left_shift(1, np.arange(6))
 #: Index pairs (i, j), i < j, of k segments in ``combinations`` order, as two rows.
 _PAIR_INDEX = {k: np.array(list(combinations(range(k), 2))).reshape(-1, 2).T for k in range(7)}
 
 
-def build_zonotope(
-    segments: Iterable[Segment] | np.ndarray, *, tol: float = COPLANAR_TOL
-) -> Zonotope:
-    """Assemble the face complex of the Minkowski sum of the segments.
+def build_zonotope(generators, labels: Sequence | None = None, *, tol: float = COPLANAR_TOL) -> Zonotope:
+    """Assemble the face complex of the Minkowski sum of the segments, given as rows.
 
-    Zero-length segments are dropped.  The remaining ones must span R^3
+    ``labels`` names each row (ordinals by default).  Zero-length segments
+    are dropped with their labels.  The remaining ones must span R^3
     (:class:`FlatBody` otherwise) and be pairwise non-parallel
     (:class:`ParallelSegments`).  A set of segments is an integer bitmask.
     The coplanar classes at relative tolerance ``tol`` are the distinct
@@ -316,12 +275,15 @@ def build_zonotope(
     recentered so the body is symmetric about the origin.  Each edge is a
     translate of exactly one segment and carries that segment's index.
     """
-    all_segs = _as_segments(segments)
-    gens = np.array([s.direction for s in all_segs]).reshape(len(all_segs), 3)
+    gens = np.asarray(generators, dtype=np.float64)
+    gens = gens.reshape(len(gens), 3)
+    if len(gens) > 6:
+        raise GeometryError("at most six segments are supported")
     norms = np.linalg.norm(gens, axis=1)
     keep = norms > 0.0
-    segs = [s for s, kept in zip(all_segs, keep.tolist()) if kept]
-    k, gens, norms = len(segs), gens[keep], norms[keep]
+    labels = range(len(gens)) if labels is None else labels
+    labels = tuple(label for label, kept in zip(labels, keep, strict=True) if kept)
+    k, gens, norms = int(keep.sum()), gens[keep], norms[keep]
     if k < 3 or (np.linalg.svd(gens, compute_uv=False) > 1e-12 * max(1.0, norms.max())).sum() < 3:
         raise FlatBody("nonzero segments do not span R^3")
     bit = _BITS[:k]
@@ -351,7 +313,7 @@ def build_zonotope(
     size = inbits.sum(axis=1)
     start = np.cumsum(2 * size) - 2 * size
     cyc = np.empty(2 * size.sum(), dtype=np.int64)
-    groups = []  # facets, members and cycle positions per class size
+    groups = []  # facets and cycle positions per class size
     for c in sorted(set(size.tolist())):
         fs = np.flatnonzero(size == c)
         mem = np.nonzero(inbits[fs])[1].reshape(len(fs), c)
@@ -366,7 +328,7 @@ def build_zonotope(
         cyc[pos] = np.bitwise_xor.accumulate(
             np.concatenate([corner[:, None], toggle, toggle[:, :-1]], axis=1), axis=1
         )
-        groups.append((fs, mem, pos))
+        groups.append((fs, pos))
 
     vmask, vfirst, vinv = np.unique(cyc, return_index=True, return_inverse=True)
     vorder = np.argsort(vfirst)
@@ -391,13 +353,10 @@ def build_zonotope(
         raise ConstructionError("an edge is not shared by exactly two facets")
 
     area = np.empty(len(normal))
-    members: list = [None] * len(normal)
-    for fs, mem, pos in groups:
+    for fs, pos in groups:
         corner = verts[ids[pos[:, :1]]]
         twice = cross3(verts[ids[pos]] - corner, verts[ids[nxt[pos]]] - corner).sum(axis=1)
         area[fs] = (twice[:, None] @ normal[fs, :, None])[:, 0, 0] / 2.0  # row dots, as 1-D ``@``
-        for f, m in zip(fs.tolist(), mem.tolist()):
-            members[f] = tuple(m)
     if (area <= 0).any():
         raise ConstructionError("facet cycle is not counterclockwise about its normal")
 
@@ -406,20 +365,21 @@ def build_zonotope(
         raise ConstructionError(f"Euler relation failed: V={n_v} E={n_e} F={n_f}")
     id_list, lo = ids.tolist(), start.tolist()
     return Zonotope(
-        segments=segs,
+        generators=gens,
+        labels=labels,
         vertices=verts,
         edge_vertex_ids=np.stack([ekeys // n_v, ekeys % n_v], axis=1),
         edge_segment=np.log2(diff[efirst]).astype(np.int64),
-        facets=[
-            Facet(tuple(id_list[a : a + 2 * c]), n, float(s), m)
-            for a, c, n, s, m in zip(lo, size.tolist(), normal, area, members)
-        ],
+        facet_cycles=tuple(tuple(id_list[a : a + 2 * c]) for a, c in zip(lo, size.tolist())),
+        facet_normals=normal,
+        facet_areas=area,
+        facet_members=inbits == 1,
     )
 
 
 def build_from_parameters(g: GeneratorSet, b: BetaVector) -> Zonotope:
-    """Convenience: segments from (g, b), zero-length entries dropped."""
-    return build_zonotope(segments_from_parameters(g, b))
+    """Convenience: segments from (g, b) labeled by their frame pairs, zero-length entries dropped."""
+    return build_zonotope(segments_from_parameters(g, b), PAIRS)
 
 
 def belts(z: Zonotope) -> list[BeltClass]:
@@ -431,8 +391,7 @@ def belts(z: Zonotope) -> list[BeltClass]:
     size 4 or 6; anything else raises :class:`BeltAnomaly`.
     """
     out = []
-    for idx in range(len(z.segments)):
-        c = sum(idx in f.segment_members for f in z.facets)
+    for idx, c in enumerate(z.facet_members.sum(axis=0).tolist()):
         try:
             out.append(BeltClass(c))
         except ValueError:
@@ -442,11 +401,10 @@ def belts(z: Zonotope) -> list[BeltClass]:
 
 def weighted_edge_functional(z: Zonotope, m: WeightPair) -> float:
     """Sum of segment lengths weighted by belt class (alpha4 or alpha6)."""
-    cls = belts(z)
-    total = 0.0
-    for s, c in zip(z.segments, cls):
-        total += (m.alpha4 if c is BeltClass.FOUR else m.alpha6) * s.length
-    return total
+    four = np.array([c is BeltClass.FOUR for c in belts(z)])
+    g = z.generators
+    lengths = np.sqrt((g[:, None] @ g[:, :, None])[:, 0, 0])  # row dots, as ``np.linalg.norm`` of a row
+    return sum((np.where(four, m.alpha4, m.alpha6) * lengths).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -498,10 +456,7 @@ def truncated_octahedron(edge: float = 1.0) -> Zonotope:
 
 def unit_volume(z: Zonotope) -> Zonotope:
     """The body rescaled to volume 1: every segment scaled by vol^(-1/3)."""
-    scale = z.volume() ** (-1.0 / 3.0)
-    return build_zonotope(
-        [Segment(s.direction * scale, s.generator_index) for s in z.segments]
-    )
+    return build_zonotope(z.generators * z.volume() ** (-1.0 / 3.0), z.labels)
 
 
 #: Edges that give the regular shapes unit volume: the hexagonal prism (base edge = height),
@@ -532,24 +487,14 @@ def to_json(z: Zonotope, beta: BetaVector | None = None) -> dict:
     """Versioned plain-JSON document for a built body."""
     return {
         "schema": "1",
-        "generators": [s.direction.tolist() for s in z.segments],
-        "generator_index": [
-            list(s.generator_index) if isinstance(s.generator_index, tuple) else s.generator_index
-            for s in z.segments
-        ],
+        "generators": z.generators.tolist(),
+        "generator_index": [list(label) if isinstance(label, tuple) else label for label in z.labels],
         "beta": beta.values.tolist() if beta is not None else None,
         "vertices": z.vertices.tolist(),
-        "edges": [
-            [int(u), int(v), int(g)]
-            for (u, v), g in zip(z.edge_vertex_ids, z.edge_segment)
-        ],
+        "edges": np.column_stack([z.edge_vertex_ids, z.edge_segment]).tolist(),
         "facets": [
-            {
-                "vertices": list(map(int, f.vertex_ids)),
-                "normal": f.normal.tolist(),
-                "area": f.area,
-            }
-            for f in z.facets
+            {"vertices": list(c), "normal": n, "area": a}
+            for c, n, a in zip(z.facet_cycles, z.facet_normals.tolist(), z.facet_areas.tolist())
         ],
     }
 
@@ -568,13 +513,9 @@ def from_json(doc: dict | str) -> Zonotope:
     labels = doc.get("generator_index")
     if labels is not None and (not isinstance(labels, list) or len(labels) != len(gens)):
         raise GeometryError(f"generator_index must list one entry for each of {len(gens)} generators")
-    segs = []
-    for k, gvec in enumerate(gens):
-        lab = labels[k] if labels is not None else k
-        if isinstance(lab, list):
-            lab = tuple(lab)
-        segs.append(Segment(gvec, lab))
-    z = build_zonotope(segs)
+    if labels is not None:
+        labels = [tuple(label) if isinstance(label, list) else label for label in labels]
+    z = build_zonotope(gens, labels)
     if len(z.vertices) != len(doc["vertices"]) or len(z.edge_vertex_ids) != len(doc["edges"]):
         raise ConstructionError("stored complex does not match the rebuilt body")
     return z

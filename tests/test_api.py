@@ -1,6 +1,8 @@
-"""The package's export list: every exported name resolves, and every name the package binds is exported."""
+"""The package's export list: every exported name resolves, and every name the package binds is exported;
+and the README's count of the package's source lines is current."""
 
 import ast
+import re
 from pathlib import Path
 
 import mosaicdensity
@@ -31,3 +33,10 @@ def test_every_bound_name_is_exported():
     bound = _bound_names()
     assert len(set(bound)) == len(bound)
     assert sorted(bound) == sorted(mosaicdensity.__all__)
+
+
+def test_readme_states_the_source_line_count():
+    root = Path(__file__).resolve().parents[1]
+    stated = re.findall(r"`src/mosaicdensity/\*\.py` has (\d+) lines", (root / "README.md").read_text(encoding="utf-8"))
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in root.glob("src/mosaicdensity/*.py"))
+    assert stated == [str(lines)]

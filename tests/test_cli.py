@@ -48,9 +48,7 @@ def _scaled_optimal_shape(monkeypatch, scaled):
         z = shape(i, m)
         if i != scaled:
             return z
-        return zonotope.build_zonotope(
-            [zonotope.Segment(s.direction * (1.0 + 1e-8), s.generator_index) for s in z.segments]
-        )
+        return zonotope.build_zonotope(z.generators * (1.0 + 1e-8), z.labels)
 
     monkeypatch.setattr(weights, "optimal_shape_zonotope", patched)
 
@@ -174,6 +172,22 @@ class TestWm:
         assert code == 0
         for got, want in zip(doc["outputs"]["per_type"], unit["outputs"]["per_type"], strict=True):
             assert abs(got["value"] - alpha6 * want["value"]) <= 1e-12 * alpha6 * want["value"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--alpha6", "1", "--alpha4", repr(1e-12 / 1.5)],
+            ["--alpha6", "1", "--alpha4", "1e-12"],
+            ["--alpha6", "1", "--alpha4", "1e8"],
+            ["--alpha6", "1e-300", "--alpha4", "1e-300"],
+            ["--alpha6", "1", "--alpha4", "1e14", "--type", "5"],
+            ["--alpha6", "1", "--alpha4", "1e-16", "--type", "1"],
+        ],
+    )
+    def test_ratio_edges_pass(self, capsys, argv):
+        # the ratio range is type 2's: its prism is flat below 1e-12 / 1.5, and the other types take any ratio
+        code, doc = run_json(capsys, ["wm", *argv])
+        assert code == 0 and doc["residuals"]
 
 
 class TestDecomp:
@@ -576,6 +590,11 @@ class TestBadInput:
             (["fig2", "--seed", "1"], "unrecognized arguments: --seed 1"),
             (["wm", "--alpha6", "1e301", "--alpha4", "1"], "--alpha6: must be at most 1e+300, got 1e301"),
             (["table1", "--alpha6", "1", "--alpha4", "1e301"], "--alpha4: must be at most 1e+300, got 1e301"),
+            *[(["wm", "--alpha6", "1", "--alpha4", a4],
+               f"--alpha4: type 2 needs alpha4/alpha6 in [6.66667e-13, 1e+08], got {float(a4)!r}")
+              for a4 in ("1e9", "1e10", "1e12", "1e14", "1e-14", "1e-16")],
+            (["wm", "--alpha6", "1e-315", "--alpha4", "9e-316"], "--alpha6: must be at least 1e-300, got 1e-315"),
+            (["wm", "--alpha6", "5e-324", "--alpha4", "5e-324"], "--alpha6: must be at least 1e-300, got 5e-324"),
         ],
         ids=[
             "sweep-0", "sweep-neg", "sweep-below-floor", "grid-0", "oracle-1",
@@ -586,6 +605,8 @@ class TestBadInput:
             "grid-above-cap", "lambda-above-cap", "tile-series-above-cap", "tile-radius-above-cap",
             "verify-tiling-radius-above-cap", "decomp-seed", "table1-seed", "fig2-seed",
             "alpha6-above-cap", "table1-alpha4-above-cap",
+            "ratio-1e9", "ratio-1e10", "ratio-1e12", "ratio-1e14", "ratio-1e-14", "ratio-1e-16",
+            "alpha6-subnormal", "alpha6-least-subnormal",
         ],
     )
     def test_rejected_at_parse_time(self, capsys, argv, message):
@@ -672,7 +693,7 @@ class TestBadInput:
     def test_body_that_does_not_tile(self, capsys, tmp_path):
         # six generators in general position: a zonotope with 30 facets, not a parallelohedron
         z = zonotope.unit_volume(zonotope.build_zonotope(np.random.default_rng(3).normal(size=(6, 3))))
-        assert len(z.facets) == 30
+        assert len(z.facet_cycles) == 30
         path = tmp_path / "six.json"
         path.write_text(json.dumps(zonotope.to_json(z)))
         argv = ["tile", "--shape", f"file:{path}", "--radius", "30"]

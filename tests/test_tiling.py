@@ -299,7 +299,7 @@ class TestBallLines:
 def _screened_search(z):
     """The lattice search as it was with an overlap screen per covolume-matching triple."""
     vol = z.volume()
-    centers = np.array([2.0 * z.vertices[list(f.vertex_ids)].mean(axis=0) for f in z.facets])
+    centers = np.array([2.0 * z.vertices[list(c)].mean(axis=0) for c in z.facet_cycles])
     for tri in combinations(range(len(centers)), 3):
         b = centers[list(tri)]
         if abs(abs(np.linalg.det(b)) - vol) > TL._covolume_tol(vol):
@@ -607,7 +607,7 @@ class TestSymmetryGroup:
         assert all((a @ b).tobytes() in keys for a in group for b in group)  # closed: a group
         maps = np.linalg.inv(lat.basis) @ group @ lat.basis  # the same maps in space, x -> x @ a
         assert np.abs(maps @ maps.transpose(0, 2, 1) - np.eye(3)).max() <= 1e-12
-        gens = np.array([s.direction for s in z.segments])
+        gens = z.generators
         for a, p in zip(maps, perm):
             image = (z.vertices @ a)[:, None] - z.vertices
             assert np.abs(image).max(axis=2).min(axis=1).max() <= 1e-9  # vertices onto vertices
