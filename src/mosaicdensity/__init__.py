@@ -31,8 +31,6 @@ from .tetra import (
     PairInvariants,
     center,
     pair_invariants,
-    random_tetrahedron,
-    verify_identities,
 )
 from .tiling import (
     DensityEstimate,
@@ -69,13 +67,11 @@ from .zonotope import (
     GeneratorSet,
     GeometryError,
     NotCentered,
-    ParallelohedronType,
     WeightPair,
     Zonotope,
     belts,
     build_from_parameters,
     build_zonotope,
-    classify_type,
     cube,
     elongated_rhombic_dodecahedron,
     from_json,
@@ -98,15 +94,14 @@ __all__ = [
     "__version__",
     # zonotope construction
     "GeometryError", "NotCentered", "DegenerateFrame", "FlatBody", "BeltAnomaly",
-    "ParallelohedronType", "BeltClass", "GeneratorSet", "BetaVector", "WeightPair",
-    "Zonotope", "validate_generators", "classify_type", "volume_polynomial",
+    "BeltClass", "GeneratorSet", "BetaVector", "WeightPair",
+    "Zonotope", "validate_generators", "volume_polynomial",
     "build_zonotope", "build_from_parameters", "belts", "weighted_edge_functional",
     "to_json", "from_json",
     "cube", "hexagonal_prism", "rhombic_dodecahedron",
     "elongated_rhombic_dodecahedron", "truncated_octahedron", "unit_volume",
     # tetrahedra
-    "CenteredTetrahedron", "PairInvariants", "center", "random_tetrahedron",
-    "pair_invariants", "verify_identities",
+    "CenteredTetrahedron", "PairInvariants", "center", "pair_invariants",
     # simplex maximization
     "DomainError", "SimplexPoint", "scaled_simplex_max", "grid_simplex_max",
     "boundary_candidates",

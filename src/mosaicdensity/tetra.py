@@ -16,11 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .zonotope import GeometryError, volume_polynomial
+from .zonotope import GeometryError
 
 
 class DegenerateTetrahedron(GeometryError):
-    """Volume too close to zero for reliable normalization."""
+    """Zero volume: the four vertices are coplanar."""
 
 
 @dataclass(frozen=True)
@@ -28,8 +28,8 @@ class CenteredTetrahedron:
     """Four vertices translated so they sum to zero.
 
     The vertex order is normalized so det(p1, p2, p3) > 0 (first two
-    vertices swapped when needed).  Construct through :func:`center` or
-    :func:`random_tetrahedron` rather than directly.
+    vertices swapped when needed).  Construct through :func:`center`
+    rather than directly.
     """
 
     vertices: np.ndarray  # (4, 3)
@@ -44,36 +44,18 @@ class CenteredTetrahedron:
         return float(np.linalg.det(self.vertices[:3]))
 
 
-def center(raw: np.ndarray, min_volume: float = 0.0) -> CenteredTetrahedron:
+def center(raw: np.ndarray) -> CenteredTetrahedron:
     """Translate to vertex sum zero and normalize the orientation."""
     p = np.asarray(raw, dtype=np.float64)
     if p.shape != (4, 3) or not np.isfinite(p).all():
         raise GeometryError("expected four finite vertices")
     p = p - p.mean(axis=0)
     vol = CenteredTetrahedron(p).volume
-    if vol <= min_volume:
-        raise DegenerateTetrahedron(f"volume {vol:.3e} at or below {min_volume:.3e}")
+    if vol <= 0.0:
+        raise DegenerateTetrahedron(f"volume {vol:.3e} is not positive")
     if np.linalg.det(p[:3]) < 0:
         p = p[[1, 0, 2, 3]]
     return CenteredTetrahedron(p)
-
-
-def normalized_to_frame(t: CenteredTetrahedron) -> CenteredTetrahedron:
-    """Rescale so det(p1, p2, p3) = +1, i.e. volume exactly 2/3."""
-    d = t.triple_product
-    return CenteredTetrahedron(t.vertices * d ** (-1.0 / 3.0))
-
-
-def random_tetrahedron(
-    rng: np.random.Generator, reject_volume_below: float = 1e-3
-) -> CenteredTetrahedron:
-    """Uniform vertices in [-1, 1]^3, recentered; slivers are rejected."""
-    while True:
-        p = rng.uniform(-1.0, 1.0, size=(4, 3))
-        try:
-            return center(p, min_volume=reject_volume_below)
-        except DegenerateTetrahedron:
-            continue
 
 
 @dataclass(frozen=True)
@@ -87,25 +69,6 @@ class PairInvariants:
 def pair_invariants(t: CenteredTetrahedron) -> PairInvariants:
     gamma, zeta, _ = _kernels.pair_scalars_many(t.vertices[None])
     return PairInvariants(gamma[0], zeta[0])
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    volume: float
-    poly_value: float      # volume cubic evaluated on gamma; equals 9 V^2 / 4
-    weighted_sum: float    # sum of zeta; equals 27 V^2 / 4
-    poly_residual: float
-    sum_residual: float
-    passed: bool
-
-
-def verify_identities(t: CenteredTetrahedron, tol: float = 1e-9) -> IdentityReport:
-    """Check both quadratic identities; residuals are relative to max(1, V^2)."""
-    inv = pair_invariants(t)
-    pv = volume_polynomial(inv.neg_opposite_dot)
-    ws = float(inv.cross_weighted.sum())
-    r1, r2 = map(float, _identity_residuals(pv, ws, t.volume**2))
-    return IdentityReport(t.volume, pv, ws, r1, r2, bool(r1 <= tol and r2 <= tol))
 
 
 def _identity_residuals(poly, weighted, v2):

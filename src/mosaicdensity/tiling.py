@@ -217,7 +217,7 @@ class Lattice:
         b = np.asarray(self.basis, dtype=np.float64)
         if b.shape != (3, 3) or not np.isfinite(b).all():
             raise ValueError("basis must be a finite 3x3 array")
-        if abs(np.linalg.det(b)) < 1e-12:
+        if abs(np.linalg.det(b)) <= 1e-12 * np.prod(np.linalg.norm(b, axis=1)):
             raise ValueError("basis vectors are linearly dependent")
         object.__setattr__(self, "basis", b)
 
@@ -286,11 +286,11 @@ def _gap_witness(
     """The first uncovered one of at most ``samples`` random points of a
     fundamental domain, or None, and how many points were drawn.
 
-    Each point is tested against the translates at its 27 nearest
-    lattice coordinates; the search stops at the first chunk holding one.
+    Each point is tested against the translates at its 27 nearest lattice
+    coordinates, to 1e-9 circumradii; the search stops at the first chunk holding one.
     """
     rng = np.random.default_rng(seed)
-    binv = np.linalg.inv(lat.basis)
+    binv, tol = np.linalg.inv(lat.basis), 1e-9 * z.circumradius()
     shifts = np.indices((3, 3, 3)).reshape(3, -1).T - 1
     for lo in range(0, samples, 65536):
         n = min(65536, samples - lo)
@@ -298,15 +298,15 @@ def _gap_witness(
         base = np.rint(x @ binv)
         ok = np.zeros(n, dtype=bool)
         for s in shifts:
-            ok |= z.contains(x - (base + s) @ lat.basis, tol=1e-9)
+            ok |= z.contains(x - (base + s) @ lat.basis, tol=tol)
         if not ok.all():
             return x[np.argmin(ok)].copy(), lo + n
     return None, max(samples, 0)
 
 
 def _covolume_tol(volume: float) -> float:
-    """How far a covolume may stand from the cell volume and still count as equal to it."""
-    return 1e-9 * max(1.0, volume)
+    """How far a covolume may stand from the cell volume and still count as equal to it: relative, at any scale."""
+    return 1e-9 * volume
 
 
 def validate_tiling(

@@ -67,17 +67,6 @@ class ConstructionError(GeometryError):
     """The face complex could not be assembled consistently."""
 
 
-class ParallelohedronType(Enum):
-    """Combinatorial type of the parametrized body, by zero pattern."""
-
-    DEGENERATE = 0
-    PARALLELEPIPED = 1
-    HEXAGONAL_PRISM = 2
-    RHOMBIC_DODECAHEDRON = 3
-    ELONGATED_RHOMBIC_DODECAHEDRON = 4
-    TRUNCATED_OCTAHEDRON = 5
-
-
 class BeltClass(Enum):
     FOUR = 4
     SIX = 6
@@ -209,35 +198,6 @@ def segments_from_parameters(g: GeneratorSet, b: BetaVector) -> np.ndarray:
     """The six segments beta_ij (v_i x v_j) as (6, 3) rows ordered like :data:`PAIRS`, zero length allowed."""
     i, j = np.array(PAIRS).T
     return b.values[:, None] * cross3(g.vectors[i], g.vectors[j])
-
-
-def classify_type(b: BetaVector) -> ParallelohedronType:
-    """Combinatorial type from the zero pattern of the six coefficients.
-
-    All positive: truncated octahedron.  One zero: elongated rhombic
-    dodecahedron.  Two zeros on disjoint pairs: rhombic dodecahedron; on
-    intersecting pairs: hexagonal prism.  Three zeros whose complementary
-    positive pairs share no common frame index: parallelepiped.  Anything
-    else does not span R^3.
-    """
-    zero = [PAIRS[k] for k in range(6) if b.values[k] == 0.0]
-    nonzero = [PAIRS[k] for k in range(6) if b.values[k] != 0.0]
-    if len(zero) == 0:
-        return ParallelohedronType.TRUNCATED_OCTAHEDRON
-    if len(zero) == 1:
-        return ParallelohedronType.ELONGATED_RHOMBIC_DODECAHEDRON
-    if len(zero) == 2:
-        a, c = zero
-        if set(a).isdisjoint(c):
-            return ParallelohedronType.RHOMBIC_DODECAHEDRON
-        return ParallelohedronType.HEXAGONAL_PRISM
-    if len(zero) == 3:
-        shared = set(nonzero[0])
-        for p in nonzero[1:]:
-            shared &= set(p)
-        if not shared:
-            return ParallelohedronType.PARALLELEPIPED
-    return ParallelohedronType.DEGENERATE
 
 
 def volume_polynomial(tau: Sequence[float]) -> float:

@@ -228,7 +228,7 @@ def test_10_isotropic_position():
         b = random_beta(rng, 5)
         fm = W.FacetMeasure.from_zonotope(Z.build_from_parameters(g, b))
         out = W.isotropic_position(fm, tol=1e-8, max_iter=200)
-        _, post = fm.transformed(out.matrix).isotropy_residual()
+        post = W.isotropy_residuals(fm.normals[None], fm.areas[None], out.matrix[None])[0]
         worst_res = max(worst_res, post)
         worst_det = max(worst_det, abs(float(np.linalg.det(out.matrix)) - 1.0))
         worst_it = max(worst_it, out.iterations)

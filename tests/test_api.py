@@ -1,5 +1,6 @@
-"""The package's export list: every exported name resolves, and every name the package binds is exported;
-and the README's count of the package's source lines is current."""
+"""The package's export list: every exported name resolves, every name the package binds is exported, and an
+exported name that no module of the package uses is listed with its reason; and the README's count of the
+package's source lines is current."""
 
 import ast
 import re
@@ -18,6 +19,50 @@ def _bound_names():
         elif isinstance(node, ast.Assign):
             names += [t.id for t in node.targets if isinstance(t, ast.Name) and t.id != "__all__"]
     return names
+
+
+#: Exported names that no module of the package references, and why each stays.
+UNREFERENCED_EXPORTS = {
+    "NUMBA_ENABLED": "perfbench/worker.py reports it; it leaves with the benchmark change of ROADMAP item 18",
+    "__version__": "the package version",
+    "center": "ROADMAP item 11 gives it a caller: the type-4 minimizer",
+    "isotropic_position": "perfbench traces it; it leaves once ROADMAP item 18 traces isotropic_positions",
+    "monotonicity_certificates": "acceptance test 11 and perfbench run it; ROADMAP item 16 gives it a command",
+    "skeleton_density": "acceptance test 09 and perfbench's bodies workload run it",
+    "stationary_betas_type4": "ROADMAP item 11 gives it a caller: the type-4 minimizer",
+    "to_json": "writes the documents that tile --shape file: reads",
+    "volume_polynomial": "perfbench's bodies workload and acceptance test 01 call it",
+}
+
+
+def _referenced_names():
+    """Names the package's modules, ``__init__.py`` aside, use: a name imported from a module, an attribute read
+    on an imported name, and a loaded name that its own module defines at the top level.  A local variable that
+    shares an export's spelling is none of these."""
+    names = set()
+    for path in Path(mosaicdensity.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        own = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        own |= {t.id for node in tree.body if isinstance(node, ast.Assign) for t in node.targets
+                if isinstance(t, ast.Name)}
+        imported = {alias.asname or alias.name for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in imported:
+                names.add(node.attr)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in own:
+                names.add(node.id)
+    return names
+
+
+def test_unreferenced_exports_are_listed_with_a_reason():
+    # both ways: a name that loses its last use must be listed, and a listed name that gains one must leave the list
+    unreferenced = set(mosaicdensity.__all__) - _referenced_names()
+    assert sorted(unreferenced) == sorted(UNREFERENCED_EXPORTS)
 
 
 def test_every_export_resolves():

@@ -115,7 +115,8 @@ def _verify_isotropy_reference(seed, samples):
         b = zonotope.BetaVector(rng.uniform(0.2, 1.3, 6))
         fm = weights.FacetMeasure.from_zonotope(zonotope.build_from_parameters(g, b))
         res = weights.isotropic_position(fm, tol=1e-8)
-        _, post = fm.transformed(res.matrix).isotropy_residual()
+        mapped = weights.FacetMeasure(*weights._mapped(fm.normals, fm.areas, res.matrix))
+        post = float(weights._second_moment(mapped.normals, mapped.areas)[1])
         worst_it = max(worst_it, res.iterations)
         worst_det = max(worst_det, abs(float(np.linalg.det(res.matrix)) - 1.0))
         worst_res = max(worst_res, post)
@@ -164,11 +165,15 @@ class TestWm:
         assert code == 1
         assert [r["name"] for r in doc["residuals"] if not r["pass"]] == [f"type{scaled}_shape_consistency"]
 
-    @pytest.mark.parametrize("alpha6", [1e6, 1e200, 1e-200])
-    def test_every_weight_scale(self, capsys, alpha6):
+    @pytest.mark.parametrize(
+        "alpha6, ratio, alpha4",
+        [pytest.param(a6, 0.9, 0.9 * a6, id=str(a6)) for a6 in (1e6, 1e200, 1e-200)]
+        + [pytest.param(1e100, 1e7, 1e107, id="1e+100-1e+107"), pytest.param(1e-200, 1e7, 1e-193, id="1e-200-1e-193")],
+    )
+    def test_every_weight_scale(self, capsys, alpha6, ratio, alpha4):
         # w_m is homogeneous of degree 1: every minimum scales with alpha6, and the residuals are relative to it
-        _, unit = run_json(capsys, ["wm", "--alpha6", "1", "--alpha4", "0.9"])
-        code, doc = run_json(capsys, ["wm", "--alpha6", repr(alpha6), "--alpha4", repr(0.9 * alpha6), "--sweep", "100"])
+        _, unit = run_json(capsys, ["wm", "--alpha6", "1", "--alpha4", repr(ratio)])
+        code, doc = run_json(capsys, ["wm", "--alpha6", repr(alpha6), "--alpha4", repr(alpha4), "--sweep", "100"])
         assert code == 0
         for got, want in zip(doc["outputs"]["per_type"], unit["outputs"]["per_type"], strict=True):
             assert abs(got["value"] - alpha6 * want["value"]) <= 1e-12 * alpha6 * want["value"]
@@ -269,6 +274,15 @@ class TestTile:
         covolume = [r for r in doc["residuals"] if r["name"] == "covolume_minus_volume"]
         assert len(covolume) == 1 and covolume[0]["pass"]
         assert covolume[0]["value"] == 0.0 and covolume[0]["tolerance"] == 1e-9
+
+    def test_small_body_from_file(self, capsys, tmp_path):
+        # a cube of edge 1e-5 tiles like the unit cube: its covolume tolerance scales with its volume
+        path = tmp_path / "small.json"
+        path.write_text(json.dumps(zonotope.to_json(zonotope.cube(1e-5))))
+        code, doc = run_json(capsys, ["tile", "--shape", f"file:{path}", "--radius", "2e-4"])
+        assert code == 0
+        covolume = [r for r in doc["residuals"] if r["name"] == "covolume_minus_volume"]
+        assert len(covolume) == 1 and covolume[0]["pass"] and covolume[0]["tolerance"] == pytest.approx(1e-24)
 
     def test_exact_density_in_every_row(self, capsys):
         code, doc = run_json(capsys, ["tile", "--shape", "truncocta", "--series", "20,30"])
@@ -520,6 +534,16 @@ class TestCsvReports:
         assert code == 0
         for got, want in zip(rows[1:], unit[1:], strict=True):
             assert abs(float(got[1]) - alpha6 * float(want[1])) <= 1e-12 * alpha6 * float(want[1])
+
+    @pytest.mark.parametrize("alpha6, alpha4", [(1e-300, 1e300), (1e300, 1e-300), (1e15, 1e-300)])
+    def test_table1_type2_at_ratios_outside_the_normal_doubles(self, capsys, alpha6, alpha4):
+        # alpha4 / alpha6 overflows, underflows or is subnormal; the minimum is a4^(2/3) a6^(1/3) times its constant
+        code, rows = run_csv(capsys, ["table1", "--alpha6", repr(alpha6), "--alpha4", repr(alpha4)])
+        assert code == 0
+        want = 3.0 ** (7.0 / 6.0) / 2.0 ** (1.0 / 3.0) * alpha4 ** (2.0 / 3.0) * alpha6 ** (1.0 / 3.0)
+        assert (rows[2][0], rows[2][2]) == ("2", "True")
+        assert 0.0 < float(rows[2][1]) < math.inf
+        assert abs(float(rows[2][1]) - want) <= 1e-13 * want
 
     def test_fig2(self, capsys):
         code, rows = run_csv(

@@ -24,14 +24,6 @@ def test_center_rejects_flat():
         T.center(p)
 
 
-def test_normalized_to_frame():
-    rng = np.random.default_rng(3)
-    t = T.random_tetrahedron(rng)
-    tn = T.normalized_to_frame(t)
-    assert abs(tn.triple_product - 1.0) < 1e-12
-    assert abs(tn.volume - 2.0 / 3.0) < 1e-12
-
-
 def test_regular_tetrahedron_invariants():
     # vertices of a regular tetrahedron inscribed in the cube
     p = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], float)
@@ -46,33 +38,49 @@ def test_regular_tetrahedron_invariants():
     assert abs(inv.cross_weighted.sum() - 6.75 * v2) < 1e-12
 
 
+def _random_tetrahedra(rng, n):
+    # uniform vertices in [-1, 1]^3, centred; slivers of volume <= 1e-3 are redrawn
+    out = []
+    while len(out) < n:
+        t = T.center(rng.uniform(-1.0, 1.0, size=(4, 3)))
+        if t.volume > 1e-3:
+            out.append(t)
+    return out
+
+
+def _identity_residuals(tetrahedra):
+    # both identities through the kernels that ``verify --lemma tetra`` runs, relative to max(1, V^2)
+    gamma, zeta, _ = _kernels.pair_scalars_many(np.array([t.vertices for t in tetrahedra]))
+    v2 = np.array([t.volume for t in tetrahedra]) ** 2
+    poly, weighted = _kernels.volume_poly_many(gamma), zeta.sum(axis=1)
+    return (poly, weighted, v2), T._identity_residuals(poly, weighted, v2)
+
+
 def test_verify_identities_report(rng):
-    t = T.random_tetrahedron(rng)
-    rep = T.verify_identities(t)
-    assert rep.passed
-    assert rep.poly_residual < 1e-12 and rep.sum_residual < 1e-12
-    assert abs(rep.poly_value - 2.25 * rep.volume**2) < 1e-9
-    assert abs(rep.weighted_sum - 6.75 * rep.volume**2) < 1e-9
+    (poly, weighted, v2), (r1, r2) = _identity_residuals(_random_tetrahedra(rng, 1))
+    assert r1[0] < 1e-12 and r2[0] < 1e-12
+    assert abs(poly[0] - 2.25 * v2[0]) < 1e-9
+    assert abs(weighted[0] - 6.75 * v2[0]) < 1e-9
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_identities_property(seed):
-    t = T.random_tetrahedron(np.random.default_rng(seed))
-    assert T.verify_identities(t, tol=1e-10).passed
+    _, (r1, r2) = _identity_residuals(_random_tetrahedra(np.random.default_rng(seed), 1))
+    assert r1[0] <= 1e-10 and r2[0] <= 1e-10
 
 
 def test_identities_survive_rotation_and_scale(rng):
     # both identities are invariant under rotations; scaling by s scales
     # gamma by s^2, the cubic by s^6, and V^2 by s^6 alike
-    t = T.random_tetrahedron(rng)
+    (t,) = _random_tetrahedra(rng, 1)
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     rotated = T.center(t.vertices @ q.T)
     scaled = T.center(t.vertices * 1.7)
-    for s in (rotated, scaled):
-        assert T.verify_identities(s, tol=1e-10).passed
+    _, (r1, r2) = _identity_residuals([rotated, scaled])
+    assert r1.max() <= 1e-10 and r2.max() <= 1e-10
 
 
 def _pair_scalars_reference(p):

@@ -169,6 +169,12 @@ class TestLattice:
             TL.Lattice(np.array([[1.0, 0, 0], [2.0, 0, 0], [0, 0, 1.0]]))
         assert abs(TL.Lattice(np.eye(3) * 2.0).covolume - 8.0) < 1e-12
 
+    def test_dependency_is_relative_to_the_scale(self):
+        # |det| is compared with the product of the row norms, so small cells keep their lattice
+        assert TL.Lattice(np.eye(3) * 1e-5).covolume == pytest.approx(1e-15, rel=1e-12)
+        with pytest.raises(ValueError, match="linearly dependent"):
+            TL.Lattice(np.array([[1e3, 0, 0], [0, 1e3, 0], [1e3, 1e3, 1e-10]]))
+
     def test_points_in_ball_integer_lattice(self):
         lat = TL.Lattice(np.eye(3))
         pts = lat.points_in_ball(2.5)
@@ -323,6 +329,12 @@ class TestLatticeSearch:
             lat = TL.lattice_from_parallelohedron(z)
             assert abs(lat.covolume - z.volume()) <= 1e-9, name
 
+    @pytest.mark.parametrize("edge", [1e-3, 1e-5, 1e-9])
+    def test_small_cube(self, edge):
+        # a dependent triple is no longer within the covolume tolerance of a small volume
+        lat = TL.lattice_from_parallelohedron(cube(edge))
+        assert abs(lat.covolume - edge**3) <= 1e-9 * edge**3
+
     def test_cube_gives_unit_lattice(self):
         lat = TL.lattice_from_parallelohedron(cube())
         assert abs(lat.covolume - 1.0) <= 1e-12
@@ -381,6 +393,19 @@ class TestValidateTiling:
         # the cube is a product, so the nearest lattice point in each
         # coordinate is the only shift that could cover w
         assert (np.abs(w - scale * np.rint(w / scale)) > 0.5).any()
+
+    @pytest.mark.parametrize("edge", [1e-2, 1e-4, 1e-6, 1e-9])
+    def test_gap_below_unit_volume(self, edge):
+        # the covolume tolerance is relative: a lattice of twice or three times the volume is a gap at any scale
+        z = cube(edge)
+        rep = TL.validate_tiling(z, TL.lattice_from_parallelohedron(z))
+        assert abs(rep.determinant - rep.cell_volume) <= 1e-9 * rep.cell_volume
+        for k in (2, 3):
+            with pytest.raises(TL.Gap) as exc:
+                TL.validate_tiling(z, TL.Lattice(np.diag([k * edge, edge, edge])))
+            # the witness is uncovered in the stretched coordinate, where the translates stand k edges apart
+            w = exc.value.witness
+            assert abs(w[0] - k * edge * np.rint(w[0] / (k * edge))) > edge / 2
 
     def test_covolume_below_volume_without_overlap_is_internal_error(self, monkeypatch):
         monkeypatch.setattr(TL, "_has_overlap", lambda z, lat: (None, 0))

@@ -70,28 +70,37 @@ class TestValidateGenerators:
 
 
 class TestClassify:
-    # zero patterns: (none) type 5; one -> 4; two disjoint -> 3;
-    # two sharing an index -> 2; three nonzero with no common index -> 1
+    # zero patterns: (none) type 5; one -> 4; two disjoint -> 3; two sharing an index -> 2; three nonzero with
+    # no common index -> 1; None where the nonzero segments do not span R^3 (the ids are the test's earlier ones)
     @pytest.mark.parametrize(
-        "pattern,expected",
+        "pattern,type_index",
         [
-            ((1, 1, 1, 1, 1, 1), Z.ParallelohedronType.TRUNCATED_OCTAHEDRON),
-            ((1, 1, 1, 1, 1, 0), Z.ParallelohedronType.ELONGATED_RHOMBIC_DODECAHEDRON),
-            ((1, 1, 1, 1, 0, 1), Z.ParallelohedronType.ELONGATED_RHOMBIC_DODECAHEDRON),
-            ((0, 1, 1, 1, 1, 0), Z.ParallelohedronType.RHOMBIC_DODECAHEDRON),
-            ((1, 0, 1, 1, 0, 1), Z.ParallelohedronType.RHOMBIC_DODECAHEDRON),
-            ((0, 0, 1, 1, 1, 1), Z.ParallelohedronType.HEXAGONAL_PRISM),
-            ((1, 1, 1, 0, 0, 1), Z.ParallelohedronType.HEXAGONAL_PRISM),
-            ((1, 1, 0, 1, 0, 0), Z.ParallelohedronType.PARALLELEPIPED),
-            ((1, 0, 0, 1, 0, 1), Z.ParallelohedronType.PARALLELEPIPED),
-            ((1, 1, 1, 0, 0, 0), Z.ParallelohedronType.DEGENERATE),
-            ((1, 1, 0, 0, 0, 0), Z.ParallelohedronType.DEGENERATE),
-            ((0, 0, 0, 0, 0, 0), Z.ParallelohedronType.DEGENERATE),
+            pytest.param((1, 1, 1, 1, 1, 1), 5, id="pattern0-ParallelohedronType.TRUNCATED_OCTAHEDRON"),
+            pytest.param((1, 1, 1, 1, 1, 0), 4, id="pattern1-ParallelohedronType.ELONGATED_RHOMBIC_DODECAHEDRON"),
+            pytest.param((1, 1, 1, 1, 0, 1), 4, id="pattern2-ParallelohedronType.ELONGATED_RHOMBIC_DODECAHEDRON"),
+            pytest.param((0, 1, 1, 1, 1, 0), 3, id="pattern3-ParallelohedronType.RHOMBIC_DODECAHEDRON"),
+            pytest.param((1, 0, 1, 1, 0, 1), 3, id="pattern4-ParallelohedronType.RHOMBIC_DODECAHEDRON"),
+            pytest.param((0, 0, 1, 1, 1, 1), 2, id="pattern5-ParallelohedronType.HEXAGONAL_PRISM"),
+            pytest.param((1, 1, 1, 0, 0, 1), 2, id="pattern6-ParallelohedronType.HEXAGONAL_PRISM"),
+            pytest.param((1, 1, 0, 1, 0, 0), 1, id="pattern7-ParallelohedronType.PARALLELEPIPED"),
+            pytest.param((1, 0, 0, 1, 0, 1), 1, id="pattern8-ParallelohedronType.PARALLELEPIPED"),
+            pytest.param((1, 1, 1, 0, 0, 0), None, id="pattern9-ParallelohedronType.DEGENERATE"),
+            pytest.param((1, 1, 0, 0, 0, 0), None, id="pattern10-ParallelohedronType.DEGENERATE"),
+            pytest.param((0, 0, 0, 0, 0, 0), None, id="pattern11-ParallelohedronType.DEGENERATE"),
         ],
     )
-    def test_patterns(self, pattern, expected):
-        b = Z.BetaVector(np.array(pattern, dtype=np.float64))
-        assert Z.classify_type(b) == expected
+    def test_patterns(self, rng, pattern, type_index):
+        # the body built on the pattern has its type's face counts on every frame
+        for _ in range(20):
+            b = Z.BetaVector(np.array(pattern) * rng.uniform(0.2, 1.3, 6))
+            g = Z.random_frame(rng)
+            if type_index is None:
+                with pytest.raises(Z.FlatBody):
+                    Z.build_from_parameters(g, b)
+                continue
+            z = Z.build_from_parameters(g, b)
+            assert len(z.facet_cycles) == FACET_COUNTS[type_index]
+            assert len(z.edge_vertex_ids) == EDGE_COUNTS[type_index]
 
     def test_beta_validation(self):
         with pytest.raises(ValueError):
