@@ -53,7 +53,6 @@ from .weights import (
     TypeMinimum,
     Winner,
     classify_optimal,
-    isotropic_position,
     stationary_betas_type4,
     type4_sweep,
     type_minimum,
@@ -107,7 +106,7 @@ __all__ = [
     "boundary_candidates",
     # weighted minima
     "TypeMinimum", "OptimalAnswer", "Winner", "FacetMeasure", "type_minimum",
-    "classify_optimal", "isotropic_position", "stationary_betas_type4", "type4_sweep",
+    "classify_optimal", "stationary_betas_type4", "type4_sweep",
     "NotOrthogonal", "NegativeBeta", "NoConvergence",
     # decomposable bounds
     "PlanarComponent", "SegmentComponent", "DecompositionSpec", "ConstraintViolated",

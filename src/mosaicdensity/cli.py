@@ -331,13 +331,13 @@ def _verify_isotropy(args: argparse.Namespace) -> tuple[dict, list[dict]]:
         chunk = [_isotropy_measure(rng) for _ in range(min(_ISOTROPY_CHUNK, n - done))]
         u = np.array([fm.normals for fm in chunk])
         f = np.array([fm.areas for fm in chunk])
-        matrix, iterations, _ = weights.isotropic_positions(u, f, tol=1e-8)
+        matrix, iterations, _ = weights.isotropic_positions(u, f)
         worst_it = max(worst_it, int(iterations.max()))
         worst_det = max(worst_det, float(np.abs(np.linalg.det(matrix) - 1.0).max()))
         worst_res = max(worst_res, float(weights.isotropy_residuals(u, f, matrix).max()))
     outputs = {"bodies": n, "max_iterations": worst_it, "max_det_error": worst_det, "max_residual": worst_res}
     return outputs, [
-        _residual("isotropy_residual", worst_res, 1e-8),
+        _residual("isotropy_residual", worst_res, weights.ISOTROPY_TOL),
         _residual("isotropy_determinant", worst_det, 1e-12),
     ]
 
@@ -392,7 +392,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 def cmd_fig2(args: argparse.Namespace) -> int:
     grid = np.arange(args.start, args.stop + args.step / 2, args.step)
-    header, rows = weights.figure_curves(grid, alpha6=1.0)
+    header, rows = weights.figure_curves(grid)
     writer = csv.writer(sys.stdout)
     writer.writerow(header)
     for row in rows:

@@ -216,6 +216,9 @@ def _axis_points(grid_n: int, dims: int) -> int:
 #: Most points the oracle scan evaluates at once, in slabs of its first axis.
 SLAB_POINTS = 65_536
 
+#: Sweeps of the greedy descent that refines the oracle's best grid point.
+REFINE_ROUNDS = 60
+
 
 def _scan_min(axes: list, k: int, odd: bool) -> tuple[float, tuple[int, ...]]:
     """Value and index of the first minimum in C order of ``_oracle_bound``
@@ -237,7 +240,7 @@ def _scan_min(axes: list, k: int, odd: bool) -> tuple[float, tuple[int, ...]]:
     return best, np.unravel_index(flat, shape)
 
 
-def brute_force_minimize(n: int, grid_n: int = 30, refine_rounds: int = 60) -> float:
+def brute_force_minimize(n: int, grid_n: int = 30) -> float:
     """Grid plus coordinate-descent search for the bound's true minimum.
 
     Free variables are the e_hat parameters and log areas; the product
@@ -248,8 +251,8 @@ def brute_force_minimize(n: int, grid_n: int = 30, refine_rounds: int = 60) -> f
     best grid point; one on the edge of the log-area box raises
     ``OracleBoxEdge`` (the e_hat axes span the bound's domain [3, 6], so an
     edge there is expected).  ``_kernels.greedy_descent`` refines the best grid
-    point from step 3 / grid_n; a sweep evaluates, in one call, the
-    steps of each coordinate down and up (e_hats clipped to [3, 6]).
+    point from step 3 / grid_n for ``REFINE_ROUNDS`` sweeps; a sweep evaluates,
+    in one call, the steps of each coordinate down and up (e_hats clipped to [3, 6]).
     """
     if n < 2 or n > 7:
         raise ValueError("oracle covers dimensions 2..7")
@@ -275,7 +278,7 @@ def brute_force_minimize(n: int, grid_n: int = 30, refine_rounds: int = 60) -> f
         return np.minimum(np.maximum(x + step * signs, lo), hi), allowed
 
     best, _ = _kernels.greedy_descent(
-        lambda y: _oracle_bound(y, k, odd), axis_moves, x, 3.0 / grid_n, refine_rounds
+        lambda y: _oracle_bound(y, k, odd), axis_moves, x, 3.0 / grid_n, REFINE_ROUNDS
     )
     return best
 

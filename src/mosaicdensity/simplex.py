@@ -2,12 +2,12 @@
 
 The question: scale the first coordinate by lambda >= 1, freeze the last
 coordinate at zero, and maximize the volume cubic over nonnegative
-(tau12, tau13, tau14, tau23, tau24) summing to a budget C.  The closed
-form of the maximum is
+(tau12, tau13, tau14, tau23, tau24) summing to 1.  The closed form of
+the maximum is
 
-    16 C^3 lambda^3 / (27 (4 lambda - 1)^2)
+    16 lambda^3 / (27 (4 lambda - 1)^2)
 
-attained at tau13 = tau14 = tau23 = tau24 = 2 lambda C / (12 lambda - 3)
+attained at tau13 = tau14 = tau23 = tau24 = 2 lambda / (12 lambda - 3)
 and tau12 = ((4 lambda - 3) / (2 lambda)) tau13.  A grid scan over exact
 integer compositions plus coordinate-transfer refinement serves as an
 independent check that no boundary stratum beats the interior point.
@@ -29,12 +29,15 @@ class DomainError(ValueError):
     """Scale factor outside the hypothesis lambda >= 1."""
 
 
+#: Sweeps of the greedy descent that refines the grid oracle's best point.
+REFINE_ROUNDS = 60
+
+
 @dataclass(frozen=True)
 class SimplexPoint:
-    """Feasible point: five nonnegative coordinates summing to budget."""
+    """Feasible point: five nonnegative coordinates summing to 1."""
 
     tau: np.ndarray  # (5,) = (tau12, tau13, tau14, tau23, tau24)
-    budget: float
 
     def __post_init__(self) -> None:
         t = np.asarray(self.tau, dtype=np.float64)
@@ -42,8 +45,8 @@ class SimplexPoint:
             raise ValueError("expected five finite coordinates")
         if (t < -1e-12).any():
             raise ValueError("coordinates must be nonnegative")
-        if abs(t.sum() - self.budget) > 1e-9 * max(1.0, self.budget):
-            raise ValueError("coordinates must sum to the budget")
+        if abs(t.sum() - 1.0) > 1e-9:
+            raise ValueError("coordinates must sum to 1")
         object.__setattr__(self, "tau", t)
 
     def objective(self, lam: float) -> float:
@@ -56,21 +59,18 @@ def _objective(lam: float, t):
     return _kernels.volume_cubic(lam * t[0], *t[1:])
 
 
-def scaled_simplex_max(lam: float, budget: float = 1.0) -> tuple[float, SimplexPoint]:
+def scaled_simplex_max(lam: float) -> tuple[float, SimplexPoint]:
     """Closed-form maximum and its unique interior argmax."""
     if lam < 1.0:
         raise DomainError(f"scale factor {lam} < 1")
-    if budget <= 0.0:
-        raise ValueError("budget must be positive")
-    value = 16.0 * budget**3 * lam**3 / (27.0 * (4.0 * lam - 1.0) ** 2)
-    t13 = 2.0 * lam * budget / (12.0 * lam - 3.0)
+    value = 16.0 * lam**3 / (27.0 * (4.0 * lam - 1.0) ** 2)
+    t13 = 2.0 * lam / (12.0 * lam - 3.0)
     t12 = (4.0 * lam - 3.0) / (2.0 * lam) * t13
-    point = SimplexPoint(np.array([t12, t13, t13, t13, t13]), budget)
-    return value, point
+    return value, SimplexPoint(np.array([t12, t13, t13, t13, t13]))
 
 
 def boundary_candidates(lam: float) -> list[float]:
-    """Candidate maxima of the boundary strata at unit budget.
+    """Candidate maxima of the boundary strata.
 
     Each value arises when one or more coordinates are pinned to zero;
     all are strictly below the interior maximum for lam >= 1.
@@ -90,12 +90,7 @@ _SOURCES, _TARGETS = np.array([(a, b) for a in range(5) for b in range(5) if a !
 _TRANSFERS = np.eye(5)[_TARGETS] - np.eye(5)[_SOURCES]
 
 
-def grid_simplex_max(
-    lam: float,
-    budget: float = 1.0,
-    grid_n: int = 60,
-    refine_rounds: int = 60,
-) -> float:
+def grid_simplex_max(lam: float, grid_n: int = 60) -> float:
     """Brute-force maximum: composition grid scan, then local refinement.
 
     The scan covers all integer compositions of ``grid_n`` into five parts
@@ -104,23 +99,19 @@ def grid_simplex_max(
     evaluates the floor and the ceiling of its vertex, and of tied maxima
     keeps the smallest a, then the first (b, c, d) by sum, then by (b, c).
     Refinement runs ``_kernels.greedy_descent`` on the negated objective
-    from the best grid point, with step ``budget / grid_n``: the 20 pairwise
-    mass transfers of a sweep, each allowed where its source holds at least
-    the step, are evaluated in one call and keep every point on the simplex.
+    from the best grid point, with step ``1 / grid_n``, for ``REFINE_ROUNDS``
+    sweeps: the 20 pairwise mass transfers of a sweep, each allowed where
+    its source holds at least the step, are evaluated in one call and keep
+    every point on the simplex.
     """
     if lam < 1.0:
         raise DomainError(f"scale factor {lam} < 1")
-    if budget <= 0.0:
-        raise ValueError("budget must be positive")
     if grid_n < 10:
         raise ValueError("grid_n must be at least 10")
-    best, comp = _kernels.simplex_grid_scan(lam, grid_n, budget)
-    if refine_rounds <= 0:
-        return float(best)
-    t = comp.astype(np.float64) / grid_n * budget
+    _, comp = _kernels.simplex_grid_scan(lam, grid_n, 1.0)
     neg, _ = _kernels.greedy_descent(
         lambda u: -_objective(lam, u),
         lambda t, step: (t + step * _TRANSFERS, t[_SOURCES] >= step),
-        t, budget / grid_n, refine_rounds,
+        comp.astype(np.float64) / grid_n, 1.0 / grid_n, REFINE_ROUNDS,
     )
     return -neg

@@ -23,6 +23,10 @@ class DegenerateTetrahedron(GeometryError):
     """Zero volume: the four vertices are coplanar."""
 
 
+#: ``batch_identity_residuals`` redraws tetrahedra of volume at most this.
+REJECT_VOLUME_BELOW = 1e-3
+
+
 @dataclass(frozen=True)
 class CenteredTetrahedron:
     """Four vertices translated so they sum to zero.
@@ -78,13 +82,11 @@ def _identity_residuals(poly, weighted, v2):
     return np.abs(poly - 2.25 * v2) / scale, np.abs(weighted - 6.75 * v2) / scale
 
 
-def batch_identity_residuals(
-    samples: int, seed: int = 0, reject_volume_below: float = 1e-3
-) -> tuple[float, float]:
+def batch_identity_residuals(samples: int, seed: int = 0) -> tuple[float, float]:
     """Worst relative residual of each identity over random tetrahedra.
 
     Sampling and evaluation are vectorized through the kernel layer;
-    rejection keeps volumes above ``reject_volume_below``.  A block is drawn
+    rejection keeps volumes above ``REJECT_VOLUME_BELOW``.  A block is drawn
     as (n, 4, 3) vertices and evaluated as (4, 3, n) component rows.
     """
     if samples < 1:
@@ -97,7 +99,7 @@ def batch_identity_residuals(
         q = rng.uniform(-1.0, 1.0, size=(n, 4, 3)).transpose(1, 2, 0).copy()
         q -= (q[0] + q[1] + q[2] + q[3]) / 4.0
         gamma, zeta, vol = _kernels.pair_scalars_many(q.transpose(2, 0, 1))
-        keep = np.flatnonzero(vol > reject_volume_below)[: samples - collected]
+        keep = np.flatnonzero(vol > REJECT_VOLUME_BELOW)[: samples - collected]
         if not keep.size:
             continue
         collected += keep.size

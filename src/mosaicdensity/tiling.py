@@ -271,11 +271,13 @@ def _has_overlap(z: Zonotope, lat: Lattice) -> tuple[np.ndarray | None, int]:
     Translates z and z + t overlap iff t/2 lies in the interior of z.  An
     interior point of the centered body is interior to its circumscribed
     ball, so |t/2| < circumradius and |t| < diameter: the lattice points
-    within the diameter are all that need screening.
+    within the diameter are all that need screening.  The pad and the
+    zero filter are relative to the diameter, so the screen holds at any scale.
     """
     normals, offsets = z.facet_planes()
-    t = lat.points_in_ball(z.diameter() + 1e-9)
-    t = t[np.linalg.norm(t, axis=1) > 1e-12]
+    diameter = z.diameter()
+    t = lat.points_in_ball(diameter * (1.0 + 1e-9))
+    t = t[np.linalg.norm(t, axis=1) > 1e-12 * diameter]
     inside = ((t @ normals.T) / (2.0 * offsets) < 1.0 - 1e-12).all(axis=1)
     return (t[np.argmax(inside)] / 2.0 if inside.any() else None), len(t)
 

@@ -29,6 +29,11 @@ PRISM_OCTA_RATIO = (2.0 / 3.0) ** 0.25
 
 _TIE_RTOL = 1e-12
 
+#: The isotropic-position fixed point stops once a body's residual is at most ISOTROPY_TOL, and
+#: gives up after ISOTROPY_MAX_ITER steps; ``verify --lemma isotropy`` checks its residuals to ISOTROPY_TOL.
+ISOTROPY_TOL = 1e-8
+ISOTROPY_MAX_ITER = 200
+
 
 class NotOrthogonal(ValueError):
     """First two frame vectors fail the required orthogonality."""
@@ -199,33 +204,25 @@ def _det_one(a: np.ndarray) -> np.ndarray:
     return a / np.array(root)[:, None, None]
 
 
-@dataclass(frozen=True)
-class IsotropicResult:
-    matrix: np.ndarray  # (3, 3), determinant 1
-    iterations: int
-    residual: float
-
-
-def isotropic_positions(
-    normals: np.ndarray, areas: np.ndarray, tol: float = 1e-8, max_iter: int = 200
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def isotropic_positions(normals: np.ndarray, areas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Volume-preserving maps bringing a stack of facet measures to isotropy.
 
     ``normals`` is (B, F, 3) and ``areas`` (B, F): B bodies with F facets
     each.  Fixed point: every body is repeatedly mapped by the
     determinant-1 square root of its second-moment matrix; normals and
     areas transform accordingly and no hull is rebuilt.  A body whose
-    residual reaches ``tol`` is frozen and leaves the stack, so each one
-    takes the steps, and gets the bits, it would take alone.  Returns the
-    (B, 3, 3) matrices, the iterations and the residuals.
+    residual reaches ``ISOTROPY_TOL`` is frozen and leaves the stack, so
+    each one takes the steps, and gets the bits, it would take alone.
+    Returns the (B, 3, 3) matrices, the iterations and the residuals; a
+    stack still live after ``ISOTROPY_MAX_ITER`` steps raises NoConvergence.
     """
     u, f = np.asarray(normals, dtype=np.float64), np.asarray(areas, dtype=np.float64)
     live = np.arange(len(u))
     acc = np.tile(np.eye(3), (len(u), 1, 1))
     matrix, iterations, residual = np.empty_like(acc), np.empty_like(live), np.empty(len(u))
-    for it in range(max_iter):
+    for it in range(ISOTROPY_MAX_ITER):
         mat, res = _second_moment(u, f)
-        done = res <= tol
+        done = res <= ISOTROPY_TOL
         if done.any():
             matrix[live[done]] = _det_one(acc[done])
             iterations[live[done]], residual[live[done]] = it, res[done]
@@ -239,16 +236,7 @@ def isotropic_positions(
         s = _det_one((q * np.sqrt(w)[:, None, :]) @ q.transpose(0, 2, 1))
         acc = s @ acc
         u, f = _mapped(u, f, s)
-    raise NoConvergence(f"no isotropic position within {max_iter} iterations")
-
-
-def isotropic_position(
-    fm: FacetMeasure, tol: float = 1e-8, max_iter: int = 200
-) -> IsotropicResult:
-    """Volume-preserving map bringing one facet measure to isotropy: the
-    one-body case of :func:`isotropic_positions`."""
-    matrix, its, res = isotropic_positions(fm.normals[None], fm.areas[None], tol, max_iter)
-    return IsotropicResult(matrix[0], int(its[0]), float(res[0]))
+    raise NoConvergence(f"no isotropic position within {ISOTROPY_MAX_ITER} iterations")
 
 
 def isotropy_residuals(normals: np.ndarray, areas: np.ndarray, matrices: np.ndarray) -> np.ndarray:
@@ -323,18 +311,18 @@ def type4_sweep(m: WeightPair, samples: int, seed: int = 0) -> Type4SweepReport:
     return Type4SweepReport(samples, best, type_minimum(4, m).value)
 
 
-def figure_curves(alpha4_values: np.ndarray, alpha6: float = 1.0) -> tuple[list[str], np.ndarray]:
-    """Per-type minima as functions of alpha4 at fixed alpha6.
+def figure_curves(alpha4_values: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """Per-type minima as functions of alpha4 at alpha6 = 1.
 
     Returns a header and one row per alpha4 with the five type values
     (the type-4 column is the lower bound, switching to the type-5 value
-    once alpha4 exceeds alpha6).
+    once alpha4 exceeds 1).
     """
     header = ["alpha4", "type1", "type2", "type3", "type4_bound", "type5"]
     rows = []
     for a4 in np.asarray(alpha4_values, dtype=np.float64):
         if a4 <= 0:
             raise ValueError("alpha4 grid must be positive")
-        m = WeightPair(alpha6, float(a4))
+        m = WeightPair(1.0, float(a4))
         rows.append([a4] + [type_minimum(i, m).value for i in range(1, 6)])
     return header, np.array(rows)

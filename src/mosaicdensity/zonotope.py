@@ -218,16 +218,17 @@ _BITS = np.left_shift(1, np.arange(6))
 _PAIR_INDEX = {k: np.array(list(combinations(range(k), 2))).reshape(-1, 2).T for k in range(7)}
 
 
-def build_zonotope(generators, labels: Sequence | None = None, *, tol: float = COPLANAR_TOL) -> Zonotope:
+def build_zonotope(generators, labels: Sequence | None = None) -> Zonotope:
     """Assemble the face complex of the Minkowski sum of the segments, given as rows.
 
     ``labels`` names each row (ordinals by default).  Zero-length segments
-    are dropped with their labels.  The remaining ones must span R^3
-    (:class:`FlatBody` otherwise) and be pairwise non-parallel
+    are dropped with their labels.  The remaining ones must span R^3, with
+    three singular values above 1e-12 times the longest segment, at any
+    scale (:class:`FlatBody` otherwise), and be pairwise non-parallel
     (:class:`ParallelSegments`).  A set of segments is an integer bitmask.
-    The coplanar classes at relative tolerance ``tol`` are the distinct
-    in-plane masks of the pair normals, in first-pair order, and each
-    gives a facet for each sign of its normal.  A facet cycle starts at
+    The coplanar classes at relative tolerance ``COPLANAR_TOL`` are the
+    distinct in-plane masks of the pair normals, in first-pair order, and
+    each gives a facet for each sign of its normal.  A facet cycle starts at
     the facet's base (the segments on the normal's side) plus its turned
     members and toggles the members in the triple-product order of the
     module docstring, once per round; no hull is formed.  Vertex ids
@@ -244,20 +245,20 @@ def build_zonotope(generators, labels: Sequence | None = None, *, tol: float = C
     labels = range(len(gens)) if labels is None else labels
     labels = tuple(label for label, kept in zip(labels, keep, strict=True) if kept)
     k, gens, norms = int(keep.sum()), gens[keep], norms[keep]
-    if k < 3 or (np.linalg.svd(gens, compute_uv=False) > 1e-12 * max(1.0, norms.max())).sum() < 3:
+    if k < 3 or (np.linalg.svd(gens, compute_uv=False) > 1e-12 * norms.max()).sum() < 3:
         raise FlatBody("nonzero segments do not span R^3")
     bit = _BITS[:k]
 
     i, j = _PAIR_INDEX[k]
     cr = cross3(gens[i], gens[j])
     crn = np.linalg.norm(cr, axis=1)
-    parallel = crn <= tol * norms[i] * norms[j]
+    parallel = crn <= COPLANAR_TOL * norms[i] * norms[j]
     if parallel.any():
         q = int(np.argmax(parallel))
         raise ParallelSegments(f"segments {i[q]} and {j[q]} are parallel")
     normals = cr / crn[:, None]
     masks, first, inverse = np.unique(
-        (np.abs(normals @ gens.T) <= tol * norms) @ bit, return_index=True, return_inverse=True
+        (np.abs(normals @ gens.T) <= COPLANAR_TOL * norms) @ bit, return_index=True, return_inverse=True
     )
     order = np.argsort(first)  # classes in first-pair order
     n0 = normals[first[order]]
@@ -269,7 +270,7 @@ def build_zonotope(generators, labels: Sequence | None = None, *, tol: float = C
     normal = np.empty((2 * len(n0), 3))
     normal[0::2], normal[1::2] = n0, -n0
     inbits = (np.repeat(masks[order], 2)[:, None] >> np.arange(k)) & 1
-    base = (normal @ gens.T > tol * norms) @ bit
+    base = (normal @ gens.T > COPLANAR_TOL * norms) @ bit
     size = inbits.sum(axis=1)
     start = np.cumsum(2 * size) - 2 * size
     cyc = np.empty(2 * size.sum(), dtype=np.int64)
@@ -398,11 +399,9 @@ def rhombic_dodecahedron(edge: float = 1.0) -> Zonotope:
     return build_zonotope(_DIAGONALS * edge)
 
 
-def elongated_rhombic_dodecahedron(edge: float = 1.0, elongation: float | None = None) -> Zonotope:
-    """The rhombic dodecahedron's four diagonals plus an axial segment."""
-    if elongation is None:
-        elongation = edge
-    return build_zonotope(np.vstack([_DIAGONALS * edge, [(0.0, 0.0, elongation)]]))
+def elongated_rhombic_dodecahedron(edge: float = 1.0) -> Zonotope:
+    """The rhombic dodecahedron's four diagonals plus an axial segment, all of length ``edge``."""
+    return build_zonotope(np.vstack([_DIAGONALS * edge, [(0.0, 0.0, edge)]]))
 
 
 def truncated_octahedron(edge: float = 1.0) -> Zonotope:

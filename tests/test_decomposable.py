@@ -211,8 +211,8 @@ class TestBruteForce:
         mesh = D._oracle_bound(np.meshgrid(*axes, indexing="ij", sparse=True), k, odd)
         assert mesh.shape == (m,) * dims
         assert np.array_equal(mesh.ravel(), dense)
-        # with no descent the oracle returns the bound at the grid argmin
-        assert D.brute_force_minimize(n, grid_n, refine_rounds=0) == dense[np.argmin(dense)]
+        # the oracle's scan, before its descent, finds the bound at the grid argmin
+        assert D._scan_min(axes, k, odd)[0] == dense[np.argmin(dense)]
 
     @pytest.mark.parametrize("slab", [None, 1, 1000])
     @pytest.mark.parametrize("grid_n", [20, 30, 41])

@@ -5,38 +5,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mosaicdensity import _kernels
 from mosaicdensity import simplex as S
 
 
 def test_closed_form_values():
-    value, point = S.scaled_simplex_max(1.0, 1.0)
+    value, point = S.scaled_simplex_max(1.0)
     assert abs(value - 16.0 / 243.0) < 1e-15
     assert abs(point.tau[0] - 1.0 / 9.0) < 1e-15
     assert np.allclose(point.tau[1:], 2.0 / 9.0)
-    value2, _ = S.scaled_simplex_max(2.0, 1.0)
+    value2, _ = S.scaled_simplex_max(2.0)
     assert abs(value2 - 128.0 / 1323.0) < 1e-15
 
 
-def test_cubic_homogeneity():
-    v1, _ = S.scaled_simplex_max(1.0, 1.0)
-    v2, _ = S.scaled_simplex_max(1.0, 2.0)
-    assert abs(v2 - 8.0 * v1) < 1e-12
-
-
 @settings(max_examples=60, deadline=None)
-@given(st.floats(1.0, 50.0), st.floats(0.1, 10.0))
-def test_argmax_substitution(lam, budget):
-    value, point = S.scaled_simplex_max(lam, budget)
-    assert abs(point.tau.sum() - budget) < 1e-9 * budget
+@given(st.floats(1.0, 50.0))
+def test_argmax_substitution(lam):
+    # the argmax of the module docstring: tau13 = tau14 = tau23 = tau24 = 2 lam / (12 lam - 3),
+    # tau12 = (4 lam - 3) / (2 lam) tau13
+    value, point = S.scaled_simplex_max(lam)
+    t13 = 2.0 * lam / (12.0 * lam - 3.0)
+    assert np.allclose(point.tau, [(4.0 * lam - 3.0) / (2.0 * lam) * t13] + [t13] * 4, rtol=1e-15, atol=0)
+    assert abs(point.tau.sum() - 1.0) < 1e-9
     assert abs(point.objective(lam) - value) < 1e-12 * max(1.0, value)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.floats(1.0, 50.0), st.floats(0.5, 4.0))
-def test_budget_scaling_property(lam, budget):
-    v1, _ = S.scaled_simplex_max(lam, 1.0)
-    vc, _ = S.scaled_simplex_max(lam, budget)
-    assert abs(vc - budget**3 * v1) < 1e-12 * max(1.0, vc)
 
 
 def test_domain_error():
@@ -47,16 +38,7 @@ def test_domain_error():
     with pytest.raises(S.DomainError):
         S.boundary_candidates(0.9)
     with pytest.raises(ValueError):
-        S.scaled_simplex_max(2.0, -1.0)
-    with pytest.raises(ValueError):
         S.grid_simplex_max(1.0, grid_n=5)
-
-
-@pytest.mark.parametrize("budget", [0.0, -1.0])
-def test_grid_budget_must_be_positive(budget):
-    # the scan's concavity in a needs (budget / grid_n)^3 > 0
-    with pytest.raises(ValueError, match="budget must be positive"):
-        S.grid_simplex_max(2.0, budget=budget)
 
 
 def test_boundary_candidates_lambda_one():
@@ -74,8 +56,9 @@ def test_boundary_below_interior(lam):
 
 
 def test_grid_never_exceeds_maximum():
+    # the grid oracle's scan before its descent
     value, _ = S.scaled_simplex_max(1.0)
-    raw = S.grid_simplex_max(1.0, grid_n=10, refine_rounds=0)
+    raw, _ = _kernels.simplex_grid_scan(1.0, 10, 1.0)
     assert raw <= value + 1e-15
 
 
@@ -95,6 +78,6 @@ def test_grid_simplex_max_pinned():
 
 def test_simplex_point_validation():
     with pytest.raises(ValueError):
-        S.SimplexPoint(np.array([0.5, 0.5, 0.0, 0.0, 0.1]), 1.0)  # sum != budget
+        S.SimplexPoint(np.array([0.5, 0.5, 0.0, 0.0, 0.1]))  # sum != 1
     with pytest.raises(ValueError):
-        S.SimplexPoint(np.array([-0.2, 0.4, 0.4, 0.2, 0.2]), 1.0)
+        S.SimplexPoint(np.array([-0.2, 0.4, 0.4, 0.2, 0.2]))

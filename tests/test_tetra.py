@@ -157,8 +157,9 @@ def _batch_identity_reference(samples, seed, reject_volume_below=1e-3):
 
 @pytest.mark.parametrize("samples, reject", [(20_000, 1e-3), (5_001, 0.05)])
 @pytest.mark.parametrize("seed", [0, 1, 2, 5, 11, 23])
-def test_batch_matches_vertex_loop_reference(seed, samples, reject):
-    got = T.batch_identity_residuals(samples, seed, reject_volume_below=reject)
+def test_batch_matches_vertex_loop_reference(seed, samples, reject, monkeypatch):
+    monkeypatch.setattr(T, "REJECT_VOLUME_BELOW", reject)
+    got = T.batch_identity_residuals(samples, seed)
     assert got == _batch_identity_reference(samples, seed, reject)
 
 

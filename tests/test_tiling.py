@@ -361,7 +361,7 @@ class TestLatticeSearch:
                 inside = ((t @ normals.T) / (2.0 * offsets) < 1.0 - 1e-12).all(axis=1)
                 witness, checked = TL._has_overlap(z, lat)
                 assert (witness is None) == (not inside.any())
-                assert checked == (np.linalg.norm(t, axis=1) <= z.diameter() + 1e-9).sum()
+                assert checked == (np.linalg.norm(t, axis=1) <= z.diameter() * (1.0 + 1e-9)).sum()
                 overlaps += witness is not None
         assert 0 < overlaps < 6 * len(bodies)
 
@@ -393,6 +393,15 @@ class TestValidateTiling:
         # the cube is a product, so the nearest lattice point in each
         # coordinate is the only shift that could cover w
         assert (np.abs(w - scale * np.rint(w / scale)) > 0.5).any()
+
+    @pytest.mark.parametrize("edge", [1e-9, 1e-10, 1e-12])
+    def test_screen_is_relative_to_the_diameter(self, edge):
+        # the screen's pad and zero filter scale with the body, so a cube of any edge tiles with its
+        # face-to-face lattice after screening the 26 nonzero translates within its diameter
+        z = cube(edge)
+        rep = TL.validate_tiling(z, TL.lattice_from_parallelohedron(z))
+        assert rep.translates_checked == 26
+        assert abs(rep.determinant - edge**3) <= 1e-9 * edge**3
 
     @pytest.mark.parametrize("edge", [1e-2, 1e-4, 1e-6, 1e-9])
     def test_gap_below_unit_volume(self, edge):

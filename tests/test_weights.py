@@ -153,38 +153,45 @@ class TestFacetMeasure:
         assert abs(fm2.areas.sum() - fm.areas.sum()) < 1e-12
 
 
+def _isotropic_position(fm):
+    """The fixed point on a one-body stack: its matrix, iterations and residual."""
+    matrix, iterations, residual = W.isotropic_positions(fm.normals[None], fm.areas[None])
+    return matrix[0], int(iterations[0]), float(residual[0])
+
+
 class TestIsotropicPosition:
     def test_already_isotropic_returns_identity(self, unit_shapes):
         fm = W.FacetMeasure.from_zonotope(unit_shapes["cube"])
-        out = W.isotropic_position(fm)
-        assert out.iterations == 0
-        assert np.abs(out.matrix - np.eye(3)).max() < 1e-12
+        matrix, iterations, _ = _isotropic_position(fm)
+        assert iterations == 0
+        assert np.abs(matrix - np.eye(3)).max() < 1e-12
 
     def test_recovers_stretched_cube(self, unit_shapes):
         fm = W.FacetMeasure.from_zonotope(unit_shapes["cube"])
         a = np.diag([2.0, 1.0, 0.5])
-        out = W.isotropic_position(W.FacetMeasure(*W._mapped(fm.normals, fm.areas, a)))
-        assert out.residual <= 1e-8
-        assert abs(np.linalg.det(out.matrix) - 1.0) <= 1e-12
+        matrix, _, residual = _isotropic_position(W.FacetMeasure(*W._mapped(fm.normals, fm.areas, a)))
+        assert residual <= 1e-8
+        assert abs(np.linalg.det(matrix) - 1.0) <= 1e-12
         # the fix undoes the stretch up to a rotation, here up to sign
-        assert np.abs(out.matrix @ a - np.eye(3)).max() < 1e-6
+        assert np.abs(matrix @ a - np.eye(3)).max() < 1e-6
 
     def test_random_bodies_converge(self, rng):
         for _ in range(10):
             fm = W.FacetMeasure.from_zonotope(random_body(rng))
-            out = W.isotropic_position(fm)
-            assert out.residual <= 1e-8
-            assert out.iterations <= 200
-            assert abs(np.linalg.det(out.matrix) - 1.0) <= 1e-12
-            mapped = W.FacetMeasure(*W._mapped(fm.normals, fm.areas, out.matrix))
+            matrix, iterations, residual = _isotropic_position(fm)
+            assert residual <= 1e-8
+            assert iterations <= 200
+            assert abs(np.linalg.det(matrix) - 1.0) <= 1e-12
+            mapped = W.FacetMeasure(*W._mapped(fm.normals, fm.areas, matrix))
             _, res = W._second_moment(mapped.normals, mapped.areas)
             assert res <= 1e-8
 
-    def test_no_convergence_when_starved(self, unit_shapes):
+    def test_no_convergence_when_starved(self, unit_shapes, monkeypatch):
         fm = W.FacetMeasure.from_zonotope(unit_shapes["cube"])
         a = np.diag([4.0, 1.0, 0.25])
+        monkeypatch.setattr(W, "ISOTROPY_MAX_ITER", 1)
         with pytest.raises(W.NoConvergence):
-            W.isotropic_position(W.FacetMeasure(*W._mapped(fm.normals, fm.areas, a)), max_iter=1)
+            _isotropic_position(W.FacetMeasure(*W._mapped(fm.normals, fm.areas, a)))
 
 
 def _isotropic_position_reference(fm, tol=1e-8, max_iter=200):
@@ -226,9 +233,9 @@ class TestStackedIsotropy:
             want, it, res = _isotropic_position_reference(fm)
             assert matrix[b].tobytes() == want.tobytes()
             assert iterations[b] == it and residual[b] == res
-            one = W.isotropic_position(fm)
-            assert one.matrix.tobytes() == want.tobytes()
-            assert (one.iterations, one.residual) == (it, res)
+            one, one_it, one_res = _isotropic_position(fm)
+            assert one.tobytes() == want.tobytes()
+            assert (one_it, one_res) == (it, res)
 
     def test_residuals_match_the_transformed_measures(self, measures):
         u = np.array([fm.normals for fm in measures])
@@ -239,12 +246,14 @@ class TestStackedIsotropy:
         want = [float(W._second_moment(fm.normals, fm.areas)[1]) for fm in mapped]
         assert got.tolist() == want
 
-    def test_stacked_failures(self, unit_shapes):
+    def test_stacked_failures(self, unit_shapes, monkeypatch):
         cube = W.FacetMeasure.from_zonotope(unit_shapes["cube"])
         fm = W.FacetMeasure(*W._mapped(cube.normals, cube.areas, np.diag([4.0, 1.0, 0.25])))
         u, f = np.array([fm.normals] * 3), np.array([fm.areas] * 3)
-        with pytest.raises(W.NoConvergence, match="within 1 iterations"):
-            W.isotropic_positions(u, f, max_iter=1)
+        with monkeypatch.context() as patch:
+            patch.setattr(W, "ISOTROPY_MAX_ITER", 1)
+            with pytest.raises(W.NoConvergence, match="within 1 iterations"):
+                W.isotropic_positions(u, f)
         matrix, iterations, _ = W.isotropic_positions(u, f)
         assert (iterations == iterations[0]).all() and (matrix == matrix[0]).all()
 

@@ -149,6 +149,18 @@ class TestBuild:
         with pytest.raises(Z.FlatBody):
             Z.build_zonotope(segs)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-12])
+    def test_span_test_is_relative_to_the_scale(self, scale):
+        # coplanar segments are flat, and a cube is a cube, at any scale
+        segs = np.array([[1.0, 0, 0], [0.0, 1, 0], [1.0, 1, 0]])
+        with pytest.raises(Z.FlatBody):
+            Z.build_zonotope(segs * scale)
+        with pytest.raises(Z.FlatBody):
+            Z.build_zonotope(np.array([[1.0, 0, 0], [0.0, 1, 0], [1.0, 1, 1e-13]]) * scale)
+        z = Z.cube(scale)
+        assert (len(z.vertices), len(z.edge_vertex_ids), len(z.facet_cycles)) == (8, 12, 6)
+        assert abs(z.volume() - scale**3) <= 1e-12 * scale**3
+
     def test_parallel_segments(self):
         segs = np.array([[1.0, 0, 0], [2.0, 0, 0], [0.0, 1, 0], [0.0, 0, 1]])
         with pytest.raises(Z.ParallelSegments, match="segments 0 and 1 are parallel"):
