@@ -4,11 +4,12 @@
 batch kernels below, the simplex grid scan, the simplex objective and
 ``zonotope.volume_polynomial`` all evaluate it, the scan, the objective and
 the type-4 functional on its tau34 = 0 face.  ``greedy_descent`` is
-the one local search: the simplex and decomposable brute-force oracles
-both refine their best grid point with it, evaluating the candidate
-moves of a sweep in one call, and after an improving move the rest of the
-sweep wrapped round to it, so that no move is evaluated twice from one
-point.  ``_chord_lengths`` is the one chord formula;
+the one local search, for ``REFINE_ROUNDS`` rounds: the simplex and
+decomposable brute-force oracles both refine their best grid point with
+it.  A call evaluates, with one ``moves`` and one ``f_many`` call, the rest
+of the round after a hit, wrapped round, and the next round, or every
+round left after a call that finds nothing; no move is evaluated twice
+from one point.  ``_chord_lengths`` is the one chord formula;
 ``skeleton_density`` runs it only on shell edges that may cross the sphere.
 ``_cross_rows`` is the one cross product of 3-vectors, on three component
 rows each.  ``cross3`` and ``det3`` apply it over the last axis, without
@@ -134,40 +135,41 @@ def simplex_grid_scan(lam: float, grid_n: int, budget: float):
     return best, np.array((a, b[k], c[k], d[k], n - a - s[k]), dtype=np.int64)
 
 
-def greedy_descent(f_many, moves, x, step: float, rounds: int):
+#: Rounds of the greedy descent that refines each grid oracle's best point.
+REFINE_ROUNDS = 60
+
+
+def greedy_descent(f_many, moves, x, step: float):
     """Minimise from ``x`` by greedy moves, a sweep at a time; returns ``(best, x)``.
 
-    ``moves(x, step)`` returns every candidate point as a row, with a mask
-    of the allowed ones, and ``f_many`` evaluates a column stack of points.
-    A sweep takes the moves in row order, each from the current point, and
-    keeps every strict improvement; a sweep that improves nothing ends its
-    round, halving ``step``, ``rounds`` times.  One call evaluates the
-    allowed moves of one or more rounds and takes the first improving one.
-    After a hit at move h, the next call evaluates moves h + 1, ..., h from
-    the new point, wrapping round: the sweep a one-at-a-time search goes on
-    with, less the moves of its next sweep that would only repeat; then the
-    next round, at half the step.  A call that finds nothing leaves the
-    point as it was, and the next one takes the sweeps of twice as many
-    rounds.  These are the points a one-at-a-time sweep visits, in the same
-    order, and no move is evaluated twice from one point.
+    ``moves(x, steps)`` returns, for an array of R step sizes, the (R, M, d)
+    candidate points and an (R, M) mask of the allowed ones; ``f_many``
+    evaluates a column stack of points.  A sweep takes the moves in row
+    order, each from the current point, and keeps every strict improvement;
+    a sweep that improves nothing ends its round, halving ``step``,
+    ``REFINE_ROUNDS`` times.  Each call evaluates the allowed moves of its
+    rounds with one ``moves`` and one ``f_many`` call and takes the first
+    improving one: after a hit at move h, moves h + 1, ..., h of that round
+    from the new point, wrapping round, then the next round; after a call
+    that finds nothing, every round left.  These are the points a
+    one-at-a-time sweep visits, in the same order, and no move is evaluated
+    twice from one point.
     """
     x = np.asarray(x, dtype=np.float64)
     best = f_many(x[:, None])[0]
-    start, span = 0, 1
+    rounds, start, span = REFINE_ROUNDS, 0, 1
     while rounds:
-        batch = [moves(x, step * 0.5**j) for j in range(min(span, rounds))]
-        cand, allowed = (np.concatenate(parts) for parts in zip(*batch))
-        size, rows = len(batch[0][1]), allowed.nonzero()[0]
-        if start:  # the first round's moves from start on, then those before it
-            i, j = np.searchsorted(rows, (start, size))
-            rows = np.concatenate((rows[i:j], rows[:i], rows[j:]))
-        vals = f_many(cand[rows].T) if rows.size else np.empty(0)
+        cand, allowed = moves(x, step * 0.5 ** np.arange(min(span, rounds)))
+        cand, size, rows = cand.reshape(-1, len(x)), allowed.shape[1], np.flatnonzero(allowed)
+        i, j = np.searchsorted(rows, (start, size))  # the first round from start, then before it
+        rows = np.concatenate((rows[i:j], rows[:i], rows[j:]))
+        vals = f_many(cand[rows].T)
         hits = (vals < best).nonzero()[0]
         if hits.size:  # skip the rounds before the hit, which found nothing
             skip, move = divmod(int(rows[hits[0]]), size)
             best, x, start, span = vals[hits[0]], cand[rows[hits[0]]], (move + 1) % size, 2
         else:
-            skip, start, span = len(batch), 0, 2 * span
+            skip, start, span = len(allowed), 0, rounds
         rounds, step = rounds - skip, step * 0.5**skip
     return float(best), x
 

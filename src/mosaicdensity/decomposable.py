@@ -216,9 +216,6 @@ def _axis_points(grid_n: int, dims: int) -> int:
 #: Most points the oracle scan evaluates at once, in slabs of its first axis.
 SLAB_POINTS = 65_536
 
-#: Sweeps of the greedy descent that refines the oracle's best grid point.
-REFINE_ROUNDS = 60
-
 
 def _scan_min(axes: list, k: int, odd: bool) -> tuple[float, tuple[int, ...]]:
     """Value and index of the first minimum in C order of ``_oracle_bound``
@@ -251,8 +248,8 @@ def brute_force_minimize(n: int, grid_n: int = 30) -> float:
     best grid point; one on the edge of the log-area box raises
     ``OracleBoxEdge`` (the e_hat axes span the bound's domain [3, 6], so an
     edge there is expected).  ``_kernels.greedy_descent`` refines the best grid
-    point from step 3 / grid_n for ``REFINE_ROUNDS`` sweeps; a sweep evaluates,
-    in one call, the steps of each coordinate down and up (e_hats clipped to [3, 6]).
+    point from step 3 / grid_n; its moves, the steps of each coordinate down and
+    up (e_hats clipped to [3, 6]), are one broadcast over the step sizes of a call.
     """
     if n < 2 or n > 7:
         raise ValueError("oracle covers dimensions 2..7")
@@ -272,14 +269,12 @@ def brute_force_minimize(n: int, grid_n: int = 30) -> float:
     signs = np.repeat(np.eye(dims), 2, axis=0) * np.tile([-1.0, 1.0], dims)[:, None]
     lo = np.array([3.0] * k + [-np.inf] * (dims - k))
     hi = np.array([6.0] * k + [np.inf] * (dims - k))
-    allowed = np.ones(2 * dims, dtype=bool)
 
-    def axis_moves(x: np.ndarray, step: float):
-        return np.minimum(np.maximum(x + step * signs, lo), hi), allowed
+    def axis_moves(x: np.ndarray, steps: np.ndarray):
+        cand = np.minimum(np.maximum(x + steps[:, None, None] * signs, lo), hi)
+        return cand, np.ones(cand.shape[:2], dtype=bool)
 
-    best, _ = _kernels.greedy_descent(
-        lambda y: _oracle_bound(y, k, odd), axis_moves, x, 3.0 / grid_n, REFINE_ROUNDS
-    )
+    best, _ = _kernels.greedy_descent(lambda y: _oracle_bound(y, k, odd), axis_moves, x, 3.0 / grid_n)
     return best
 
 

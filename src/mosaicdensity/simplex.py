@@ -29,10 +29,6 @@ class DomainError(ValueError):
     """Scale factor outside the hypothesis lambda >= 1."""
 
 
-#: Sweeps of the greedy descent that refines the grid oracle's best point.
-REFINE_ROUNDS = 60
-
-
 @dataclass(frozen=True)
 class SimplexPoint:
     """Feasible point: five nonnegative coordinates summing to 1."""
@@ -99,9 +95,9 @@ def grid_simplex_max(lam: float, grid_n: int = 60) -> float:
     evaluates the floor and the ceiling of its vertex, and of tied maxima
     keeps the smallest a, then the first (b, c, d) by sum, then by (b, c).
     Refinement runs ``_kernels.greedy_descent`` on the negated objective
-    from the best grid point, with step ``1 / grid_n``, for ``REFINE_ROUNDS``
-    sweeps: the 20 pairwise mass transfers of a sweep, each allowed where
-    its source holds at least the step, are evaluated in one call and keep
+    from the best grid point, with step ``1 / grid_n``: its moves, the 20
+    pairwise mass transfers, each allowed where its source holds at least
+    the step, are one broadcast over the step sizes of a call and keep
     every point on the simplex.
     """
     if lam < 1.0:
@@ -111,7 +107,7 @@ def grid_simplex_max(lam: float, grid_n: int = 60) -> float:
     _, comp = _kernels.simplex_grid_scan(lam, grid_n, 1.0)
     neg, _ = _kernels.greedy_descent(
         lambda u: -_objective(lam, u),
-        lambda t, step: (t + step * _TRANSFERS, t[_SOURCES] >= step),
-        comp.astype(np.float64) / grid_n, 1.0 / grid_n, REFINE_ROUNDS,
+        lambda t, steps: (t + steps[:, None, None] * _TRANSFERS, t[_SOURCES] >= steps[:, None]),
+        comp.astype(np.float64) / grid_n, 1.0 / grid_n,
     )
     return -neg

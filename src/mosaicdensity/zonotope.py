@@ -225,32 +225,36 @@ def build_zonotope(generators, labels: Sequence | None = None) -> Zonotope:
     are dropped with their labels.  The remaining ones must span R^3, with
     three singular values above 1e-12 times the longest segment, at any
     scale (:class:`FlatBody` otherwise), and be pairwise non-parallel
-    (:class:`ParallelSegments`).  A set of segments is an integer bitmask.
-    The coplanar classes at relative tolerance ``COPLANAR_TOL`` are the
-    distinct in-plane masks of the pair normals, in first-pair order, and
-    each gives a facet for each sign of its normal.  A facet cycle starts at
-    the facet's base (the segments on the normal's side) plus its turned
-    members and toggles the members in the triple-product order of the
-    module docstring, once per round; no hull is formed.  Vertex ids
-    follow first occurrence in the cycles; vertices are subset sums,
-    recentered so the body is symmetric about the origin.  Each edge is a
-    translate of exactly one segment and carries that segment's index.
+    (:class:`ParallelSegments`).  Norms, normals and signs are taken on the
+    generators times the power of two that puts their largest |coordinate|
+    in [2^-101, 2^100), so squares stay normal.  A set of segments is an
+    integer bitmask.  The coplanar classes at relative tolerance
+    ``COPLANAR_TOL`` are the distinct in-plane masks of the pair normals,
+    in first-pair order, and each gives a facet for each sign of its
+    normal.  A facet cycle starts at the facet's base (the segments on the
+    normal's side) plus its turned members and toggles the members in the
+    triple-product order of the module docstring, once per round; no hull
+    is formed.  Vertex ids follow first occurrence in the cycles; vertices
+    are subset sums, recentered so the body is symmetric about the origin.
+    Each edge is a translate of one segment and carries its index.
     """
     gens = np.asarray(generators, dtype=np.float64)
     gens = gens.reshape(len(gens), 3)
     if len(gens) > 6:
         raise GeometryError("at most six segments are supported")
-    norms = np.linalg.norm(gens, axis=1)
+    e = math.frexp(np.abs(gens).max(initial=0.0))[1]
+    scaled = np.ldexp(gens, min(max(e, -100), 100) - e)
+    norms = np.linalg.norm(scaled, axis=1)
     keep = norms > 0.0
     labels = range(len(gens)) if labels is None else labels
     labels = tuple(label for label, kept in zip(labels, keep, strict=True) if kept)
-    k, gens, norms = int(keep.sum()), gens[keep], norms[keep]
-    if k < 3 or (np.linalg.svd(gens, compute_uv=False) > 1e-12 * norms.max()).sum() < 3:
+    k, gens, scaled, norms = int(keep.sum()), gens[keep], scaled[keep], norms[keep]
+    if k < 3 or (np.linalg.svd(scaled, compute_uv=False) > 1e-12 * norms.max()).sum() < 3:
         raise FlatBody("nonzero segments do not span R^3")
     bit = _BITS[:k]
 
     i, j = _PAIR_INDEX[k]
-    cr = cross3(gens[i], gens[j])
+    cr = cross3(scaled[i], scaled[j])
     crn = np.linalg.norm(cr, axis=1)
     parallel = crn <= COPLANAR_TOL * norms[i] * norms[j]
     if parallel.any():
@@ -258,11 +262,13 @@ def build_zonotope(generators, labels: Sequence | None = None) -> Zonotope:
         raise ParallelSegments(f"segments {i[q]} and {j[q]} are parallel")
     normals = cr / crn[:, None]
     masks, first, inverse = np.unique(
-        (np.abs(normals @ gens.T) <= COPLANAR_TOL * norms) @ bit, return_index=True, return_inverse=True
+        (np.abs(normals @ scaled.T) <= COPLANAR_TOL * norms) @ bit, return_index=True, return_inverse=True
     )
     order = np.argsort(first)  # classes in first-pair order
     n0 = normals[first[order]]
-    if (np.abs(np.abs((n0[np.argsort(order)[inverse]] * normals).sum(axis=1)) - 1.0) > 1e-9).any():
+    ref = first[inverse]  # the first pair of each pair's class, whose plane the later ones must share
+    dots = (normals[ref, None] @ normals[:, :, None])[:, 0, 0]  # row dots, as 1-D ``@``
+    if (np.abs(np.abs(dots[ref < np.arange(len(ref))]) - 1.0) > 1e-9).any():
         raise ConstructionError("inconsistent coplanar classes")
     n0[n0[np.arange(len(n0)), np.abs(n0).argmax(axis=1)] < 0] *= -1.0
 
@@ -270,7 +276,7 @@ def build_zonotope(generators, labels: Sequence | None = None) -> Zonotope:
     normal = np.empty((2 * len(n0), 3))
     normal[0::2], normal[1::2] = n0, -n0
     inbits = (np.repeat(masks[order], 2)[:, None] >> np.arange(k)) & 1
-    base = (normal @ gens.T > COPLANAR_TOL * norms) @ bit
+    base = (normal @ scaled.T > COPLANAR_TOL * norms) @ bit
     size = inbits.sum(axis=1)
     start = np.cumsum(2 * size) - 2 * size
     cyc = np.empty(2 * size.sum(), dtype=np.int64)
@@ -278,7 +284,7 @@ def build_zonotope(generators, labels: Sequence | None = None) -> Zonotope:
     for c in sorted(set(size.tolist())):
         fs = np.flatnonzero(size == c)
         mem = np.nonzero(inbits[fs])[1].reshape(len(fs), c)
-        g = gens[mem]
+        g = scaled[mem]
         t = det3(normal[fs, None, None], g[:, :, None], g[:, None, :])  # det3(n, g_a, g_b)
         turned = t[:, 0] < 0
         sgn = np.where(turned, -1.0, 1.0)

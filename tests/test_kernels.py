@@ -161,11 +161,12 @@ class TestGridScan:
             assert value == want_value and comp.tolist() == want_comp.tolist()
 
 
-def _axis_moves(x, step):
-    # row 2 * axis steps down that axis, row 2 * axis + 1 steps up; all allowed
+def _axis_moves(x, steps):
+    # per step size, row 2 * axis steps down that axis, row 2 * axis + 1 steps up; all allowed
     x = np.asarray(x, dtype=np.float64)
     signs = np.repeat(np.eye(len(x)), 2, axis=0) * np.tile([-1.0, 1.0], len(x))[:, None]
-    return x + step * signs, np.ones(2 * len(x), dtype=bool)
+    cand = x + np.asarray(steps)[:, None, None] * signs
+    return cand, np.ones(cand.shape[:2], dtype=bool)
 
 
 def _quadratic(x):
@@ -192,21 +193,23 @@ def _greedy_descent_reference(f, move, n_moves, x, step, rounds):
     return best, x
 
 
-def _one_move_per_call(f_many, moves, x, step, rounds):
+def _one_move_per_call(f_many, moves, x, step):
     # greedy_descent's interface served by the reference, one point per call
     def move(x, step, i):
-        cand, allowed = moves(x, step)
-        return cand[i] if allowed[i] else None
+        cand, allowed = moves(x, np.array([step]))
+        return cand[0, i] if allowed[0, i] else None
 
     x = np.asarray(x, dtype=np.float64)
-    n_moves = len(moves(x, step)[1])
-    best, x = _greedy_descent_reference(lambda y: f_many(y[:, None])[0], move, n_moves, x, step, rounds)
+    n_moves = moves(x, np.array([step]))[1].shape[1]
+    best, x = _greedy_descent_reference(
+        lambda y: f_many(y[:, None])[0], move, n_moves, x, step, K.REFINE_ROUNDS
+    )
     return float(best), x
 
 
 class TestGreedyDescent:
     def test_reaches_quadratic_minimum(self):
-        best, x = K.greedy_descent(_quadratic, _axis_moves, [0.0, 0.0], 0.25, 50)
+        best, x = K.greedy_descent(_quadratic, _axis_moves, [0.0, 0.0], 0.25)
         assert abs(x[0] - 0.3) < 1e-12 and abs(x[1] + 0.7) < 1e-12
         assert best == _quadratic(x)
 
@@ -219,50 +222,51 @@ class TestGreedyDescent:
             evaluated.append(y[0].copy())
             return _quadratic(y)
 
-        def moves(x, step):
-            cand, allowed = _axis_moves(x, step)
-            allowed[0] = False
+        def moves(x, steps):
+            cand, allowed = _axis_moves(x, steps)
+            allowed[:, 0] = False
             return cand, allowed
 
-        best, x = K.greedy_descent(f_many, moves, [1.0, 0.0], 0.25, 50)
+        best, x = K.greedy_descent(f_many, moves, [1.0, 0.0], 0.25)
         assert x[0] == 1.0 and abs(x[1] + 0.7) < 1e-6
         assert best == _quadratic(x)
         assert (np.concatenate(evaluated) >= 1.0).all()  # the step down is never evaluated
 
-    def test_step_halves_once_per_round(self):
+    def test_step_halves_once_per_round(self, monkeypatch):
         steps = []
 
-        def moves(x, step):
-            steps.append(step)
-            return _axis_moves(x, step)
+        def moves(x, s):
+            steps.extend(s.tolist())
+            return _axis_moves(x, s)
 
         rounds = 12
-        _, x = K.greedy_descent(_quadratic, moves, [0.0, 0.0], 1.0, rounds)
+        monkeypatch.setattr(K, "REFINE_ROUNDS", rounds)
+        _, x = K.greedy_descent(_quadratic, moves, [0.0, 0.0], 1.0)
         assert sorted(set(steps), reverse=True) == [0.5**r for r in range(rounds)]
         # at the floor step no axis move improves
         floor = 0.5 ** (rounds - 1)
-        assert (_quadratic(_axis_moves(x, floor)[0].T) >= _quadratic(x)).all()
+        assert (_quadratic(_axis_moves(x, [floor])[0][0].T) >= _quadratic(x)).all()
 
     def test_ties_do_not_move(self):
-        best, x = K.greedy_descent(lambda y: np.ones(y.shape[1]), _axis_moves, [2.0, 3.0], 0.5, 5)
+        best, x = K.greedy_descent(lambda y: np.ones(y.shape[1]), _axis_moves, [2.0, 3.0], 0.5)
         assert best == 1.0 and x.tolist() == [2.0, 3.0]
 
     def test_stalled_rounds_share_calls(self):
-        # no move ever improves: after the first round's sweep, each call
-        # takes the sweeps of twice as many rounds, the last one what is left
+        # no move ever improves: after the first round's sweep, one call
+        # takes the sweeps of every round left
         calls, steps = [], []
 
         def f_many(y):
             calls.append(y.shape[1])
             return np.ones(y.shape[1])
 
-        def moves(x, step):
-            steps.append(step)
-            return _axis_moves(x, step)
+        def moves(x, s):
+            steps.extend(s.tolist())
+            return _axis_moves(x, s)
 
-        best, x = K.greedy_descent(f_many, moves, [2.0, 3.0], 0.5, 60)
+        best, x = K.greedy_descent(f_many, moves, [2.0, 3.0], 0.5)
         assert best == 1.0 and x.tolist() == [2.0, 3.0]
-        assert calls == [1] + [4 * r for r in (1, 2, 4, 8, 16, 29)]
+        assert K.REFINE_ROUNDS == 60 and calls == [1, 4, 236]
         assert steps == [0.5 * 0.5**r for r in range(60)]
 
     @pytest.mark.parametrize("seed", range(6))
@@ -285,8 +289,8 @@ class TestGreedyDescent:
 
         x0 = rng.uniform(-2.0, 2.0, 3)
         got, want = [], []
-        best, x = K.greedy_descent(taking(got), _axis_moves, x0, 1.0, 40)
-        want_best, want_x = _one_move_per_call(taking(want), _axis_moves, x0, 1.0, 40)
+        best, x = K.greedy_descent(taking(got), _axis_moves, x0, 1.0)
+        want_best, want_x = _one_move_per_call(taking(want), _axis_moves, x0, 1.0)
         assert best == want_best and x.tolist() == want_x.tolist()
         assert got == want and len(got) > 10
 
@@ -298,7 +302,7 @@ class TestGreedyDescent:
         assert D.brute_force_minimize(n, grid_n) == got
 
     @pytest.mark.parametrize("grid_n", [10, 60])
-    @pytest.mark.parametrize("lam", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("lam", [1.0, 1.5, 2.0, 2.5, 3.0])
     def test_simplex_oracle_matches_one_move_per_call(self, monkeypatch, lam, grid_n):
         got = S.grid_simplex_max(lam, grid_n=grid_n)
         monkeypatch.setattr(K, "greedy_descent", _one_move_per_call)
@@ -321,12 +325,14 @@ def _each_move_once(descent, calls):
     equal columns are the same move; fails on a move evaluated twice from the same point.  The
     first improving column of a call is the next point, and the columns after it are discarded."""
 
-    def checked(f_many, moves, x, step, rounds):
+    def checked(f_many, moves, x, step):
         state = {"best": None, "seen": set()}
 
-        def labelled(x, step):
-            cand, allowed = moves(x[:-2], step)
-            return np.column_stack([cand, np.full(len(cand), step), np.arange(len(cand))]), allowed
+        def labelled(x, steps):
+            cand, allowed = moves(x[:-2], steps)
+            shape = allowed.shape
+            step_col, row_col = np.broadcast_to(steps[:, None], shape), np.broadcast_to(np.arange(shape[1]), shape)
+            return np.dstack([cand, step_col, row_col]), allowed
 
         def checking(y):
             calls.append(y.shape[1])
@@ -339,7 +345,7 @@ def _each_move_once(descent, calls):
                     break
             return vals
 
-        best, x = descent(checking, labelled, np.append(x, (0.0, -1.0)), step, rounds)
+        best, x = descent(checking, labelled, np.append(x, (0.0, -1.0)), step)
         return best, x[:-2]
 
     return checked
@@ -353,22 +359,49 @@ class TestEachMoveOnce:
     def test_coupled_l1(self, seed):
         f_many, x0 = _coupled_l1(seed)
         calls = []
-        best, x = _each_move_once(K.greedy_descent, calls)(f_many, _axis_moves, x0, 1.0, 40)
-        want_best, want_x = K.greedy_descent(f_many, _axis_moves, x0, 1.0, 40)
+        best, x = _each_move_once(K.greedy_descent, calls)(f_many, _axis_moves, x0, 1.0)
+        want_best, want_x = K.greedy_descent(f_many, _axis_moves, x0, 1.0)
         assert best == want_best and x.tolist() == want_x.tolist() and len(calls) > 10
 
     # the descent is deterministic, so each oracle's f_many calls are an exact count
-    @pytest.mark.parametrize("n, count", [(3, 24), (5, 41), (7, 86)])
+    @pytest.mark.parametrize("n, count", [(3, 20), (5, 38), (7, 83)])
     def test_decomposable_oracle(self, monkeypatch, n, count):
         want, calls = D.brute_force_minimize(n, 30), []
         monkeypatch.setattr(K, "greedy_descent", _each_move_once(K.greedy_descent, calls))
         assert D.brute_force_minimize(n, 30) == want and len(calls) == count
 
-    @pytest.mark.parametrize("lam, count", [(1.5, 11), (2.0, 65), (2.5, 53)])
+    @pytest.mark.parametrize("lam, count", [(1.5, 5), (2.0, 62), (2.5, 50)])
     def test_simplex_oracle(self, monkeypatch, lam, count):
         want, calls = S.grid_simplex_max(lam, grid_n=60), []
         monkeypatch.setattr(K, "greedy_descent", _each_move_once(K.greedy_descent, calls))
         assert S.grid_simplex_max(lam, grid_n=60) == want and len(calls) == count
+
+    @pytest.mark.parametrize(
+        "run",
+        [lambda n=n: D.brute_force_minimize(n, 30) for n in range(2, 8)]
+        + [lambda lam=lam: S.grid_simplex_max(lam, grid_n=60) for lam in (1.5, 2.0, 2.5)],
+        ids=[f"decomp-{n}" for n in range(2, 8)] + [f"simplex-{lam}" for lam in (1.5, 2.0, 2.5)],
+    )
+    def test_one_moves_call_per_f_many_call(self, monkeypatch, run):
+        # after the first call, at x, every f_many call evaluates the candidates of one moves call
+        descent, log = K.greedy_descent, []
+
+        def counted(f_many, moves, x, step):
+            def f(y):
+                log.append("f")
+                return f_many(y)
+
+            def m(x, steps):
+                log.append("moves")
+                return moves(x, steps)
+
+            return descent(f, m, x, step)
+
+        monkeypatch.setattr(K, "greedy_descent", counted)
+        want = run()
+        assert log[0] == "f" and log[1:] == ["moves", "f"] * (len(log) // 2) and len(log) > 2
+        monkeypatch.setattr(K, "greedy_descent", descent)
+        assert run() == want
 
 
 def _products_of_norms(*vs):

@@ -4,10 +4,11 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_legendre
 
+from mosaicdensity import tiling as T
 from mosaicdensity import weights
 from mosaicdensity import zonotope as Z
 
@@ -160,6 +161,23 @@ class TestBuild:
         z = Z.cube(scale)
         assert (len(z.vertices), len(z.edge_vertex_ids), len(z.facet_cycles)) == (8, 12, 6)
         assert abs(z.volume() - scale**3) <= 1e-12 * scale**3
+
+    @pytest.mark.parametrize("k", range(-300, 301, 10))
+    def test_cube_at_every_scale(self, k):
+        # no norm underflows or overflows before the vertices: a cube of edge
+        # 1e-150..1e150 has the unit cube's normals, and tiles to 1e-100..1e100;
+        # past 1e154 the facet areas overflow
+        edge = 10.0**k
+        try:
+            with np.errstate(over="ignore"):
+                z = Z.cube(edge)
+        except Z.GeometryError:
+            assert abs(k) > 150
+            return
+        assert z.facet_normals.tobytes() == Z.cube(1.0).facet_normals.tobytes()
+        if abs(k) <= 100:
+            T.validate_tiling(z, T.lattice_from_parallelohedron(z))
+            assert abs(z.volume() / edge**3 - 1.0) <= 1e-12
 
     def test_parallel_segments(self):
         segs = np.array([[1.0, 0, 0], [2.0, 0, 0], [0.0, 1, 0], [0.0, 0, 1]])
@@ -378,6 +396,8 @@ class TestBitmaskBuild:
             max_size=6,
         )
     )
+    # pair cross products of size 1e-162, whose squares are subnormal
+    @example([(0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0.0, 0.0, 6.380143499413343e-162)])
     def test_same_body_or_same_error(self, vectors):
         # small integer vectors make zero, parallel, flat and many-member
         # coplanar sets common
