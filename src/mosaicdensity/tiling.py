@@ -33,14 +33,7 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from . import _kernels
-from .zonotope import (
-    BeltClass,
-    GeometryError,
-    WeightPair,
-    Zonotope,
-    belts,
-    weighted_edge_functional,
-)
+from .zonotope import BeltClass, GeometryError, WeightPair, Zonotope, belts, weighted_edge_functional
 
 
 class NoValidBasis(GeometryError):
@@ -95,6 +88,7 @@ def _lll_unimodular(basis: np.ndarray) -> np.ndarray:
 
 _LINE_CHUNK = 256  # lattice lines whose band is formed, and clipped, per block
 _MAX_RADIUS = 100.0  # ball radius in cell diameters; the (c1, c2) line table grows as its square
+_RADIUS_BAND = (1e-60, 1e60)  # the chord terms ~ (radius x edge)^2 leave the doubles past radius x edge 1e154 or 1e-158
 _CENTRAL = np.array([np.eye(3), -np.eye(3)], dtype=np.int64)  # x -> x and x -> -x, on any coefficients
 
 
@@ -401,12 +395,14 @@ def edge_classes(z: Zonotope, lat: Lattice) -> EdgeClasses:
 
 
 def _check_radius(z: Zonotope, radius: float) -> None:
-    """Raise RadiusTooSmall unless radius is finite and at least 3x the cell diameter; ValueError past the cap."""
+    """Raise RadiusTooSmall unless radius is finite and >= 3x the cell diameter; ValueError past the cap or the band."""
     floor, cap = 3.0 * z.diameter(), _MAX_RADIUS * z.diameter()
     if not (math.isfinite(radius) and radius >= floor):
         raise RadiusTooSmall(f"radius must be finite and at least 3x cell diameter {floor:.6g}, got {radius}")
     if radius > cap:
         raise ValueError(f"radius must be at most {_MAX_RADIUS:g}x cell diameter {cap:.6g}, got {radius}")
+    if not _RADIUS_BAND[0] <= radius <= _RADIUS_BAND[1]:
+        raise ValueError(f"radius must be in [{_RADIUS_BAND[0]:g}, {_RADIUS_BAND[1]:g}], got {radius}")
 
 
 def _shell_pairs(start: np.ndarray, end: np.ndarray, radius: float):

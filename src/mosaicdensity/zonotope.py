@@ -236,7 +236,8 @@ def build_zonotope(generators, labels: Sequence | None = None) -> Zonotope:
     triple-product order of the module docstring, once per round; no hull
     is formed.  Vertex ids follow first occurrence in the cycles; vertices
     are subset sums, recentered so the body is symmetric about the origin.
-    Each edge is a translate of one segment and carries its index.
+    Each edge is a translate of one segment and carries its index.  A facet
+    area that overflows raises :class:`ConstructionError`, without a warning.
     """
     gens = np.asarray(generators, dtype=np.float64)
     gens = gens.reshape(len(gens), 3)
@@ -320,10 +321,13 @@ def build_zonotope(generators, labels: Sequence | None = None) -> Zonotope:
         raise ConstructionError("an edge is not shared by exactly two facets")
 
     area = np.empty(len(normal))
-    for fs, pos in groups:
-        corner = verts[ids[pos[:, :1]]]
-        twice = cross3(verts[ids[pos]] - corner, verts[ids[nxt[pos]]] - corner).sum(axis=1)
-        area[fs] = (twice[:, None] @ normal[fs, :, None])[:, 0, 0] / 2.0  # row dots, as 1-D ``@``
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed area is refused below, not warned of
+        for fs, pos in groups:
+            corner = verts[ids[pos[:, :1]]]
+            twice = cross3(verts[ids[pos]] - corner, verts[ids[nxt[pos]]] - corner).sum(axis=1)
+            area[fs] = (twice[:, None] @ normal[fs, :, None])[:, 0, 0] / 2.0  # row dots, as 1-D ``@``
+    if not np.isfinite(area).all():
+        raise ConstructionError("facet areas overflow the doubles")
     if (area <= 0).any():
         raise ConstructionError("facet cycle is not counterclockwise about its normal")
 

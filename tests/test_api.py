@@ -1,7 +1,7 @@
-"""The package's export list: every exported name resolves, every name the package binds is exported, and an
-exported name that no module of the package uses is listed with its reason; a keyword default of a public
-function that no call in the package passes is listed with its reason; and the README's count of the package's
-source lines is current."""
+"""The package's public surface: the root binds only its version and backend flag, a public top-level name of
+a module that no module of the package uses is listed with its reason; a keyword default of a public function
+that no call in the package passes is listed with its reason; and the README's count of the package's source
+lines is current."""
 
 import ast
 import re
@@ -9,60 +9,100 @@ from pathlib import Path
 
 import mosaicdensity
 
+PACKAGE = Path(mosaicdensity.__file__).parent
 
-def _bound_names():
-    """Names that ``__init__.py`` imports or assigns at module level, ``__all__`` aside."""
-    tree = ast.parse(Path(mosaicdensity.__file__).read_text(encoding="utf-8"))
-    names = []
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom):
-            names += [alias.asname or alias.name for alias in node.names]
-        elif isinstance(node, ast.Assign):
-            names += [t.id for t in node.targets if isinstance(t, ast.Name) and t.id != "__all__"]
-    return names
-
-
-#: Exported names that no module of the package references, and why each stays.
-UNREFERENCED_EXPORTS = {
+#: The names the package root binds, and why each is there; every other name is imported from its module.
+ROOT_NAMES = {
     "NUMBA_ENABLED": "perfbench/worker.py reports it; it leaves with the benchmark change of ROADMAP item 18",
-    "__version__": "the package version",
-    "center": "ROADMAP item 11 gives it a caller: the type-4 minimizer",
-    "monotonicity_certificates": "acceptance test 11 and perfbench run it; ROADMAP item 16 gives it a command",
-    "skeleton_density": "acceptance test 09 and perfbench's bodies workload run it",
-    "stationary_betas_type4": "ROADMAP item 11 gives it a caller: the type-4 minimizer",
-    "to_json": "writes the documents that tile --shape file: reads",
-    "volume_polynomial": "perfbench's bodies workload and acceptance test 01 call it",
+    "__version__": "the package version, which perfbench/worker.py reports",
 }
 
 
-def _referenced_names():
-    """Names the package's modules, ``__init__.py`` aside, use: a name imported from a module, an attribute read
-    on an imported name, and a loaded name that its own module defines at the top level.  A local variable that
-    shares an export's spelling is none of these."""
-    names = set()
-    for path in Path(mosaicdensity.__file__).parent.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        own = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-        own |= {t.id for node in tree.body if isinstance(node, ast.Assign) for t in node.targets
-                if isinstance(t, ast.Name)}
-        imported = {alias.asname or alias.name for node in ast.walk(tree)
-                    if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                names |= {alias.name for alias in node.names}
-            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in imported:
-                names.add(node.attr)
-            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in own:
-                names.add(node.id)
+def _defined_names(tree):
+    """The names a module defines at its top level: its functions, classes and assigned names."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
     return names
 
 
-def test_unreferenced_exports_are_listed_with_a_reason():
+def test_root_binds_only_its_listed_names():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = [alias.asname or alias.name for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names]
+    assert sorted(imported + _defined_names(tree)) == sorted(ROOT_NAMES)
+    assert not hasattr(mosaicdensity, "__all__")
+
+
+def _modules():
+    """module stem -> parsed source, for every module of the package but its root."""
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+
+
+def _public_names(tree):
+    """The top-level functions, classes and assigned constants of a module whose names have no leading
+    underscore."""
+    return {name for name in _defined_names(tree) if not name.startswith("_")}
+
+
+#: Public top-level names, as module.name, that no module of the package references, and why each stays.
+UNREFERENCED_NAMES = {
+    "_kernels.segment_ball_clip": "perfbench's kernel case runs it; it leaves with ROADMAP item 18",
+    **{f"cli.cmd_{command}": "main runs it through globals()[f'cmd_{...}'], which sees the tracer's swapped "
+                             "module attributes" for command in ("decomp", "fig2", "table1", "tile", "verify", "wm")},
+    "decomposable.monotonicity_certificates": "acceptance test 11 and perfbench run it; ROADMAP item 16 gives it "
+                                              "a command",
+    "tetra.center": "ROADMAP item 11 gives it a caller: the type-4 minimizer",
+    "tiling.skeleton_density": "acceptance test 09 and perfbench's bodies workload run it",
+    "weights.stationary_betas_type4": "ROADMAP item 11 gives it a caller: the type-4 minimizer",
+    "zonotope.to_json": "writes the documents that tile --shape file: reads",
+    "zonotope.volume_polynomial": "perfbench's bodies workload and acceptance test 01 call it",
+}
+
+
+def _own_loads(node, own, local=frozenset()):
+    """The names of ``own`` that ``node`` loads where no enclosing function binds them: a function's
+    parameters and assigned names are local throughout its body, as in Python's scoping."""
+    if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p is not None]
+        stores = {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        local = local | stores | {p.arg for p in params}
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in own and node.id not in local:
+        return {node.id}
+    return set().union(*(_own_loads(child, own, local) for child in ast.iter_child_nodes(node)))
+
+
+def _referenced_names(modules):
+    """module.name of every name the package's modules use: a name imported from a sibling module, an
+    attribute read on a sibling module, and a name that its own module defines at the top level, loaded
+    where no function binds it.  A local variable or attribute that shares a public name's spelling is none
+    of these."""
+    names = set()
+    for stem, tree in modules.items():
+        siblings = {}  # local name -> module stem, for ``from . import module``
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None:
+                siblings.update({alias.asname or alias.name: alias.name for alias in node.names})
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is not None:
+                names |= {f"{node.module}.{alias.name}" for alias in node.names}
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in siblings:
+                names.add(f"{siblings[node.value.id]}.{node.attr}")
+        names |= {f"{stem}.{name}" for name in _own_loads(tree, _public_names(tree))}
+    return names
+
+
+def test_unreferenced_names_are_listed_with_a_reason():
     # both ways: a name that loses its last use must be listed, and a listed name that gains one must leave the list
-    unreferenced = set(mosaicdensity.__all__) - _referenced_names()
-    assert sorted(unreferenced) == sorted(UNREFERENCED_EXPORTS)
+    modules = _modules()
+    public = {f"{stem}.{name}" for stem, tree in modules.items() for name in _public_names(tree)}
+    assert sorted(public - _referenced_names(modules)) == sorted(UNREFERENCED_NAMES)
 
 
 #: Keyword defaults, as module.function.parameter, of the package's public functions that no call in its modules
@@ -80,7 +120,7 @@ def _keyword_defaults():
     """module.function.parameter of each parameter with a default of a top-level function of the package's
     modules whose name has no leading underscore, with that function's positional parameter names."""
     out = {}
-    for path in Path(mosaicdensity.__file__).parent.glob("*.py"):
+    for path in PACKAGE.glob("*.py"):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
                 a = node.args
@@ -95,7 +135,7 @@ def _passed_parameters():
     """function name -> the parameter names and the count of positional arguments of every call that the
     package's modules make by that name, bare or as an attribute; a call with * or ** passes everything."""
     passed = {}
-    for path in Path(mosaicdensity.__file__).parent.glob("*.py"):
+    for path in PACKAGE.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
                 name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
@@ -114,21 +154,6 @@ def test_keyword_defaults_are_passed_or_listed():
                    for count, names, spread in passed.get(function, [])):
             unpassed.append(key)
     assert sorted(unpassed) == sorted(UNPASSED_DEFAULTS)
-
-
-def test_every_export_resolves():
-    assert len(set(mosaicdensity.__all__)) == len(mosaicdensity.__all__)
-    missing = [name for name in mosaicdensity.__all__ if not hasattr(mosaicdensity, name)]
-    assert missing == []
-    namespace = {}
-    exec("from mosaicdensity import *", namespace)
-    assert set(mosaicdensity.__all__) <= set(namespace)
-
-
-def test_every_bound_name_is_exported():
-    bound = _bound_names()
-    assert len(set(bound)) == len(bound)
-    assert sorted(bound) == sorted(mosaicdensity.__all__)
 
 
 def test_readme_states_the_source_line_count():

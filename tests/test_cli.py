@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -376,6 +377,36 @@ class TestTile:
             main(["tile", "--shape", "cube", "--radius", "nan"])
         assert exc.value.code == 2
         assert "--radius: must be finite and > 0, got nan" in capsys.readouterr().err
+
+    @staticmethod
+    def _scaled_cube_argv(directory, k):
+        """tile --series 20e,100e on the file: document of cube() with its generators replaced by I * e, e = 10^k."""
+        path = directory / f"cube{k}.json"
+        path.write_text(json.dumps(dict(zonotope.to_json(zonotope.cube()), generators=(10.0**k * np.eye(3)).tolist())))
+        return ["tile", "--shape", f"file:{path}", "--series", f"{20 * 10.0**k!r},{100 * 10.0**k!r}"]
+
+    @pytest.mark.parametrize("k", range(-300, 301, 10))
+    def test_cube_at_every_scale(self, capsys, tmp_path, k):
+        # each scale either reads cube(1)'s rows, the density times e^2, or is refused as a usage error; at
+        # these radii the chord formula leaves the doubles from edge 1e76 (and 1e-81), where rows read 4% off
+        unit = run_json(capsys, self._scaled_cube_argv(tmp_path, 0))[1]["outputs"]["rows"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning fails the run
+            try:
+                code = main(self._scaled_cube_argv(tmp_path, k))
+            except SystemExit as exc:
+                code = exc.code
+        captured = capsys.readouterr()
+        assert code in (0, 2) and "Traceback" not in captured.err
+        if code == 2:
+            assert captured.out == "" and captured.err.splitlines()[-1].startswith("mosaicdensity: error: argument ")
+            assert not -60 <= k <= 50  # both radii inside [1e-60, 1e60]: the body must be measured
+            return
+        rows = json.loads(captured.out)["outputs"]["rows"]
+        keys = ("cells", "shell", "crossing", "symmetries")
+        assert [[row[key] for key in keys] for row in rows] == [[row[key] for key in keys] for row in unit]
+        for row, ref in zip(rows, unit, strict=True):
+            assert abs(row["density"] * 10.0 ** (2 * k) / ref["density"] - 1.0) <= 1e-12
 
     @pytest.mark.parametrize(
         "argv, screens",

@@ -792,6 +792,18 @@ class TestConvergence:
         with pytest.raises(ValueError, match="^radius must be at most"):
             TL.convergence_series(z, TL.Lattice(np.eye(3)), [3.0 * z.diameter(), 1e300])
 
+    @pytest.mark.parametrize("edge", [1e-70, 1e-60, 1e59, 1e70])
+    def test_radius_band(self, edge):
+        # the chord formula squares about (radius x edge): outside [1e-60, 1e60] it would leave the doubles
+        z, lat = cube(edge), TL.Lattice(edge * np.eye(3))
+        radius = 20.0 * edge
+        if 1e-60 <= radius <= 1e60:
+            assert TL.convergence_series(z, lat, [radius])[0].cells > 0
+            return
+        with pytest.raises(ValueError, match=r"^radius must be in \[1e-60, 1e\+60\], got ") as exc:
+            TL.convergence_series(z, lat, [radius])
+        assert not isinstance(exc.value, TL.RadiusTooSmall)
+
 
 def _bits(est):
     """Every field of an estimate, typed and exact: repr round-trips a float."""

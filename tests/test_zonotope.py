@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -166,13 +167,14 @@ class TestBuild:
     def test_cube_at_every_scale(self, k):
         # no norm underflows or overflows before the vertices: a cube of edge
         # 1e-150..1e150 has the unit cube's normals, and tiles to 1e-100..1e100;
-        # past 1e154 the facet areas overflow
+        # past 1e154 the facet areas overflow, and the body is refused without a warning
         edge = 10.0**k
         try:
-            with np.errstate(over="ignore"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
                 z = Z.cube(edge)
-        except Z.GeometryError:
-            assert abs(k) > 150
+        except Z.GeometryError as exc:
+            assert abs(k) > 150 and (k < 0 or str(exc) == "facet areas overflow the doubles")
             return
         assert z.facet_normals.tobytes() == Z.cube(1.0).facet_normals.tobytes()
         if abs(k) <= 100:
