@@ -106,9 +106,9 @@ _weight = _finite_real(0.0, strict=True, high=_MAX_WEIGHT, floor=_MIN_WEIGHT)
 
 
 def _ascending_radii(text: str) -> list[float]:
-    """Argparse type: comma-separated ascending radii, each finite and > 0."""
+    """Argparse type: comma-separated strictly ascending radii, each finite and > 0."""
     radii = [_positive_real(x) for x in text.split(",")]
-    if radii != sorted(radii):
+    if any(b <= a for a, b in zip(radii, radii[1:])):
         raise argparse.ArgumentTypeError(f"radii must ascend, got {text}")
     return radii
 
@@ -298,7 +298,7 @@ def _verify_tetra(args: argparse.Namespace) -> tuple[dict, list[dict]]:
 
 
 def _verify_simplex(args: argparse.Namespace) -> tuple[dict, list[dict]]:
-    closed, _ = simplex.scaled_simplex_max(args.lam)
+    closed = simplex.scaled_simplex_max(args.lam)
     brute = simplex.grid_simplex_max(args.lam, grid_n=args.grid)
     gap = closed - brute
     candidates = max(simplex.boundary_candidates(args.lam))

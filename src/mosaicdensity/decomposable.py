@@ -82,10 +82,6 @@ class DecompositionSpec:
                 f"area product {prod:.12g} != required {target:.12g}"
             )
 
-    @property
-    def dimension(self) -> int:
-        return 2 * len(self.planars) + (0 if self.segment is None else 1)
-
 
 def density_bound_even(spec: DecompositionSpec) -> float:
     """Edge-density lower bound for a pure planar product (dimension 2k)."""

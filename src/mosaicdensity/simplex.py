@@ -5,20 +5,18 @@ coordinate at zero, and maximize the volume cubic over nonnegative
 (tau12, tau13, tau14, tau23, tau24) summing to 1.  The closed form of
 the maximum is
 
-    16 lambda^3 / (27 (4 lambda - 1)^2)
+    16 lambda^3 / (27 (4 lambda - 1)^2),
 
-attained at tau13 = tau14 = tau23 = tau24 = 2 lambda / (12 lambda - 3)
-and tau12 = ((4 lambda - 3) / (2 lambda)) tau13.  A grid scan over exact
-integer compositions plus coordinate-transfer refinement serves as an
-independent check that no boundary stratum beats the interior point.
-The scan is exact without visiting every composition: trading tau12 against
-tau24 at fixed (tau13, tau14, tau23), the cubic is a concave quadratic, so
-only the two grid points around its vertex can be that line's maximum.
+attained at one interior point, which tests/test_simplex.py keeps as the
+reference that the value is attained.  A grid scan over exact integer
+compositions plus coordinate-transfer refinement serves as an independent
+check that no boundary stratum beats the interior point.  The scan is
+exact without visiting every composition: trading tau12 against tau24 at
+fixed (tau13, tau14, tau23), the cubic is a concave quadratic, so only the
+two grid points around its vertex can be that line's maximum.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,40 +27,17 @@ class DomainError(ValueError):
     """Scale factor outside the hypothesis lambda >= 1."""
 
 
-@dataclass(frozen=True)
-class SimplexPoint:
-    """Feasible point: five nonnegative coordinates summing to 1."""
-
-    tau: np.ndarray  # (5,) = (tau12, tau13, tau14, tau23, tau24)
-
-    def __post_init__(self) -> None:
-        t = np.asarray(self.tau, dtype=np.float64)
-        if t.shape != (5,) or not np.isfinite(t).all():
-            raise ValueError("expected five finite coordinates")
-        if (t < -1e-12).any():
-            raise ValueError("coordinates must be nonnegative")
-        if abs(t.sum() - 1.0) > 1e-9:
-            raise ValueError("coordinates must sum to 1")
-        object.__setattr__(self, "tau", t)
-
-    def objective(self, lam: float) -> float:
-        return float(_objective(lam, self.tau))
-
-
 def _objective(lam: float, t):
     """The lambda-scaled volume cubic (tau34 = 0) at five coordinates,
     each a float or a row of a column stack of points."""
     return _kernels.volume_cubic(lam * t[0], *t[1:])
 
 
-def scaled_simplex_max(lam: float) -> tuple[float, SimplexPoint]:
-    """Closed-form maximum and its unique interior argmax."""
+def scaled_simplex_max(lam: float) -> float:
+    """The closed-form maximum."""
     if lam < 1.0:
         raise DomainError(f"scale factor {lam} < 1")
-    value = 16.0 * lam**3 / (27.0 * (4.0 * lam - 1.0) ** 2)
-    t13 = 2.0 * lam / (12.0 * lam - 3.0)
-    t12 = (4.0 * lam - 3.0) / (2.0 * lam) * t13
-    return value, SimplexPoint(np.array([t12, t13, t13, t13, t13]))
+    return 16.0 * lam**3 / (27.0 * (4.0 * lam - 1.0) ** 2)
 
 
 def boundary_candidates(lam: float) -> list[float]:

@@ -467,7 +467,7 @@ def _point_group(z: Zonotope, lat: Lattice, mid: np.ndarray) -> tuple[np.ndarray
 def _densities(z: Zonotope, lat: Lattice, radii: list[float]):
     """Yield ``skeleton_density`` at each of the ascending ``radii``, built once: the edge classes, the point group
     and its fold, the target, the exact density and the cone at the largest radius; ``_shell_pairs`` per radius."""
-    if not len(radii) or list(radii) != sorted(radii):
+    if not len(radii) or any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError(f"radii must be a nonempty ascending list, got {list(radii)}")
     for radius in radii:
         _check_radius(z, radius)
@@ -537,6 +537,6 @@ def skeleton_density(z: Zonotope, lat: Lattice, radius: float) -> DensityEstimat
 
 
 def convergence_series(z: Zonotope, lat: Lattice, radii: list[float]) -> tuple[DensityEstimate, ...]:
-    """Density estimates over ascending radii, each the ``skeleton_density`` at its radius to the bit; the
-    tiling's geometry is built once.  Every radius is checked first; ValueError on empty or unsorted radii."""
+    """Density estimates over strictly ascending radii, each the ``skeleton_density`` at its radius to the bit;
+    the tiling's geometry is built once.  Each radius is checked first; ValueError on no radii or one out of order."""
     return tuple(_densities(z, lat, radii))

@@ -73,20 +73,6 @@ class BeltClass(Enum):
 
 
 @dataclass(frozen=True)
-class GeneratorSet:
-    """Four vectors with zero sum and triple products of unit magnitude.
-
-    Use :func:`validate_generators` to obtain a normalized instance; the
-    constructor itself does not re-check the invariants.
-    """
-
-    vectors: np.ndarray  # shape (4, 3), det(v1, v2, v3) = +1
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vectors", np.asarray(self.vectors, dtype=np.float64))
-
-
-@dataclass(frozen=True)
 class BetaVector:
     """Six nonnegative coefficients ordered like :data:`PAIRS`."""
 
@@ -155,8 +141,8 @@ class Zonotope:
         return (pts @ normals.T <= offsets + tol).all(axis=1)
 
 
-def validate_generators(raw: Iterable[Iterable[float]]) -> GeneratorSet:
-    """Normalize four frame vectors to the canonical scale and orientation.
+def validate_generators(raw: Iterable[Iterable[float]]) -> np.ndarray:
+    """Normalize four frame vectors to the canonical scale and orientation: the frame as a (4, 3) array.
 
     The input must sum to zero (tolerance 1e-10 per coordinate) and any
     three vectors must be linearly independent.  The result is rescaled so
@@ -181,10 +167,10 @@ def validate_generators(raw: Iterable[Iterable[float]]) -> GeneratorSet:
     for tri in combinations(range(4), 3):
         if abs(abs(det3(*v[list(tri)])) - 1.0) > 1e-8:
             raise DegenerateFrame("triple products are not of unit magnitude")
-    return GeneratorSet(v)
+    return v
 
 
-def random_frame(rng: np.random.Generator) -> GeneratorSet:
+def random_frame(rng: np.random.Generator) -> np.ndarray:
     """A random normalized frame: Gaussian v1, v2, v3 and v4 = -(v1 + v2 + v3),
     redrawn until |det(v1, v2, v3)| >= 5e-2, so slivers are rejected."""
     while True:
@@ -194,10 +180,10 @@ def random_frame(rng: np.random.Generator) -> GeneratorSet:
             return validate_generators(v)
 
 
-def segments_from_parameters(g: GeneratorSet, b: BetaVector) -> np.ndarray:
+def segments_from_parameters(frame: np.ndarray, b: BetaVector) -> np.ndarray:
     """The six segments beta_ij (v_i x v_j) as (6, 3) rows ordered like :data:`PAIRS`, zero length allowed."""
     i, j = np.array(PAIRS).T
-    return b.values[:, None] * cross3(g.vectors[i], g.vectors[j])
+    return b.values[:, None] * cross3(frame[i], frame[j])
 
 
 def volume_polynomial(tau: Sequence[float]) -> float:
@@ -348,9 +334,9 @@ def build_zonotope(generators, labels: Sequence | None = None) -> Zonotope:
     )
 
 
-def build_from_parameters(g: GeneratorSet, b: BetaVector) -> Zonotope:
-    """Convenience: segments from (g, b) labeled by their frame pairs, zero-length entries dropped."""
-    return build_zonotope(segments_from_parameters(g, b), PAIRS)
+def build_from_parameters(frame: np.ndarray, b: BetaVector) -> Zonotope:
+    """Convenience: segments from (frame, b) labeled by their frame pairs, zero-length entries dropped."""
+    return build_zonotope(segments_from_parameters(frame, b), PAIRS)
 
 
 def belts(z: Zonotope) -> list[BeltClass]:

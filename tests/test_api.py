@@ -1,7 +1,7 @@
 """The package's public surface: the root binds only its version and backend flag, a public top-level name of
-a module that no module of the package uses is listed with its reason; a keyword default of a public function
-that no call in the package passes is listed with its reason; and the README's count of the package's source
-lines is current."""
+a module that no module of the package uses is listed with its reason; so is a public attribute of a public class
+that no module of the package reads, and a keyword default of a public function that no call in the package
+passes; and the README's count of the package's source lines is current."""
 
 import ast
 import re
@@ -103,6 +103,47 @@ def test_unreferenced_names_are_listed_with_a_reason():
     modules = _modules()
     public = {f"{stem}.{name}" for stem, tree in modules.items() for name in _public_names(tree)}
     assert sorted(public - _referenced_names(modules)) == sorted(UNREFERENCED_NAMES)
+
+
+_REPORT = "acceptance test 11 and perfbench's certify workload read it; ROADMAP items 9 and 16 give it a command"
+
+#: Public attributes, as module.Class.name, that no module of the package loads outside the class's own body, and
+#: why each stays.
+UNREAD_ATTRIBUTES = {
+    **{f"decomposable.CertificateReport.{name}": _REPORT for name in (
+        "grid_points", "root_decreasing_margin", "edge_weighted_increasing_margin", "product_increasing_margin",
+        "root_convexity_margin", "g2_min", "g2_fd_residual", "failures", "passed")},
+    "tetra.PairInvariants.cross_weighted": "ROADMAP item 11 gives it a caller: the type-4 minimizer",
+    "tiling.TilingReport.covering_samples": "perfbench's tracer counts it; it leaves with ROADMAP item 18",
+    "tiling.EdgeClasses.members": "TestEdgeClasses checks the class partition through it; ROADMAP item 17's "
+                                  "evaluator merges edges into these classes",
+}
+
+
+def _class_attributes(cls):
+    """The names of a class's annotated fields, methods and properties that have no leading underscore."""
+    names = [item.name for item in cls.body if isinstance(item, ast.FunctionDef)]
+    names += [item.target.id for item in cls.body if isinstance(item, ast.AnnAssign)]
+    return [name for name in names if not name.startswith("_")]
+
+
+def _attribute_loads(node):
+    """The attribute names that a node loads, on any object."""
+    return {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def test_unread_attributes_are_listed_with_a_reason():
+    # read: some module loads an attribute of that spelling, on any object, outside the class's own body; both ways,
+    # as for the top-level names
+    modules = _modules()
+    statements = [(node, _attribute_loads(node)) for tree in modules.values() for node in tree.body]
+    unread = []
+    for stem, tree in modules.items():
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+                read = set().union(*(loads for node, loads in statements if node is not cls))
+                unread += [f"{stem}.{cls.name}.{name}" for name in _class_attributes(cls) if name not in read]
+    assert sorted(unread) == sorted(UNREAD_ATTRIBUTES)
 
 
 #: Keyword defaults, as module.function.parameter, of the package's public functions that no call in its modules

@@ -77,12 +77,12 @@ def _patched_estimates(monkeypatch, change):
 
 
 def _simplex_gap(monkeypatch):
-    closed, _ = simplex.scaled_simplex_max(2.0)
+    closed = simplex.scaled_simplex_max(2.0)
     monkeypatch.setattr(simplex, "grid_simplex_max", lambda *args, **kwargs: closed - 2e-5)
 
 
 def _boundary_above_interior(monkeypatch):
-    closed, _ = simplex.scaled_simplex_max(2.0)
+    closed = simplex.scaled_simplex_max(2.0)
     monkeypatch.setattr(simplex, "boundary_candidates", lambda lam: [1.0 / 27.0, closed + 1e-9])
 
 
@@ -112,9 +112,9 @@ def _verify_isotropy_reference(seed, samples):
             v[3] = -(v[0] + v[1] + v[2])
             if abs(np.linalg.det(v[:3])) >= 5e-2:
                 break
-        g = zonotope.validate_generators(v)
+        frame = zonotope.validate_generators(v)
         b = zonotope.BetaVector(rng.uniform(0.2, 1.3, 6))
-        fm = weights.FacetMeasure.from_zonotope(zonotope.build_from_parameters(g, b))
+        fm = weights.FacetMeasure.from_zonotope(zonotope.build_from_parameters(frame, b))
         (matrix,), (iterations,), _ = weights.isotropic_positions(fm.normals[None], fm.areas[None])
         mapped = weights.FacetMeasure(*weights._mapped(fm.normals, fm.areas, matrix))
         post = float(weights._second_moment(mapped.normals, mapped.areas)[1])
@@ -371,6 +371,14 @@ class TestTile:
             main(["tile", "--shape", "cube", "--series", "20,10"])
         assert exc.value.code == 2
         assert "--series: radii must ascend, got 20,10" in capsys.readouterr().err
+
+    def test_repeated_radius_is_rejected(self, capsys):
+        # two equal radii would print the same row twice
+        with pytest.raises(SystemExit) as exc:
+            main(["tile", "--shape", "cube", "--series", "20,20"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--series: radii must ascend, got 20,20" in err
 
     def test_nan_radius_is_clean(self, capsys):
         with pytest.raises(SystemExit) as exc:

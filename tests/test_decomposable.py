@@ -46,8 +46,9 @@ class TestComponents:
             (D.PlanarComponent(0.5, 4.0), D.PlanarComponent(4.0, 3.0)),
             D.SegmentComponent(0.5),
         )
-        assert ok.dimension == 5
-        assert D.DecompositionSpec((D.PlanarComponent(1.0, 6.0),)).dimension == 2
+        assert 2 * len(ok.planars) + (ok.segment is not None) == 5
+        one = D.DecompositionSpec((D.PlanarComponent(1.0, 6.0),))
+        assert 2 * len(one.planars) + (one.segment is not None) == 2
 
 
 def planar_vertex_density(c: D.PlanarComponent) -> float:
@@ -129,7 +130,7 @@ class TestPublishedMinima:
         for n, want in expect.items():
             value, spec = D.minimize_density(n)
             assert abs(value - want) < 1e-14
-            assert spec.dimension == n
+            assert 2 * len(spec.planars) + (spec.segment is not None) == n
         assert abs(expect[3] - 2.598076211353316) < 1e-14
         assert abs(expect[5] - 2.062094455498) < 1e-12
         assert abs(expect[7] - 1.351054074573) < 1e-12

@@ -533,10 +533,10 @@ class TestType4Functional:
             v[3] = -(v[0] + v[1] + v[2])
             if abs(np.linalg.det(v[:3])) < 5e-2:
                 continue
-            g = Z.validate_generators(v)
+            frame = Z.validate_generators(v)
             beta = rng.uniform(0.2, 1.3, 5)
-            z = Z.build_from_parameters(g, Z.BetaVector(np.append(beta, 0.0)))
-            frames.append(g.vectors)
+            z = Z.build_from_parameters(frame, Z.BetaVector(np.append(beta, 0.0)))
+            frames.append(frame)
             betas.append(beta)
             want.append(Z.weighted_edge_functional(z, m) / z.volume() ** (1.0 / 3.0))
         got = K.type4_functional_many(np.array(frames), np.array(betas), m.alpha6, m.alpha4)

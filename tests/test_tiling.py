@@ -774,6 +774,10 @@ class TestConvergence:
         with pytest.raises(ValueError):
             TL.convergence_series(z, lat, [9.0, 6.0])
 
+    def test_repeated_radius_is_refused(self):
+        with pytest.raises(ValueError, match=r"^radii must be a nonempty ascending list, got \[6.0, 9.0, 9.0\]$"):
+            TL.convergence_series(cube(), TL.Lattice(np.eye(3)), [6.0, 9.0, 9.0])
+
     def test_empty_radii_are_refused_in_one_line(self):
         with pytest.raises(ValueError, match=r"^radii must be a nonempty ascending list, got \[\]$"):
             TL.convergence_series(cube(), TL.Lattice(np.eye(3)), [])
