@@ -31,9 +31,11 @@ _MAX_LAMBDA = 1e6  # simplex_gap is absolute (1e-5) while the maximum grows like
 _ISOTROPY_CHUNK = 64  # bodies per stacked isotropy fixed point, so memory stays flat as --samples grows
 _MAX_WEIGHT = 1e300  # every type minimum is below 3 max(alpha6, alpha4), so minima and residuals stay finite
 _MIN_WEIGHT = 1e-300  # below the normal doubles the weights lose precision and the residuals fail
-# wm's type-2 prism has height 1.5 (alpha4/alpha6) x base edge: below _MIN_RATIO it fails build_zonotope's
-# 1e-12 rank test (FlatBody); above _MAX_RATIO its residual's rounding passes 1e-9 (first seen at 1.6e8)
-_MIN_RATIO, _MAX_RATIO = 1e-12 / 1.5, 1e8
+# The alpha4/alpha6 range of each type whose body wm builds.  The type-2 prism has height 1.5 (alpha4/alpha6) x
+# base edge: below 1e-12 / 1.5 it fails build_zonotope's 1e-12 rank test (FlatBody); above 1e8 its residual's
+# rounding passes 1e-9 (first seen at 1.6e8).  The type-4 body's diagonals (a, a, +-c) meet at an angle of about
+# alpha4/alpha6: below COPLANAR_TOL = 1e-10 build_zonotope finds them parallel (ParallelSegments; 1e-10 builds).
+_RATIO_RANGES = {2: (1e-12 / 1.5, 1e8), 4: (1e-10, math.inf)}
 
 
 def _canonical_shape(name: str) -> zonotope.Zonotope:
@@ -465,9 +467,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "decomp" and args.oracle and args.dim > 7:
         parser.error(f"argument --oracle: the grid oracle covers --dim 2..7, got {args.dim}")
-    if args.command == "wm" and args.type in (None, 2) and not _MIN_RATIO <= args.alpha4 / args.alpha6 <= _MAX_RATIO:
-        parser.error(f"argument --alpha4: type 2 needs alpha4/alpha6 in [{_MIN_RATIO:g}, {_MAX_RATIO:g}], "
-                     f"got {args.alpha4 / args.alpha6!r}")
+    for i, (low, high) in _RATIO_RANGES.items():
+        if args.command == "wm" and args.type in (None, i) and not low <= args.alpha4 / args.alpha6 <= high:
+            parser.error(f"argument --alpha4: type {i} needs alpha4/alpha6 in [{low:g}, {high:g}], "
+                         f"got {args.alpha4 / args.alpha6!r}")
     if args.command == "fig2" and args.stop < args.start:
         parser.error(f"argument --stop: must be at least --start {args.start:g}, got {args.stop:g}")
     if args.command == "fig2" and (args.stop - args.start) / args.step > _FIG2_MAX_STEPS:

@@ -11,68 +11,12 @@ re-verified numerically here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import _kernels
-from .zonotope import GeometryError
-
-
-class DegenerateTetrahedron(GeometryError):
-    """Zero volume: the four vertices are coplanar."""
-
 
 #: ``batch_identity_residuals`` redraws tetrahedra of volume at most this.
 REJECT_VOLUME_BELOW = 1e-3
-
-
-@dataclass(frozen=True)
-class CenteredTetrahedron:
-    """Four vertices translated so they sum to zero.
-
-    The vertex order is normalized so det(p1, p2, p3) > 0 (first two
-    vertices swapped when needed).  Construct through :func:`center`
-    rather than directly.
-    """
-
-    vertices: np.ndarray  # (4, 3)
-
-    @property
-    def volume(self) -> float:
-        p = self.vertices
-        return abs(float(np.linalg.det(p[1:] - p[0]))) / 6.0
-
-    @property
-    def triple_product(self) -> float:
-        return float(np.linalg.det(self.vertices[:3]))
-
-
-def center(raw: np.ndarray) -> CenteredTetrahedron:
-    """Translate to vertex sum zero and normalize the orientation."""
-    p = np.asarray(raw, dtype=np.float64)
-    if p.shape != (4, 3) or not np.isfinite(p).all():
-        raise GeometryError("expected four finite vertices")
-    p = p - p.mean(axis=0)
-    vol = CenteredTetrahedron(p).volume
-    if vol <= 0.0:
-        raise DegenerateTetrahedron(f"volume {vol:.3e} is not positive")
-    if np.linalg.det(p[:3]) < 0:
-        p = p[[1, 0, 2, 3]]
-    return CenteredTetrahedron(p)
-
-
-@dataclass(frozen=True)
-class PairInvariants:
-    """Per-pair scalars in :data:`PAIRS` order."""
-
-    neg_opposite_dot: np.ndarray  # gamma: minus the dot of the complementary pair
-    cross_weighted: np.ndarray    # zeta: gamma * |p_i x p_j|^2
-
-
-def pair_invariants(t: CenteredTetrahedron) -> PairInvariants:
-    gamma, zeta, _ = _kernels.pair_scalars_many(t.vertices[None])
-    return PairInvariants(gamma[0], zeta[0])
 
 
 def _identity_residuals(poly, weighted, v2):

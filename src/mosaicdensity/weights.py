@@ -2,13 +2,13 @@
 
 For a weight pair m = (alpha6, alpha4) the functional w_m(P) sums segment
 lengths weighted by belt class.  Over unit-volume bodies of each
-parallelohedron type the minimum has a closed form (exact for types 1,
-2, 3 and 5; a lower bound for type 4), and the overall minimizer as a
-function of alpha4/alpha6 switches from the cube to the hexagonal prism
-at sqrt(3)/2 and from the prism to the truncated octahedron at
+parallelohedron type the minimum has a closed form, attained by
+an explicit body (for type 4 while alpha4 <= alpha6; above, the type-5
+minimum bounds it from below), and the overall minimizer as a function
+of alpha4/alpha6 switches from the cube to the hexagonal prism at
+sqrt(3)/2 and from the prism to the truncated octahedron at
 (2/3)^(1/4).  This module also provides the isotropic-position fixed
-point used in the type-5 argument, run on a stack of bodies at once,
-and the stationarity formulas on the type-4 stratum.
+point used in the type-5 argument, run on a stack of bodies at once.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from enum import Enum
 import numpy as np
 
 from . import _kernels, zonotope
-from .tetra import CenteredTetrahedron, pair_invariants
-from .zonotope import BetaVector, WeightPair, Zonotope
+from .zonotope import WeightPair, Zonotope
 
 # winner switches at these alpha4/alpha6 ratios
 CUBE_PRISM_RATIO = math.sqrt(3.0) / 2.0
@@ -35,14 +34,6 @@ ISOTROPY_TOL = 1e-8
 ISOTROPY_MAX_ITER = 200
 
 
-class NotOrthogonal(ValueError):
-    """First two frame vectors fail the required orthogonality."""
-
-
-class NegativeBeta(ValueError):
-    """A stationarity formula produced a negative coefficient."""
-
-
 class NoConvergence(RuntimeError):
     """Isotropic iteration failed to reach tolerance."""
 
@@ -51,8 +42,10 @@ class NoConvergence(RuntimeError):
 class TypeMinimum:
     """Minimum of w_m over unit-volume bodies of one type.
 
-    ``is_exact`` is False only for type 4, whose exact minimum is open;
-    there ``value`` is a proven lower bound and ``optimal_shape`` is None.
+    ``is_exact`` is False only for type 4 at alpha4 > alpha6, where no type-4
+    body is optimal; there ``value`` is the type-5 minimum, a lower bound, and
+    ``optimal_shape`` is None, as it is where alpha4/alpha6 underflows to 0
+    and the type-4 body leaves the doubles.
     """
 
     value: float
@@ -99,15 +92,27 @@ def type_minimum(i: int, m: WeightPair) -> TypeMinimum:
         shape = {"shape": "rhombic_dodecahedron", "edge": zonotope.RHOMBIC_EDGE}
         return TypeMinimum(2.0 ** (2.0 / 3.0) * math.sqrt(3.0) * a6, True, shape)
     if i == 4:
-        if a4 <= a6:
-            # 3 (a4 (4 a6^2 - a4^2))^(1/3) / 2^(2/3), a6^2 taken out of the root: no square leaves the float range
-            value = 3.0 * a4 ** (1.0 / 3.0) * a6 ** (2.0 / 3.0)
-            value = value * (4.0 - (a4 / a6) ** 2) ** (1.0 / 3.0) / 2.0 ** (2.0 / 3.0)
-            note = "lower bound; the attaining shape is not known"
-        else:
-            value = type_minimum(5, m).value
+        if a4 > a6:
             note = "exceeds the type-5 minimum; shown value is that minimum"
-        return TypeMinimum(value, False, None, note)
+            return TypeMinimum(type_minimum(5, m).value, False, None, note)
+        r, q = a4 / a6, 4.0 - (a4 / a6) ** 2
+        # 3 (a4 (4 a6^2 - a4^2))^(1/3) / 2^(2/3), a6^2 taken out of the root: no square leaves the float range
+        value = 3.0 * a4 ** (1.0 / 3.0) * a6 ** (2.0 / 3.0)
+        value = value * q ** (1.0 / 3.0) / 2.0 ** (2.0 / 3.0)
+        # It is attained on the frame e1, e2, (-1/2, -1/2, +-h), h^2 = (4 - r^2) / (4 r^2), by the coefficients
+        # beta = ((4 - 3 r^2) / (2 r^2), 1, 1, 1, 1, 0).  Turned 45 degrees about e3, the four unit segments
+        # v_i x v_j are the diagonals (+-h/sqrt(2), +-h/sqrt(2), +-1/2) of a box, each 1/r long, and
+        # beta12 (v1 x v2) = beta12 e3 is the axis; the volume is 4 h^2 (beta12 + 1).  At unit volume, with r
+        # kept out of every square so that none underflows:
+        if r == 0.0:  # the ratio underflows, and the axis, about r^(-2/3), leaves the doubles
+            return TypeMinimum(value, True, None)
+        shape = {
+            "shape": "elongated_rhombic_dodecahedron",
+            "half_width": (r / math.sqrt(2.0 * q)) ** (1.0 / 3.0) / 2.0,
+            "half_height": (r / math.sqrt(2.0 * q)) ** (4.0 / 3.0),
+            "axis": (4.0 - 3.0 * r * r) * (2.0 * q * r) ** (-2.0 / 3.0),
+        }
+        return TypeMinimum(value, True, shape)
     if i == 5:
         shape = {"shape": "truncated_octahedron", "edge": zonotope.TRUNCOCTA_EDGE}
         return TypeMinimum(3.0 * a6 / 2.0 ** (1.0 / 6.0), True, shape)
@@ -246,29 +251,6 @@ def isotropy_residuals(normals: np.ndarray, areas: np.ndarray, matrices: np.ndar
     return _second_moment(*_mapped(u, f, matrices))[1]
 
 
-def stationary_betas_type4(t: CenteredTetrahedron, m: WeightPair) -> BetaVector:
-    """Stationary coefficients of w_m on the type-4 stratum.
-
-    Requires a frame-normalized tetrahedron (triple product 1, volume
-    2/3) whose first two vertices are orthogonal.  The last coefficient
-    is pinned to zero; the five active ones come from the complementary
-    dot products scaled by the belt weight of their segment.
-    """
-    p = t.vertices
-    if abs(t.triple_product - 1.0) > 1e-8:
-        raise ValueError("tetrahedron must be normalized to triple product 1")
-    if abs(float(p[0] @ p[1])) > 1e-8:
-        raise NotOrthogonal(f"<v1,v2> = {float(p[0] @ p[1]):.3e}, expected 0")
-    gamma = pair_invariants(t).neg_opposite_dot
-    if gamma[:5].min() < 0:
-        raise NegativeBeta("a required complementary dot product has the wrong sign")
-    beta = np.zeros(6)
-    for k, (i, j) in enumerate(_kernels.PAIRS[:5]):
-        weight = m.alpha4 if k == 0 else m.alpha6
-        beta[k] = gamma[k] * float(np.linalg.norm(_kernels.cross3(p[i], p[j]))) / (3.0 * weight)
-    return BetaVector(beta)
-
-
 @dataclass(frozen=True)
 class Type4SweepReport:
     samples: int
@@ -315,8 +297,8 @@ def figure_curves(alpha4_values: np.ndarray) -> tuple[list[str], np.ndarray]:
     """Per-type minima as functions of alpha4 at alpha6 = 1.
 
     Returns a header and one row per alpha4 with the five type values
-    (the type-4 column is the lower bound, switching to the type-5 value
-    once alpha4 exceeds 1).
+    (the type-4 column is its attained minimum up to alpha4 = 1 and the
+    type-5 value, which bounds it from below, once alpha4 exceeds 1).
     """
     header = ["alpha4", "type1", "type2", "type3", "type4_bound", "type5"]
     rows = []

@@ -395,9 +395,11 @@ def rhombic_dodecahedron(edge: float = 1.0) -> Zonotope:
     return build_zonotope(_DIAGONALS * edge)
 
 
-def elongated_rhombic_dodecahedron(edge: float = 1.0) -> Zonotope:
-    """The rhombic dodecahedron's four diagonals plus an axial segment, all of length ``edge``."""
-    return build_zonotope(np.vstack([_DIAGONALS * edge, [(0.0, 0.0, edge)]]))
+def elongated_rhombic_dodecahedron(half_width: float, half_height: float, axis: float) -> Zonotope:
+    """The four diagonals of the box [-half_width, half_width]^2 x [-half_height, half_height] plus an axial
+    segment of length ``axis``; a cube's diagonals are the rhombic dodecahedron's."""
+    w, c = half_width, half_height
+    return build_zonotope([(w, w, c), (w, w, -c), (w, -w, c), (-w, w, c), (0.0, 0.0, axis)])
 
 
 def truncated_octahedron(edge: float = 1.0) -> Zonotope:
@@ -419,14 +421,18 @@ def unit_volume(z: Zonotope) -> Zonotope:
 HEXPRISM_EDGE = (2.0 / (3.0 * math.sqrt(3.0))) ** (1.0 / 3.0)
 RHOMBIC_EDGE = math.sqrt(3.0) / 2.0 ** (4.0 / 3.0)
 TRUNCOCTA_EDGE = 2.0 ** (-7.0 / 6.0)
-#: Edge, and so elongation, of the elongated rhombic dodecahedron before it is rescaled to unit volume.
+#: Edge, and so elongation, of the elongated rhombic dodecahedron before it is rescaled to unit volume: the
+#: diagonals of the cube of half-side ELONGATION / sqrt(3) (rounded as the rhombic dodecahedron's) and an axis as long.
 ELONGATION = 0.6
+_ELONGATED_HALF_SIDE = _DIAGONALS[0, 0] * ELONGATION
 
 _UNIT_SHAPES = {
     "cube": cube,
     "hexprism": lambda: hexagonal_prism(HEXPRISM_EDGE, HEXPRISM_EDGE),
     "rhombic": lambda: rhombic_dodecahedron(RHOMBIC_EDGE),
-    "elongated": lambda: unit_volume(elongated_rhombic_dodecahedron(ELONGATION)),
+    "elongated": lambda: unit_volume(
+        elongated_rhombic_dodecahedron(_ELONGATED_HALF_SIDE, _ELONGATED_HALF_SIDE, ELONGATION)
+    ),
     "truncocta": lambda: truncated_octahedron(TRUNCOCTA_EDGE),
 }
 #: Names of the five unit-volume parallelohedra of :func:`unit_shape`.

@@ -57,9 +57,7 @@ UNREFERENCED_NAMES = {
                              "module attributes" for command in ("decomp", "fig2", "table1", "tile", "verify", "wm")},
     "decomposable.monotonicity_certificates": "acceptance test 11 and perfbench run it; ROADMAP item 16 gives it "
                                               "a command",
-    "tetra.center": "ROADMAP item 11 gives it a caller: the type-4 minimizer",
     "tiling.skeleton_density": "acceptance test 09 and perfbench's bodies workload run it",
-    "weights.stationary_betas_type4": "ROADMAP item 11 gives it a caller: the type-4 minimizer",
     "zonotope.to_json": "writes the documents that tile --shape file: reads",
     "zonotope.volume_polynomial": "perfbench's bodies workload and acceptance test 01 call it",
 }
@@ -113,7 +111,6 @@ UNREAD_ATTRIBUTES = {
     **{f"decomposable.CertificateReport.{name}": _REPORT for name in (
         "grid_points", "root_decreasing_margin", "edge_weighted_increasing_margin", "product_increasing_margin",
         "root_convexity_margin", "g2_min", "g2_fd_residual", "failures", "passed")},
-    "tetra.PairInvariants.cross_weighted": "ROADMAP item 11 gives it a caller: the type-4 minimizer",
     "tiling.TilingReport.covering_samples": "perfbench's tracer counts it; it leaves with ROADMAP item 18",
     "tiling.EdgeClasses.members": "TestEdgeClasses checks the class partition through it; ROADMAP item 17's "
                                   "evaluator merges edges into these classes",

@@ -159,7 +159,7 @@ class TestWm:
         assert code == 1
         assert [r["name"] for r in doc["residuals"] if not r["pass"]] == ["type4_sweep_above_bound"]
 
-    @pytest.mark.parametrize("scaled", [1, 2, 3, 5])
+    @pytest.mark.parametrize("scaled", [1, 2, 3, 4, 5])
     def test_shape_consistency_fails_on_a_scaled_body(self, capsys, monkeypatch, scaled):
         _scaled_optimal_shape(monkeypatch, scaled)
         code, doc = run_json(capsys, ["wm", "--alpha6", "1", "--alpha4", "0.9"])
@@ -182,8 +182,8 @@ class TestWm:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["--alpha6", "1", "--alpha4", repr(1e-12 / 1.5)],
-            ["--alpha6", "1", "--alpha4", "1e-12"],
+            ["--alpha6", "1", "--alpha4", "1e-10"],
+            ["--alpha6", "1", "--alpha4", repr(1e-12 / 1.5), "--type", "2"],
             ["--alpha6", "1", "--alpha4", "1e8"],
             ["--alpha6", "1e-300", "--alpha4", "1e-300"],
             ["--alpha6", "1", "--alpha4", "1e14", "--type", "5"],
@@ -191,7 +191,8 @@ class TestWm:
         ],
     )
     def test_ratio_edges_pass(self, capsys, argv):
-        # the ratio range is type 2's: its prism is flat below 1e-12 / 1.5, and the other types take any ratio
+        # the ratio range is that of types 2 and 4: the type-4 body's diagonals are parallel below 1e-10, the
+        # type-2 prism is flat below 1e-12 / 1.5, and the other types take any ratio
         code, doc = run_json(capsys, ["wm", *argv])
         assert code == 0 and doc["residuals"]
 
@@ -443,7 +444,10 @@ class TestShapeTables:
             "cube": zonotope.cube(),
             "hexprism": zonotope.hexagonal_prism(hx, hx),
             "rhombic": zonotope.rhombic_dodecahedron(math.sqrt(3.0) / 2.0 ** (4.0 / 3.0)),
-            "elongated": zonotope.unit_volume(zonotope.elongated_rhombic_dodecahedron(0.6)),
+            # the diagonals of the cube of half-side 0.6 / sqrt(3), rounded as the rhombic dodecahedron's
+            "elongated": zonotope.unit_volume(zonotope.elongated_rhombic_dodecahedron(
+                1.0 / math.sqrt(3.0) * 0.6, 1.0 / math.sqrt(3.0) * 0.6, 0.6
+            )),
             "truncocta": zonotope.truncated_octahedron(2.0 ** (-7.0 / 6.0)),
         }
         assert cli._SHAPES == tuple(direct)
@@ -455,15 +459,21 @@ class TestShapeTables:
         m = zonotope.WeightPair(a6, a4)
         base = 2.0 ** (2.0 / 3.0) * a6 ** (1.0 / 3.0) / (3.0 ** (5.0 / 6.0) * a4 ** (1.0 / 3.0))
         height = 3.0 ** (1.0 / 6.0) * a4 ** (2.0 / 3.0) / (2.0 ** (1.0 / 3.0) * a6 ** (2.0 / 3.0))
+        r, q = a4 / a6, 4.0 - (a4 / a6) ** 2
         direct = {
             1: zonotope.cube(1.0),
             2: zonotope.hexagonal_prism(base, height),
             3: zonotope.rhombic_dodecahedron(math.sqrt(3.0) / 2.0 ** (4.0 / 3.0)),
+            4: None,  # above alpha4 = alpha6; below, the closed-form body at unit volume
             5: zonotope.truncated_octahedron(2.0 ** (-7.0 / 6.0)),
         }
+        if r <= 1.0:
+            u = r / math.sqrt(2.0 * q)
+            axis = (4.0 - 3.0 * r * r) * (2.0 * q * r) ** (-2.0 / 3.0)
+            direct[4] = zonotope.elongated_rhombic_dodecahedron(u ** (1.0 / 3.0) / 2.0, u ** (4.0 / 3.0), axis)
         for i, z in direct.items():
-            assert _same_body(weights.optimal_shape_zonotope(i, m), z), i
-        assert weights.optimal_shape_zonotope(4, m) is None
+            got = weights.optimal_shape_zonotope(i, m)
+            assert got is None if z is None else _same_body(got, z), i
 
 
 class TestVerify:
@@ -563,7 +573,7 @@ class TestCsvReports:
         assert rows[0] == ["type", "value", "is_exact", "shape", "parameters"]
         assert len(rows) == 6
         assert abs(float(rows[1][1]) - 12.0) < 1e-12
-        assert rows[4][3] == ""  # type 4 has no attaining shape
+        assert rows[4][2:4] == ["True", "elongated_rhombic_dodecahedron"]  # type 4's minimum is attained too
         assert json.loads(rows[5][4])["edge"] == pytest.approx(2.0 ** (-7.0 / 6.0))
 
     @pytest.mark.parametrize("alpha6", [1e200, 1e-200])
@@ -656,6 +666,9 @@ class TestBadInput:
             *[(["wm", "--alpha6", "1", "--alpha4", a4],
                f"--alpha4: type 2 needs alpha4/alpha6 in [6.66667e-13, 1e+08], got {float(a4)!r}")
               for a4 in ("1e9", "1e10", "1e12", "1e14", "1e-14", "1e-16")],
+            *[(["wm", "--alpha6", "1", "--alpha4", a4, *argv],
+               f"--alpha4: type 4 needs alpha4/alpha6 in [1e-10, inf], got {float(a4)!r}")
+              for a4 in ("1e-11", "9.9e-11") for argv in ([], ["--type", "4"])],
             (["wm", "--alpha6", "1e-315", "--alpha4", "9e-316"], "--alpha6: must be at least 1e-300, got 1e-315"),
             (["wm", "--alpha6", "5e-324", "--alpha4", "5e-324"], "--alpha6: must be at least 1e-300, got 5e-324"),
         ],
@@ -669,6 +682,7 @@ class TestBadInput:
             "verify-tiling-radius-above-cap", "decomp-seed", "table1-seed", "fig2-seed",
             "alpha6-above-cap", "table1-alpha4-above-cap",
             "ratio-1e9", "ratio-1e10", "ratio-1e12", "ratio-1e14", "ratio-1e-14", "ratio-1e-16",
+            "ratio-1e-11", "ratio-1e-11-type4", "ratio-9.9e-11", "ratio-9.9e-11-type4",
             "alpha6-subnormal", "alpha6-least-subnormal",
         ],
     )
@@ -820,7 +834,7 @@ def _length_above_bracket(monkeypatch):
 # Every residual name the commands emit: a command and a fault under which that residual fails and the command
 # exits 1, or, in _ECHOES, why it cannot fail on its own.
 _FAULTS = {
-    **{f"type{i}_shape_consistency": (_WM, functools.partial(_scaled_optimal_shape, scaled=i)) for i in (1, 2, 3, 5)},
+    **{f"type{i}_shape_consistency": (_WM, functools.partial(_scaled_optimal_shape, scaled=i)) for i in range(1, 6)},
     "type4_sweep_above_bound": (_WM, _sweep_below_bound),
     "published_minimum_at_or_below_bound_at_spec": (["decomp", "--dim", "3"], _published_minimum_above_bound),
     "corrected_minimum_is_bound_at_spec": (["decomp", "--dim", "5"], _corrected_minimum_off),

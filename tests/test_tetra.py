@@ -10,48 +10,39 @@ from mosaicdensity import tetra as T
 from mosaicdensity import zonotope as Z
 
 
-def test_center_translates_and_orients():
-    p = np.array([[1, 1, 1], [2, 1, 1], [1, 3, 1], [1, 1, 4]], float)
-    t = T.center(p)
-    assert np.allclose(t.vertices.sum(axis=0), 0, atol=1e-12)
-    assert t.triple_product > 0
-    assert abs(t.volume - 1.0) < 1e-12  # legs (1,2,3) around a corner
-
-
-def test_center_rejects_flat():
-    p = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], float)
-    with pytest.raises(T.DegenerateTetrahedron):
-        T.center(p)
+def _volume(p):
+    return abs(np.linalg.det(p[1:] - p[0])) / 6.0
 
 
 def test_regular_tetrahedron_invariants():
     # vertices of a regular tetrahedron inscribed in the cube
     p = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], float)
-    t = T.center(p)
-    inv = T.pair_invariants(t)
+    (gamma,), (zeta,), (vol,) = _kernels.pair_scalars_many(p[None])
     # all pairwise dots are -1, so every gamma is 1
-    assert np.allclose(inv.neg_opposite_dot, 1.0)
+    assert np.allclose(gamma, 1.0)
     # |p_i x p_j|^2 = |p|^4 - <p_i,p_j>^2 = 9 - 1 = 8
-    assert np.allclose(inv.cross_weighted, 8.0)
-    v2 = t.volume**2
-    assert abs(Z.volume_polynomial(inv.neg_opposite_dot) - 2.25 * v2) < 1e-12
-    assert abs(inv.cross_weighted.sum() - 6.75 * v2) < 1e-12
+    assert np.allclose(zeta, 8.0)
+    v2 = _volume(p) ** 2
+    assert abs(vol**2 - v2) < 1e-12
+    assert abs(Z.volume_polynomial(gamma) - 2.25 * v2) < 1e-12
+    assert abs(zeta.sum() - 6.75 * v2) < 1e-12
 
 
 def _random_tetrahedra(rng, n):
     # uniform vertices in [-1, 1]^3, centred; slivers of volume <= 1e-3 are redrawn
     out = []
     while len(out) < n:
-        t = T.center(rng.uniform(-1.0, 1.0, size=(4, 3)))
-        if t.volume > 1e-3:
-            out.append(t)
+        p = rng.uniform(-1.0, 1.0, size=(4, 3))
+        p -= p.mean(axis=0)
+        if _volume(p) > 1e-3:
+            out.append(p)
     return out
 
 
 def _identity_residuals(tetrahedra):
     # both identities through the kernels that ``verify --lemma tetra`` runs, relative to max(1, V^2)
-    gamma, zeta, _ = _kernels.pair_scalars_many(np.array([t.vertices for t in tetrahedra]))
-    v2 = np.array([t.volume for t in tetrahedra]) ** 2
+    gamma, zeta, _ = _kernels.pair_scalars_many(np.array(tetrahedra))
+    v2 = np.array([_volume(p) for p in tetrahedra]) ** 2
     poly, weighted = _kernels.volume_poly_many(gamma), zeta.sum(axis=1)
     return (poly, weighted, v2), T._identity_residuals(poly, weighted, v2)
 
@@ -73,13 +64,11 @@ def test_identities_property(seed):
 def test_identities_survive_rotation_and_scale(rng):
     # both identities are invariant under rotations; scaling by s scales
     # gamma by s^2, the cubic by s^6, and V^2 by s^6 alike
-    (t,) = _random_tetrahedra(rng, 1)
+    (p,) = _random_tetrahedra(rng, 1)
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
-    rotated = T.center(t.vertices @ q.T)
-    scaled = T.center(t.vertices * 1.7)
-    _, (r1, r2) = _identity_residuals([rotated, scaled])
+    _, (r1, r2) = _identity_residuals([p @ q.T, p * 1.7])
     assert r1.max() <= 1e-10 and r2.max() <= 1e-10
 
 
@@ -107,12 +96,7 @@ def test_batch_matches_scalar_path():
         want_gamma, want_zeta = _pair_scalars_reference(p[i])
         assert np.allclose(gamma[i], want_gamma, atol=1e-12)
         assert np.allclose(zeta[i], want_zeta, atol=1e-12)
-        assert abs(vol[i] - abs(np.linalg.det(p[i][1:] - p[i][0])) / 6) < 1e-12
-        # the single-body path must agree on the same vertex ordering, so
-        # bypass the orientation swap of center()
-        inv = T.pair_invariants(T.CenteredTetrahedron(p[i]))
-        assert np.allclose(inv.neg_opposite_dot, want_gamma, atol=1e-12)
-        assert np.allclose(inv.cross_weighted, want_zeta, atol=1e-12)
+        assert abs(vol[i] - _volume(p[i])) < 1e-12
 
 
 def _pair_scalars_many_reference(p):

@@ -725,7 +725,8 @@ PINNED = {
 def test_skeleton_density_pinned(unit_shapes, name, radius):
     # the elongated values were pinned on the body built at edge = elongation = 0.55; the unit
     # shape's 0.6 scales to the same body at unit volume, but its vertices differ by an ulp
-    z = unit_volume(elongated_rhombic_dodecahedron(0.55)) if name == "elongated" else unit_shapes[name]
+    half = 0.55 / math.sqrt(3.0)  # rounds as 0.55 x (1 / sqrt(3)), the rhombic dodecahedron's coordinate
+    z = unit_volume(elongated_rhombic_dodecahedron(half, half, 0.55)) if name == "elongated" else unit_shapes[name]
     est = TL.skeleton_density(z, TL.lattice_from_parallelohedron(z), radius)
     cells, shell, crossing, density = PINNED[name, radius]
     assert (est.cells, est.shell, est.crossing) == (cells, shell, crossing)

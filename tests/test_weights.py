@@ -1,5 +1,5 @@
-"""Closed-form per-type minima, the overall winner, isotropic position,
-and the type-4 stratum formulas."""
+"""Closed-form per-type minima and the bodies that attain them, the overall
+winner, and isotropic position."""
 
 import math
 
@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_body
+from mosaicdensity import _kernels, tiling
 from mosaicdensity import weights as W
+from mosaicdensity import zonotope as Z
 from mosaicdensity._kernels import volume_cubic
-from mosaicdensity.tetra import CenteredTetrahedron
 from mosaicdensity.zonotope import WeightPair, weighted_edge_functional
 
 UNIT = WeightPair(1.0, 1.0)
@@ -43,10 +44,11 @@ class TestTypeMinima:
         assert abs(vals[4] - 16.03618) < 1e-4
 
     def test_exactness_flags(self):
-        for i in (1, 2, 3, 5):
+        # every type's minimum is attained up to alpha4 = alpha6; above, type 4 reports the type-5 value
+        for i in range(1, 6):
             tm = W.type_minimum(i, UNIT)
-            assert tm.is_exact and tm.optimal_shape is not None
-        tm4 = W.type_minimum(4, UNIT)
+            assert tm.is_exact and tm.optimal_shape is not None and tm.note is None
+        tm4 = W.type_minimum(4, WeightPair(1.0, 1.4))
         assert not tm4.is_exact and tm4.optimal_shape is None
 
     def test_type4_switches_to_type5_value(self):
@@ -62,7 +64,7 @@ class TestTypeMinima:
             W.type_minimum(6, UNIT)
 
     @pytest.mark.parametrize("m", [UNIT, WeightPair(2.0, 1.0), WeightPair(6.0, 4.0)])
-    @pytest.mark.parametrize("i", [1, 2, 3, 5])
+    @pytest.mark.parametrize("i", [1, 2, 3, 4, 5])
     def test_built_shape_attains_value(self, i, m):
         z = W.optimal_shape_zonotope(i, m)
         assert abs(z.volume() - 1.0) <= 1e-9
@@ -70,7 +72,9 @@ class TestTypeMinima:
         assert abs(weighted_edge_functional(z, m) - tm.value) <= 1e-9 * tm.value
 
     def test_type4_shape_is_none(self):
-        assert W.optimal_shape_zonotope(4, UNIT) is None
+        # above alpha4 = alpha6 no type-4 body is optimal: the type-5 value bounds them all
+        assert W.optimal_shape_zonotope(4, WeightPair(1.0, math.nextafter(1.0, 2.0))) is None
+        assert W.optimal_shape_zonotope(4, UNIT) is not None
 
     @given(st.floats(0.05, 20.0), st.floats(0.05, 20.0))
     def test_rhombic_never_beats_octahedron(self, a6, a4):
@@ -119,6 +123,14 @@ class TestClassify:
         scaled = W.classify_optimal(WeightPair(c * a6, c * a4))
         assert scaled.winner is base.winner
         assert math.isclose(scaled.value, c * base.value, rel_tol=1e-12)
+
+    def test_type4_never_wins(self):
+        # classify_optimal leaves type 4 out: on (0, 1] its minimum stays 0.56% above the winner's, least at
+        # the prism-octahedron threshold, and above 1 it is the type-5 value, which no type-4 body attains
+        grid = np.append(np.linspace(0.0, 1.0, 2001)[1:], [W.CUBE_PRISM_RATIO, W.PRISM_OCTA_RATIO])
+        margin = [W.type_minimum(4, m).value / W.classify_optimal(m).value
+                  for m in (WeightPair(1.0, float(a4)) for a4 in grid)]
+        assert min(margin) >= 1.005
 
     @given(st.floats(0.1, 10.0), st.floats(0.1, 10.0))
     def test_winner_value_is_envelope(self, a6, a4):
@@ -258,48 +270,60 @@ class TestStackedIsotropy:
         assert (iterations == iterations[0]).all() and (matrix == matrix[0]).all()
 
 
-def _symmetric_type4_tetra() -> CenteredTetrahedron:
-    # b chosen so the weighted cross terms of the 4-belt and 6-belt
-    # slots coincide: b^2 = (10 + sqrt(52)) / 8
-    b = math.sqrt((10.0 + math.sqrt(52.0)) / 8.0)
-    v = np.array([[-1.0, 0.0, 1.0], [1.0, 0.0, 1.0], [0.0, b, -1.0], [0.0, -b, -1.0]])
-    v /= np.linalg.det(v[:3]) ** (1.0 / 3.0)
-    return CenteredTetrahedron(v)
+def _type4_frame(r):
+    # the frame of type 4's minimum at alpha4/alpha6 = r, and its coefficients, straight from the closed form
+    h = math.sqrt((4.0 - r * r) / (4.0 * r * r))
+    frame = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-0.5, -0.5, h], [-0.5, -0.5, -h]])
+    return frame, np.array([(4.0 - 3.0 * r * r) / (2.0 * r * r), 1.0, 1.0, 1.0, 1.0, 0.0])
 
 
 class TestStationaryBetas:
     def test_symmetric_frame(self):
-        m = WeightPair(1.3, 0.7)
-        beta = W.stationary_betas_type4(_symmetric_type4_tetra(), m).values
-        assert beta[5] == 0.0
-        mid = beta[1:5]
-        assert mid.max() - mid.min() < 1e-12
-        assert abs(beta[0] * m.alpha4 - beta[1] * m.alpha6) < 1e-12
+        # at the closed-form frame the coefficients are stationary: beta_k 3 w_k / |v_i x v_j| is one constant
+        # times gamma_k, the complementary pair's minus dot product, for the five active pairs, and beta34 = 0
+        i, j = np.array(Z.PAIRS[:5]).T
+        for r in (0.05, 0.3, 0.7, math.sqrt(3.0) / 2.0, 1.0):
+            m = WeightPair(1.3, 1.3 * r)
+            frame, beta = _type4_frame(r)
+            gamma = _kernels.pair_scalars_many(frame[None])[0][0]
+            weight = np.array([m.alpha4] + [m.alpha6] * 4)
+            scaled = beta[:5] * 3.0 * weight / np.linalg.norm(np.cross(frame[i], frame[j]), axis=1)
+            assert np.allclose(scaled, scaled[1] / gamma[1] * gamma[:5], rtol=1e-12, atol=0), r
+            assert beta[5] == 0.0
 
-    def test_rejects_unnormalized(self):
-        t = _symmetric_type4_tetra()
-        with pytest.raises(ValueError, match="triple product"):
-            W.stationary_betas_type4(CenteredTetrahedron(1.2 * t.vertices), UNIT)
+    @pytest.mark.parametrize("r", [1e-6, 0.05, 0.3, 0.7, math.sqrt(3.0) / 2.0, 1.0])
+    def test_the_minimum_is_the_frame_body(self, r):
+        # type_minimum's body is the (frame, beta) body at unit volume, turned 45 degrees about e3
+        frame, beta = _type4_frame(r)
+        want = Z.unit_volume(Z.build_from_parameters(frame, Z.BetaVector(beta))).generators
+        c = math.sqrt(0.5)
+        want = want @ np.array([[c, c, 0.0], [-c, c, 0.0], [0.0, 0.0, 1.0]])
+        got = W.optimal_shape_zonotope(4, WeightPair(1.0, r)).generators
+        assert len(got) == len(want) == 5
+        for g in got:  # a segment is its generator up to sign
+            off = np.minimum(np.linalg.norm(want - g, axis=1), np.linalg.norm(want + g, axis=1))
+            assert off.min() <= 1e-12 * np.linalg.norm(g)
 
-    def test_rejects_non_orthogonal(self):
-        v = np.array(
-            [[1.0, 0.0, 1.0], [-0.8, 0.0, 1.0], [0.0, 1.0, -1.0], [-0.2, -1.0, -1.0]]
-        )
-        assert abs(v.sum(axis=0)).max() < 1e-15 and abs(v[0] @ v[1]) > 0.1
-        if np.linalg.det(v[:3]) < 0:
-            v = v[[1, 0, 2, 3]]
-        v /= np.linalg.det(v[:3]) ** (1.0 / 3.0)
-        with pytest.raises(W.NotOrthogonal):
-            W.stationary_betas_type4(CenteredTetrahedron(v), UNIT)
 
-    def test_rejects_negative_coefficient(self):
-        v1 = np.array([1.0, 0.0, 1.0])
-        v2 = np.array([-1.0, 0.0, 1.0])
-        v3 = np.array([0.3, 0.1, 1.0])
-        raw = np.stack([v2, v1, v3, -(v1 + v2 + v3)])  # ordered for +det
-        raw /= np.linalg.det(raw[:3]) ** (1.0 / 3.0)
-        with pytest.raises(W.NegativeBeta):
-            W.stationary_betas_type4(CenteredTetrahedron(raw), UNIT)
+class TestType4Body:
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(1e-9, 1.0), st.floats(-200.0, 200.0))
+    def test_attains_the_minimum(self, r, exponent):
+        a6 = 10.0**exponent
+        m = WeightPair(a6, r * a6)
+        z = W.optimal_shape_zonotope(4, m)
+        assert len(z.facet_normals) == 12
+        assert sorted(b.value for b in Z.belts(z)) == [4, 6, 6, 6, 6]
+        assert abs(z.volume() - 1.0) <= 1e-12
+        assert abs(weighted_edge_functional(z, m) - W.type_minimum(4, m).value) <= 1e-12 * a6
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.floats(0.05, 1.0))
+    def test_tiles_space(self, r):
+        # validate_tiling screens every lattice point within the diameter, about 3 / r^2 of them at unit
+        # volume, so the ratio stays where that is cheap
+        z = W.optimal_shape_zonotope(4, WeightPair(1.0, r))
+        tiling.validate_tiling(z, tiling.lattice_from_parallelohedron(z))
 
 
 def _type4_functional_reference(v, beta, a6, a4):

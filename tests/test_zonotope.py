@@ -728,13 +728,13 @@ class TestCanonicalShapes:
         assert np.allclose(z.edge_lengths(), 0.9)
 
     def test_elongation_default(self):
-        z = Z.elongated_rhombic_dodecahedron(0.5)
+        z = Z.elongated_rhombic_dodecahedron(0.5 / math.sqrt(3.0), 0.5 / math.sqrt(3.0), 0.5)
         b = Z.belts(z)
         four = [g for g, c in zip(z.generators, b) if c is Z.BeltClass.FOUR]
         assert len(four) == 1 and abs(np.linalg.norm(four[0]) - 0.5) < 1e-12
 
     def test_unit_volume_rescales_segments(self):
-        z = Z.elongated_rhombic_dodecahedron(0.6)
+        z = Z.elongated_rhombic_dodecahedron(0.6 / math.sqrt(3.0), 0.6 / math.sqrt(3.0), 0.6)
         u = Z.unit_volume(z)
         assert abs(u.volume() - 1.0) < 1e-12
         scale = z.volume() ** (-1.0 / 3.0)
