@@ -271,7 +271,7 @@ def cmd_tile(args: argparse.Namespace) -> int:
     _note(f"shape {args.shape}: volume={z.volume():.6f}, searching tiling lattice")
     try:
         lat, report, rows, residuals = _certify_tiling(z, radii, args.seed)
-    except (tiling.NoValidBasis, tiling.Overlap, tiling.NotFaceToFace) as exc:  # a body that cannot be measured
+    except (tiling.NoValidBasis, tiling.Overlap, tiling.TooManyLines) as exc:  # a body that cannot be measured
         raise _OptionError(f"argument --shape: {exc}") from exc
     except ValueError as exc:  # geometry errors
         raise SystemExit(f"tiling failed: {exc}") from exc

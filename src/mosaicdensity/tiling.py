@@ -1,26 +1,27 @@
 """Lattice tilings by parallelohedra, skeleton density in a ball and exactly.
 
-A parallelohedron tiles space face to face by lattice translates.  This
-module proposes the tiling lattice (its doubled facet centers lie in it,
-so a triple of them spanning the cell volume is a basis), certifies it
-exactly (no two translates overlap and the covolume equals the cell
-volume, so the translates tile), and measures the total edge length of
-the tiling inside a large ball from edge orbits: the edges of one cell
-fall into classes of lattice translates, one class per orbit of tiling
-edges, and a class has one member per cell sharing the edge, 4 on a
-4-belt and 3 on a 6-belt.
-So the per-cell functional with weights (2, 1) over cell volume is the limit
-density, and the sum of the class representatives' lengths over the covolume
-is the density exactly.  The tiling's point group G, the orthogonal maps that
-take the lattice onto itself and the cell's edges onto edges (order 48 for the
-cube, 2 for a generic body, and always holding x -> -x as the cell is centred),
-maps the skeleton in a centred ball onto itself.  So translates are enumerated
-line by line, one per orbit of G, its lexicographic maximum, standing for the
-whole orbit: cells strictly inside the ball are mostly counted, not formed, and
-add their edge lengths in closed form; edges near the sphere are whole, missing
-or crossing by their endpoint norms, and only crossing edges are clipped and
-summed, in work arrays reused from block to block.  A lattice is reduced once,
-and G, the edge classes and the cone serve a whole series of radii.
+A parallelohedron tiles space by lattice translates.  This module proposes the
+tiling lattice (its doubled facet centers lie in it, so a triple of them
+spanning the cell volume is a basis), certifies any lattice exactly (no two
+translates overlap and the covolume equals the cell volume, so the translates
+tile), and measures the total edge length of the tiling inside a large ball
+from edge pieces: each cell edge is cut where collinear edges of translates
+end, and the pieces fall into classes of lattice translates, one class per
+orbit of tiling pieces, with one member per cell whose edges hold the piece.
+Face to face no edge is cut, and a class has 4 members on a 4-belt and 3 on a
+6-belt, so the per-cell functional with weights (2, 1) over cell volume is the
+limit density; with layers slid it is more.  The sum of the class
+representatives' lengths over the covolume is the density exactly.  The
+tiling's point group G, the orthogonal maps that take the lattice onto itself
+and the cell's pieces onto pieces (order 48 for the cube, 2 for a generic body,
+and always holding x -> -x as the cell is centred), maps the skeleton in a
+centred ball onto itself.  So translates are enumerated line by line, one per
+orbit of G, its lexicographic maximum, standing for the whole orbit: cells
+strictly inside the ball are mostly counted, not formed, and add their piece
+lengths in closed form; pieces near the sphere are whole, missing or crossing
+by their endpoint norms, and only crossing pieces are clipped and summed, in
+work arrays reused from block to block.  A lattice is reduced once, and G, the
+pieces and the cone serve a whole series of radii.
 """
 
 from __future__ import annotations
@@ -33,15 +34,15 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from . import _kernels
-from .zonotope import BeltClass, GeometryError, WeightPair, Zonotope, belts, weighted_edge_functional
+from .zonotope import GeometryError, WeightPair, Zonotope, weighted_edge_functional
 
 
 class NoValidBasis(GeometryError):
     """No facet-center triple generates a valid tiling lattice."""
 
 
-class NotFaceToFace(GeometryError):
-    """A lattice edge class is not its belt's sharing count: the tiling is not face to face."""
+class TooManyLines(GeometryError):
+    """The lattice lines of a ball exceed ``_MAX_LINES``: the ball is too wide for the lattice's spacing."""
 
 
 class Overlap(GeometryError):
@@ -88,6 +89,7 @@ def _lll_unimodular(basis: np.ndarray) -> np.ndarray:
 
 _LINE_CHUNK = 256  # lattice lines whose band is formed, and clipped, per block
 _MAX_RADIUS = 100.0  # ball radius in cell diameters; the (c1, c2) line table grows as its square
+_MAX_LINES = 2**21  # (c1, c2) lines in one ball, about 120 bytes each; the unit shapes need <= 190 969 at the cap
 _RADIUS_BAND = (1e-60, 1e60)  # the chord terms ~ (radius x edge)^2 leave the doubles past radius x edge 1e154 or 1e-158
 _CENTRAL = np.array([np.eye(3), -np.eye(3)], dtype=np.int64)  # x -> x and x -> -x, on any coefficients
 
@@ -152,6 +154,9 @@ def _ball_lines(lat: Lattice, rmax: float, rin: float, cone: tuple[np.ndarray, n
     lexicographic (c1, c2, c3) order.
     """
     (u, red, scale), (n, walls) = lat._reduction, cone
+    lines = math.prod(2 * math.floor(s * rmax) + 3 for s in scale[:2].tolist())  # in ints: no overflow
+    if lines > _MAX_LINES:
+        raise TooManyLines(f"a ball of radius {rmax:.6g} spans {lines} lattice lines, more than {_MAX_LINES}")
     lim = np.floor(scale * rmax).astype(np.int64) + 1
     c1 = np.repeat(np.arange(-lim[0], lim[0] + 1), 2 * lim[1] + 1)
     c2 = np.tile(np.arange(-lim[1], lim[1] + 1), 2 * lim[0] + 1)
@@ -241,7 +246,7 @@ class DensityEstimate:
     weighted_length: float
     cells: int
     shell: int  # translates whose edges were classified one by one
-    crossing: int  # (translate, edge) pairs given to the chord formula
+    crossing: int  # (translate, piece) pairs given to the chord formula
     exact_density: float  # the class representatives' total length over the covolume
     symmetries: int  # order of the tiling's point group, which folds the ball
 
@@ -318,10 +323,11 @@ def validate_tiling(
     Mathematika 27 (1980); P. M. Gruber, Convex and Discrete Geometry
     (2007)).  A lattice that ``lattice_from_parallelohedron`` proposes for
     a parallelohedron passes; for any other body it is screened here.
-    Raises Overlap with its witness; Gap if covolume > volume,
-    with a witness from at most ``samples`` points drawn from ``seed``;
-    GeometryError if covolume < volume with no overlap, which the
-    packing bound rules out, so the overlap screen is at fault.
+    Raises TooManyLines if the screen's ball is too wide for the lattice;
+    Overlap with its witness; Gap if covolume > volume, with a witness
+    from at most ``samples`` points drawn from ``seed``; GeometryError if
+    covolume < volume with no overlap, which the packing bound rules out,
+    so the overlap screen is at fault.
     """
     witness, checked = _has_overlap(z, lat)
     if witness is not None:
@@ -355,43 +361,41 @@ def lattice_from_parallelohedron(z: Zonotope) -> Lattice:
     raise NoValidBasis("no facet-center triple yields a disjoint unit-index lattice")
 
 
-@dataclass(frozen=True)
-class EdgeClasses:
-    """Cell edges oriented along their segments, in lattice-translation classes."""
+def _pieces(z: Zonotope, lat: Lattice) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The cell edges, oriented along their segments, cut where collinear edges of translates end: each
+    piece's start and end, m, the number of cells whose edges hold it, and the first piece of each class.
 
-    start: np.ndarray  # (E, 3)
-    end: np.ndarray  # (E, 3)
-    share: np.ndarray  # (E,) sharing count k: 4 on a 4-belt, 3 on a 6-belt
-    members: tuple[tuple[int, ...], ...]  # edge ids of each class, ascending
-    reps: np.ndarray  # the first member of each class represents it
-
-
-def edge_classes(z: Zonotope, lat: Lattice) -> EdgeClasses:
-    """Split the cell edges into classes of lattice translates.
-
-    Two edges are in one class when they carry the same segment label
-    and their start points differ by a lattice vector, i.e. by integer
-    coordinates under the basis (to within 1e-7).  In a face to face
-    lattice tiling the class of an edge lists its position in every cell
-    containing it, so each class size must equal the belt's sharing
-    count; a mismatch raises :class:`NotFaceToFace`.
+    Edge b of z + t lies on edge a's line at mu times a's vector d when the coefficients f + mu c of
+    t = start_a - start_b + mu d are integers: mu = (n - f_k) / c_k, k where |c| is largest, and the other
+    two are tested.  |mu| < 1 cuts a at mu or 1 + mu, whichever lies inside; |mu| <= 1e-12 is a shared
+    edge, |mu| >= 1 - 1e-12 a neighbour end to end.  A piece runs to the next cut on its line, so pieces
+    of one segment whose starts differ by a lattice vector form a class, one member per cell that holds
+    it.  Face to face no edge is cut and m is the belt's sharing count: 4 on a 4-belt, 3 on a 6-belt.
     """
-    labels = z.edge_segment
+    labels, inv = z.edge_segment, np.linalg.inv(lat.basis)
     ends = z.vertices[z.edge_vertex_ids]  # (E, 2, 3)
-    dirs = z.generators[labels]
-    flip = ((ends[:, 1] - ends[:, 0]) * dirs).sum(axis=1) < 0
+    flip = ((ends[:, 1] - ends[:, 0]) * z.generators[labels]).sum(axis=1) < 0
     ends[flip] = ends[flip, ::-1]
-    start, end = ends[:, 0], ends[:, 1]
-    share = np.array([4 if b is BeltClass.FOUR else 3 for b in belts(z)])[labels]
-    frac = start @ np.linalg.inv(lat.basis)
-    d = frac[:, None] - frac[None]
-    same = (labels[:, None] == labels) & (np.abs(d - np.rint(d)) < 1e-7).all(axis=2)
-    members = tuple(sorted({tuple(np.flatnonzero(row).tolist()) for row in same}))
-    sizes = same.sum(axis=1)
-    if (sizes != share).any() or sum(map(len, members)) != len(labels):
-        bad = int(np.abs(sizes - share).max())
-        raise NotFaceToFace(f"tiling is not face to face: edge multiplicity off by {bad} in a lattice edge class")
-    return EdgeClasses(start, end, share, members, np.array([m[0] for m in members]))
+    c = (ends[:, 1] - ends[:, 0]) @ inv  # lattice coefficients of each edge's vector
+    a, b = np.nonzero(labels[:, None] == labels)  # edge pairs along one segment
+    f, k = (ends[a, 0] - ends[b, 0]) @ inv, np.abs(c).argmax(axis=1)[a]
+    fk, ck, reach = f[np.arange(len(a)), k, None], c[a, k, None], math.floor(np.abs(c).max() + 0.5)
+    mu = (np.rint(fk) + np.arange(-reach, reach + 1) - fk) / ck  # covers every n with |n - f_k| < |c_k|
+    tau = f[:, None] + mu[..., None] * c[a, None]
+    on = (np.abs(tau - np.rint(tau)) < 1e-7).all(axis=2) & (np.abs(mu) > 1e-12) & (np.abs(mu) < 1.0 - 1e-12)
+    edge = np.concatenate([np.arange(2 * len(labels)) // 2, a[np.nonzero(on)[0]]])  # each edge twice, then its cuts
+    at = np.concatenate([np.arange(2 * len(labels)) % 2.0, (mu % 1.0)[on]])  # its ends, 0 and 1; cuts at mu or 1 + mu
+    order = np.lexsort((at, edge))
+    edge, at = edge[order], at[order]
+    keep = (np.diff(edge, prepend=-1) != 0) | (np.diff(at, prepend=0.0) > 1e-12)  # one of each cut
+    edge, at = edge[keep], at[keep, None]
+    s, e = ends[edge, 0], ends[edge, 1]
+    point = np.where(at == 0.0, s, np.where(at == 1.0, e, s + at * (e - s)))  # the vertices themselves kept
+    piece = np.flatnonzero(edge[1:] == edge[:-1])  # from point[i] to point[i + 1]
+    start, end, label = point[piece], point[piece + 1], labels[edge[piece]]
+    d = (start[:, None] - start[None]) @ inv  # lattice coefficients of the pieces' start differences
+    same = (label[:, None] == label) & (np.abs(d - np.rint(d)) < 1e-7).all(axis=2)
+    return start, end, same.sum(axis=1), np.flatnonzero(same.argmax(axis=1) == np.arange(len(same)))
 
 
 def _check_radius(z: Zonotope, radius: float) -> None:
@@ -433,12 +437,12 @@ def _shell_pairs(start: np.ndarray, end: np.ndarray, radius: float):
 
 def _point_group(z: Zonotope, lat: Lattice, mid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The tiling's point group G: the orthogonal maps x -> x @ a taking the lattice onto itself and
-    the cell's edges, with midpoints ``mid``, onto edges, and so its generators onto generators up to sign.
+    the cell's edge pieces, with midpoints ``mid``, onto pieces, and so its generators onto generators up to sign.
 
     An orthogonal map is fixed by its images of an independent triple of generators, so the
     candidates are the signed images of the first such triple with the triple's Gram matrix.
-    Returns each element as an integer matrix on lattice coefficients, c -> c @ m, and its edge
-    permutation, edge j onto edge perm[g, j]; raises GeometryError unless x -> -x is in G.
+    Returns each element as an integer matrix on lattice coefficients, c -> c @ m, and its piece
+    permutation, piece j onto piece perm[g, j]; raises GeometryError unless x -> -x is in G.
     """
     gens = z.generators
     scale = np.abs(gens).max()
@@ -465,23 +469,23 @@ def _point_group(z: Zonotope, lat: Lattice, mid: np.ndarray) -> tuple[np.ndarray
 
 
 def _densities(z: Zonotope, lat: Lattice, radii: list[float]):
-    """Yield ``skeleton_density`` at each of the ascending ``radii``, built once: the edge classes, the point group
+    """Yield ``skeleton_density`` at each of the ascending ``radii``, built once: the edge pieces, the point group
     and its fold, the target, the exact density and the cone at the largest radius; ``_shell_pairs`` per radius."""
     if not len(radii) or any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError(f"radii must be a nonempty ascending list, got {list(radii)}")
     for radius in radii:
         _check_radius(z, radius)
-    cls = edge_classes(z, lat)
-    group, perm = _point_group(z, lat, (cls.start + cls.end) / 2.0)
+    start, end, m, reps = _pieces(z, lat)
+    group, perm = _point_group(z, lat, (start + end) / 2.0)
     order, circ = len(group), z.circumradius()
-    lengths = z.edge_lengths()
-    fold = np.isin(perm, cls.reps).sum(axis=0)  # representatives among the images of edge j
+    lengths = np.linalg.norm(end - start, axis=1)
+    fold = np.isin(perm, reps).sum(axis=0)  # representatives among the images of piece j
     target = weighted_edge_functional(z, WeightPair(2.0, 1.0)) / z.volume()
-    exact = math.fsum(lengths[cls.reps].tolist()) / lat.covolume
+    exact = math.fsum(lengths[reps].tolist()) / lat.covolume
     cone = _cone(lat, group, radii[-1] + circ)
     for radius in radii:
-        pairs = _shell_pairs(cls.start, cls.end, radius)
-        whole = np.zeros(len(lengths), dtype=np.int64)  # per edge, translates holding it whole, times their q
+        pairs = _shell_pairs(start, end, radius)
+        whole = np.zeros(len(lengths), dtype=np.int64)  # per piece, translates holding it whole, times their q
         cells, shell, crossing, totals, weighted = 0, 0, 0, [], []
         for counted, t, q in _ball_lines(lat, radius + circ, radius - circ, cone):
             inner = np.linalg.norm(t, axis=1) + circ < radius
@@ -497,14 +501,14 @@ def _densities(z: Zonotope, lat: Lattice, radii: list[float]):
             cut = (chord > 0.0) & ~full
             chord, col = (chord * w)[cut], col[cut]
             totals.append((chord * fold[col]).sum() / order)
-            weighted.append((chord / cls.share[col]).sum())
+            weighted.append((chord / m[col]).sum())
             cells += counted + int(q.sum())
             shell, crossing = shell + int(q.sum()), crossing + int(w.sum())
         held, rest = np.divmod(whole[perm].sum(axis=0), order)
         if rest.any():
             raise GeometryError(f"folded whole-edge count is not a multiple of |G| = {order}: an orbit weight is off")
-        totals.extend((held * lengths)[cls.reps].tolist())
-        weighted.extend((held * lengths / cls.share).tolist())
+        totals.extend((held * lengths)[reps].tolist())
+        weighted.extend((held * lengths / m).tolist())
         total, weighted_total = math.fsum(totals), math.fsum(weighted)
         if abs(total - weighted_total) > 1e-9 * max(1.0, total):
             raise GeometryError(f"unique-edge total {total!r} and weighted total {weighted_total!r} disagree")
@@ -515,23 +519,24 @@ def _densities(z: Zonotope, lat: Lattice, radii: list[float]):
 def skeleton_density(z: Zonotope, lat: Lattice, radius: float) -> DensityEstimate:
     """Edge length of the tiling per unit ball volume at one radius, and exactly.
 
-    Two totals are formed: each tiling edge counted once, through the
-    class representatives of every translate, and every cell edge
-    weighted by 1/k.  Only one translate per orbit of the tiling's point
-    group G is formed or counted, by ``_ball_lines``, with weight q, the
-    orbit's size: g in G maps edge j of translate t onto edge perm[g, j]
-    of translate g t, so pair (t, j) stands for its images.  Cells
-    counted inside the ball or strictly inside it add q x length; of the
-    other translates, pairs with both endpoints inside add length, and
-    only the pairs that may cross the sphere are clipped and summed, a
-    pairwise sum per block, by one ``_shell_pairs`` classifier.  A chord
-    of edge j adds q/|G| x (the number of representatives among its
-    images) to the first total and q/k to the second; whole counts, kept
-    in integers scaled by |G|, fold as sum over g of whole[perm[g, j]],
-    and a sum that |G| does not divide raises GeometryError.  The totals
-    must agree to 1e-9.  The counts are those of the whole ball.
-    ``exact_density`` is the representatives' total length over the
-    covolume; ``symmetries`` is |G|.  A ``convergence_series`` of one.
+    Two totals are formed over the cell's edge pieces of ``_pieces``:
+    each tiling piece counted once, through the class representatives of
+    every translate, and every piece weighted by 1/m.  Only one
+    translate per orbit of the tiling's point group G is formed or
+    counted, by ``_ball_lines``, with weight q, the orbit's size: g in G
+    maps piece j of translate t onto piece perm[g, j] of translate g t,
+    so pair (t, j) stands for its images.  Cells counted inside the ball
+    or strictly inside it add q x length; of the other translates, pairs
+    with both endpoints inside add length, and only the pairs that may
+    cross the sphere are clipped and summed, a pairwise sum per block,
+    by one ``_shell_pairs`` classifier.  A chord of piece j adds q/|G| x
+    (the number of representatives among its images) to the first total
+    and q/m to the second; whole counts, kept in integers scaled by |G|,
+    fold as sum over g of whole[perm[g, j]], and a sum that |G| does not
+    divide raises GeometryError.  The totals must agree to 1e-9.  The
+    counts are those of the whole ball.  ``exact_density`` is the
+    representatives' total length over the covolume; ``symmetries`` is
+    |G|.  A ``convergence_series`` of one.
     """
     return tuple(_densities(z, lat, [radius]))[0]
 

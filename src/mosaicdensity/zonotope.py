@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from enum import Enum
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -65,11 +64,6 @@ class BeltAnomaly(GeometryError):
 
 class ConstructionError(GeometryError):
     """The face complex could not be assembled consistently."""
-
-
-class BeltClass(Enum):
-    FOUR = 4
-    SIX = 6
 
 
 @dataclass(frozen=True)
@@ -125,10 +119,6 @@ class Zonotope:
     def diameter(self) -> float:
         # centered body: the farthest vertex pair is antipodal
         return 2.0 * self.circumradius()
-
-    def edge_lengths(self) -> np.ndarray:
-        d = self.vertices[self.edge_vertex_ids[:, 1]] - self.vertices[self.edge_vertex_ids[:, 0]]
-        return np.linalg.norm(d, axis=1)
 
     def facet_planes(self) -> tuple[np.ndarray, np.ndarray]:
         """Outward normals (F, 3) and support offsets (F,) with n.x <= h."""
@@ -339,29 +329,26 @@ def build_from_parameters(frame: np.ndarray, b: BetaVector) -> Zonotope:
     return build_zonotope(segments_from_parameters(frame, b), PAIRS)
 
 
-def belts(z: Zonotope) -> list[BeltClass]:
-    """Zone size of each segment: the facets containing a translate of it.
+def belts(z: Zonotope) -> np.ndarray:
+    """Zone size of each segment, (k,) ints: the facets containing a translate of it.
 
     A facet belongs to the zone of a segment exactly when the segment is
     in the facet's coplanar class, i.e. one of its edges is labeled with
     that segment.  Every zone of a space-filling body of this family has
     size 4 or 6; anything else raises :class:`BeltAnomaly`.
     """
-    out = []
-    for idx, c in enumerate(z.facet_members.sum(axis=0).tolist()):
-        try:
-            out.append(BeltClass(c))
-        except ValueError:
-            raise BeltAnomaly(f"segment {idx} lies in {c} facets") from None
-    return out
+    sizes = z.facet_members.sum(axis=0)
+    bad = np.flatnonzero((sizes != 4) & (sizes != 6))
+    if len(bad):
+        raise BeltAnomaly(f"segment {bad[0]} lies in {sizes[bad[0]]} facets")
+    return sizes
 
 
 def weighted_edge_functional(z: Zonotope, m: WeightPair) -> float:
-    """Sum of segment lengths weighted by belt class (alpha4 or alpha6)."""
-    four = np.array([c is BeltClass.FOUR for c in belts(z)])
+    """Sum of segment lengths weighted by zone size (alpha4 or alpha6)."""
     g = z.generators
     lengths = np.sqrt((g[:, None] @ g[:, :, None])[:, 0, 0])  # row dots, as ``np.linalg.norm`` of a row
-    return sum((np.where(four, m.alpha4, m.alpha6) * lengths).tolist())
+    return sum((np.where(belts(z) == 4, m.alpha4, m.alpha6) * lengths).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -205,7 +205,7 @@ def test_09_tiling_convergence():
         assert abs(est.target - want) <= 1e-12
         worst_rel = max(worst_rel, est.relative_error)
         worst_mode = max(worst_mode, abs(est.skeleton_length - est.weighted_length))
-        shares = set(tiling.edge_classes(z, lat).share.tolist())
+        shares = set(tiling._pieces(z, lat)[2].tolist())  # m, the cells that hold each piece
         shares_ok = shares_ok and shares <= {3, 4}
         details.append(f"{name} {est.density:.4f} vs {want:.4f}")
     dt = time.perf_counter() - t0

@@ -1,9 +1,11 @@
 """The package's public surface: the root binds only its version and backend flag, a public top-level name of
 a module that no module of the package uses is listed with its reason; so is a public attribute of a public class
 that no module of the package reads, and a keyword default of a public function that no call in the package
-passes; and the README's count of the package's source lines is current."""
+passes; every exception class the package defines is raised in it; and the README's count of the package's source
+lines is current."""
 
 import ast
+import builtins
 import re
 from pathlib import Path
 
@@ -112,8 +114,6 @@ UNREAD_ATTRIBUTES = {
         "grid_points", "root_decreasing_margin", "edge_weighted_increasing_margin", "product_increasing_margin",
         "root_convexity_margin", "g2_min", "g2_fd_residual", "failures", "passed")},
     "tiling.TilingReport.covering_samples": "perfbench's tracer counts it; it leaves with ROADMAP item 18",
-    "tiling.EdgeClasses.members": "TestEdgeClasses checks the class partition through it; ROADMAP item 17's "
-                                  "evaluator merges edges into these classes",
 }
 
 
@@ -192,6 +192,30 @@ def test_keyword_defaults_are_passed_or_listed():
                    for count, names, spread in passed.get(function, [])):
             unpassed.append(key)
     assert sorted(unpassed) == sorted(UNPASSED_DEFAULTS)
+
+
+def _bare_name(node):
+    """The name that a Name or an Attribute ends in, as ``Overlap`` in ``tiling.Overlap``."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def test_every_exception_class_is_raised():
+    # a class whose check is gone leaves with it: raised by name, with or without arguments, in some module
+    modules = _modules()
+    bases = {cls.name: [_bare_name(b) for b in cls.bases]
+             for tree in modules.values() for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)}
+
+    def is_exception(name):
+        if name in bases:
+            return any(is_exception(base) for base in bases[name])
+        builtin = getattr(builtins, str(name), None)
+        return isinstance(builtin, type) and issubclass(builtin, BaseException)
+
+    raised = {_bare_name(node.exc.func if isinstance(node.exc, ast.Call) else node.exc)
+              for tree in modules.values() for node in ast.walk(tree) if isinstance(node, ast.Raise) and node.exc}
+    defined = {name for name in bases if is_exception(name)}
+    assert {"GeometryError", "Overlap", "TooManyLines", "_OptionError"} <= defined
+    assert sorted(defined - raised) == []
 
 
 def test_readme_states_the_source_line_count():

@@ -777,14 +777,51 @@ class TestBadInput:
         self._one_error_line(capsys, argv, "--shape: no facet-center triple yields a disjoint unit-index lattice")
 
     def test_lattice_that_is_not_face_to_face(self, capsys, monkeypatch):
-        # sheared cube layers: validate_tiling certifies them, the skeleton measure cannot use them
-        from mosaicdensity import tiling
-
+        # slid cube layers: validate_tiling certifies them and the ball measures them, at exactly 4 against
+        # w_(2,1)/vol = 3, so the residuals against w_(2,1)/vol fail by a third, and the bracket holds
         sheared = tiling.Lattice(np.array([[1.0, 0, 0], [0, 1.0, 0], [0.3, 0, 1.0]]))
         monkeypatch.setattr(tiling, "lattice_from_parallelohedron", lambda z: sheared)
-        argv = ["tile", "--shape", "cube", "--radius", "8"]
-        message = "--shape: tiling is not face to face: edge multiplicity off by 2 in a lattice edge class"
-        self._one_error_line(capsys, argv, message)
+        code, doc = run_json(capsys, ["tile", "--shape", "cube", "--radius", "8"])
+        assert code == 1
+        (row,) = doc["outputs"]["rows"]
+        assert row["exact_density"] == 4.0 and row["symmetries"] == 4
+        residuals = {r["name"]: r for r in doc["residuals"]}
+        assert residuals["exact_density_vs_target"]["value"] == pytest.approx(1.0 / 3.0, rel=1e-12)
+        assert [name for name, r in residuals.items() if not r["pass"]] == [
+            "final_relative_error", "exact_density_vs_target"]
+
+    def test_needle_is_refused_with_bounded_memory(self, tmp_path):
+        # the type-4 minimum at ratio 1e-9 is about 1e6 long and 1e-3 wide: the overlap screen's lattice
+        # lines, about 4e18, are counted and refused before any array is formed.  Run in a fresh process,
+        # whose VmHWM is its own peak, as for the simplex grid
+        path = tmp_path / "needle.json"
+        needle = weights.optimal_shape_zonotope(4, zonotope.WeightPair(1.0, 1e-9))
+        path.write_text(json.dumps(zonotope.to_json(needle)), encoding="utf-8")
+        script = "\n".join([
+            "import contextlib, io, sys",
+            "from mosaicdensity import cli",
+            "def peak_kib():",
+            "    with open('/proc/self/status') as fh:",
+            "        return next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))",
+            "before = peak_kib()",
+            "err = io.StringIO()",
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):",
+            "    try:",
+            f"        cli.main(['tile', '--shape', 'file:{path}', '--radius', '{4.0 * needle.diameter()!r}'])",
+            "    except SystemExit as exc:",
+            "        code = exc.code",
+            "print(code, peak_kib() - before)",
+            "print(err.getvalue(), end='')",
+        ])
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        head, *err = run.stdout.splitlines()
+        code, grown_kib = map(int, head.split())
+        assert code == 2
+        errors = [line for line in err if "error:" in line]
+        assert len(errors) == 1 and " lattice lines, more than 2097152" in errors[0]
+        assert errors[0].split("error: ")[1].startswith("argument --shape: a ball of radius ")
+        assert grown_kib <= 45 * 1024
 
     def test_lattice_that_overlaps(self, capsys, monkeypatch):
         # a body that does not tile: validate_tiling screens the proposed lattice

@@ -674,15 +674,15 @@ class TestShellClip:
     def test_matches_segment_ball_clip_on_a_tiling_shell(self, unit_shapes):
         z = unit_shapes["truncocta"]
         lat = TL.lattice_from_parallelohedron(z)
-        cls = TL.edge_classes(z, lat)
+        start, end, _, _ = TL._pieces(z, lat)
         radius, circ = 20.0, z.circumradius()
         t = lat.points_in_ball(radius + circ)
         shell = t[np.linalg.norm(t, axis=1) + circ >= radius]
-        got = _shell_clip(shell, cls.start, cls.end, radius)
-        want = self._translated(shell, cls.start, cls.end, radius)
+        got = _shell_clip(shell, start, end, radius)
+        want = self._translated(shell, start, end, radius)
         assert np.abs(got - want).max() <= 1e-12
         # every kind occurs: whole edges, crossing edges and edges outside
-        full = np.linalg.norm(cls.end - cls.start, axis=1)
+        full = np.linalg.norm(end - start, axis=1)
         assert (got == full).any() and ((got > 0) & (got < full)).any() and (got == 0).any()
 
 

@@ -15,11 +15,11 @@ from mosaicdensity import tiling as TL
 from mosaicdensity._kernels import segment_ball_clip
 from mosaicdensity.zonotope import (
     UNIT_SHAPES,
-    BeltClass,
     GeometryError,
     belts,
     cube,
     elongated_rhombic_dodecahedron,
+    unit_shape,
     unit_volume,
 )
 
@@ -61,8 +61,7 @@ def _reference_skeleton_length(z, lat, radius, tol=1e-7):
     _, group = connected_components(graph, directed=False)
     _, first, size = np.unique(group, return_index=True, return_counts=True)
     clip = _ball_clip(p[first], q[first], radius)
-    belt = belts(z)
-    share = np.array([4 if belt[s] is BeltClass.FOUR else 3 for s in z.edge_segment])
+    share = np.where(belts(z) == 4, 4, 3)[z.edge_segment]
     label = np.tile(share, len(t))[first]
     assert (size[clip > 0] == label[clip > 0]).all()
     return math.fsum(clip.tolist())
@@ -111,26 +110,26 @@ def _ball_lines_full_reference(basis, rmax, rin):
 def _skeleton_density_full_reference(z, lat, radius):
     """skeleton_density over every translate of the whole ball, without the mirror fold:
     (cells, shell, crossing, density, skeleton length, weighted length)."""
-    cls = TL.edge_classes(z, lat)
+    start, end, m, reps = TL._pieces(z, lat)
     circ = z.circumradius()
-    lengths = np.linalg.norm(cls.end - cls.start, axis=1)
-    is_rep = np.isin(np.arange(len(lengths)), cls.reps)
+    lengths = np.linalg.norm(end - start, axis=1)
+    is_rep = np.isin(np.arange(len(lengths)), reps)
     whole = np.zeros(len(lengths), dtype=np.int64)
     cells, shell, crossing, totals, weighted = 0, 0, 0, [], []
     for counted, t in _ball_lines_full_reference(lat.basis, radius + circ, radius - circ):
         inner = np.linalg.norm(t, axis=1) + circ < radius
         cells += counted + len(t)
-        inside, idx, chord = _shell_pairs_reference(t[~inner], cls.start, cls.end, radius)
+        inside, idx, chord = _shell_pairs_reference(t[~inner], start, end, radius)
         col = idx % len(lengths)
         full = chord == lengths[col]
         whole += counted + int(inner.sum()) + np.count_nonzero(inside, axis=0)
         whole += np.bincount(col[full], minlength=len(lengths))
         cut = (chord > 0.0) & ~full
         totals.append(chord[cut & is_rep[col]].sum())
-        weighted.append((chord / cls.share[col])[cut].sum())
+        weighted.append((chord / m[col])[cut].sum())
         shell, crossing = shell + len(inside), crossing + len(chord)
-    totals.extend((whole * lengths)[cls.reps].tolist())
-    weighted.extend((whole * lengths / cls.share).tolist())
+    totals.extend((whole * lengths)[reps].tolist())
+    weighted.extend((whole * lengths / m).tolist())
     total, weighted_total = math.fsum(totals), math.fsum(weighted)
     assert abs(total - weighted_total) <= 1e-9 * max(1.0, total)
     return cells, shell, crossing, total / (4.0 / 3.0 * math.pi * radius**3), total, weighted_total
@@ -216,6 +215,15 @@ BASES = {
 }
 
 
+#: cube lattices whose layers, or layers and rows, are slid: exact density, and the order of the point group
+SLID_CUBES = {
+    (0.3, 0.0): ([[1.0, 0, 0], [0, 1.0, 0], [0.3, 0, 1.0]], 4.0, 4),
+    (0.5, 0.0): ([[1.0, 0, 0], [0, 1.0, 0], [0.5, 0, 1.0]], 4.0, 8),
+    (0.3, 0.2): ([[1.0, 0, 0], [0, 1.0, 0], [0.3, 0.2, 1.0]], 5.0, 2),
+    "rows too": ([[1.0, 0, 0], [0.2, 1.0, 0], [0.3, 0.4, 1.0]], 6.0, 2),
+}
+
+
 def _basis(name, unit_shapes):
     if name in BASES:
         return BASES[name]
@@ -223,9 +231,9 @@ def _basis(name, unit_shapes):
 
 
 def _group(z, lat):
-    """The tiling's point group on lattice coefficients, and its edge permutations."""
-    cls = TL.edge_classes(z, lat)
-    return TL._point_group(z, lat, (cls.start + cls.end) / 2.0)
+    """The tiling's point group on lattice coefficients, and its piece permutations."""
+    start, end, _, _ = TL._pieces(z, lat)
+    return TL._point_group(z, lat, (start + end) / 2.0)
 
 
 def _coefficients(lat, t):
@@ -479,16 +487,16 @@ class TestSkeletonDensity:
     def test_shell_classification_against_segment_ball_clip(self, unit_shapes, name):
         z = unit_shapes[name]
         lat = TL.lattice_from_parallelohedron(z)
-        cls = TL.edge_classes(z, lat)
+        start, end, _, _ = TL._pieces(z, lat)
         circ = z.circumradius()
         for radius in (3.0 * z.diameter(), 20.0):
             t = lat.points_in_ball(radius + circ)
             shell = t[np.linalg.norm(t, axis=1) + circ >= radius]
-            whole, idx, _ = TL._shell_pairs(cls.start, cls.end, radius)(shell)
+            whole, idx, _ = TL._shell_pairs(start, end, radius)(shell)
             cross = np.zeros(whole.shape, dtype=bool)
             cross.flat[idx] = True
-            p0 = (shell[:, None] + cls.start).reshape(-1, 3)
-            p1 = (shell[:, None] + cls.end).reshape(-1, 3)
+            p0 = (shell[:, None] + start).reshape(-1, 3)
+            p1 = (shell[:, None] + end).reshape(-1, 3)
             clip = segment_ball_clip(p0, p1, radius).reshape(whole.shape)
             length = np.linalg.norm(p1 - p0, axis=1).reshape(whole.shape)
             assert not (whole & cross).any()
@@ -574,12 +582,12 @@ class TestMirrorFold:
     def test_antipodal_map_is_an_involution(self, unit_shapes, name):
         for z in [_seeded_body(ty) for ty in (1, 2, 3, 4, 5)] if name == "random" else [unit_shapes[name]]:
             lat = TL.lattice_from_parallelohedron(z)
-            cls = TL.edge_classes(z, lat)
+            start, end, _, _ = TL._pieces(z, lat)
             group, perm = _group(z, lat)
             (sigma,) = perm[(group == -np.eye(3, dtype=np.int64)).all(axis=(1, 2))]  # the permutation of x -> -x
             assert (sigma[sigma] == np.arange(len(sigma))).all()
-            assert np.abs(cls.start[sigma] + cls.end).max() <= 1e-9
-            assert np.abs(cls.end[sigma] + cls.start).max() <= 1e-9
+            assert np.abs(start[sigma] + end).max() <= 1e-9
+            assert np.abs(end[sigma] + start).max() <= 1e-9
             assert (z.edge_segment[sigma] == z.edge_segment).all()
             assert (sigma != np.arange(len(sigma))).all()  # no edge of a centred cell is its own mirror
 
@@ -614,6 +622,15 @@ class TestMirrorFold:
         lat = TL.lattice_from_parallelohedron(z)
         self._assert_matches_full_reference(z, lat, 3.0 * z.diameter(), monkeypatch)
 
+    @pytest.mark.parametrize("slide", SLID_CUBES, ids=str)
+    def test_slid_cubes(self, monkeypatch, slide):
+        # a slid lattice has fewer symmetries, and its pieces are cut edges held by 2 or 4 cells
+        basis, _, order = SLID_CUBES[slide]
+        lat = TL.Lattice(np.array(basis))
+        assert len(_group(cube(), lat)[0]) == order
+        for radius in (6.0, 10.0):
+            self._assert_matches_full_reference(cube(), lat, radius, monkeypatch)
+
 
 class TestSymmetryGroup:
     """The tiling's point group: its order, its elements and their edge permutations."""
@@ -632,7 +649,7 @@ class TestSymmetryGroup:
     def test_elements_map_the_tiling_onto_itself(self, unit_shapes, name):
         z = unit_shapes[name]
         lat = TL.lattice_from_parallelohedron(z)
-        cls = TL.edge_classes(z, lat)
+        start, end, _, _ = TL._pieces(z, lat)
         group, perm = _group(z, lat)
         assert group.dtype == np.int64  # integral on lattice coefficients, c -> c @ m
         keys = {m.tobytes() for m in group}
@@ -648,9 +665,9 @@ class TestSymmetryGroup:
             image = (gens @ a)[:, None]
             assert np.minimum(np.abs(image - gens), np.abs(image + gens)).max(axis=2).min(axis=1).max() <= 1e-9
             assert sorted(p.tolist()) == list(range(len(p)))  # edge j onto edge p[j], one to one
-            s, e = cls.start @ a, cls.end @ a
-            kept = np.maximum(np.abs(s - cls.start[p]).max(axis=1), np.abs(e - cls.end[p]).max(axis=1))
-            turned = np.maximum(np.abs(s - cls.end[p]).max(axis=1), np.abs(e - cls.start[p]).max(axis=1))
+            s, e = start @ a, end @ a
+            kept = np.maximum(np.abs(s - start[p]).max(axis=1), np.abs(e - end[p]).max(axis=1))
+            turned = np.maximum(np.abs(s - end[p]).max(axis=1), np.abs(e - start[p]).max(axis=1))
             assert np.minimum(kept, turned).max() <= 1e-9
 
     @pytest.mark.parametrize("type_index", [1, 2, 3, 4, 5])
@@ -683,21 +700,72 @@ class TestSymmetryGroup:
 
 
 class TestNotFaceToFace:
-    """Sheared cube layers tile, and are certified, but are not face to face."""
+    """Slid cube layers tile, are certified and are measured: a layer slid along x doubles the lines of
+    y-edges at each interface, slid along both axes the lines of x-edges too, and with rows slid as well the
+    lines of z-edges: exactly 4, 5 and 6, against 3 face to face."""
 
     @pytest.mark.parametrize("row", [(0.3, 0.0, 1.0), (0.3, 0.2, 1.0)])
-    def test_certified_tiling_is_refused_in_one_line(self, row):
+    def test_certified_tiling_is_measured(self, row):
         lat = TL.Lattice(np.array([[1.0, 0, 0], [0, 1.0, 0], row]))
         rep = TL.validate_tiling(cube(), lat)
         assert abs(rep.determinant - rep.cell_volume) <= 1e-12
-        for measure in (TL.edge_classes, lambda z, l: TL.skeleton_density(z, l, 10.0)):
-            with pytest.raises(TL.NotFaceToFace, match="^tiling is not face to face: ") as exc:
-                measure(cube(), lat)
-            assert isinstance(exc.value, GeometryError)
-            assert "\n" not in str(exc.value)
+        want = 5.0 if row[1] else 4.0
+        rows = TL.convergence_series(cube(), lat, [10.0, 20.0, 30.0])
+        assert all(abs(est.exact_density - want) <= 1e-12 * want for est in rows)
+        errors = [abs(est.density - want) / want for est in rows]
+        assert errors[-1] < errors[0] and errors[-1] <= 1e-3  # the ball converges to the exact value
+        for est in rows:
+            assert abs(est.weighted_length - est.skeleton_length) <= 1e-9 * est.skeleton_length
+
+    @pytest.mark.parametrize("slide", SLID_CUBES, ids=str)
+    def test_exact_density(self, slide):
+        basis, want, order = SLID_CUBES[slide]
+        lat = TL.Lattice(np.array(basis))
+        TL.validate_tiling(cube(), lat)
+        est = TL.skeleton_density(cube(), lat, 6.0)
+        assert abs(est.exact_density - want) <= 1e-12 * want and est.symmetries == order
+        _, _, m, _ = TL._pieces(cube(), lat)
+        assert set(m.tolist()) <= {2, 4} and (m == 2).any()  # a piece on an interface is held by 2 cells, not 4
 
     def test_face_to_face_lattice_passes(self):
-        assert len(TL.edge_classes(cube(), TL.Lattice(np.eye(3))).members) == 3
+        start, _, m, reps = TL._pieces(cube(), TL.Lattice(np.eye(3)))
+        assert len(start) == 12 and len(reps) == 3 and (m == 4).all()
+
+
+class TestShearedPrisms:
+    """Hexagonal prisms in layers slid across the axis, or in columns slid along it: at least the
+    face-to-face value, and equal to it only where the slide is a lattice vector."""
+
+    @staticmethod
+    def _sheared(kind, slide):
+        z = unit_shape("hexprism")
+        axis, u1, u2 = TL.lattice_from_parallelohedron(z).basis  # the axis, then two vectors across it
+        s1, s2 = slide
+        if kind == "layers":
+            return z, TL.Lattice(np.array([axis + s1 * u1 + s2 * u2, u1, u2]))
+        return z, TL.Lattice(np.array([axis, u1 + s1 * axis, u2 + s2 * axis]))
+
+    @pytest.mark.parametrize("kind", ["layers", "columns"])
+    def test_at_least_the_face_to_face_value(self, kind):
+        z, lat = self._sheared(kind, (0.0, 0.0))
+        flat = TL.skeleton_density(z, lat, 3.0 * z.diameter()).exact_density
+        rng = np.random.default_rng(8)
+        for slide in [(1.0, 0.0), (1.0, 2.0), (0.3, 0.0), (0.5, 0.5), *rng.random((4, 2)).tolist()]:
+            z, lat = self._sheared(kind, slide)
+            TL.validate_tiling(z, lat)
+            est = TL.skeleton_density(z, lat, 3.0 * z.diameter())
+            if float(slide[0]).is_integer() and float(slide[1]).is_integer():
+                assert abs(est.exact_density - flat) <= 1e-12 * flat
+            else:
+                assert est.exact_density > (1.0 + 1e-9) * flat
+            assert abs(est.density - est.exact_density) <= 0.02 * est.exact_density
+
+    @pytest.mark.parametrize("kind, want", [("layers", 5.819326058515847), ("columns", 5.091910301201366)])
+    def test_measured_values(self, kind, want):
+        # the unit prism's base edge a equals its height h; face to face, 2h + 3a = 3.637 per unit volume.
+        # Slid layers hold two hexagon grids at each interface, 2h + 6a; slid columns give 2h + 5a
+        z, lat = self._sheared(kind, (0.3, 0.0))
+        assert TL.skeleton_density(z, lat, 3.0 * z.diameter()).exact_density == pytest.approx(want, rel=1e-12)
 
 
 # cells and density at the commit before line enumeration and the shell sum; shell
@@ -734,35 +802,71 @@ def test_skeleton_density_pinned(unit_shapes, name, radius):
 
 
 class TestEdgeClasses:
+    """The cell's edge pieces in classes of lattice translates, one member per cell that holds the piece."""
+
     @pytest.mark.parametrize("name, count", [("cube", 3), ("truncocta", 12)])
     def test_class_sizes_are_sharing_counts(self, unit_shapes, name, count):
         z = unit_shapes[name]
-        cls = TL.edge_classes(z, TL.lattice_from_parallelohedron(z))
-        assert len(cls.members) == count
-        assert sorted(i for m in cls.members for i in m) == list(range(len(z.edge_segment)))
-        for m in cls.members:
-            assert all(cls.share[i] == len(m) for i in m)
-            assert len({int(z.edge_segment[i]) for i in m}) == 1
+        lat = TL.lattice_from_parallelohedron(z)
+        start, end, m, reps = TL._pieces(z, lat)
+        assert len(reps) == count and len(start) == len(z.edge_segment)  # face to face: no edge is cut
+        frac = np.stack([start, end], axis=1) @ np.linalg.inv(lat.basis)
+        for r in reps.tolist():  # the members of a class: same segment, ends one lattice vector apart
+            d = frac - frac[r]
+            same = (z.edge_segment == z.edge_segment[r]) & (np.abs(d - np.rint(d)) < 1e-7).all(axis=(1, 2))
+            members = np.flatnonzero(same)
+            assert members[0] == r and (m[members] == len(members)).all()
+        assert m[reps].sum() == len(start)  # the classes partition the pieces
+
+    def test_random_bodies_are_not_cut(self):
+        # face to face every edge is one piece, with the vertices as its ends, and m is its belt's sharing count
+        rng = np.random.default_rng(12)
+        for i in range(40):
+            z = random_body(rng, i % 5 + 1)
+            start, end, m, reps = TL._pieces(z, TL.lattice_from_parallelohedron(z))
+            ends = z.vertices[z.edge_vertex_ids]
+            along = ((ends[:, 1] - ends[:, 0]) * z.generators[z.edge_segment]).sum(axis=1) > 0
+            assert np.array_equal(start, np.where(along[:, None], ends[:, 0], ends[:, 1]))
+            assert np.array_equal(end, np.where(along[:, None], ends[:, 1], ends[:, 0]))
+            assert np.array_equal(m, np.where(belts(z) == 4, 4, 3)[z.edge_segment])
+            assert m[reps].sum() == len(start)
 
 
 class TestWeightedEdges:
-    # every tiling edge is a lattice translate of a class representative,
-    # shared by the class size k and weighted 1/k
+    # every tiling piece is a lattice translate of a class representative,
+    # held by the class size m and weighted 1/m
     def test_cube_edges_shared_by_four(self):
-        cls = TL.edge_classes(cube(), TL.Lattice(np.eye(3)))
-        assert len(cls.reps) > 0
-        assert set(cls.share[cls.reps].tolist()) == {4}
-        assert (1.0 / cls.share == 0.25).all()
+        _, _, m, reps = TL._pieces(cube(), TL.Lattice(np.eye(3)))
+        assert len(reps) > 0
+        assert set(m[reps].tolist()) == {4}
+        assert (1.0 / m == 0.25).all()
 
     def test_truncocta_edges_shared_by_three(self, unit_shapes):
         z = unit_shapes["truncocta"]
-        cls = TL.edge_classes(z, TL.lattice_from_parallelohedron(z))
-        assert set(cls.share[cls.reps].tolist()) == {3}
+        _, _, m, reps = TL._pieces(z, TL.lattice_from_parallelohedron(z))
+        assert set(m[reps].tolist()) == {3}
 
     def test_elongated_has_both_classes(self, unit_shapes):
         z = unit_shapes["elongated"]
-        cls = TL.edge_classes(z, TL.lattice_from_parallelohedron(z))
-        assert set(cls.share[cls.reps].tolist()) == {3, 4}
+        _, _, m, reps = TL._pieces(z, TL.lattice_from_parallelohedron(z))
+        assert set(m[reps].tolist()) == {3, 4}
+
+
+#: the exact density of each unit shape, as the face-to-face edge classes summed it
+EXACT = {
+    "cube": 3.0,
+    "hexprism": 3.637078786572404,
+    "rhombic": 5.498918547994411,
+    "elongated": 5.024859912608727,
+    "truncocta": 5.3453923088420385,
+}
+
+
+@pytest.mark.parametrize("name", UNIT_SHAPES)
+def test_exact_density_pinned(unit_shapes, name):
+    z = unit_shapes[name]
+    est = TL.skeleton_density(z, TL.lattice_from_parallelohedron(z), 3.0 * z.diameter())
+    assert repr(est.exact_density) == repr(EXACT[name])
 
 
 class TestConvergence:
@@ -872,7 +976,7 @@ class TestSeriesGeometry:
 
     @pytest.mark.parametrize("name", UNIT_SHAPES)
     def test_built_once(self, unit_shapes, monkeypatch, name):
-        calls = {"edge_classes": [], "_point_group": [], "_lll_unimodular": []}
+        calls = {"_pieces": [], "_point_group": [], "_lll_unimodular": []}
         for fn in calls:
             def counting(*args, _fn=getattr(TL, fn), _calls=calls[fn]):
                 _calls.append(args[0].tobytes() if isinstance(args[0], np.ndarray) else None)
@@ -883,6 +987,6 @@ class TestSeriesGeometry:
         lat = TL.lattice_from_parallelohedron(z)
         TL.validate_tiling(z, lat)
         TL.convergence_series(z, lat, [3.0 * z.diameter(), 20.0, 30.0])
-        assert len(calls["edge_classes"]) == len(calls["_point_group"]) == 1
+        assert len(calls["_pieces"]) == len(calls["_point_group"]) == 1
         reduced = calls["_lll_unimodular"]  # the basis of each reduction: once per lattice searched
         assert len(set(reduced)) == len(reduced) and lat.basis.tobytes() in reduced

@@ -313,7 +313,7 @@ class TestType4Body:
         m = WeightPair(a6, r * a6)
         z = W.optimal_shape_zonotope(4, m)
         assert len(z.facet_normals) == 12
-        assert sorted(b.value for b in Z.belts(z)) == [4, 6, 6, 6, 6]
+        assert sorted(Z.belts(z).tolist()) == [4, 6, 6, 6, 6]
         assert abs(z.volume() - 1.0) <= 1e-12
         assert abs(weighted_edge_functional(z, m) - W.type_minimum(4, m).value) <= 1e-12 * a6
 
