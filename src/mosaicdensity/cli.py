@@ -123,7 +123,7 @@ class _OptionError(Exception):
 
 
 def _require_radius(z: zonotope.Zonotope, radii: list[float], option: str) -> None:
-    """Refuse a ball radius below the floor of ``skeleton_density``, or above its cap, before any search."""
+    """Refuse a ball radius below the floor of ``skeleton_density`` or outside its band, before any search."""
     try:
         for radius in (min(radii), max(radii)):
             tiling._check_radius(z, radius)
@@ -247,13 +247,16 @@ def _exact_residuals(est: tiling.DensityEstimate, covolume: float) -> tuple[floa
     return abs(est.exact_density - est.target) / est.target, outside / length
 
 
-def _certify_tiling(z: zonotope.Zonotope, radii: list[float], seed: int, prefix: str = ""):
+def _certify_tiling(z: zonotope.Zonotope, radii: list[float], option: str, seed: int, prefix: str = ""):
     """Lattice search, ``validate_tiling`` and ``convergence_series`` for z: the lattice, the report, the rows
     and the residuals covolume_minus_volume, relative_error (last row; led by final_ with no ``prefix``),
     exact_density_vs_target and skeleton_length_in_exact_bracket (worst row), each name led by ``prefix``."""
     lat = tiling.lattice_from_parallelohedron(z)
     report = tiling.validate_tiling(z, lat, seed=seed)
-    rows = tiling.convergence_series(z, lat, radii)
+    try:
+        rows = tiling.convergence_series(z, lat, radii)
+    except tiling.TooManyLines as exc:  # the series' largest ball is too wide for the lattice: ``option`` is at fault
+        raise _OptionError(f"argument {option}: {exc}") from exc
     exact, bracket = np.max([_exact_residuals(est, lat.covolume) for est in rows], axis=0)
     covolume = report.determinant - report.cell_volume
     return lat, report, rows, [
@@ -266,11 +269,11 @@ def _certify_tiling(z: zonotope.Zonotope, radii: list[float], seed: int, prefix:
 
 def cmd_tile(args: argparse.Namespace) -> int:
     z = _canonical_shape(args.shape)
-    radii = args.series or [args.radius]
-    _require_radius(z, radii, "--series" if args.series else "--radius")
+    radii, option = (args.series, "--series") if args.series else ([args.radius], "--radius")
+    _require_radius(z, radii, option)
     _note(f"shape {args.shape}: volume={z.volume():.6f}, searching tiling lattice")
     try:
-        lat, report, rows, residuals = _certify_tiling(z, radii, args.seed)
+        lat, report, rows, residuals = _certify_tiling(z, radii, option, args.seed)
     except (tiling.NoValidBasis, tiling.Overlap, tiling.TooManyLines) as exc:  # a body that cannot be measured
         raise _OptionError(f"argument --shape: {exc}") from exc
     except ValueError as exc:  # geometry errors
@@ -348,7 +351,7 @@ def _verify_tiling(args: argparse.Namespace, shapes: dict) -> tuple[dict, list[d
     rows = []
     residuals = []
     for name, z in shapes.items():
-        _, _, (est,), certified = _certify_tiling(z, [args.radius], args.seed, f"{name}_")
+        _, _, (est,), certified = _certify_tiling(z, [args.radius], "--radius", args.seed, f"{name}_")
         _note(f"{name}: density {est.density:.6f} vs {est.target:.6f}")
         rows.append({"shape": name, **_density_row(est)})
         agreement = _residual(f"{name}_mode_agreement", est.skeleton_length - est.weighted_length, 1e-9)

@@ -88,8 +88,7 @@ def _lll_unimodular(basis: np.ndarray) -> np.ndarray:
 
 
 _LINE_CHUNK = 256  # lattice lines whose band is formed, and clipped, per block
-_MAX_RADIUS = 100.0  # ball radius in cell diameters; the (c1, c2) line table grows as its square
-_MAX_LINES = 2**21  # (c1, c2) lines in one ball, about 120 bytes each; the unit shapes need <= 190 969 at the cap
+_MAX_LINES = 2**21  # (c1, c2) lines in one ball, ~300-340 B each; near 2**21 lines the unit shapes peak at 282-710 MB
 _RADIUS_BAND = (1e-60, 1e60)  # the chord terms ~ (radius x edge)^2 leave the doubles past radius x edge 1e154 or 1e-158
 _CENTRAL = np.array([np.eye(3), -np.eye(3)], dtype=np.int64)  # x -> x and x -> -x, on any coefficients
 
@@ -130,6 +129,9 @@ def _cone(lat: Lattice, group: np.ndarray, reach: float) -> tuple[np.ndarray, np
     """The walls n = (I - m)(K^2, K, 1) of ``_ball_lines``, one per m in ``group``, and the facet walls, for a K
     beyond |x_2|, |x_3| on the coefficient box of radius ``reach``, and so on every box of a smaller radius."""
     u, red, scale = lat._reduction
+    lines = math.prod(2 * math.floor(s * reach) + 3 for s in scale[:2].tolist())  # in ints, before any array
+    if lines > _MAX_LINES:
+        raise TooManyLines(f"a ball of radius {reach:.6g} spans {lines} lattice lines, more than {_MAX_LINES}")
     d = np.eye(3, dtype=np.int64) - u @ group @ np.rint(np.linalg.inv(u)).astype(np.int64)  # m = u group u^-1
     lim = np.floor(scale * reach).astype(np.int64) + 1
     base = int(np.einsum("i,gik->gk", lim + 1, np.abs(d[:, :, 1:])).max()) + 2  # |x_2|, |x_3| < base
@@ -154,9 +156,6 @@ def _ball_lines(lat: Lattice, rmax: float, rin: float, cone: tuple[np.ndarray, n
     lexicographic (c1, c2, c3) order.
     """
     (u, red, scale), (n, walls) = lat._reduction, cone
-    lines = math.prod(2 * math.floor(s * rmax) + 3 for s in scale[:2].tolist())  # in ints: no overflow
-    if lines > _MAX_LINES:
-        raise TooManyLines(f"a ball of radius {rmax:.6g} spans {lines} lattice lines, more than {_MAX_LINES}")
     lim = np.floor(scale * rmax).astype(np.int64) + 1
     c1 = np.repeat(np.arange(-lim[0], lim[0] + 1), 2 * lim[1] + 1)
     c2 = np.tile(np.arange(-lim[1], lim[1] + 1), 2 * lim[0] + 1)
@@ -399,12 +398,10 @@ def _pieces(z: Zonotope, lat: Lattice) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def _check_radius(z: Zonotope, radius: float) -> None:
-    """Raise RadiusTooSmall unless radius is finite and >= 3x the cell diameter; ValueError past the cap or the band."""
-    floor, cap = 3.0 * z.diameter(), _MAX_RADIUS * z.diameter()
+    """Raise RadiusTooSmall unless radius is finite and >= 3x the cell diameter; ValueError outside the band."""
+    floor = 3.0 * z.diameter()
     if not (math.isfinite(radius) and radius >= floor):
         raise RadiusTooSmall(f"radius must be finite and at least 3x cell diameter {floor:.6g}, got {radius}")
-    if radius > cap:
-        raise ValueError(f"radius must be at most {_MAX_RADIUS:g}x cell diameter {cap:.6g}, got {radius}")
     if not _RADIUS_BAND[0] <= radius <= _RADIUS_BAND[1]:
         raise ValueError(f"radius must be in [{_RADIUS_BAND[0]:g}, {_RADIUS_BAND[1]:g}], got {radius}")
 
@@ -542,6 +539,6 @@ def skeleton_density(z: Zonotope, lat: Lattice, radius: float) -> DensityEstimat
 
 
 def convergence_series(z: Zonotope, lat: Lattice, radii: list[float]) -> tuple[DensityEstimate, ...]:
-    """Density estimates over strictly ascending radii, each the ``skeleton_density`` at its radius to the bit;
-    the tiling's geometry is built once.  Each radius is checked first; ValueError on no radii or one out of order."""
+    """Density estimates over strictly ascending radii, each the ``skeleton_density`` at its radius to the bit, from
+    one geometry.  ValueError on no radii or one out of order; TooManyLines, before any ball, on one too wide."""
     return tuple(_densities(z, lat, radii))

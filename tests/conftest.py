@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,11 @@ def random_beta(rng: np.random.Generator, type_index: int = 5) -> zonotope.BetaV
 
 def random_body(rng: np.random.Generator, type_index: int = 5) -> zonotope.Zonotope:
     return zonotope.build_from_parameters(zonotope.random_frame(rng), random_beta(rng, type_index))
+
+
+def line_count(lat, reach: float) -> int:
+    """The (c1, c2) lattice lines of a ball of radius ``reach``, by the formula that tiling's line budget bounds."""
+    return math.prod(2 * math.floor(s * reach) + 3 for s in lat._reduction[2][:2].tolist())
 
 
 @pytest.fixture

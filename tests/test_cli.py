@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import line_count, random_body
 from mosaicdensity import cli, decomposable, simplex, tetra, tiling, weights, zonotope
 from mosaicdensity.cli import main
 
@@ -285,6 +286,14 @@ class TestTile:
         assert code == 0
         covolume = [r for r in doc["residuals"] if r["name"] == "covolume_minus_volume"]
         assert len(covolume) == 1 and covolume[0]["pass"] and covolume[0]["tolerance"] == pytest.approx(1e-24)
+
+    def test_cube_past_a_hundred_diameters(self, capsys):
+        # 200 is 115 diameters: the line budget, not the radius, bounds the ball (0.1 s and about 80 MB)
+        code, doc = run_json(capsys, ["tile", "--shape", "cube", "--radius", "200"])
+        assert code == 0
+        assert [(r["name"], r["pass"]) for r in doc["residuals"]] == [
+            ("covolume_minus_volume", True), ("final_relative_error", True),
+            ("exact_density_vs_target", True), ("skeleton_length_in_exact_bracket", True)]
 
     def test_exact_density_in_every_row(self, capsys):
         code, doc = run_json(capsys, ["tile", "--shape", "truncocta", "--series", "20,30"])
@@ -604,6 +613,10 @@ class TestCsvReports:
         assert float(rows[1][1]) == pytest.approx(0.6)
 
 
+# the unit cube's lattice is Z^3: a ball of radius 1e20 spans (2 x 10^20 + 3)^2 (c1, c2) lines
+_CUBE_AT_1E20 = f"a ball of radius 1e+20 spans {(2 * 10**20 + 3) ** 2} lattice lines, more than 2097152"
+
+
 class TestBadInput:
     """Invalid counts and reals stop at parse time: exit 2, one error line."""
 
@@ -653,11 +666,13 @@ class TestBadInput:
             (["verify", "--lemma", "simplex", "--lambda", "1e300"],
              "--lambda: must be at most 1e+06, got 1e300"),
             (["tile", "--shape", "truncocta", "--series", "20,1e300"],
-             "--series: radius must be at most 100x cell diameter 140.863, got 1e+300"),
-            (["tile", "--shape", "cube", "--radius", "1e20"],
-             "--radius: radius must be at most 100x cell diameter 173.205, got 1e+20"),
+             "--series: radius must be in [1e-60, 1e+60], got 1e+300"),
+            (["tile", "--shape", "cube", "--radius", "1e20"], f"--radius: {_CUBE_AT_1E20}"),
             (["verify", "--lemma", "tiling", "--radius", "1e300"],
-             "--radius: radius must be at most 100x cell diameter 173.205, got 1e+300"),
+             "--radius: radius must be in [1e-60, 1e+60], got 1e+300"),
+            # inside the band and far over the line budget: verify refuses it when the tiling suite starts
+            *[(["verify", "--lemma", lemma, "--radius", "1e20"], f"--radius: {_CUBE_AT_1E20}")
+              for lemma in ("tiling", "all")],
             (["decomp", "--dim", "3", "--seed", "1"], "unrecognized arguments: --seed 1"),
             (["table1", "--alpha6", "1", "--alpha4", "1", "--seed", "1"], "unrecognized arguments: --seed 1"),
             (["fig2", "--seed", "1"], "unrecognized arguments: --seed 1"),
@@ -679,7 +694,8 @@ class TestBadInput:
             "tile-radius-neg", "tile-series-nan", "tile-series-below-floor",
             "verify-tiling-radius-below-floor", "fig2-too-many-steps", "dim-above-cap",
             "grid-above-cap", "lambda-above-cap", "tile-series-above-cap", "tile-radius-above-cap",
-            "verify-tiling-radius-above-cap", "decomp-seed", "table1-seed", "fig2-seed",
+            "verify-tiling-radius-above-cap", "verify-tiling-over-budget", "verify-all-over-budget",
+            "decomp-seed", "table1-seed", "fig2-seed",
             "alpha6-above-cap", "table1-alpha4-above-cap",
             "ratio-1e9", "ratio-1e10", "ratio-1e12", "ratio-1e14", "ratio-1e-14", "ratio-1e-16",
             "ratio-1e-11", "ratio-1e-11-type4", "ratio-9.9e-11", "ratio-9.9e-11-type4",
@@ -822,6 +838,38 @@ class TestBadInput:
         assert len(errors) == 1 and " lattice lines, more than 2097152" in errors[0]
         assert errors[0].split("error: ")[1].startswith("argument --shape: a ball of radius ")
         assert grown_kib <= 45 * 1024
+
+    @pytest.mark.parametrize("option", ["--series", "--radius"])
+    def test_ball_too_wide_names_its_option(self, capsys, monkeypatch, tmp_path, option):
+        # the first default_rng(11) body whose ball at 100 diameters passes 2^21 lines, by the count's formula:
+        # the option that gave the radius is refused before any ball of the series is formed
+        rng = np.random.default_rng(11)
+        for i in range(250):
+            z = random_body(rng, i % 5 + 1)
+            lat = tiling.lattice_from_parallelohedron(z)
+            low, high = 3.0 * z.diameter(), 100.0 * z.diameter()
+            if line_count(lat, high + z.circumradius()) > tiling._MAX_LINES:
+                break
+        assert line_count(lat, low + z.circumradius()) <= tiling._MAX_LINES
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(zonotope.to_json(z)), encoding="utf-8")
+        reach = high + z.circumradius()
+        screened, ball_lines = [], tiling._ball_lines
+
+        def recording(*args):
+            screened.append(args[2])
+            return ball_lines(*args)
+
+        def fail(*args):
+            raise AssertionError("a ball of the series was formed")
+
+        monkeypatch.setattr(tiling, "_ball_lines", recording)
+        monkeypatch.setattr(tiling, "_shell_pairs", fail)
+        radii = f"{low!r},{high!r}" if option == "--series" else repr(high)
+        lines = line_count(lat, reach)
+        message = f"{option}: a ball of radius {reach:.6g} spans {lines} lattice lines, more than 2097152"
+        self._one_error_line(capsys, ["tile", "--shape", f"file:{path}", option, radii], message)
+        assert screened == [0.0]  # the overlap screen's half ball alone
 
     def test_lattice_that_overlaps(self, capsys, monkeypatch):
         # a body that does not tile: validate_tiling screens the proposed lattice

@@ -10,7 +10,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import ConvexHull, cKDTree
 
-from conftest import random_body
+from conftest import line_count, random_body
 from mosaicdensity import tiling as TL
 from mosaicdensity._kernels import segment_ball_clip
 from mosaicdensity.zonotope import (
@@ -888,18 +888,32 @@ class TestConvergence:
             TL.convergence_series(cube(), TL.Lattice(np.eye(3)), [])
 
     @pytest.mark.parametrize("name", UNIT_SHAPES)
-    def test_radius_cap_is_checked_before_any_work(self, unit_shapes, name):
-        # never measured: near the cap a ball costs tens of MB, and far above it the box overflows
+    def test_radius_cap_is_checked_before_any_work(self, unit_shapes, monkeypatch, name):
+        # the line budget is the one cap, and no radius is measured here: near it a ball costs hundreds of MB
         z = unit_shapes[name]
-        cap = TL._MAX_RADIUS * z.diameter()
-        TL._check_radius(z, cap)
-        for bad in (math.nextafter(cap, math.inf), 1e20, 1e300):
-            with pytest.raises(ValueError, match=r"^radius must be at most 100x cell diameter [\d.]+, got ") as exc:
-                TL._check_radius(z, bad)
-            assert not isinstance(exc.value, TL.RadiusTooSmall) and "\n" not in str(exc.value)
-        # every radius of a series is checked before any geometry: on Z^3 only the cube has edge classes
-        with pytest.raises(ValueError, match="^radius must be at most"):
+        lat, circ = TL.lattice_from_parallelohedron(z), z.circumradius()
+        group, _ = _group(z, lat)
+        lo, hi = 3.0 * z.diameter(), 1e4  # bisected to the two doubles around the first radius over the budget
+        while math.nextafter(lo, hi) < hi:
+            mid = lo + (hi - lo) / 2.0
+            lo, hi = (lo, mid) if line_count(lat, mid + circ) > TL._MAX_LINES else (mid, hi)
+        assert line_count(lat, lo + circ) <= TL._MAX_LINES < line_count(lat, hi + circ)
+        TL._cone(lat, group, lo + circ)  # the radius just below passes the count
+
+        def fail(*args):
+            raise AssertionError("a ball was formed before its lines were counted")
+
+        monkeypatch.setattr(TL, "_ball_lines", fail)
+        monkeypatch.setattr(TL, "_shell_pairs", fail)
+        with pytest.raises(TL.TooManyLines) as exc:
+            TL.convergence_series(z, lat, [3.0 * z.diameter(), hi])
+        lines = line_count(lat, hi + circ)
+        assert str(exc.value) == f"a ball of radius {hi + circ:.6g} spans {lines} lattice lines, more than 2097152"
+        # no radius cap: far past 100 diameters only the band refuses, in one line, before any geometry
+        TL._check_radius(z, 1e20)
+        with pytest.raises(ValueError, match=r"^radius must be in \[1e-60, 1e\+60\], got 1e\+300$") as exc:
             TL.convergence_series(z, TL.Lattice(np.eye(3)), [3.0 * z.diameter(), 1e300])
+        assert not isinstance(exc.value, TL.RadiusTooSmall)
 
     @pytest.mark.parametrize("edge", [1e-70, 1e-60, 1e59, 1e70])
     def test_radius_band(self, edge):
@@ -952,12 +966,22 @@ class TestSeriesGeometry:
         assert [len(walls) for _, walls in cones] == [3, 3]  # at 60 the facet walls are proved in int64
         self._assert_rows_are_fresh_estimates(z, lat, [40.0, 60.0], monkeypatch)
 
+    def test_rhombic_past_the_int64_limit_of_facet_walls(self, unit_shapes, monkeypatch):
+        z = unit_shapes["rhombic"]
+        lat = TL.lattice_from_parallelohedron(z)
+        group, _ = _group(z, lat)
+        n, walls = TL._cone(lat, group, 200.0 + z.circumradius())
+        n = n[(n != 0).any(axis=1)]
+        assert 6 * int(np.abs(n).max()) ** 3 >= 2**63 and len(n) == 47 and np.array_equal(walls, n)  # all kept
+        self._assert_rows_are_fresh_estimates(z, lat, [60.0, 200.0], monkeypatch)
+
     @pytest.mark.parametrize("name", UNIT_SHAPES)
     def test_facet_walls_at_the_radius_cap(self, unit_shapes, name):
+        # at 100 diameters 2^53 <= 6|n|^3 < 2^63 for all five shapes: the facet walls are proved in int64
         z = unit_shapes[name]
         lat = TL.lattice_from_parallelohedron(z)
         group, _ = _group(z, lat)
-        n, walls = TL._cone(lat, group, TL._MAX_RADIUS * z.diameter() + z.circumradius())
+        n, walls = TL._cone(lat, group, 100.0 * z.diameter() + z.circumradius())
         n = n[(n != 0).any(axis=1)]
         assert 2**53 <= 6 * int(np.abs(n).max()) ** 3 < 2**63 and len(walls) == 3
         assert TL._spans_the_cone(walls, n)
