@@ -150,40 +150,6 @@ def classify_optimal(m: WeightPair) -> OptimalAnswer:
     return OptimalAnswer(Winner.TRUNC_OCTA, octa_val)
 
 
-@dataclass(frozen=True)
-class FacetMeasure:
-    """Outer unit facet normals with their areas.
-
-    Valid measures satisfy the closure condition sum(F_i u_i) = 0 and
-    the normals span all of space.
-    """
-
-    normals: np.ndarray  # (k, 3), unit rows
-    areas: np.ndarray    # (k,), positive
-
-    def __post_init__(self) -> None:
-        u = np.asarray(self.normals, dtype=np.float64)
-        f = np.asarray(self.areas, dtype=np.float64)
-        if u.ndim != 2 or u.shape[1] != 3 or f.shape != (u.shape[0],):
-            raise ValueError("normals must be (k, 3) with matching areas")
-        if (f <= 0).any():
-            raise ValueError("areas must be positive")
-        ln = np.linalg.norm(u, axis=1)
-        if np.abs(ln - 1.0).max() > 1e-9:
-            raise ValueError("normals must be unit vectors")
-        surf = float(f.sum())
-        if np.linalg.norm(f @ u) > 1e-9 * surf:
-            raise ValueError("facet measure is not closed (sum F_i u_i != 0)")
-        if np.linalg.matrix_rank(u, tol=1e-9) < 3:
-            raise ValueError("normals do not span space")
-        object.__setattr__(self, "normals", u)
-        object.__setattr__(self, "areas", f)
-
-    @classmethod
-    def from_zonotope(cls, z: Zonotope) -> "FacetMeasure":
-        return cls(z.facet_normals, z.facet_areas)
-
-
 def _second_moment(u: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """3 sum(F_i u_i u_i^T) / sum(F_i) and its max-abs deviation from I, per
     measure: ``u`` is (..., F, 3) and ``f`` is (..., F)."""

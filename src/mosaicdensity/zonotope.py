@@ -100,7 +100,6 @@ class Zonotope:
     """A centered zonotope as arrays: its nonzero generators, vertices, edges and facets."""
 
     generators: np.ndarray          # (k, 3), the nonzero segments
-    labels: tuple                   # per generator: frame pair (i, j) for parametrized bodies, else an ordinal
     vertices: np.ndarray            # (V, 3), centered at the origin
     edge_vertex_ids: np.ndarray     # (E, 2) int
     edge_segment: np.ndarray        # (E,) int, row of generators
@@ -194,11 +193,10 @@ _BITS = np.left_shift(1, np.arange(6))
 _PAIR_INDEX = {k: np.array(list(combinations(range(k), 2))).reshape(-1, 2).T for k in range(7)}
 
 
-def build_zonotope(generators, labels: Sequence | None = None) -> Zonotope:
+def build_zonotope(generators) -> Zonotope:
     """Assemble the face complex of the Minkowski sum of the segments, given as rows.
 
-    ``labels`` names each row (ordinals by default).  Zero-length segments
-    are dropped with their labels.  The remaining ones must span R^3, with
+    Zero-length segments are dropped.  The remaining ones must span R^3, with
     three singular values above 1e-12 times the longest segment, at any
     scale (:class:`FlatBody` otherwise), and be pairwise non-parallel
     (:class:`ParallelSegments`).  Norms, normals and signs are taken on the
@@ -213,7 +211,10 @@ def build_zonotope(generators, labels: Sequence | None = None) -> Zonotope:
     is formed.  Vertex ids follow first occurrence in the cycles; vertices
     are subset sums, recentered so the body is symmetric about the origin.
     Each edge is a translate of one segment and carries its index.  A facet
-    area that overflows raises :class:`ConstructionError`, without a warning.
+    area that overflows raises :class:`ConstructionError`, without a warning,
+    as does one that is not positive.  So the facet measure is a valid one:
+    unit normals, positive areas, closed (facets come in +- pairs) and
+    spanning R^3 (as the segments do).
     """
     gens = np.asarray(generators, dtype=np.float64)
     gens = gens.reshape(len(gens), 3)
@@ -223,8 +224,6 @@ def build_zonotope(generators, labels: Sequence | None = None) -> Zonotope:
     scaled = np.ldexp(gens, min(max(e, -100), 100) - e)
     norms = np.linalg.norm(scaled, axis=1)
     keep = norms > 0.0
-    labels = range(len(gens)) if labels is None else labels
-    labels = tuple(label for label, kept in zip(labels, keep, strict=True) if kept)
     k, gens, scaled, norms = int(keep.sum()), gens[keep], scaled[keep], norms[keep]
     if k < 3 or (np.linalg.svd(scaled, compute_uv=False) > 1e-12 * norms.max()).sum() < 3:
         raise FlatBody("nonzero segments do not span R^3")
@@ -313,7 +312,6 @@ def build_zonotope(generators, labels: Sequence | None = None) -> Zonotope:
     id_list, lo = ids.tolist(), start.tolist()
     return Zonotope(
         generators=gens,
-        labels=labels,
         vertices=verts,
         edge_vertex_ids=np.stack([ekeys // n_v, ekeys % n_v], axis=1),
         edge_segment=np.log2(diff[efirst]).astype(np.int64),
@@ -325,8 +323,8 @@ def build_zonotope(generators, labels: Sequence | None = None) -> Zonotope:
 
 
 def build_from_parameters(frame: np.ndarray, b: BetaVector) -> Zonotope:
-    """Convenience: segments from (frame, b) labeled by their frame pairs, zero-length entries dropped."""
-    return build_zonotope(segments_from_parameters(frame, b), PAIRS)
+    """Convenience: the body of the segments from (frame, b), zero-length entries dropped."""
+    return build_zonotope(segments_from_parameters(frame, b))
 
 
 def belts(z: Zonotope) -> np.ndarray:
@@ -400,7 +398,7 @@ def truncated_octahedron(edge: float = 1.0) -> Zonotope:
 
 def unit_volume(z: Zonotope) -> Zonotope:
     """The body rescaled to volume 1: every segment scaled by vol^(-1/3)."""
-    return build_zonotope(z.generators * z.volume() ** (-1.0 / 3.0), z.labels)
+    return build_zonotope(z.generators * z.volume() ** (-1.0 / 3.0))
 
 
 #: Edges that give the regular shapes unit volume: the hexagonal prism (base edge = height),
@@ -431,13 +429,11 @@ def unit_shape(name: str) -> Zonotope:
     return _UNIT_SHAPES[name]()
 
 
-def to_json(z: Zonotope, beta: BetaVector | None = None) -> dict:
+def to_json(z: Zonotope) -> dict:
     """Versioned plain-JSON document for a built body."""
     return {
         "schema": "1",
         "generators": z.generators.tolist(),
-        "generator_index": [list(label) if isinstance(label, tuple) else label for label in z.labels],
-        "beta": beta.values.tolist() if beta is not None else None,
         "vertices": z.vertices.tolist(),
         "edges": np.column_stack([z.edge_vertex_ids, z.edge_segment]).tolist(),
         "facets": [
@@ -458,12 +454,7 @@ def from_json(doc: dict | str) -> Zonotope:
     gens = np.asarray(doc["generators"], dtype=np.float64)
     if gens.ndim != 2 or gens.shape[1] != 3 or not np.isfinite(gens).all():
         raise GeometryError("generators must be a list of finite 3-vectors")
-    labels = doc.get("generator_index")
-    if labels is not None and (not isinstance(labels, list) or len(labels) != len(gens)):
-        raise GeometryError(f"generator_index must list one entry for each of {len(gens)} generators")
-    if labels is not None:
-        labels = [tuple(label) if isinstance(label, list) else label for label in labels]
-    z = build_zonotope(gens, labels)
+    z = build_zonotope(gens)
     if len(z.vertices) != len(doc["vertices"]) or len(z.edge_vertex_ids) != len(doc["edges"]):
         raise ConstructionError("stored complex does not match the rebuilt body")
     return z

@@ -226,9 +226,10 @@ def test_10_isotropic_position():
     for _ in range(100):
         g = Z.random_frame(rng)
         b = random_beta(rng, 5)
-        fm = W.FacetMeasure.from_zonotope(Z.build_from_parameters(g, b))
-        matrix, iterations, _ = W.isotropic_positions(fm.normals[None], fm.areas[None])
-        post = W.isotropy_residuals(fm.normals[None], fm.areas[None], matrix)[0]
+        z = Z.build_from_parameters(g, b)
+        u, f = z.facet_normals[None], z.facet_areas[None]
+        matrix, iterations, _ = W.isotropic_positions(u, f)
+        post = W.isotropy_residuals(u, f, matrix)[0]
         worst_res = max(worst_res, post)
         worst_det = max(worst_det, abs(float(np.linalg.det(matrix[0])) - 1.0))
         worst_it = max(worst_it, int(iterations[0]))

@@ -150,7 +150,6 @@ UNPASSED_DEFAULTS = {
     "decomposable.monotonicity_certificates.grid_points": "perfbench's certify workload sets it",
     "tiling.validate_tiling.samples": "perfbench's bodies workload sets it; it leaves with ROADMAP item 18",
     "zonotope.cube.edge": "unit_shape('cube') takes it; optimal_shape_zonotope passes it by name from a shape dict",
-    "zonotope.to_json.beta": "a document of a parametrized body may record its six coefficients",
 }
 
 

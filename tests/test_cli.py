@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import line_count, random_body
+from conftest import assert_facet_measure, line_count, random_body
 from mosaicdensity import cli, decomposable, simplex, tetra, tiling, weights, zonotope
 from mosaicdensity.cli import main
 
@@ -50,7 +50,7 @@ def _scaled_optimal_shape(monkeypatch, scaled):
         z = shape(i, m)
         if i != scaled:
             return z
-        return zonotope.build_zonotope(z.generators * (1.0 + 1e-8), z.labels)
+        return zonotope.build_zonotope(z.generators * (1.0 + 1e-8))
 
     monkeypatch.setattr(weights, "optimal_shape_zonotope", patched)
 
@@ -115,10 +115,13 @@ def _verify_isotropy_reference(seed, samples):
                 break
         frame = zonotope.validate_generators(v)
         b = zonotope.BetaVector(rng.uniform(0.2, 1.3, 6))
-        fm = weights.FacetMeasure.from_zonotope(zonotope.build_from_parameters(frame, b))
-        (matrix,), (iterations,), _ = weights.isotropic_positions(fm.normals[None], fm.areas[None])
-        mapped = weights.FacetMeasure(*weights._mapped(fm.normals, fm.areas, matrix))
-        post = float(weights._second_moment(mapped.normals, mapped.areas)[1])
+        z = zonotope.build_from_parameters(frame, b)
+        u, f = z.facet_normals, z.facet_areas
+        assert_facet_measure(u, f)
+        (matrix,), (iterations,), _ = weights.isotropic_positions(u[None], f[None])
+        mapped = weights._mapped(u, f, matrix)
+        assert_facet_measure(*mapped)
+        post = float(weights._second_moment(*mapped)[1])
         worst_it = max(worst_it, int(iterations))
         worst_det = max(worst_det, abs(float(np.linalg.det(matrix)) - 1.0))
         worst_res = max(worst_res, post)
@@ -159,6 +162,23 @@ class TestWm:
         code, doc = run_json(capsys, ["wm", "--alpha6", "1", "--alpha4", "0.9", "--sweep", "100"])
         assert code == 1
         assert [r["name"] for r in doc["residuals"] if not r["pass"]] == ["type4_sweep_above_bound"]
+
+    @pytest.mark.parametrize("alpha4", ["0.5", "2"])
+    @pytest.mark.parametrize("type_index", [1, 2, 3, 4, 5])
+    def test_every_type_checks_something(self, capsys, type_index, alpha4):
+        # a report with nothing checked must not pass: above the diagonal type 4 has no body, and wm checks that the
+        # value shown is the type-5 body's
+        code, doc = run_json(capsys, ["wm", "--alpha6", "1", "--alpha4", alpha4, "--type", str(type_index)])
+        assert code == 0 and doc["residuals"]
+
+    def test_type4_bound_reuses_the_type5_body(self, capsys, monkeypatch):
+        shape, built = weights.optimal_shape_zonotope, []
+        monkeypatch.setattr(weights, "optimal_shape_zonotope", lambda i, m: built.append(i) or shape(i, m))
+        code, doc = run_json(capsys, ["wm", "--alpha6", "1", "--alpha4", "2"])
+        assert code == 0 and built == [1, 2, 3, 4, 5]
+        assert [r["name"] for r in doc["residuals"]] == [
+            "type1_shape_consistency", "type2_shape_consistency", "type3_shape_consistency",
+            "type4_bound_is_type5_minimum", "type5_shape_consistency"]
 
     @pytest.mark.parametrize("scaled", [1, 2, 3, 4, 5])
     def test_shape_consistency_fails_on_a_scaled_body(self, capsys, monkeypatch, scaled):
@@ -732,7 +752,7 @@ class TestBadInput:
             ("[1, 2, 3]", "document is not a JSON object"),
             ('{"schema": "1", "generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],'
              ' "generator_index": [0, 1], "vertices": [], "edges": []}',
-             "generator_index must list one entry for each of 3 generators"),
+             "stored complex does not match the rebuilt body"),
             ('{"schema": "1", "generators": [[1e400, 0, 0], [0, 1, 0], [0, 0, 1]],'
              ' "vertices": [], "edges": []}',
              "generators must be a list of finite 3-vectors"),
@@ -807,37 +827,39 @@ class TestBadInput:
             "final_relative_error", "exact_density_vs_target"]
 
     def test_needle_is_refused_with_bounded_memory(self, tmp_path):
-        # the type-4 minimum at ratio 1e-9 is about 1e6 long and 1e-3 wide: the overlap screen's lattice
-        # lines, about 4e18, are counted and refused before any array is formed.  Run in a fresh process,
-        # whose VmHWM is its own peak, as for the simplex grid
-        path = tmp_path / "needle.json"
+        # the type-4 minimum at ratio 1e-9 is about 1e6 long and 1e-3 wide, and the unit box 100 x 100 x 1e-4 is a
+        # plate: the overlap screen's lattice lines, about 4e18 and 1.4e7, are counted and refused before any
+        # array is formed.  Run in a fresh process, whose VmHWM is its own peak, as for the simplex grid
         needle = weights.optimal_shape_zonotope(4, zonotope.WeightPair(1.0, 1e-9))
-        path.write_text(json.dumps(zonotope.to_json(needle)), encoding="utf-8")
-        script = "\n".join([
-            "import contextlib, io, sys",
-            "from mosaicdensity import cli",
-            "def peak_kib():",
-            "    with open('/proc/self/status') as fh:",
-            "        return next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))",
-            "before = peak_kib()",
-            "err = io.StringIO()",
-            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):",
-            "    try:",
-            f"        cli.main(['tile', '--shape', 'file:{path}', '--radius', '{4.0 * needle.diameter()!r}'])",
-            "    except SystemExit as exc:",
-            "        code = exc.code",
-            "print(code, peak_kib() - before)",
-            "print(err.getvalue(), end='')",
-        ])
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-        head, *err = run.stdout.splitlines()
-        code, grown_kib = map(int, head.split())
-        assert code == 2
-        errors = [line for line in err if "error:" in line]
-        assert len(errors) == 1 and " lattice lines, more than 2097152" in errors[0]
-        assert errors[0].split("error: ")[1].startswith("argument --shape: a ball of radius ")
-        assert grown_kib <= 45 * 1024
+        plate = zonotope.build_zonotope(np.diag([100.0, 100.0, 1e-4]))
+        for name, body in (("needle", needle), ("plate", plate)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(zonotope.to_json(body)), encoding="utf-8")
+            script = "\n".join([
+                "import contextlib, io, sys",
+                "from mosaicdensity import cli",
+                "def peak_kib():",
+                "    with open('/proc/self/status') as fh:",
+                "        return next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))",
+                "before = peak_kib()",
+                "err = io.StringIO()",
+                "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):",
+                "    try:",
+                f"        cli.main(['tile', '--shape', 'file:{path}', '--radius', '{4.0 * body.diameter()!r}'])",
+                "    except SystemExit as exc:",
+                "        code = exc.code",
+                "print(code, peak_kib() - before)",
+                "print(err.getvalue(), end='')",
+            ])
+            env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+            run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+            head, *err = run.stdout.splitlines()
+            code, grown_kib = map(int, head.split())
+            assert code == 2, name
+            errors = [line for line in err if "error:" in line]
+            assert len(errors) == 1 and " lattice lines, more than 2097152" in errors[0], name
+            assert errors[0].split("error: ")[1].startswith("argument --shape: a ball of radius "), name
+            assert grown_kib <= 45 * 1024, name
 
     @pytest.mark.parametrize("option", ["--series", "--radius"])
     def test_ball_too_wide_names_its_option(self, capsys, monkeypatch, tmp_path, option):
@@ -900,6 +922,7 @@ class TestBadInput:
 
 
 _WM = ["wm", "--alpha6", "1", "--alpha4", "0.9", "--sweep", "100"]
+_WM_ABOVE_DIAGONAL = ["wm", "--alpha6", "1", "--alpha4", "2"]
 _TILE = ["tile", "--shape", "cube", "--radius", "8"]
 _VERIFY_TILING = ["verify", "--lemma", "tiling", "--radius", "8"]
 
@@ -916,11 +939,17 @@ def _length_above_bracket(monkeypatch):
     _patched_estimates(monkeypatch, lambda est, reps: {"skeleton_length": (est.cells + 1) * reps})
 
 
+def _weighted_length_off(monkeypatch):
+    # 1e-7 is far inside the 1e-9 x total that _densities allows the two lengths, about 6.4e-6 for the cube at R = 8
+    _patched_estimates(monkeypatch, lambda est, reps: {"weighted_length": est.weighted_length + 1e-7})
+
+
 # Every residual name the commands emit: a command and a fault under which that residual fails and the command
 # exits 1, or, in _ECHOES, why it cannot fail on its own.
 _FAULTS = {
     **{f"type{i}_shape_consistency": (_WM, functools.partial(_scaled_optimal_shape, scaled=i)) for i in range(1, 6)},
     "type4_sweep_above_bound": (_WM, _sweep_below_bound),
+    "type4_bound_is_type5_minimum": (_WM_ABOVE_DIAGONAL, functools.partial(_scaled_optimal_shape, scaled=5)),
     "published_minimum_at_or_below_bound_at_spec": (["decomp", "--dim", "3"], _published_minimum_above_bound),
     "corrected_minimum_is_bound_at_spec": (["decomp", "--dim", "5"], _corrected_minimum_off),
     "oracle_at_or_above_minimum": (["decomp", "--dim", "5", "--oracle", "30"], _oracle_below_published),
@@ -937,6 +966,7 @@ _FAULTS = {
         ("relative_error", _relative_error_off),
         ("exact_density_vs_target", _exact_density_off),
         ("skeleton_length_in_exact_bracket", _length_above_bracket),
+        ("mode_agreement", _weighted_length_off),
     )},
 }
 _COVOLUME_ECHO = "validate_tiling raises at the same tolerance first"
@@ -944,7 +974,6 @@ _ECHOES = {
     "covolume_minus_volume": _COVOLUME_ECHO,
     "isotropy_determinant": "it re-checks the last normalisation",
     **{f"{shape}_covolume_minus_volume": _COVOLUME_ECHO for shape in cli._TILING_SUITE},
-    **{f"{shape}_mode_agreement": "_densities has already checked it at 1e-9 x total" for shape in cli._TILING_SUITE},
 }
 
 
@@ -955,6 +984,7 @@ class TestResidualRegistry:
         emitted = set()
         for argv in (
             _WM,
+            _WM_ABOVE_DIAGONAL,
             ["decomp", "--dim", "5", "--oracle", "30"],
             _TILE,
             ["verify", "--lemma", "all", "--samples", "100", "--grid", "10", "--radius", "8"],

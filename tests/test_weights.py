@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_body
+from conftest import assert_facet_measure, random_body
 from mosaicdensity import _kernels, tiling
 from mosaicdensity import weights as W
 from mosaicdensity import zonotope as Z
@@ -140,48 +140,46 @@ class TestClassify:
         assert math.isclose(ans.value, envelope, rel_tol=1e-12)
 
 
-class TestFacetMeasure:
-    def test_validation_errors(self):
-        e = np.eye(3)
-        u6 = np.vstack([e, -e])
-        with pytest.raises(ValueError, match="unit"):
-            W.FacetMeasure(2.0 * u6, np.ones(6))
-        with pytest.raises(ValueError, match="positive"):
-            W.FacetMeasure(u6, np.array([1, 1, 1, 1, 1, -1.0]))
-        with pytest.raises(ValueError, match="closed"):
-            W.FacetMeasure(u6, np.array([2, 1, 1, 1, 1, 1.0]))
-        with pytest.raises(ValueError, match="span"):
-            W.FacetMeasure(u6[[0, 1, 3, 4]], np.ones(4))
+def _measure(z):
+    """A body's facet measure: its unit normals and areas."""
+    return z.facet_normals, z.facet_areas
 
+
+def _mapped(measure, a):
+    """A facet measure mapped by a, checked to stay a facet measure."""
+    u, f = W._mapped(*measure, a)
+    assert_facet_measure(u, f)
+    return u, f
+
+
+class TestFacetMeasure:
     def test_cube_is_isotropic(self, unit_shapes):
-        fm = W.FacetMeasure.from_zonotope(unit_shapes["cube"])
-        _, res = W._second_moment(fm.normals, fm.areas)
+        _, res = W._second_moment(*_measure(unit_shapes["cube"]))
         assert res <= 1e-12
 
     def test_transform_keeps_surface_of_rotation(self, unit_shapes):
-        fm = W.FacetMeasure.from_zonotope(unit_shapes["cube"])
+        u, f = _measure(unit_shapes["cube"])
         q = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))[0]
-        fm2 = W.FacetMeasure(*W._mapped(fm.normals, fm.areas, q))
-        assert abs(fm2.areas.sum() - fm.areas.sum()) < 1e-12
+        _, f2 = _mapped((u, f), q)
+        assert abs(f2.sum() - f.sum()) < 1e-12
 
 
-def _isotropic_position(fm):
+def _isotropic_position(measure):
     """The fixed point on a one-body stack: its matrix, iterations and residual."""
-    matrix, iterations, residual = W.isotropic_positions(fm.normals[None], fm.areas[None])
+    u, f = measure
+    matrix, iterations, residual = W.isotropic_positions(u[None], f[None])
     return matrix[0], int(iterations[0]), float(residual[0])
 
 
 class TestIsotropicPosition:
     def test_already_isotropic_returns_identity(self, unit_shapes):
-        fm = W.FacetMeasure.from_zonotope(unit_shapes["cube"])
-        matrix, iterations, _ = _isotropic_position(fm)
+        matrix, iterations, _ = _isotropic_position(_measure(unit_shapes["cube"]))
         assert iterations == 0
         assert np.abs(matrix - np.eye(3)).max() < 1e-12
 
     def test_recovers_stretched_cube(self, unit_shapes):
-        fm = W.FacetMeasure.from_zonotope(unit_shapes["cube"])
         a = np.diag([2.0, 1.0, 0.5])
-        matrix, _, residual = _isotropic_position(W.FacetMeasure(*W._mapped(fm.normals, fm.areas, a)))
+        matrix, _, residual = _isotropic_position(_mapped(_measure(unit_shapes["cube"]), a))
         assert residual <= 1e-8
         assert abs(np.linalg.det(matrix) - 1.0) <= 1e-12
         # the fix undoes the stretch up to a rotation, here up to sign
@@ -189,26 +187,24 @@ class TestIsotropicPosition:
 
     def test_random_bodies_converge(self, rng):
         for _ in range(10):
-            fm = W.FacetMeasure.from_zonotope(random_body(rng))
-            matrix, iterations, residual = _isotropic_position(fm)
+            measure = _measure(random_body(rng))
+            matrix, iterations, residual = _isotropic_position(measure)
             assert residual <= 1e-8
             assert iterations <= 200
             assert abs(np.linalg.det(matrix) - 1.0) <= 1e-12
-            mapped = W.FacetMeasure(*W._mapped(fm.normals, fm.areas, matrix))
-            _, res = W._second_moment(mapped.normals, mapped.areas)
+            _, res = W._second_moment(*_mapped(measure, matrix))
             assert res <= 1e-8
 
     def test_no_convergence_when_starved(self, unit_shapes, monkeypatch):
-        fm = W.FacetMeasure.from_zonotope(unit_shapes["cube"])
-        a = np.diag([4.0, 1.0, 0.25])
+        stretched = _mapped(_measure(unit_shapes["cube"]), np.diag([4.0, 1.0, 0.25]))
         monkeypatch.setattr(W, "ISOTROPY_MAX_ITER", 1)
         with pytest.raises(W.NoConvergence):
-            _isotropic_position(W.FacetMeasure(*W._mapped(fm.normals, fm.areas, a)))
+            _isotropic_position(stretched)
 
 
-def _isotropic_position_reference(fm, tol=1e-8, max_iter=200):
+def _isotropic_position_reference(measure, tol=1e-8, max_iter=200):
     # the fixed point as it ran one body at a time, before bodies were stacked
-    u, f = fm.normals, fm.areas
+    u, f = measure
     acc = np.eye(3)
     for it in range(max_iter):
         mat = 3.0 * (f[:, None, None] * u[:, :, None] * u[:, None, :]).sum(axis=0) / f.sum()
@@ -234,34 +230,30 @@ class TestStackedIsotropy:
     @pytest.fixture(scope="class")
     def measures(self):
         rng = np.random.default_rng(77)
-        return [W.FacetMeasure.from_zonotope(random_body(rng)) for _ in range(60)]
+        return [_measure(random_body(rng)) for _ in range(60)]
 
     def test_stack_matches_the_per_body_loop(self, measures):
-        u = np.array([fm.normals for fm in measures])
-        f = np.array([fm.areas for fm in measures])
+        u, f = map(np.array, zip(*measures))
         matrix, iterations, residual = W.isotropic_positions(u, f)
         assert len(set(iterations.tolist())) > 3  # bodies leave the stack at different steps
-        for b, fm in enumerate(measures):
-            want, it, res = _isotropic_position_reference(fm)
+        for b, measure in enumerate(measures):
+            want, it, res = _isotropic_position_reference(measure)
             assert matrix[b].tobytes() == want.tobytes()
             assert iterations[b] == it and residual[b] == res
-            one, one_it, one_res = _isotropic_position(fm)
+            one, one_it, one_res = _isotropic_position(measure)
             assert one.tobytes() == want.tobytes()
             assert (one_it, one_res) == (it, res)
 
     def test_residuals_match_the_transformed_measures(self, measures):
-        u = np.array([fm.normals for fm in measures])
-        f = np.array([fm.areas for fm in measures])
+        u, f = map(np.array, zip(*measures))
         matrix, _, _ = W.isotropic_positions(u, f)
         got = W.isotropy_residuals(u, f, matrix)
-        mapped = [W.FacetMeasure(*W._mapped(fm.normals, fm.areas, m)) for fm, m in zip(measures, matrix)]
-        want = [float(W._second_moment(fm.normals, fm.areas)[1]) for fm in mapped]
+        want = [float(W._second_moment(*_mapped(measure, m))[1]) for measure, m in zip(measures, matrix)]
         assert got.tolist() == want
 
     def test_stacked_failures(self, unit_shapes, monkeypatch):
-        cube = W.FacetMeasure.from_zonotope(unit_shapes["cube"])
-        fm = W.FacetMeasure(*W._mapped(cube.normals, cube.areas, np.diag([4.0, 1.0, 0.25])))
-        u, f = np.array([fm.normals] * 3), np.array([fm.areas] * 3)
+        one_u, one_f = _mapped(_measure(unit_shapes["cube"]), np.diag([4.0, 1.0, 0.25]))
+        u, f = np.array([one_u] * 3), np.array([one_f] * 3)
         with monkeypatch.context() as patch:
             patch.setattr(W, "ISOTROPY_MAX_ITER", 1)
             with pytest.raises(W.NoConvergence, match="within 1 iterations"):

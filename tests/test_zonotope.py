@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 from scipy.special import roots_legendre
 
 from mosaicdensity import tiling as T
-from mosaicdensity import weights
 from mosaicdensity import zonotope as Z
 
-from conftest import TYPE_PATTERNS, random_beta, random_body
+from conftest import TYPE_PATTERNS, assert_facet_measure, random_beta, random_body
 
 
 def mean_width_estimate(z: Z.Zonotope, n_polar: int = 256, n_azimuth: int = 512) -> float:
@@ -261,7 +260,7 @@ def _zonogon_cycle_signs(gens, members, n):
 
 
 def _build_zonotope_reference(
-    generators, labels=None, tol=Z.COPLANAR_TOL, classes=_coplanar_classes_batched, cycle=_zonogon_cycle_signs
+    generators, tol=Z.COPLANAR_TOL, classes=_coplanar_classes_batched, cycle=_zonogon_cycle_signs
 ):
     # build_zonotope as it was before vertex sets became bitmasks: frozensets
     # and dicts, one facet at a time; ``classes`` and ``cycle`` swap in the
@@ -270,9 +269,7 @@ def _build_zonotope_reference(
     gens = gens.reshape(len(gens), 3)
     if len(gens) > 6:
         raise Z.GeometryError("at most six segments are supported")
-    labels = list(range(len(gens)) if labels is None else labels)
-    kept = [r for r in range(len(gens)) if np.linalg.norm(gens[r]) > 0.0]
-    labels, gens = tuple(labels[r] for r in kept), gens[kept]
+    gens = gens[[r for r in range(len(gens)) if np.linalg.norm(gens[r]) > 0.0]]
     k = len(gens)
     norms = np.linalg.norm(gens, axis=1)
     if k < 3 or np.linalg.matrix_rank(gens, tol=1e-12 * max(1.0, norms.max())) < 3:
@@ -321,7 +318,6 @@ def _build_zonotope_reference(
     cycles, normals, areas, members = zip(*facets)
     return Z.Zonotope(
         generators=gens,
-        labels=labels,
         vertices=verts,
         edge_vertex_ids=np.array(ekeys, dtype=np.int64).reshape(n_e, 2),
         edge_segment=np.array([edge_label[e] for e in ekeys], dtype=np.int64),
@@ -339,7 +335,6 @@ def _members(z):
 
 def _assert_same_body(z, ref, name=""):
     # every field, bit for bit
-    assert z.labels == ref.labels and type(z.labels) is tuple, name
     for got, want in (
         (z.generators, ref.generators), (z.vertices, ref.vertices),
         (z.facet_normals, ref.facet_normals), (z.facet_areas, ref.facet_areas),
@@ -366,9 +361,8 @@ def _random_segment_sets(seed, count):
 
 
 def _nonzero_rows(segs):
-    # the nonzero rows of segments_from_parameters and their frame pairs
-    keep = np.linalg.norm(segs, axis=1) > 0.0
-    return segs[keep], tuple(pair for pair, kept in zip(Z.PAIRS, keep) if kept)
+    # the nonzero rows of segments_from_parameters
+    return segs[np.linalg.norm(segs, axis=1) > 0.0]
 
 
 class TestBitmaskBuild:
@@ -377,14 +371,13 @@ class TestBitmaskBuild:
 
     def test_unit_shapes(self, unit_shapes):
         for name, z in unit_shapes.items():
-            segs = z.generators, z.labels
-            _assert_same_body(Z.build_zonotope(*segs), _build_zonotope_reference(*segs), name)
+            _assert_same_body(Z.build_zonotope(z.generators), _build_zonotope_reference(z.generators), name)
 
     def test_random_bodies_of_every_type(self):
         sets = _random_segment_sets(1013, 1005)
         assert {name.split("-")[0] for name in sets} == {f"type{t}" for t in range(1, 6)}
         for name, segs in sets.items():
-            _assert_same_body(Z.build_zonotope(*segs), _build_zonotope_reference(*segs), name)
+            _assert_same_body(Z.build_zonotope(segs), _build_zonotope_reference(segs), name)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -415,11 +408,11 @@ class TestBitmaskBuild:
 
 class TestBatchedPairCrosses:
     """``build_zonotope`` with one batched cross per pair set gives the
-    bodies of the per-pair loop: same classes, order, ids and labels."""
+    bodies of the per-pair loop: same classes, order, ids and segments."""
 
     @pytest.fixture
     def segment_sets(self, unit_shapes):
-        sets = {name: (z.generators, z.labels) for name, z in unit_shapes.items()}
+        sets = {name: z.generators for name, z in unit_shapes.items()}
         rng = np.random.default_rng(2024)
         for q in range(20):
             ty = q % 5 + 1
@@ -429,16 +422,16 @@ class TestBatchedPairCrosses:
             for k, (i, j) in enumerate(Z.PAIRS):
                 assert np.array_equal(segs[k], b.values[k] * np.cross(v[i], v[j]))
             sets[f"type{ty}-{q}"] = _nonzero_rows(segs)
-            labels = Z.build_from_parameters(v, b).labels
-            assert labels == sets[f"type{ty}-{q}"][1] == tuple(p for p, x in zip(Z.PAIRS, b.values) if x > 0)
+            kept = segs[[k for k, x in enumerate(b.values) if x > 0]].tobytes()
+            assert Z.build_from_parameters(v, b).generators.tobytes() == sets[f"type{ty}-{q}"].tobytes() == kept
         return sets
 
     def test_classes_match_the_per_pair_loop(self, segment_sets):
         # facets 2c and 2c + 1 hold class c, about its normal and the opposite one
-        for name, (gens, labels) in segment_sets.items():
+        for name, gens in segment_sets.items():
             norms = np.linalg.norm(gens, axis=1)
             ref = _coplanar_classes_reference(gens, norms, Z.COPLANAR_TOL)
-            z = Z.build_zonotope(gens, labels)
+            z = Z.build_zonotope(gens)
             assert _members(z)[::2] == list(ref), name
             assert _members(z)[1::2] == list(ref), name
             for f, g, n in zip(z.facet_normals[::2], z.facet_normals[1::2], ref.values()):
@@ -447,8 +440,8 @@ class TestBatchedPairCrosses:
 
     def test_body_matches_the_per_pair_loop(self, segment_sets):
         for name, segs in segment_sets.items():
-            z = Z.build_zonotope(*segs)
-            ref = _build_zonotope_reference(*segs, classes=_coplanar_classes_reference)
+            z = Z.build_zonotope(segs)
+            ref = _build_zonotope_reference(segs, classes=_coplanar_classes_reference)
             assert _members(z) == _members(ref)
             assert z.facet_cycles == ref.facet_cycles
             assert np.array_equal(z.edge_vertex_ids, ref.edge_vertex_ids), name
@@ -507,15 +500,14 @@ class TestZonogonCycles:
 
     @pytest.fixture(scope="class")
     def segment_sets(self, unit_shapes):
-        sets = {name: (z.generators, z.labels) for name, z in unit_shapes.items()}
+        sets = {name: z.generators for name, z in unit_shapes.items()}
         sets.update(_random_segment_sets(1010, 200))
         return sets
 
     def test_cycles_are_the_hull_cycles_up_to_rotation(self, segment_sets):
         turned_hexagons = 0
-        for name, segs in segment_sets.items():
-            z = Z.build_zonotope(*segs)
-            gens = segs[0]
+        for name, gens in segment_sets.items():
+            z = Z.build_zonotope(gens)
             norms = np.linalg.norm(gens, axis=1)
             k = len(gens)
             # each vertex's subset of segments, by its position among all subset sums
@@ -536,8 +528,8 @@ class TestZonogonCycles:
 
     def test_body_matches_the_hull_construction(self, segment_sets):
         for name, segs in segment_sets.items():
-            z = Z.build_zonotope(*segs)
-            ref = _build_zonotope_reference(*segs, cycle=_zonogon_cycle_reference)
+            z = Z.build_zonotope(segs)
+            ref = _build_zonotope_reference(segs, cycle=_zonogon_cycle_reference)
             scale = np.abs(ref.vertices).max()
             # the vertex sets agree; match ids through coordinates
             dist = np.linalg.norm(z.vertices[:, None] - ref.vertices[None], axis=2)
@@ -565,7 +557,7 @@ class TestZonogonCycles:
 
 
 def _facet_loops(z):
-    # volume, facet_planes, belts, weighted_edge_functional, FacetMeasure.from_zonotope and to_json
+    # volume, facet_planes, belts, weighted_edge_functional, the facet measure and to_json
     # as they ran on one record per facet and per segment, each facet's area a float
     facets = list(zip(z.facet_cycles, z.facet_normals, z.facet_areas.tolist(), _members(z)))
     total = 0.0
@@ -578,12 +570,10 @@ def _facet_loops(z):
     weighted = 0.0
     for g, c in zip(z.generators, belts):
         weighted += (m.alpha4 if c == 4 else m.alpha6) * float(np.linalg.norm(g))
-    measure = weights.FacetMeasure(normals, np.array([area for _, _, area, _ in facets]))
+    measure = normals, np.array([area for _, _, area, _ in facets])
     doc = {
         "schema": "1",
         "generators": [g.tolist() for g in z.generators],
-        "generator_index": [list(label) if isinstance(label, tuple) else label for label in z.labels],
-        "beta": None,
         "vertices": z.vertices.tolist(),
         "edges": [[int(u), int(v), int(g)] for (u, v), g in zip(z.edge_vertex_ids, z.edge_segment)],
         "facets": [
@@ -614,14 +604,19 @@ class TestArrayRecord:
             assert Z.belts(z).tolist() == belts, name
             got = Z.weighted_edge_functional(z, m)
             assert type(got) is float and got == weighted, name
-            got = weights.FacetMeasure.from_zonotope(z)
-            assert got.normals.tobytes() == measure.normals.tobytes(), name
-            assert got.areas.tobytes() == measure.areas.tobytes(), name
+            assert z.facet_normals.tobytes() == measure[0].tobytes(), name
+            assert z.facet_areas.tobytes() == measure[1].tobytes(), name
             assert json.dumps(Z.to_json(z)) == json.dumps(doc), name
 
     def test_json_rebuilds_the_record(self, bodies):
         for name, z in bodies.items():
             _assert_same_body(Z.from_json(json.dumps(Z.to_json(z))), z, name)
+
+    def test_facet_measure_is_valid(self, bodies):
+        # build_zonotope normalises each normal, refuses an area <= 0, pairs every facet with its opposite and
+        # refuses segments that do not span R^3: the isotropy suite stacks these arrays unchecked
+        for name, z in bodies.items():
+            assert_facet_measure(z.facet_normals, z.facet_areas)
 
 
 class TestBelts:
@@ -695,8 +690,9 @@ class TestFunctionals:
 class TestJson:
     def test_roundtrip(self, rng):
         z = random_body(rng, 4)
-        doc = Z.to_json(z, beta=None)
+        doc = Z.to_json(z)
         assert doc["schema"] == "1"
+        assert sorted(doc) == ["edges", "facets", "generators", "schema", "vertices"]
         text = json.dumps(doc)
         z2 = Z.from_json(json.loads(text))
         assert abs(z.volume() - z2.volume()) < 1e-12
@@ -704,12 +700,12 @@ class TestJson:
         assert len(z2.facet_cycles) == len(z.facet_cycles)
 
     def test_roundtrip_with_beta(self, rng):
-        b = random_beta(rng, 5)
+        # documents once carried each generator's frame pair and the six coefficients; from_json reads neither
+        b = random_beta(rng, 4)
         z = Z.build_from_parameters(Z.random_frame(rng), b)
-        doc = Z.to_json(z, beta=b)
-        z2 = Z.from_json(doc)
-        assert np.allclose(doc["beta"], b.values)
-        assert abs(z.volume() - z2.volume()) < 1e-12
+        pairs = [list(p) for p, x in zip(Z.PAIRS, b.values) if x > 0]
+        doc = {**Z.to_json(z), "generator_index": pairs, "beta": b.values.tolist()}
+        _assert_same_body(Z.from_json(json.dumps(doc)), z)
 
 
 class TestCanonicalShapes:
@@ -740,7 +736,7 @@ class TestCanonicalShapes:
         u = Z.unit_volume(z)
         assert abs(u.volume() - 1.0) < 1e-12
         scale = z.volume() ** (-1.0 / 3.0)
-        assert u.labels == z.labels
+        assert len(u.generators) == len(z.generators)
         for s, t in zip(z.generators, u.generators):
             assert np.allclose(t, s * scale, rtol=1e-15, atol=0)
         assert np.array_equal(Z.belts(u), Z.belts(z))
