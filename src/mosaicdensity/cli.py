@@ -416,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
         "decomposable bounds, and lattice-tiling simulation.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="RNG seed for randomized routines")
+    common.add_argument("--seed", type=_int_at_least(0), default=0, help="non-negative seed for randomized routines")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("wm", help="per-type minima of the weighted edge functional", parents=[common])

@@ -94,35 +94,25 @@ _CENTRAL = np.array([np.eye(3), -np.eye(3)], dtype=np.int64)  # x -> x and x -> 
 
 
 def _facet_walls(n: np.ndarray) -> np.ndarray:
-    """The rows of n that bound a 2-face of the cone n @ c >= 0: those vanishing on two extreme rays,
-    nonzero cross products of two walls, either way round, on which every wall is >= 0.  float64 holds
-    the products exactly while 6 max|n|^3 < 2^53; past that, and while int64 holds them, the rows found
-    are kept only if ``_spans_the_cone`` proves it.  Else, or if the cone holds a line, all rows are kept."""
+    """The rows of n that bound a 2-face of the cone n @ c >= 0, exactly in integers.  Its rays are the
+    cross products of two walls, either way round, on which every wall is >= 0 (tested in float64 while
+    6 max|n|^3 < 2^53, where the products are exact, and in int64 beyond), reduced to primitive vectors.
+    When every wall is > 0 on one of them, the cone is pointed and has an interior, so each ray, on two
+    independent walls, is extreme, and a facet wall vanishes on two rays.  Else, as when the cone holds
+    a line, and past 6 max|n|^3 = 2^63, where int64 no longer holds the products, all rows are kept."""
     cube = 6 * int(np.abs(n).max(initial=0)) ** 3
     if len(n) < 3 or cube >= 2**63:
         return n
-    f = n.astype(np.float64)
-    r = _kernels.cross3(f[:, None], f[None]).reshape(-1, 3)
-    s = r @ f.T
-    ray = (r != 0.0).any(axis=1) & (s >= 0.0).all(axis=1)
-    r, tight = r[ray], s[ray] == 0.0
-    other = (_kernels.cross3(r[tight.argmax(axis=0)][:, None], r) != 0.0).any(axis=2) & tight.T
-    facet = other.any(axis=1)
-    if not facet.any() or (cube >= 2**53 and not _spans_the_cone(n[facet], n)):
+    w = n.T
+    r = np.stack(_kernels._cross_rows(w[:, :, None], w[:, None, :])).reshape(3, -1).T  # entries <= 2 max|n|^2
+    s = r.astype(np.float64) @ w.astype(np.float64) if cube < 2**53 else r @ w
+    r = r[r.any(axis=1) & (s >= 0).all(axis=1)]
+    r = r // np.gcd.reduce(r, axis=1)[:, None]
+    r = r[np.lexsort(r.T)]  # np.unique(axis=0) would import numpy.ma
+    on = r[np.diff(r, axis=0, prepend=0).any(axis=1)] @ w  # every wall on every distinct ray
+    if not (on > 0).any(axis=0).all():
         return n
-    return n[facet]
-
-
-def _spans_the_cone(walls: np.ndarray, n: np.ndarray) -> bool:
-    """Whether the cone walls @ c >= 0 is the cone n @ c >= 0, for walls among the rows of n, exactly in
-    int64 while 6 max|n|^3 < 2^63: the walls have rank 3, so their cone is pointed and spanned by its
-    extreme rays, the cross products of two walls on which every wall is >= 0, and every row of n is
-    >= 0 on those rays."""
-    w = walls.T
-    r = np.stack(_kernels._cross_rows(w[:, :, None], w[:, None, :])).reshape(3, -1)
-    on_walls = w.T @ r
-    ray = r.any(axis=0) & (on_walls >= 0).all(axis=0)
-    return bool(on_walls.any()) and bool((n @ r[:, ray] >= 0).all())
+    return n[np.count_nonzero(on == 0, axis=0) >= 2]
 
 
 def _cone(lat: Lattice, group: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray]:
@@ -147,30 +137,30 @@ def _ball_lines(lat: Lattice, rmax: float, rin: float, cone: tuple[np.ndarray, n
     A point c of the LLL-reduced basis is taken when it is the lexicographic maximum of its orbit,
     c - c m >=lex 0 for every m.  In the coefficient box, x >=lex 0 iff x . (K^2, K, 1) >= 0 for K
     beyond |x_2| and |x_3|, so each m is a wall n = (I - m)(K^2, K, 1), and the cone's facet walls
-    cut each line c1 b1 + c2 b2 + c3 b3 to an exact c3 interval.  All walls are >= 0 on it, so only
-    its two ends can lie on a wall, n . c = 0 (c m = c), that the whole line does not: the points
-    between share the line's stabiliser, and the ends, always formed, have theirs counted.  Points
-    strictly inside the cone interval whose two neighbours lie in the ball of radius ``rin`` are
-    counted (by convexity |t|^2 <= rin^2 - |b3|^2); the rest of the line in the ball of radius rmax,
-    rounded outwards, is formed from the stored basis and kept where norm(t) <= rmax, in
-    lexicographic (c1, c2, c3) order.
+    cut each line c1 b1 + c2 b2 + c3 b3 to a c3 interval, by floor division in integers.  All walls
+    are >= 0 on it, so only its two ends can lie on a wall, n . c = 0 (c m = c), that the whole line
+    does not: the points between share the line's stabiliser, and the ends, always formed, have
+    theirs counted, in integers too.  Points strictly inside the cone interval whose two neighbours
+    lie in the ball of radius ``rin`` are counted (by convexity |t|^2 <= rin^2 - |b3|^2); the rest of
+    the line in the ball of radius rmax, rounded outwards, is formed from the stored basis and kept
+    where norm(t) <= rmax, in lexicographic (c1, c2, c3) order.
     """
     (u, red, scale), (n, walls) = lat._reduction, cone
     lim = np.floor(scale * rmax).astype(np.int64) + 1
     c1 = np.repeat(np.arange(-lim[0], lim[0] + 1), 2 * lim[1] + 1)
     c2 = np.tile(np.arange(-lim[1], lim[1] + 1), 2 * lim[0] + 1)
-    cl, ch = np.full(len(c1), -lim[2] - 1.0), np.full(len(c1), lim[2] + 1.0)  # cone interval, or past the box
+    cl, ch = np.full(len(c1), -lim[2] - 1), np.full(len(c1), lim[2] + 1)  # cone interval, or past the box
     meets = np.ones(len(c1), dtype=bool)
-    for w1, w2, w3 in walls.tolist():  # w3 c3 >= -a; a / w3 is exact in float64 while |a| < 2^53
+    for w1, w2, w3 in walls.tolist():  # w3 c3 >= -a
         a = c1 * w1 + c2 * w2
         if w3 == 0:
             meets &= a >= 0
         elif w3 > 0:
-            np.maximum(cl, np.ceil(-a / w3), out=cl)
+            np.maximum(cl, -(a // w3), out=cl)
         else:
-            np.minimum(ch, np.floor(-a / w3), out=ch)
+            np.minimum(ch, a // -w3, out=ch)
     meets &= cl <= ch
-    c1, c2, cl, ch = c1[meets], c2[meets], cl[meets].astype(np.int64), ch[meets].astype(np.int64)
+    c1, c2, cl, ch = c1[meets], c2[meets], cl[meets], ch[meets]
     g = red @ red.T  # |c @ red|^2 = c g c
     mid = -(c1 * g[0, 2] + c2 * g[1, 2]) / g[2, 2]
     d2 = (c1 * g[0, 0] + c2 * g[1, 0]) * c1 + (c1 * g[0, 1] + c2 * g[1, 1]) * c2 - g[2, 2] * mid * mid
@@ -186,10 +176,10 @@ def _ball_lines(lat: Lattice, rmax: float, rin: float, cone: tuple[np.ndarray, n
     lo_in, hi_in = np.maximum(lo_in[keep], cl + 1), np.minimum(hi_in[keep], ch - 1)
     count = np.maximum(hi_in - lo_in + 1, 0)
     band = last - first + 1 - count
-    # orbit sizes at each line's first band point, the next and the last: c . n = 0 (exact in float64,
-    # as a / w3) counts the stabiliser, and the next point has the one of every point between the ends
-    at = np.stack([first, first + 1, last])[..., None] * n[:, 2].astype(np.float64) + c12 @ n[:, :2].T
-    q_first, weight, q_last = len(n) // np.count_nonzero(at == 0.0, axis=2)
+    # orbit sizes at each line's first band point, the next and the last: c . n = 0 counts the
+    # stabiliser, and the next point has the one of every point between the ends
+    at = np.stack([first, first + 1, last])[..., None] * n[:, 2] + c12 @ n[:, :2].T
+    q_first, weight, q_last = len(n) // np.count_nonzero(at == 0, axis=2)
     bounds = [*range(0, len(band), _LINE_CHUNK), len(band)]
     for k, stop in zip(bounds, bounds[1:]):
         size = band[k:stop]

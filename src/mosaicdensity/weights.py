@@ -44,8 +44,8 @@ class TypeMinimum:
 
     ``is_exact`` is False only for type 4 at alpha4 > alpha6, where no type-4
     body is optimal; there ``value`` is the type-5 minimum, a lower bound, and
-    ``optimal_shape`` is None, as it is where alpha4/alpha6 underflows to 0
-    and the type-4 body leaves the doubles.
+    ``optimal_shape`` is None, as it is where the type-2 prism, or the type-4
+    body at an alpha4/alpha6 that underflows to 0, leaves the positive doubles.
     """
 
     value: float
@@ -87,6 +87,8 @@ def type_minimum(i: int, m: WeightPair) -> TypeMinimum:
         r = a4 / a6
         scaled = a6 * r ** (2.0 / 3.0) if 2.0**-1022 <= r < math.inf else a4 ** (2.0 / 3.0) * a6 ** (1.0 / 3.0)
         value = 3.0 ** (7.0 / 6.0) / 2.0 ** (1.0 / 3.0) * scaled
+        if not (0.0 < base < math.inf and 0.0 < lateral < math.inf):  # the prism leaves the doubles
+            return TypeMinimum(value, True, None)
         return TypeMinimum(value, True, {"shape": "hexagonal_prism", "base_edge": base, "height": lateral})
     if i == 3:
         shape = {"shape": "rhombic_dodecahedron", "edge": zonotope.RHOMBIC_EDGE}

@@ -33,6 +33,11 @@ def run_csv(capsys, argv):
     return code, rows
 
 
+def _not_json(constant):
+    """parse_constant for json.loads: NaN and +-Infinity are not JSON."""
+    raise ValueError(f"{constant} is not valid JSON")
+
+
 # Faults under which one residual fails: each patches the library through ``monkeypatch``.
 
 
@@ -622,6 +627,14 @@ class TestCsvReports:
         assert (rows[2][0], rows[2][2]) == ("2", "True")
         assert 0.0 < float(rows[2][1]) < math.inf
         assert abs(float(rows[2][1]) - want) <= 1e-13 * want
+        # a prism edge that leaves the positive doubles leaves the shape unknown; every parameter is valid JSON
+        if alpha4 / alpha6 in (0.0, math.inf):
+            assert rows[2][3:] == ["", "{}"]
+        else:
+            edges = json.loads(rows[2][4])
+            assert rows[2][3] == "hexagonal_prism" and all(0.0 < e < math.inf for e in edges.values())
+        for row in rows[1:]:
+            json.loads(row[4], parse_constant=_not_json)
 
     def test_fig2(self, capsys):
         code, rows = run_csv(
@@ -696,6 +709,10 @@ class TestBadInput:
             (["decomp", "--dim", "3", "--seed", "1"], "unrecognized arguments: --seed 1"),
             (["table1", "--alpha6", "1", "--alpha4", "1", "--seed", "1"], "unrecognized arguments: --seed 1"),
             (["fig2", "--seed", "1"], "unrecognized arguments: --seed 1"),
+            (["wm", "--alpha6", "1", "--alpha4", "1", "--sweep", "100", "--seed", "-5"],
+             "--seed: must be at least 0, got -5"),
+            (["verify", "--lemma", "tetra", "--seed", "-1"], "--seed: must be at least 0, got -1"),
+            (["tile", "--shape", "cube", "--seed", "-1"], "--seed: must be at least 0, got -1"),
             (["wm", "--alpha6", "1e301", "--alpha4", "1"], "--alpha6: must be at most 1e+300, got 1e301"),
             (["table1", "--alpha6", "1", "--alpha4", "1e301"], "--alpha4: must be at most 1e+300, got 1e301"),
             *[(["wm", "--alpha6", "1", "--alpha4", a4],
@@ -715,7 +732,7 @@ class TestBadInput:
             "verify-tiling-radius-below-floor", "fig2-too-many-steps", "dim-above-cap",
             "grid-above-cap", "lambda-above-cap", "tile-series-above-cap", "tile-radius-above-cap",
             "verify-tiling-radius-above-cap", "verify-tiling-over-budget", "verify-all-over-budget",
-            "decomp-seed", "table1-seed", "fig2-seed",
+            "decomp-seed", "table1-seed", "fig2-seed", "wm-seed-neg", "verify-seed-neg", "tile-seed-neg",
             "alpha6-above-cap", "table1-alpha4-above-cap",
             "ratio-1e9", "ratio-1e10", "ratio-1e12", "ratio-1e14", "ratio-1e-14", "ratio-1e-16",
             "ratio-1e-11", "ratio-1e-11-type4", "ratio-9.9e-11", "ratio-9.9e-11-type4",

@@ -928,6 +928,66 @@ class TestConvergence:
         assert not isinstance(exc.value, TL.RadiusTooSmall)
 
 
+def _first_scale(rows, bound):
+    """The least k with 6 max|k rows|^3 >= bound."""
+    m = int(np.abs(rows).max())
+    k = round((bound / 6) ** (1 / 3) / m)
+    while 6 * (k * m) ** 3 >= bound:
+        k -= 1
+    while 6 * (k * m) ** 3 < bound:
+        k += 1
+    return k
+
+
+class TestFacetWalls:
+    """The facet walls of small integer cones, exact at every scale below 6 max|n|^3 = 2^63."""
+
+    # the cone A c >= 0 of a unimodular A, whose rows are its facets, and two redundant walls that
+    # vanish on the extreme ray A0 x A1 alone: (2 A0 + A1) x A1 = 2 (A0 x A1) finds that ray twice over
+    SIMPLICIAL = np.array([[-1, -1, 0], [2, 0, -1], [0, 1, 1]])
+    ROWS = np.concatenate([SIMPLICIAL, [SIMPLICIAL[0] + SIMPLICIAL[1], 2 * SIMPLICIAL[0] + SIMPLICIAL[1]]])
+
+    @pytest.mark.parametrize(
+        "rows, facets",
+        [
+            ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+            (ROWS, SIMPLICIAL),
+        ],
+        ids=["octant", "simplicial"],
+    )
+    def test_redundant_walls_are_dropped(self, rows, facets):
+        assert np.array_equal(TL._facet_walls(np.array(rows)), np.array(facets))
+
+    @pytest.mark.parametrize(
+        "bound, step, low, high",
+        [(2**53, -1, 0, 2**53), (2**53, 0, 2**53, 2**63), (2**63, -1, 2**53, 2**63)],
+        ids=["float64-top", "int64-bottom", "int64-top"],
+    )
+    def test_exact_up_to_2_63(self, bound, step, low, high):
+        k = _first_scale(self.ROWS, bound) + step
+        # the float64 or the int64 product; near 2^63 a float64 one rounds some tight rays below 0
+        assert low <= 6 * int(np.abs(k * self.ROWS).max()) ** 3 < high
+        assert np.array_equal(TL._facet_walls(k * self.ROWS), k * self.SIMPLICIAL)
+
+    def test_past_int64_every_row_is_kept(self):
+        n = _first_scale(self.ROWS, 2**63) * self.ROWS
+        assert 6 * int(np.abs(n).max()) ** 3 >= 2**63
+        assert np.array_equal(TL._facet_walls(n), n)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1, 0, 0], [0, 1, 0], [1, 1, 0]],  # a wedge: it holds the line of e3
+            [[1, 0, 0], [2, 0, 0], [3, 0, 0]],  # a half-space: no two walls cross
+            [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, 0, 1]],  # a quadrant of the plane c1 = 0: no interior
+        ],
+        ids=["wedge", "half-space", "flat"],
+    )
+    def test_every_row_is_kept_when_a_wall_vanishes_on_every_ray(self, rows):
+        n = np.array(rows)
+        assert np.array_equal(TL._facet_walls(n), n)
+
+
 def _bits(est):
     """Every field of an estimate, typed and exact: repr round-trips a float."""
     return [(type(v), repr(v)) for v in dataclasses.astuple(est)]
@@ -963,7 +1023,7 @@ class TestSeriesGeometry:
         group, _ = _group(z, lat)
         cones = [TL._cone(lat, group, r + z.circumradius()) for r in (40.0, 60.0)]
         assert [6 * int(np.abs(n).max()) ** 3 >= 2**53 for n, _ in cones] == [False, True]
-        assert [len(walls) for _, walls in cones] == [3, 3]  # at 60 the facet walls are proved in int64
+        assert [len(walls) for _, walls in cones] == [3, 3]  # at 60 the rays are tested in int64
         self._assert_rows_are_fresh_estimates(z, lat, [40.0, 60.0], monkeypatch)
 
     def test_rhombic_past_the_int64_limit_of_facet_walls(self, unit_shapes, monkeypatch):
@@ -977,19 +1037,33 @@ class TestSeriesGeometry:
 
     @pytest.mark.parametrize("name", UNIT_SHAPES)
     def test_facet_walls_at_the_radius_cap(self, unit_shapes, name):
-        # at 100 diameters 2^53 <= 6|n|^3 < 2^63 for all five shapes: the facet walls are proved in int64
+        # at 100 diameters 2^53 <= 6|n|^3 < 2^63 for all five shapes: the rays are tested in int64
         z = unit_shapes[name]
         lat = TL.lattice_from_parallelohedron(z)
         group, _ = _group(z, lat)
-        n, walls = TL._cone(lat, group, 100.0 * z.diameter() + z.circumradius())
-        n = n[(n != 0).any(axis=1)]
+        circ = z.circumradius()
+        n, walls = TL._cone(lat, group, 100.0 * z.diameter() + circ)
         assert 2**53 <= 6 * int(np.abs(n).max()) ** 3 < 2**63 and len(walls) == 3
-        assert TL._spans_the_cone(walls, n)
-        # two of the walls cut a wedge, which holds a line; w0, w1 and w2 + w0 cut a pointed cone that
-        # holds the points with w2 < 0 <= w2 + w0: both are more than the cone
-        for pair in combinations(walls, 2):
-            assert not TL._spans_the_cone(np.array(pair), n)
-        assert not TL._spans_the_cone(np.array([walls[0], walls[1], walls[2] + walls[0]]), n)
+        self._assert_facets_cut_the_cone(lat, n, walls, 3.0 * z.diameter(), circ)
+
+    def test_elongated_where_a_float64_search_kept_every_wall(self, unit_shapes):
+        # near R = 225 the float64 cross products of the search it replaced missed two of the 3 facets
+        z = unit_shapes["elongated"]
+        lat = TL.lattice_from_parallelohedron(z)
+        group, _ = _group(z, lat)
+        circ = z.circumradius()
+        n, walls = TL._cone(lat, group, 225.0 + circ)
+        assert 2**53 <= 6 * int(np.abs(n).max()) ** 3 < 2**63 and len(walls) == 3
+        self._assert_facets_cut_the_cone(lat, n, walls, 3.0 * z.diameter(), circ)
+
+    @staticmethod
+    def _assert_facets_cut_the_cone(lat, n, walls, radius, circ):
+        """The facet walls cut the cone of every wall: the same counts, translates and weights, block by block."""
+        facets, full = (
+            [(k, t.tobytes(), q.tobytes()) for k, t, q in TL._ball_lines(lat, radius + circ, radius - circ, (n, w))]
+            for w in (walls, n[(n != 0).any(axis=1)])
+        )
+        assert facets == full
 
     @pytest.mark.parametrize("type_index", [1, 2, 3, 4, 5])
     def test_random_bodies_bitwise(self, monkeypatch, type_index):
