@@ -94,19 +94,17 @@ _CENTRAL = np.array([np.eye(3), -np.eye(3)], dtype=np.int64)  # x -> x and x -> 
 
 
 def _facet_walls(n: np.ndarray) -> np.ndarray:
-    """The rows of n that bound a 2-face of the cone n @ c >= 0, exactly in integers.  Its rays are the
-    cross products of two walls, either way round, on which every wall is >= 0 (tested in float64 while
-    6 max|n|^3 < 2^53, where the products are exact, and in int64 beyond), reduced to primitive vectors.
-    When every wall is > 0 on one of them, the cone is pointed and has an interior, so each ray, on two
-    independent walls, is extreme, and a facet wall vanishes on two rays.  Else, as when the cone holds
-    a line, and past 6 max|n|^3 = 2^63, where int64 no longer holds the products, all rows are kept."""
-    cube = 6 * int(np.abs(n).max(initial=0)) ** 3
-    if len(n) < 3 or cube >= 2**63:
+    """The rows of n that bound a 2-face of the cone n @ c >= 0, exactly in int64.  Its rays are the
+    cross products of two walls, either way round, on which every wall is >= 0, reduced to primitive
+    vectors.  When every wall is > 0 on one of them, the cone is pointed and has an interior, so each
+    ray, on two independent walls, is extreme, and a facet wall vanishes on two rays.  Else, as when the
+    cone holds a line, and past 6 max|n|^3 = 2^63, where int64 no longer holds the products, all rows
+    are kept."""
+    if len(n) < 3 or 6 * int(np.abs(n).max(initial=0)) ** 3 >= 2**63:
         return n
     w = n.T
     r = np.stack(_kernels._cross_rows(w[:, :, None], w[:, None, :])).reshape(3, -1).T  # entries <= 2 max|n|^2
-    s = r.astype(np.float64) @ w.astype(np.float64) if cube < 2**53 else r @ w
-    r = r[r.any(axis=1) & (s >= 0).all(axis=1)]
+    r = r[r.any(axis=1) & (r @ w >= 0).all(axis=1)]
     r = r // np.gcd.reduce(r, axis=1)[:, None]
     r = r[np.lexsort(r.T)]  # np.unique(axis=0) would import numpy.ma
     on = r[np.diff(r, axis=0, prepend=0).any(axis=1)] @ w  # every wall on every distinct ray

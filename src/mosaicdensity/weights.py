@@ -44,8 +44,8 @@ class TypeMinimum:
 
     ``is_exact`` is False only for type 4 at alpha4 > alpha6, where no type-4
     body is optimal; there ``value`` is the type-5 minimum, a lower bound, and
-    ``optimal_shape`` is None, as it is where the type-2 prism, or the type-4
-    body at an alpha4/alpha6 that underflows to 0, leaves the positive doubles.
+    ``optimal_shape`` is None, as it is where a parameter of the type-2 prism
+    or the type-4 body, at an extreme alpha4/alpha6, is not a finite positive double.
     """
 
     value: float
@@ -75,6 +75,11 @@ def _prism_edges(m: WeightPair) -> tuple[float, float]:
     return base, lateral
 
 
+def _in_doubles(shape: dict) -> dict | None:
+    """The shape, or None when one of its parameters is not a finite positive double."""
+    return shape if all(0.0 < v < math.inf for k, v in shape.items() if k != "shape") else None
+
+
 def type_minimum(i: int, m: WeightPair) -> TypeMinimum:
     """Closed-form minimum of w_m at unit volume for one type."""
     a6, a4 = m.alpha6, m.alpha4
@@ -87,9 +92,7 @@ def type_minimum(i: int, m: WeightPair) -> TypeMinimum:
         r = a4 / a6
         scaled = a6 * r ** (2.0 / 3.0) if 2.0**-1022 <= r < math.inf else a4 ** (2.0 / 3.0) * a6 ** (1.0 / 3.0)
         value = 3.0 ** (7.0 / 6.0) / 2.0 ** (1.0 / 3.0) * scaled
-        if not (0.0 < base < math.inf and 0.0 < lateral < math.inf):  # the prism leaves the doubles
-            return TypeMinimum(value, True, None)
-        return TypeMinimum(value, True, {"shape": "hexagonal_prism", "base_edge": base, "height": lateral})
+        return TypeMinimum(value, True, _in_doubles({"shape": "hexagonal_prism", "base_edge": base, "height": lateral}))
     if i == 3:
         shape = {"shape": "rhombic_dodecahedron", "edge": zonotope.RHOMBIC_EDGE}
         return TypeMinimum(2.0 ** (2.0 / 3.0) * math.sqrt(3.0) * a6, True, shape)
@@ -105,16 +108,14 @@ def type_minimum(i: int, m: WeightPair) -> TypeMinimum:
         # beta = ((4 - 3 r^2) / (2 r^2), 1, 1, 1, 1, 0).  Turned 45 degrees about e3, the four unit segments
         # v_i x v_j are the diagonals (+-h/sqrt(2), +-h/sqrt(2), +-1/2) of a box, each 1/r long, and
         # beta12 (v1 x v2) = beta12 e3 is the axis; the volume is 4 h^2 (beta12 + 1).  At unit volume, with r
-        # kept out of every square so that none underflows:
-        if r == 0.0:  # the ratio underflows, and the axis, about r^(-2/3), leaves the doubles
-            return TypeMinimum(value, True, None)
+        # kept out of every square so that none underflows (0.0 ** (-2/3) raises, so an underflowed r gives axis inf):
         shape = {
             "shape": "elongated_rhombic_dodecahedron",
             "half_width": (r / math.sqrt(2.0 * q)) ** (1.0 / 3.0) / 2.0,
             "half_height": (r / math.sqrt(2.0 * q)) ** (4.0 / 3.0),
-            "axis": (4.0 - 3.0 * r * r) * (2.0 * q * r) ** (-2.0 / 3.0),
+            "axis": (4.0 - 3.0 * r * r) * (2.0 * q * r) ** (-2.0 / 3.0) if r else math.inf,
         }
-        return TypeMinimum(value, True, shape)
+        return TypeMinimum(value, True, _in_doubles(shape))
     if i == 5:
         shape = {"shape": "truncated_octahedron", "edge": zonotope.TRUNCOCTA_EDGE}
         return TypeMinimum(3.0 * a6 / 2.0 ** (1.0 / 6.0), True, shape)

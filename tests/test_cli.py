@@ -627,14 +627,16 @@ class TestCsvReports:
         assert (rows[2][0], rows[2][2]) == ("2", "True")
         assert 0.0 < float(rows[2][1]) < math.inf
         assert abs(float(rows[2][1]) - want) <= 1e-13 * want
-        # a prism edge that leaves the positive doubles leaves the shape unknown; every parameter is valid JSON
+        # a parameter that leaves the positive doubles leaves the shape unknown; every parameter is valid JSON
         if alpha4 / alpha6 in (0.0, math.inf):
             assert rows[2][3:] == ["", "{}"]
         else:
-            edges = json.loads(rows[2][4])
-            assert rows[2][3] == "hexagonal_prism" and all(0.0 < e < math.inf for e in edges.values())
+            assert rows[2][3] == "hexagonal_prism"
+        # at (1e15, 1e-300) the type-4 body's half height, r^(4/3) for a subnormal r, underflows to 0.0
+        assert rows[4][3:] == ["", "{}"]
         for row in rows[1:]:
-            json.loads(row[4], parse_constant=_not_json)
+            params = json.loads(row[4], parse_constant=_not_json)
+            assert all(0.0 < v < math.inf for v in params.values())
 
     def test_fig2(self, capsys):
         code, rows = run_csv(

@@ -961,11 +961,11 @@ class TestFacetWalls:
     @pytest.mark.parametrize(
         "bound, step, low, high",
         [(2**53, -1, 0, 2**53), (2**53, 0, 2**53, 2**63), (2**63, -1, 2**53, 2**63)],
-        ids=["float64-top", "int64-bottom", "int64-top"],
+        ids=["below-2^53", "from-2^53", "below-2^63"],
     )
     def test_exact_up_to_2_63(self, bound, step, low, high):
         k = _first_scale(self.ROWS, bound) + step
-        # the float64 or the int64 product; near 2^63 a float64 one rounds some tight rays below 0
+        # past 2^53 a float64 product could round a tight ray below 0; near 2^63 it does, the int64 one does not
         assert low <= 6 * int(np.abs(k * self.ROWS).max()) ** 3 < high
         assert np.array_equal(TL._facet_walls(k * self.ROWS), k * self.SIMPLICIAL)
 
@@ -1023,7 +1023,7 @@ class TestSeriesGeometry:
         group, _ = _group(z, lat)
         cones = [TL._cone(lat, group, r + z.circumradius()) for r in (40.0, 60.0)]
         assert [6 * int(np.abs(n).max()) ** 3 >= 2**53 for n, _ in cones] == [False, True]
-        assert [len(walls) for _, walls in cones] == [3, 3]  # at 60 the rays are tested in int64
+        assert [len(walls) for _, walls in cones] == [3, 3]  # on both sides of the float64-exact range
         self._assert_rows_are_fresh_estimates(z, lat, [40.0, 60.0], monkeypatch)
 
     def test_rhombic_past_the_int64_limit_of_facet_walls(self, unit_shapes, monkeypatch):
@@ -1037,7 +1037,7 @@ class TestSeriesGeometry:
 
     @pytest.mark.parametrize("name", UNIT_SHAPES)
     def test_facet_walls_at_the_radius_cap(self, unit_shapes, name):
-        # at 100 diameters 2^53 <= 6|n|^3 < 2^63 for all five shapes: the rays are tested in int64
+        # at 100 diameters 2^53 <= 6|n|^3 < 2^63 for all five shapes: past the float64-exact range
         z = unit_shapes[name]
         lat = TL.lattice_from_parallelohedron(z)
         group, _ = _group(z, lat)
