@@ -437,8 +437,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tile", help="simulate a lattice tiling and measure edge density", parents=[common])
     p.add_argument("--shape", required=True, help=f"one of {_SHAPES} or file:<json>")
-    p.add_argument("--radius", type=_positive_real, default=20.0, help="measurement ball radius")
-    p.add_argument("--series", type=_ascending_radii, help="comma-separated ascending radii")
+    ball = p.add_mutually_exclusive_group()
+    ball.add_argument("--radius", type=_positive_real, default=20.0, help="measurement ball radius")
+    ball.add_argument("--series", type=_ascending_radii, help="comma-separated ascending radii")
     p.add_argument("--csv", action="store_true", help="emit CSV rows instead of JSON")
 
     p = sub.add_parser("verify", help="run numeric verification suites", parents=[common])

@@ -42,7 +42,7 @@ class NoValidBasis(GeometryError):
 
 
 class TooManyLines(GeometryError):
-    """The lattice lines of a ball exceed ``_MAX_LINES``: the ball is too wide for the lattice's spacing."""
+    """The lattice lines of a ball, or the points of the overlap screen's box, exceed ``_MAX_LINES``."""
 
 
 class Overlap(GeometryError):
@@ -90,7 +90,6 @@ def _lll_unimodular(basis: np.ndarray) -> np.ndarray:
 _LINE_CHUNK = 256  # lattice lines whose band is formed, and clipped, per block
 _MAX_LINES = 2**21  # (c1, c2) lines in one ball, ~300-340 B each; near 2**21 lines the unit shapes peak at 282-710 MB
 _RADIUS_BAND = (1e-60, 1e60)  # the chord terms ~ (radius x edge)^2 leave the doubles past radius x edge 1e154 or 1e-158
-_CENTRAL = np.array([np.eye(3), -np.eye(3)], dtype=np.int64)  # x -> x and x -> -x, on any coefficients
 
 
 def _facet_walls(n: np.ndarray) -> np.ndarray:
@@ -113,13 +112,25 @@ def _facet_walls(n: np.ndarray) -> np.ndarray:
     return n[np.count_nonzero(on == 0, axis=0) >= 2]
 
 
+def _count_lines(lat: Lattice, reach: float) -> None:
+    """Raise TooManyLines if the (c1, c2) lines of a ball of radius ``reach`` exceed ``_MAX_LINES``, in ints."""
+    lines = math.prod(2 * math.floor(s * reach) + 3 for s in lat._reduction[2][:2].tolist())
+    if lines > _MAX_LINES:
+        raise TooManyLines(f"a ball of radius {reach:.6g} spans {lines} lattice lines, more than {_MAX_LINES}")
+
+
+def _box(lim: list[int]):
+    """The integer coefficients c with |c_j| <= lim[j], in lexicographic order, in blocks of at most 2^16."""
+    points = math.prod(2 * k + 1 for k in lim)
+    for lo in range(0, points, 2**16):
+        index = np.arange(lo, min(lo + 2**16, points))
+        yield np.stack(np.unravel_index(index, [2 * k + 1 for k in lim]), axis=1) - np.array(lim)
+
+
 def _cone(lat: Lattice, group: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray]:
     """The walls n = (I - m)(K^2, K, 1) of ``_ball_lines``, one per m in ``group``, and the facet walls, for a K
     beyond |x_2|, |x_3| on the coefficient box of radius ``reach``, and so on every box of a smaller radius."""
     u, red, scale = lat._reduction
-    lines = math.prod(2 * math.floor(s * reach) + 3 for s in scale[:2].tolist())  # in ints, before any array
-    if lines > _MAX_LINES:
-        raise TooManyLines(f"a ball of radius {reach:.6g} spans {lines} lattice lines, more than {_MAX_LINES}")
     d = np.eye(3, dtype=np.int64) - u @ group @ np.rint(np.linalg.inv(u)).astype(np.int64)  # m = u group u^-1
     lim = np.floor(scale * reach).astype(np.int64) + 1
     base = int(np.einsum("i,gik->gk", lim + 1, np.abs(d[:, :, 1:])).max()) + 2  # |x_2|, |x_3| < base
@@ -203,8 +214,12 @@ class Lattice:
         b = np.asarray(self.basis, dtype=np.float64)
         if b.shape != (3, 3) or not np.isfinite(b).all():
             raise ValueError("basis must be a finite 3x3 array")
-        if abs(np.linalg.det(b)) <= 1e-12 * np.prod(np.linalg.norm(b, axis=1)):
+        s = np.ldexp(b, -math.frexp(np.abs(b).max())[1])  # largest |entry| in [1/2, 1): no product leaves the doubles
+        if abs(np.linalg.det(s)) <= 1e-12 * np.prod(np.linalg.norm(s, axis=1)):
             raise ValueError("basis vectors are linearly dependent")
+        with np.errstate(over="ignore", under="ignore"):  # refused, not warned of
+            if not 0.0 < abs(np.linalg.det(b)) < math.inf:
+                raise ValueError("basis covolume is not a finite positive double")
         object.__setattr__(self, "basis", b)
 
     @property
@@ -217,11 +232,12 @@ class Lattice:
         return u, u @ self.basis, np.linalg.norm(np.linalg.inv(u @ self.basis), axis=0)
 
     def points_in_ball(self, rmax: float) -> np.ndarray:
-        """All lattice vectors of norm at most rmax, in lexicographic coefficient
-        order: the half ball of ``_ball_lines``, led by 0, and its mirror image."""
-        half = np.concatenate([band for _, band, _ in _ball_lines(self, rmax, 0.0, _cone(self, _CENTRAL, rmax))])
-        # 0 - t, not -t: a zero coordinate stays +0.0, as the matmul forms it
-        return np.concatenate([0.0 - half[:0:-1], half])
+        """All lattice vectors of norm at most rmax, in lexicographic coefficient order, from the whole
+        coefficient box of the reduced basis, |c_j| <= |t| scale_j: the brute-force reference of the tests."""
+        _count_lines(self, rmax)
+        u, _, scale = self._reduction
+        blocks = (c @ u @ self.basis for c in _box([math.floor(s * rmax) + 1 for s in scale.tolist()]))
+        return np.concatenate([t[np.linalg.norm(t, axis=1) <= rmax] for t in blocks])
 
 
 @dataclass(frozen=True)
@@ -252,20 +268,29 @@ class TilingReport:
 
 
 def _has_overlap(z: Zonotope, lat: Lattice) -> tuple[np.ndarray | None, int]:
-    """Interior-intersection witness or None, and the number of nonzero translates screened.
+    """Interior-intersection witness or None, and the number of nonzero points in the box screened.
 
-    Translates z and z + t overlap iff t/2 lies in the interior of z.  An
-    interior point of the centered body is interior to its circumscribed
-    ball, so |t/2| < circumradius and |t| < diameter: the lattice points
-    within the diameter are all that need screening.  The pad and the
-    zero filter are relative to the diameter, so the screen holds at any scale.
-    """
+    Translates z and z + t overlap iff |n_f.t| < 2h_f for every facet f: in reduced coefficients, t = c @ red,
+    |m_f.c| < 1 with m_f = red n_f / 2h_f.  Rows m_a of an invertible M bound such c by |c_j| <= sum_a |M^-1_ja|
+    (Cramer), rounded outwards.  Of the triples of facet directions (facets 2k and 2k + 1 of ``build_zonotope`` are
+    +-n), the box with the fewest points is screened by every facet, in lexicographic order; the first overlap is
+    the witness."""
     normals, offsets = z.facet_planes()
-    diameter = z.diameter()
-    t = lat.points_in_ball(diameter * (1.0 + 1e-9))
-    t = t[np.linalg.norm(t, axis=1) > 1e-12 * diameter]
-    inside = ((t @ normals.T) / (2.0 * offsets) < 1.0 - 1e-12).all(axis=1)
-    return (t[np.argmax(inside)] / 2.0 if inside.any() else None), len(t)
+    u, red, _ = lat._reduction
+    m = (normals[::2] / (2.0 * offsets[::2, None])) @ red.T  # rows m_f
+    mats = m[list(combinations(range(len(m)), 3))]
+    mats = mats[np.abs(np.linalg.det(mats)) > 1e-12 * np.prod(np.linalg.norm(mats, axis=2), axis=1)]
+    lim = np.floor(np.abs(np.linalg.inv(mats)).sum(axis=2) * (1.0 + 1e-9))
+    lim = [int(k) for k in lim[np.argmin(np.log(2.0 * lim + 1.0).sum(axis=1))].tolist()]  # fewest points; no overflow
+    points = math.prod(2 * k + 1 for k in lim)  # in ints, before any array of the box
+    if points > _MAX_LINES:
+        raise TooManyLines(f"the overlap screen's box spans {points} lattice points, more than {_MAX_LINES}")
+    for c in _box(lim):
+        t = c[c.any(axis=1)] @ u @ lat.basis
+        inside = ((t @ normals.T) / (2.0 * offsets) < 1.0 - 1e-12).all(axis=1)
+        if inside.any():
+            return t[np.argmax(inside)] / 2.0, points - 1
+    return None, points - 1
 
 
 def _gap_witness(
@@ -302,19 +327,13 @@ def validate_tiling(
 ) -> TilingReport:
     """Certify exactly that lattice translates of z tile space, sampling nothing: the one test of the tiling rule.
 
-    z is convex and centrally symmetric, so z and z + t overlap iff t/2
-    is interior to z.  Without such t the translates pack with density
-    vol/covolume, and a lattice packing of density 1 is a tiling: an
-    uncovered set would be open and periodic, so of positive density
-    (P. McMullen, "Convex bodies which tile space by translation",
-    Mathematika 27 (1980); P. M. Gruber, Convex and Discrete Geometry
-    (2007)).  A lattice that ``lattice_from_parallelohedron`` proposes for
-    a parallelohedron passes; for any other body it is screened here.
-    Raises TooManyLines if the screen's ball is too wide for the lattice;
-    Overlap with its witness; Gap if covolume > volume, with a witness
-    from at most ``samples`` points drawn from ``seed``; GeometryError if
-    covolume < volume with no overlap, which the packing bound rules out,
-    so the overlap screen is at fault.
+    z is convex and centrally symmetric, so z and z + t overlap iff t/2 is interior to z, which ``_has_overlap``
+    screens.  Without such t the translates pack with density vol/covolume, and a lattice packing of density 1 is
+    a tiling: an uncovered set would be open and periodic, so of positive density (P. McMullen, "Convex bodies which
+    tile space by translation", Mathematika 27 (1980); P. M. Gruber, Convex and Discrete Geometry (2007)).  Raises
+    TooManyLines if the screen's box passes the line budget; Overlap with its witness; Gap if covolume > volume,
+    with a witness from at most ``samples`` points drawn from ``seed``; GeometryError if covolume < volume with no
+    overlap, which the packing bound rules out, so the overlap screen is at fault.
     """
     witness, checked = _has_overlap(z, lat)
     if witness is not None:
@@ -460,6 +479,7 @@ def _densities(z: Zonotope, lat: Lattice, radii: list[float]):
         raise ValueError(f"radii must be a nonempty ascending list, got {list(radii)}")
     for radius in radii:
         _check_radius(z, radius)
+    _count_lines(lat, radii[-1] + z.circumradius())  # before any geometry: a needle's would fail
     start, end, m, reps = _pieces(z, lat)
     group, perm = _point_group(z, lat, (start + end) / 2.0)
     order, circ = len(group), z.circumradius()

@@ -114,6 +114,7 @@ UNREAD_ATTRIBUTES = {
         "grid_points", "root_decreasing_margin", "edge_weighted_increasing_margin", "product_increasing_margin",
         "root_convexity_margin", "g2_min", "g2_fd_residual", "failures", "passed")},
     "tiling.TilingReport.covering_samples": "perfbench's tracer counts it; it leaves with ROADMAP item 18",
+    "tiling.Lattice.points_in_ball": "the tests' reference; perfbench traces it; it leaves with ROADMAP item 18",
 }
 
 

@@ -364,7 +364,7 @@ class TestTile:
 
     def test_series_csv(self, capsys):
         code, rows = run_csv(
-            capsys, ["tile", "--shape", "cube", "--series", "6,9", "--radius", "9", "--csv"]
+            capsys, ["tile", "--shape", "cube", "--series", "6,9", "--csv"]
         )
         assert code == 0
         assert rows[0][0] == "radius"
@@ -690,6 +690,8 @@ class TestBadInput:
              "--radius: must be finite and > 0, got -5"),
             (["tile", "--shape", "cube", "--series", "10,nan"],
              "--series: must be finite and > 0, got nan"),
+            (["tile", "--shape", "cube", "--radius", "5", "--series", "6,7"],
+             "--series: not allowed with argument --radius"),
             (["tile", "--shape", "cube", "--series", "3,20"],
              "--series: radius must be finite and at least 3x cell diameter 5.19615, got 3.0"),
             (["verify", "--lemma", "tiling", "--radius", "1"],
@@ -730,7 +732,7 @@ class TestBadInput:
             "sweep-0", "sweep-neg", "sweep-below-floor", "grid-0", "oracle-1",
             "oracle-dim-8", "alpha6-inf", "alpha4-nan", "table1-alpha6-0", "dim-1",
             "lambda-half", "fig2-step-0", "fig2-start-0", "fig2-step-neg", "fig2-stop-below-start",
-            "tile-radius-neg", "tile-series-nan", "tile-series-below-floor",
+            "tile-radius-neg", "tile-series-nan", "tile-radius-and-series", "tile-series-below-floor",
             "verify-tiling-radius-below-floor", "fig2-too-many-steps", "dim-above-cap",
             "grid-above-cap", "lambda-above-cap", "tile-series-above-cap", "tile-radius-above-cap",
             "verify-tiling-radius-above-cap", "verify-tiling-over-budget", "verify-all-over-budget",
@@ -847,11 +849,14 @@ class TestBadInput:
 
     def test_needle_is_refused_with_bounded_memory(self, tmp_path):
         # the type-4 minimum at ratio 1e-9 is about 1e6 long and 1e-3 wide, and the unit box 100 x 100 x 1e-4 is a
-        # plate: the overlap screen's lattice lines, about 4e18 and 1.4e7, are counted and refused before any
-        # array is formed.  Run in a fresh process, whose VmHWM is its own peak, as for the simplex grid
+        # plate: both tile, and the overlap screen passes each with the 26 points of its box, but a ball of 4
+        # diameters spans about 8.1e19 and 1.9e8 lattice lines, counted and refused before any geometry of the series
+        # is built.  Run in a fresh process, whose VmHWM is its own peak, as for the simplex grid
         needle = weights.optimal_shape_zonotope(4, zonotope.WeightPair(1.0, 1e-9))
         plate = zonotope.build_zonotope(np.diag([100.0, 100.0, 1e-4]))
         for name, body in (("needle", needle), ("plate", plate)):
+            report = tiling.validate_tiling(body, tiling.lattice_from_parallelohedron(body))
+            assert report.translates_checked == 26, name
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps(zonotope.to_json(body)), encoding="utf-8")
             script = "\n".join([
@@ -877,7 +882,8 @@ class TestBadInput:
             assert code == 2, name
             errors = [line for line in err if "error:" in line]
             assert len(errors) == 1 and " lattice lines, more than 2097152" in errors[0], name
-            assert errors[0].split("error: ")[1].startswith("argument --shape: a ball of radius "), name
+            assert errors[0].split("error: ")[1].startswith("argument --radius: a ball of radius "), name
+            assert "Traceback" not in run.stdout + run.stderr, name
             assert grown_kib <= 45 * 1024, name
 
     @pytest.mark.parametrize("option", ["--series", "--radius"])
@@ -895,22 +901,16 @@ class TestBadInput:
         path = tmp_path / "wide.json"
         path.write_text(json.dumps(zonotope.to_json(z)), encoding="utf-8")
         reach = high + z.circumradius()
-        screened, ball_lines = [], tiling._ball_lines
-
-        def recording(*args):
-            screened.append(args[2])
-            return ball_lines(*args)
 
         def fail(*args):
-            raise AssertionError("a ball of the series was formed")
+            raise AssertionError("a ball was formed")
 
-        monkeypatch.setattr(tiling, "_ball_lines", recording)
+        monkeypatch.setattr(tiling, "_ball_lines", fail)  # the overlap screen forms none either
         monkeypatch.setattr(tiling, "_shell_pairs", fail)
         radii = f"{low!r},{high!r}" if option == "--series" else repr(high)
         lines = line_count(lat, reach)
         message = f"{option}: a ball of radius {reach:.6g} spans {lines} lattice lines, more than 2097152"
         self._one_error_line(capsys, ["tile", "--shape", f"file:{path}", option, radii], message)
-        assert screened == [0.0]  # the overlap screen's half ball alone
 
     def test_lattice_that_overlaps(self, capsys, monkeypatch):
         # a body that does not tile: validate_tiling screens the proposed lattice

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import tracemalloc
+import warnings
 from itertools import combinations, product
 
 import numpy as np
@@ -174,6 +176,19 @@ class TestLattice:
         with pytest.raises(ValueError, match="linearly dependent"):
             TL.Lattice(np.array([[1e3, 0, 0], [0, 1e3, 0], [1e3, 1e3, 1e-10]]))
 
+    @pytest.mark.parametrize("scale", [1e-100, 1e100, 1e-110, 1e110, 1e160])
+    def test_covolume_in_the_doubles(self, scale):
+        # the dependence test runs on the basis scaled by a power of two, so a covolume that leaves the
+        # doubles is refused as such, in one line and without a numpy warning, not as a dependent basis
+        basis = np.eye(3) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if 1e-100 <= scale <= 1e100:
+                assert TL.Lattice(basis).covolume == pytest.approx(scale**3, rel=1e-12)
+                return
+            with pytest.raises(ValueError, match="^basis covolume is not a finite positive double$"):
+                TL.Lattice(basis)
+
     def test_points_in_ball_integer_lattice(self):
         lat = TL.Lattice(np.eye(3))
         pts = lat.points_in_ball(2.5)
@@ -236,6 +251,10 @@ def _group(z, lat):
     return TL._point_group(z, lat, (start + end) / 2.0)
 
 
+#: x -> x and x -> -x, on any coefficients: the group of a generic body's tiling
+_CENTRAL = np.array([np.eye(3), -np.eye(3)], dtype=np.int64)
+
+
 def _coefficients(lat, t):
     return np.rint(t @ np.linalg.inv(lat.basis)).astype(np.int64)
 
@@ -268,7 +287,7 @@ class TestBallLines:
         basis = _basis(name, unit_shapes)
         radius, circ = self._radii(basis, case)
         lat = TL.Lattice(basis)
-        blocks = list(TL._ball_lines(lat, radius + circ, radius - circ, TL._cone(lat, TL._CENTRAL, radius + circ)))
+        blocks = list(TL._ball_lines(lat, radius + circ, radius - circ, TL._cone(lat, _CENTRAL, radius + circ)))
         count = sum(n for n, _, _ in blocks)  # counted points and their mirror images
         half = np.concatenate([b for _, b, _ in blocks])
         q = np.concatenate([w for _, _, w in blocks])
@@ -308,6 +327,15 @@ class TestBallLines:
         counted = np.setdiff1d(np.arange(len(ref)), list(covered))
         assert sum(n for n, _, _ in blocks) == len(counted) > 0
         assert (np.linalg.norm(ref[counted], axis=1) + circ < radius).all()
+
+
+def _six_lattices(z):
+    """The tiling lattice of z, scaled by 0.95, 0.6 and 1.1, and two shears of it."""
+    b = TL.lattice_from_parallelohedron(z).basis
+    shear1, shear2 = b.copy(), b.copy()
+    shear1[2] += 0.3 * b[0] + 0.2 * b[1]
+    shear2[1] += 0.5 * b[0]
+    return [TL.Lattice(basis) for basis in (b, 0.95 * b, 0.6 * b, 1.1 * b, shear1, shear2)]
 
 
 def _screened_search(z):
@@ -350,28 +378,64 @@ class TestLatticeSearch:
         assert np.allclose(np.abs(lat.basis) @ np.ones(3), np.ones(3))
 
 
-    def test_screen_within_the_diameter_is_enough(self, unit_shapes):
-        # the tiling lattice, scaled and sheared copies of it (overlapping or
-        # not), screened within the diameter and within twice the diameter
+    def test_screen_within_the_diameter_is_enough(self, unit_shapes, monkeypatch):
+        # the tiling lattice, scaled and sheared copies of it (overlapping or not), screened in the box of the
+        # cell's facet slabs and, for reference, within twice the diameter: every overlapping translate lies in
+        # the box, and the count is the box's nonzero points
         rng = np.random.default_rng(5)
         bodies = [*unit_shapes.values(), *(random_body(rng, ty) for ty in (1, 3, 4, 5))]
+        boxes, box = [], TL._box
+        monkeypatch.setattr(TL, "_box", lambda lim: boxes.append(lim) or box(lim))
         overlaps = 0
         for z in bodies:
             normals, offsets = z.facet_planes()
-            b = TL.lattice_from_parallelohedron(z).basis
-            shear1, shear2 = b.copy(), b.copy()
-            shear1[2] += 0.3 * b[0] + 0.2 * b[1]
-            shear2[1] += 0.5 * b[0]
-            for basis in (b, 0.95 * b, 0.6 * b, 1.1 * b, shear1, shear2):
-                lat = TL.Lattice(basis)
+            for lat in _six_lattices(z):
+                boxes.clear()
+                witness, checked = TL._has_overlap(z, lat)
+                lim = np.array(boxes[0])
                 t = lat.points_in_ball(2.0 * z.diameter() + 1e-9)
                 t = t[np.linalg.norm(t, axis=1) > 1e-12]
                 inside = ((t @ normals.T) / (2.0 * offsets) < 1.0 - 1e-12).all(axis=1)
-                witness, checked = TL._has_overlap(z, lat)
                 assert (witness is None) == (not inside.any())
-                assert checked == (np.linalg.norm(t, axis=1) <= z.diameter() * (1.0 + 1e-9)).sum()
+                assert (np.abs(np.rint(t[inside] @ np.linalg.inv(lat._reduction[1]))) <= lim).all()
+                assert checked == np.prod(2 * lim + 1) - 1
                 overlaps += witness is not None
         assert 0 < overlaps < 6 * len(bodies)
+
+    def test_screen_agrees_with_the_ball(self, unit_shapes):
+        # the box screen against the ball screen it replaced, the nonzero lattice points within (1 + 1e-9)
+        # diameters: the same verdicts, and the same witness to the bit, as both take the first overlap in
+        # lexicographic coefficient order
+        rng = np.random.default_rng(11)
+        for z in [*unit_shapes.values(), *(random_body(rng, i % 5 + 1) for i in range(40))]:
+            normals, offsets = z.facet_planes()
+            for lat in _six_lattices(z):
+                t = lat.points_in_ball(z.diameter() * (1.0 + 1e-9))
+                t = t[np.linalg.norm(t, axis=1) > 1e-12 * z.diameter()]
+                inside = ((t @ normals.T) / (2.0 * offsets) < 1.0 - 1e-12).all(axis=1)
+                witness, _ = TL._has_overlap(z, lat)
+                if inside.any():
+                    assert witness.tobytes() == (t[np.argmax(inside)] / 2.0).tobytes()
+                else:
+                    assert witness is None
+
+    def test_box_over_the_budget_is_refused_before_any_array(self):
+        # the cube on a lattice 100 times finer: |c_j| <= 100, a box of 201^3 points, 195 MB of coefficients
+        # alone, counted in Python ints and refused with its count; a first block of it would hold 1.5 MB
+        lat = TL.Lattice(np.eye(3) * 0.01)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TL.TooManyLines) as exc:
+                TL.validate_tiling(cube(), lat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == f"the overlap screen's box spans {201**3} lattice points, more than 2097152"
+        assert peak < 2**20
+        with warnings.catch_warnings():  # a lattice 1e105 times finer: the boxes' sizes leave the doubles, unwarned
+            warnings.simplefilter("error")
+            with pytest.raises(TL.TooManyLines, match="^the overlap screen's box spans [0-9]{316} lattice points"):
+                TL.validate_tiling(cube(), TL.Lattice(np.eye(3) * 1e-105))
 
 
 class TestValidateTiling:
@@ -404,12 +468,21 @@ class TestValidateTiling:
 
     @pytest.mark.parametrize("edge", [1e-9, 1e-10, 1e-12])
     def test_screen_is_relative_to_the_diameter(self, edge):
-        # the screen's pad and zero filter scale with the body, so a cube of any edge tiles with its
-        # face-to-face lattice after screening the 26 nonzero translates within its diameter
+        # the screen's box is bounded in lattice coefficients, so a cube of any edge tiles with its
+        # face-to-face lattice after screening the 26 nonzero points of its box
         z = cube(edge)
         rep = TL.validate_tiling(z, TL.lattice_from_parallelohedron(z))
         assert rep.translates_checked == 26
         assert abs(rep.determinant - edge**3) <= 1e-9 * edge**3
+
+    @pytest.mark.parametrize(
+        "name, points", [("cube", 26), ("hexprism", 44), ("rhombic", 74), ("elongated", 44), ("truncocta", 62)]
+    )
+    def test_translates_checked_is_the_box(self, unit_shapes, name, points):
+        # the nonzero points of the smallest Cramer box: the prism's bound 2 and the truncated octahedron's 3 come
+        # out a rounding below, and only the outward rounding keeps them
+        z = unit_shapes[name]
+        assert TL.validate_tiling(z, TL.lattice_from_parallelohedron(z)).translates_checked == points
 
     @pytest.mark.parametrize("edge", [1e-2, 1e-4, 1e-6, 1e-9])
     def test_gap_below_unit_volume(self, edge):
@@ -451,6 +524,94 @@ class TestValidateTiling:
         lat = TL.lattice_from_parallelohedron(z)
         rep = TL.validate_tiling(z, lat, samples=200_000)
         assert rep.covering_fraction == 1.0
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _det(a, b, c):
+    return _dot(a, _cross(b, c))
+
+
+def _integer_facets(gens):
+    """The facet normals n of the zonotope of integer generators g_k, the primitive nonzero cross products of
+    generator pairs; twice the support of each, sum_k |n.g_k|; and its doubled facet centre, sum_k sign(n.g_k) g_k."""
+    normals = [n for n in (_cross(a, b) for a, b in combinations(gens, 2)) if any(n)]
+    normals = [tuple(x // math.gcd(*n) for x in n) for n in normals]
+    signs = [[(d > 0) - (d < 0) for d in (_dot(n, g) for g in gens)] for n in normals]
+    centres = [tuple(_dot(s, column) for column in zip(*gens)) for s in signs]
+    return normals, [sum(abs(_dot(n, g)) for g in gens) for n in normals], centres
+
+
+def _integer_lattice(gens):
+    """The first triple of doubled facet centres whose |det| is the volume, sum |det| over generator triples, or
+    None."""
+    centres = [x for c in _integer_facets(gens)[2] for x in (c, tuple(-v for v in c))]
+    volume = sum(abs(_det(*t)) for t in combinations(gens, 3))
+    return next((b for b in combinations(centres, 3) if abs(_det(*b)) == volume), None)
+
+
+def _integer_overlap(gens, basis):
+    """The first nonzero lattice vector t with |n.t| < sum_k |n.g_k| for every facet normal n, or None: the whole
+    Cramer box of the first three independent normals, |y_a| < S_a for y = c @ w, w[i][a] = basis_i . n_a."""
+    normals, twice, _ = _integer_facets(gens)
+    tri = next(t for t in combinations(range(len(normals)), 3) if _det(*(normals[a] for a in t)))
+    w = [[_dot(b, normals[a]) for a in tri] for b in basis]
+    det = abs(_det(*w))
+    adj = [_cross(w[(j + 1) % 3], w[(j + 2) % 3]) for j in range(3)]  # column j of det x w^-1
+    lim = [sum(twice[tri[a]] * abs(adj[j][a]) for a in range(3)) // det for j in range(3)]
+    for c in product(*(range(-k, k + 1) for k in lim)):
+        t = tuple(_dot(c, column) for column in zip(*basis))
+        if any(c) and all(abs(_dot(n, t)) < s for n, s in zip(normals, twice)):
+            return t
+    return None
+
+
+#: integer frames of the unit shapes, row for row; the elongated one's axis is (sqrt 3)/2 times this one's
+INTEGER_FRAMES = {
+    "cube": [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+    "hexprism": [(1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 0, 1)],
+    "rhombic": [(1, 1, 1), (1, 1, -1), (1, -1, 1), (-1, 1, 1)],
+    "elongated": [(1, 1, 1), (1, 1, -1), (1, -1, 1), (-1, 1, 1), (0, 0, 2)],
+    "truncocta": [(1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1), (0, 1, 1), (0, 1, -1)],
+}
+
+
+class TestIntegerTilings:
+    """The unit shapes' tilings decided in integers, with no tolerance: a lattice tiling is invariant under linear
+    maps, and four unit shapes are linear images of an integer frame's zonotope.  The elongated one is not, as its
+    axis is (sqrt 3)/2 times the difference of two diagonals: its frame decides the family member with axis 2."""
+
+    @pytest.mark.parametrize("name", UNIT_SHAPES)
+    def test_frame_tiles_by_its_doubled_facet_centres(self, name):
+        gens = INTEGER_FRAMES[name]
+        basis = _integer_lattice(gens)
+        assert basis is not None and _integer_overlap(gens, basis) is None
+        normals, twice, centres = _integer_facets(gens)
+        assert [_dot(n, c) for n, c in zip(normals, centres)] == twice  # a centre on its doubled facet plane
+        # the same frame twice as large, on the lattice with one vector of the small frame's: a half overlap
+        doubled = [tuple(2 * x for x in g) for g in gens]
+        half = [basis[0], *(tuple(2 * x for x in b) for b in basis[1:])]
+        assert _integer_overlap(doubled, half) is not None
+
+    @pytest.mark.parametrize("name", UNIT_SHAPES)
+    def test_unit_shape_is_its_frame_mapped(self, unit_shapes, name):
+        frame = np.array(INTEGER_FRAMES[name], dtype=np.float64)
+        if name == "elongated":
+            frame[4] *= math.sqrt(3.0) / 2.0  # the axis as long as a diagonal: no integer frame maps onto it
+        gens = unit_shapes[name].generators
+        a = np.linalg.lstsq(frame, gens, rcond=None)[0]
+        assert np.abs(frame @ a - gens).max() <= 1e-12 * np.abs(gens).max()
+
+    def test_five_generators_in_general_position_are_refused(self):
+        gens = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3)]
+        basis = _integer_lattice(gens)
+        assert basis is None or _integer_overlap(gens, basis) is not None
 
 
 class TestSkeletonDensity:
@@ -675,7 +836,7 @@ class TestSymmetryGroup:
         rng = np.random.default_rng(60 + type_index)
         for z in [_seeded_body(type_index), *(random_body(rng, type_index) for _ in range(4))]:
             group, _ = _group(z, TL.lattice_from_parallelohedron(z))
-            assert sorted(map(bytes, group)) == sorted(map(bytes, TL._CENTRAL))
+            assert sorted(map(bytes, group)) == sorted(map(bytes, _CENTRAL))
 
     def test_off_centre_cell_is_refused_in_one_line(self, unit_shapes):
         z = unit_shapes["cube"]
@@ -892,19 +1053,18 @@ class TestConvergence:
         # the line budget is the one cap, and no radius is measured here: near it a ball costs hundreds of MB
         z = unit_shapes[name]
         lat, circ = TL.lattice_from_parallelohedron(z), z.circumradius()
-        group, _ = _group(z, lat)
         lo, hi = 3.0 * z.diameter(), 1e4  # bisected to the two doubles around the first radius over the budget
         while math.nextafter(lo, hi) < hi:
             mid = lo + (hi - lo) / 2.0
             lo, hi = (lo, mid) if line_count(lat, mid + circ) > TL._MAX_LINES else (mid, hi)
         assert line_count(lat, lo + circ) <= TL._MAX_LINES < line_count(lat, hi + circ)
-        TL._cone(lat, group, lo + circ)  # the radius just below passes the count
+        TL._count_lines(lat, lo + circ)  # the radius just below passes the count
 
         def fail(*args):
-            raise AssertionError("a ball was formed before its lines were counted")
+            raise AssertionError("the series' geometry was built before its lines were counted")
 
-        monkeypatch.setattr(TL, "_ball_lines", fail)
-        monkeypatch.setattr(TL, "_shell_pairs", fail)
+        for name in ("_pieces", "_point_group", "_cone", "_ball_lines", "_shell_pairs"):
+            monkeypatch.setattr(TL, name, fail)
         with pytest.raises(TL.TooManyLines) as exc:
             TL.convergence_series(z, lat, [3.0 * z.diameter(), hi])
         lines = line_count(lat, hi + circ)
