@@ -85,14 +85,13 @@ def _int_at_least(low: int, high: int | None = None):
     return parse
 
 
-def _finite_real(low: float, *, strict: bool, high: float = math.inf, floor: float = -math.inf):
-    """Argparse type: a finite float above ``low`` (or at least ``low``), at least ``floor``, at most ``high``."""
+def _finite_real(*, high: float = math.inf, floor: float = -math.inf):
+    """Argparse type: a finite float above 0, at least ``floor``, at most ``high``."""
 
     def parse(text: str) -> float:
         value = float(text)
-        if not (math.isfinite(value) and (value > low if strict else value >= low)):
-            bound = f"> {low:g}" if strict else f"at least {low:g}"
-            raise argparse.ArgumentTypeError(f"must be finite and {bound}, got {text}")
+        if not (math.isfinite(value) and value > 0.0):
+            raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
         if value < floor:
             raise argparse.ArgumentTypeError(f"must be at least {floor:g}, got {text}")
         if value > high:
@@ -103,8 +102,8 @@ def _finite_real(low: float, *, strict: bool, high: float = math.inf, floor: flo
     return parse
 
 
-_positive_real = _finite_real(0.0, strict=True)
-_weight = _finite_real(0.0, strict=True, high=_MAX_WEIGHT, floor=_MIN_WEIGHT)
+_positive_real = _finite_real()
+_weight = _finite_real(high=_MAX_WEIGHT, floor=_MIN_WEIGHT)
 
 
 def _ascending_radii(text: str) -> list[float]:
@@ -147,7 +146,7 @@ def cmd_wm(args: argparse.Namespace) -> int:
     types = [args.type] if args.type else [1, 2, 3, 4, 5]
     per_type = []
     residuals = []
-    body = functools.cache(lambda i: weights.optimal_shape_zonotope(i, m))  # type 4 above the diagonal reads type 5's
+    body = functools.cache(lambda i: weights.optimal_shape_zonotope(i, m))  # type 4 from 2/sqrt(3) on reads type 3's
     for i in types:
         tm = weights.type_minimum(i, m)
         entry = {
@@ -163,9 +162,9 @@ def cmd_wm(args: argparse.Namespace) -> int:
         if z is not None:
             diff = zonotope.weighted_edge_functional(z, m) - tm.value  # w_m is homogeneous of degree 1 in m
             residuals.append(_residual(f"type{i}_shape_consistency", diff / args.alpha6, 1e-9))
-        elif not tm.is_exact:  # no type-4 body: the value shown is the type-5 minimum, a lower bound
-            diff = zonotope.weighted_edge_functional(body(5), m) - tm.value
-            residuals.append(_residual("type4_bound_is_type5_minimum", diff / args.alpha6, 1e-9))
+        elif not tm.is_exact:  # no type-4 body: the value shown is its infimum, the type-3 minimum
+            diff = zonotope.weighted_edge_functional(body(3), m) - tm.value
+            residuals.append(_residual("type4_infimum_is_type3_minimum", diff / args.alpha6, 1e-9))
     ans = weights.classify_optimal(m)
     outputs = {
         "per_type": per_type,
@@ -294,7 +293,8 @@ def cmd_tile(args: argparse.Namespace) -> int:
         "translates_checked": report.translates_checked,
         "rows": [_density_row(est) for est in rows],
     }
-    return _emit("tile", {"shape": args.shape, "radius": args.radius, "series": args.series}, outputs, residuals)
+    inputs = {"shape": args.shape, "radius": None if args.series else args.radius, "series": args.series}
+    return _emit("tile", inputs, outputs, residuals)
 
 
 def _verify_tetra(args: argparse.Namespace) -> tuple[dict, list[dict]]:
@@ -380,8 +380,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         out, res = runner[suite](args)
         outputs[suite] = out
         residuals.extend(res)
-    inputs = {"lemma": args.lemma, "samples": args.samples, "lambda": args.lam, "grid": args.grid}
-    return _emit("verify", inputs, outputs, residuals)
+    options = {"samples": (args.samples, "tetra", "isotropy"), "lambda": (args.lam, "simplex"),
+               "grid": (args.grid, "simplex"), "radius": (args.radius, "tiling")}  # each value and the suites reading it
+    inputs = {k: v if set(by) & set(suites) else None for k, (v, *by) in options.items()}
+    return _emit("verify", {"lemma": args.lemma, **inputs}, outputs, residuals)
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
@@ -449,8 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="tetrahedra of the tetra suite; the isotropy suite draws max(10, samples // 100) bodies",
     )
     p.add_argument(
-        "--lambda", dest="lam", type=_finite_real(1.0, strict=False, high=_MAX_LAMBDA), default=1.0,
-        help=f"scale factor (simplex suite, 1..{_MAX_LAMBDA:g})",
+        "--lambda", dest="lam", type=_finite_real(high=_MAX_LAMBDA), default=1.0,
+        help=f"scale factor (simplex suite, > 0 up to {_MAX_LAMBDA:g})",
     )
     p.add_argument(
         "--grid", type=_int_at_least(10, _MAX_GRID), default=60,

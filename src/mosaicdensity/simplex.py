@@ -1,16 +1,17 @@
 """Constrained maximization of the volume cubic over a weighted simplex.
 
-The question: scale the first coordinate by lambda >= 1, freeze the last
+The question: scale the first coordinate by lambda > 0, freeze the last
 coordinate at zero, and maximize the volume cubic over nonnegative
-(tau12, tau13, tau14, tau23, tau24) summing to 1.  The closed form of
-the maximum is
+(tau12, tau13, tau14, tau23, tau24) summing to 1.  The maximum is
 
-    16 lambda^3 / (27 (4 lambda - 1)^2),
+    16 lambda^3 / (27 (4 lambda - 1)^2)   for lambda >= 3/4,
+    1/16                                  for lambda <= 3/4,
 
-attained at one interior point, which tests/test_simplex.py keeps as the
-reference that the value is attained.  A grid scan over exact integer
-compositions plus coordinate-transfer refinement serves as an independent
-check that no boundary stratum beats the interior point.  The scan is
+the first attained at one interior point, which tests/test_simplex.py
+keeps as the reference that the value is attained, and the second on the
+face without tau12; the two are equal at 3/4.  A grid scan over exact
+integer compositions plus coordinate-transfer refinement serves as an
+independent check that no boundary stratum beats them.  The scan is
 exact without visiting every composition: trading tau12 against tau24 at
 fixed (tau13, tau14, tau23), the cubic is a concave quadratic, so only the
 two grid points around its vertex can be that line's maximum.
@@ -23,10 +24,6 @@ import numpy as np
 from . import _kernels
 
 
-class DomainError(ValueError):
-    """Scale factor outside the hypothesis lambda >= 1."""
-
-
 def _objective(lam: float, t):
     """The lambda-scaled volume cubic (tau34 = 0) at five coordinates,
     each a float or a row of a column stack of points."""
@@ -34,23 +31,21 @@ def _objective(lam: float, t):
 
 
 def scaled_simplex_max(lam: float) -> float:
-    """The closed-form maximum."""
-    if lam < 1.0:
-        raise DomainError(f"scale factor {lam} < 1")
-    return 16.0 * lam**3 / (27.0 * (4.0 * lam - 1.0) ** 2)
+    """The closed-form maximum: the interior point's value from lambda = 3/4, the face without tau12's below."""
+    return 16.0 * lam**3 / (27.0 * (4.0 * lam - 1.0) ** 2) if lam >= 0.75 else 1.0 / 16.0
 
 
 def boundary_candidates(lam: float) -> list[float]:
     """Candidate maxima of the boundary strata.
 
-    Each value arises when one or more coordinates are pinned to zero;
-    all are strictly below the interior maximum for lam >= 1.
+    Each value arises when one or more coordinates are pinned to zero.
+    1/16 is the face without tau12, and the maximum for lam <= 3/4; the
+    4-faces with tau12 peak inside at the second value from lam = 1/2,
+    and on their own boundary at 1/27 below it.
     """
-    if lam < 1.0:
-        raise DomainError(f"scale factor {lam} < 1")
     return [
         1.0 / 16.0,
-        4.0 * lam**2 / (27.0 * (4.0 * lam - 1.0)),
+        4.0 * lam**2 / (27.0 * (4.0 * lam - 1.0)) if lam >= 0.5 else 1.0 / 27.0,
         lam / 27.0,
         1.0 / 27.0,
     ]
@@ -75,8 +70,8 @@ def grid_simplex_max(lam: float, grid_n: int = 60) -> float:
     the step, are one broadcast over the step sizes of a call and keep
     every point on the simplex.
     """
-    if lam < 1.0:
-        raise DomainError(f"scale factor {lam} < 1")
+    if not 0.0 < lam < np.inf:
+        raise ValueError(f"scale factor must be finite and > 0, got {lam}")
     if grid_n < 10:
         raise ValueError("grid_n must be at least 10")
     _, comp = _kernels.simplex_grid_scan(lam, grid_n, 1.0)

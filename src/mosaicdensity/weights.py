@@ -3,12 +3,13 @@
 For a weight pair m = (alpha6, alpha4) the functional w_m(P) sums segment
 lengths weighted by belt class.  Over unit-volume bodies of each
 parallelohedron type the minimum has a closed form, attained by
-an explicit body (for type 4 while alpha4 <= alpha6; above, the type-5
-minimum bounds it from below), and the overall minimizer as a function
-of alpha4/alpha6 switches from the cube to the hexagonal prism at
-sqrt(3)/2 and from the prism to the truncated octahedron at
-(2/3)^(1/4).  This module also provides the isotropic-position fixed
-point used in the type-5 argument, run on a stack of bodies at once.
+an explicit body (for type 4 while alpha4/alpha6 < 2/sqrt(3); from there
+on the type-3 minimum is its infimum, which no type-4 body attains), and
+the overall minimizer as a function of alpha4/alpha6 switches from the
+cube to the hexagonal prism at sqrt(3)/2 and from the prism to the
+truncated octahedron at (2/3)^(1/4).  This module also provides the
+isotropic-position fixed point used in the type-5 argument, run on a
+stack of bodies at once.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ class NoConvergence(RuntimeError):
 class TypeMinimum:
     """Minimum of w_m over unit-volume bodies of one type.
 
-    ``is_exact`` is False only for type 4 at alpha4 > alpha6, where no type-4
-    body is optimal; there ``value`` is the type-5 minimum, a lower bound, and
-    ``optimal_shape`` is None, as it is where a parameter of the type-2 prism
+    ``is_exact`` is False only for type 4 at alpha4/alpha6 >= 2/sqrt(3), where no
+    type-4 body is optimal; there ``value`` is the type-3 minimum, the infimum as
+    beta12 -> 0, and ``optimal_shape`` is None, as it is where a parameter of the type-2 prism
     or the type-4 body, at an extreme alpha4/alpha6, is not a finite positive double.
     """
 
@@ -97,10 +98,12 @@ def type_minimum(i: int, m: WeightPair) -> TypeMinimum:
         shape = {"shape": "rhombic_dodecahedron", "edge": zonotope.RHOMBIC_EDGE}
         return TypeMinimum(2.0 ** (2.0 / 3.0) * math.sqrt(3.0) * a6, True, shape)
     if i == 4:
-        if a4 > a6:
-            note = "exceeds the type-5 minimum; shown value is that minimum"
-            return TypeMinimum(type_minimum(5, m).value, False, None, note)
-        r, q = a4 / a6, 4.0 - (a4 / a6) ** 2
+        r = a4 / a6
+        axial = 4.0 - 3.0 * r * r  # 2 r^2 beta12: the body below has its axis only while this is positive
+        if axial <= 0.0:  # as beta12 -> 0 the body tends to type 3
+            note = "infimum, approached as beta12 -> 0, that no type-4 body attains: the type-3 minimum"
+            return TypeMinimum(type_minimum(3, m).value, False, None, note)
+        q = 4.0 - r**2
         # 3 (a4 (4 a6^2 - a4^2))^(1/3) / 2^(2/3), a6^2 taken out of the root: no square leaves the float range
         value = 3.0 * a4 ** (1.0 / 3.0) * a6 ** (2.0 / 3.0)
         value = value * q ** (1.0 / 3.0) / 2.0 ** (2.0 / 3.0)
@@ -113,7 +116,7 @@ def type_minimum(i: int, m: WeightPair) -> TypeMinimum:
             "shape": "elongated_rhombic_dodecahedron",
             "half_width": (r / math.sqrt(2.0 * q)) ** (1.0 / 3.0) / 2.0,
             "half_height": (r / math.sqrt(2.0 * q)) ** (4.0 / 3.0),
-            "axis": (4.0 - 3.0 * r * r) * (2.0 * q * r) ** (-2.0 / 3.0) if r else math.inf,
+            "axis": axial * (2.0 * q * r) ** (-2.0 / 3.0) if r else math.inf,
         }
         return TypeMinimum(value, True, _in_doubles(shape))
     if i == 5:
@@ -266,8 +269,8 @@ def figure_curves(alpha4_values: np.ndarray) -> tuple[list[str], np.ndarray]:
     """Per-type minima as functions of alpha4 at alpha6 = 1.
 
     Returns a header and one row per alpha4 with the five type values
-    (the type-4 column is its attained minimum up to alpha4 = 1 and the
-    type-5 value, which bounds it from below, once alpha4 exceeds 1).
+    (the type-4 column is its attained minimum below alpha4 = 2/sqrt(3) and
+    its infimum, the type-3 value, from there on).
     """
     header = ["alpha4", "type1", "type2", "type3", "type4_bound", "type5"]
     rows = []

@@ -215,6 +215,7 @@ def test_every_exception_class_is_raised():
               for tree in modules.values() for node in ast.walk(tree) if isinstance(node, ast.Raise) and node.exc}
     defined = {name for name in bases if is_exception(name)}
     assert {"GeometryError", "Overlap", "TooManyLines", "_OptionError"} <= defined
+    assert "DomainError" not in defined  # the simplex lemma holds for every lambda > 0
     assert sorted(defined - raised) == []
 
 

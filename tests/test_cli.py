@@ -168,22 +168,39 @@ class TestWm:
         assert code == 1
         assert [r["name"] for r in doc["residuals"] if not r["pass"]] == ["type4_sweep_above_bound"]
 
-    @pytest.mark.parametrize("alpha4", ["0.5", "2"])
+    @pytest.mark.parametrize("alpha4", ["0.5", "1.1", "2"])
     @pytest.mark.parametrize("type_index", [1, 2, 3, 4, 5])
     def test_every_type_checks_something(self, capsys, type_index, alpha4):
-        # a report with nothing checked must not pass: above the diagonal type 4 has no body, and wm checks that the
-        # value shown is the type-5 body's
+        # a report with nothing checked must not pass: from alpha4/alpha6 = 2/sqrt(3) on type 4 has no body, and wm
+        # checks that the value shown, its infimum, is the type-3 body's
         code, doc = run_json(capsys, ["wm", "--alpha6", "1", "--alpha4", alpha4, "--type", str(type_index)])
         assert code == 0 and doc["residuals"]
 
-    def test_type4_bound_reuses_the_type5_body(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("alpha4, type4", [
+        ("1.05", "type4_shape_consistency"), ("1.15", "type4_shape_consistency"),
+        ("1.155", "type4_infimum_is_type3_minimum"), ("2", "type4_infimum_is_type3_minimum"),
+    ], ids=["1.05", "1.15", "1.155", "2"])
+    def test_type4_infimum_reuses_the_type3_body(self, capsys, monkeypatch, alpha4, type4):
+        # below 2/sqrt(3) = 1.1547 the type-4 body is built and checked; from there on the type-3 body checks the
+        # infimum, built once for both
         shape, built = weights.optimal_shape_zonotope, []
         monkeypatch.setattr(weights, "optimal_shape_zonotope", lambda i, m: built.append(i) or shape(i, m))
-        code, doc = run_json(capsys, ["wm", "--alpha6", "1", "--alpha4", "2"])
+        code, doc = run_json(capsys, ["wm", "--alpha6", "1", "--alpha4", alpha4])
         assert code == 0 and built == [1, 2, 3, 4, 5]
         assert [r["name"] for r in doc["residuals"]] == [
-            "type1_shape_consistency", "type2_shape_consistency", "type3_shape_consistency",
-            "type4_bound_is_type5_minimum", "type5_shape_consistency"]
+            "type1_shape_consistency", "type2_shape_consistency", "type3_shape_consistency", type4,
+            "type5_shape_consistency"]
+        assert [e["is_exact"] for e in doc["outputs"]["per_type"]] == [
+            True, True, True, type4 == "type4_shape_consistency", True]
+
+    @pytest.mark.parametrize("alpha4", ["1.05", "2"])
+    def test_sweep_stays_above_the_type4_minimum_past_the_diagonal(self, capsys, alpha4):
+        # the bound is the closed form at 1.05 and the infimum at 2, and random bodies stay 0.16-1.65% above each
+        code, doc = run_json(capsys, ["wm", "--alpha6", "1", "--alpha4", alpha4, "--sweep", "100000"])
+        assert code == 0
+        sweep = doc["outputs"]["sweep"]
+        assert sweep["bound"] == doc["outputs"]["per_type"][3]["value"] <= sweep["min_observed"]
+        assert {r["name"]: r["pass"] for r in doc["residuals"]}["type4_sweep_above_bound"]
 
     @pytest.mark.parametrize("scaled", [1, 2, 3, 4, 5])
     def test_shape_consistency_fails_on_a_scaled_body(self, capsys, monkeypatch, scaled):
@@ -488,7 +505,7 @@ class TestShapeTables:
         for name, z in direct.items():
             assert _same_body(cli._canonical_shape(name), z), name
 
-    @pytest.mark.parametrize("a6, a4", [(1.0, 1.0), (1.0, 0.9), (6.0, 4.0), (0.3, 2.0)])
+    @pytest.mark.parametrize("a6, a4", [(1.0, 1.0), (1.0, 0.9), (6.0, 4.0), (1.0, 1.1), (0.3, 2.0)])
     def test_optimal_shapes_are_the_direct_constructors(self, a6, a4):
         m = zonotope.WeightPair(a6, a4)
         base = 2.0 ** (2.0 / 3.0) * a6 ** (1.0 / 3.0) / (3.0 ** (5.0 / 6.0) * a4 ** (1.0 / 3.0))
@@ -498,10 +515,10 @@ class TestShapeTables:
             1: zonotope.cube(1.0),
             2: zonotope.hexagonal_prism(base, height),
             3: zonotope.rhombic_dodecahedron(math.sqrt(3.0) / 2.0 ** (4.0 / 3.0)),
-            4: None,  # above alpha4 = alpha6; below, the closed-form body at unit volume
+            4: None,  # from alpha4/alpha6 = 2/sqrt(3) on; below, the closed-form body at unit volume
             5: zonotope.truncated_octahedron(2.0 ** (-7.0 / 6.0)),
         }
-        if r <= 1.0:
+        if 4.0 - 3.0 * r * r > 0.0:
             u = r / math.sqrt(2.0 * q)
             axis = (4.0 - 3.0 * r * r) * (2.0 * q * r) ** (-2.0 / 3.0)
             direct[4] = zonotope.elongated_rhombic_dodecahedron(u ** (1.0 / 3.0) / 2.0, u ** (4.0 / 3.0), axis)
@@ -519,6 +536,14 @@ class TestVerify:
         out = doc["outputs"]["simplex"]
         assert out["gap"] <= 1e-5
         assert all(r["pass"] for r in doc["residuals"])
+
+    @pytest.mark.parametrize("lam", ["0.5", "0.75", "1e-6"])
+    def test_simplex_suite_below_one(self, capsys, lam):
+        # below 3/4 the maximum is 1/16, on the face without tau12, and the grid oracle finds it
+        code, doc = run_json(capsys, ["verify", "--lemma", "simplex", "--lambda", lam])
+        assert code == 0 and doc["outputs"]["simplex"]["closed_form"] == 1.0 / 16.0
+        passed = {r["name"]: r["pass"] for r in doc["residuals"]}
+        assert passed == {"simplex_gap": True, "boundary_below_interior": True}
 
     def test_simplex_gap_can_fail(self, capsys, monkeypatch):
         _simplex_gap(monkeypatch)
@@ -678,8 +703,8 @@ class TestBadInput:
              "--alpha6: must be finite and > 0, got 0"),
             (["decomp", "--dim", "1"],
              "--dim: must be at least 2, got 1"),
-            (["verify", "--lemma", "simplex", "--lambda", "0.5"],
-             "--lambda: must be finite and at least 1, got 0.5"),
+            *[(["verify", "--lemma", "simplex", "--lambda", lam], f"--lambda: must be finite and > 0, got {lam}")
+              for lam in ("0", "-1", "nan", "inf")],
             (["fig2", "--step", "0"], "--step: must be finite and > 0, got 0"),
             (["fig2", "--start", "0", "--stop", "0.1", "--step", "0.05"],
              "--start: must be finite and > 0, got 0"),
@@ -731,7 +756,8 @@ class TestBadInput:
         ids=[
             "sweep-0", "sweep-neg", "sweep-below-floor", "grid-0", "oracle-1",
             "oracle-dim-8", "alpha6-inf", "alpha4-nan", "table1-alpha6-0", "dim-1",
-            "lambda-half", "fig2-step-0", "fig2-start-0", "fig2-step-neg", "fig2-stop-below-start",
+            "lambda-0", "lambda-neg", "lambda-nan", "lambda-inf",
+            "fig2-step-0", "fig2-start-0", "fig2-step-neg", "fig2-stop-below-start",
             "tile-radius-neg", "tile-series-nan", "tile-radius-and-series", "tile-series-below-floor",
             "verify-tiling-radius-below-floor", "fig2-too-many-steps", "dim-above-cap",
             "grid-above-cap", "lambda-above-cap", "tile-series-above-cap", "tile-radius-above-cap",
@@ -968,7 +994,7 @@ def _weighted_length_off(monkeypatch):
 _FAULTS = {
     **{f"type{i}_shape_consistency": (_WM, functools.partial(_scaled_optimal_shape, scaled=i)) for i in range(1, 6)},
     "type4_sweep_above_bound": (_WM, _sweep_below_bound),
-    "type4_bound_is_type5_minimum": (_WM_ABOVE_DIAGONAL, functools.partial(_scaled_optimal_shape, scaled=5)),
+    "type4_infimum_is_type3_minimum": (_WM_ABOVE_DIAGONAL, functools.partial(_scaled_optimal_shape, scaled=3)),
     "published_minimum_at_or_below_bound_at_spec": (["decomp", "--dim", "3"], _published_minimum_above_bound),
     "corrected_minimum_is_bound_at_spec": (["decomp", "--dim", "5"], _corrected_minimum_off),
     "oracle_at_or_above_minimum": (["decomp", "--dim", "5", "--oracle", "30"], _oracle_below_published),
@@ -1021,3 +1047,27 @@ class TestResidualRegistry:
         code, doc = run_json(capsys, argv)
         assert code == 1
         assert name in {r["name"] for r in doc["residuals"] if not r["pass"]}
+
+
+class TestInputs:
+    """A document's inputs echo each option that its run read, and null for one that nothing read."""
+
+    @pytest.mark.parametrize("lemma, read", [
+        ("tetra", {"samples"}), ("simplex", {"lambda", "grid"}), ("isotropy", {"samples"}), ("tiling", {"radius"}),
+        ("all", {"samples", "lambda", "grid", "radius"}),
+    ])
+    def test_verify_echoes_what_its_suites_read(self, capsys, lemma, read):
+        given = {"samples": 100, "lambda": 2.0, "grid": 10, "radius": 8.0}
+        argv = ["--samples", "100", "--lambda", "2", "--grid", "10", "--radius", "8"]
+        code, doc = run_json(capsys, ["verify", "--lemma", lemma, *argv])
+        assert code == 0
+        assert doc["inputs"] == {"lemma": lemma, **{k: v if k in read else None for k, v in given.items()}}
+
+    @pytest.mark.parametrize("ball, radius, series", [
+        (["--radius", "8"], 8.0, None), (["--series", "8,9"], None, [8.0, 9.0]),
+    ], ids=["radius", "series"])
+    def test_tile_echoes_the_balls_it_measured(self, capsys, ball, radius, series):
+        code, doc = run_json(capsys, ["tile", "--shape", "cube", *ball])
+        assert code == 0
+        assert doc["inputs"] == {"shape": "cube", "radius": radius, "series": series}
+        assert [row["radius"] for row in doc["outputs"]["rows"]] == (series or [radius])

@@ -26,7 +26,7 @@ def test_closed_form_values():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.floats(1.0, 50.0))
+@given(st.floats(0.75, 50.0))
 def test_argmax_substitution(lam):
     # the argmax in its other form: tau13 = tau14 = tau23 = tau24 = 2 lam / (12 lam - 3),
     # tau12 = (4 lam - 3) / (2 lam) tau13
@@ -38,14 +38,44 @@ def test_argmax_substitution(lam):
 
 
 def test_domain_error():
-    with pytest.raises(S.DomainError):
-        S.scaled_simplex_max(0.999)
-    with pytest.raises(S.DomainError):
-        S.grid_simplex_max(0.5)
-    with pytest.raises(S.DomainError):
-        S.boundary_candidates(0.9)
-    with pytest.raises(ValueError):
+    # the lemma holds for every finite lambda > 0: the grid oracle refuses the rest before it scans
+    for lam in (0.0, -0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            S.grid_simplex_max(lam)
+    with pytest.raises(ValueError, match="at least 10"):
         S.grid_simplex_max(1.0, grid_n=5)
+
+
+@pytest.mark.parametrize("lam", [1e-300, 0.1, 0.5, 0.74, 0.75])
+def test_face_without_tau12_below_three_quarters(lam):
+    # 1/16, the cubic at (0, 1/4, 1/4, 1/4, 1/4) on the face tau12 = 0, is S(lambda) and the largest candidate up to 3/4
+    face = _kernels.volume_cubic(0.0, 0.25, 0.25, 0.25, 0.25)
+    assert S.scaled_simplex_max(lam) == max(S.boundary_candidates(lam)) == face == 1.0 / 16.0
+
+
+def test_branches_meet_at_three_quarters():
+    # the interior closed form takes its least value over lambda, 1/16, at 3/4, where its argmax reaches tau12 = 0
+    def closed(lam):
+        return 16.0 * lam**3 / (27.0 * (4.0 * lam - 1.0) ** 2)
+
+    assert closed(0.75) == 1.0 / 16.0 and argmax(0.75)[0] == 0.0
+    assert all(closed(lam) > 1.0 / 16.0 for lam in (0.5, 0.7, 0.8, 1.0))
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.4, 0.45, 0.5, 0.6, 1.0, 2.0])
+def test_four_faces_with_tau12_peak_at_the_second_candidate(lam):
+    # each 4-face with tau12 (one of tau13..tau24 pinned to 0), scanned on the composition grid of 60: its maximum is
+    # 4 lambda^2 / (27 (4 lambda - 1)) from lambda = 1/2, and 1/27 on the face's own boundary below, where that
+    # formula passes 1/16 on (1/4, 0.32) and divides by zero at 1/4
+    n = 60
+    a, b, c = np.meshgrid(*[np.arange(n + 1)] * 3, indexing="ij")
+    keep = a + b + c <= n
+    t = np.stack([a[keep], b[keep], c[keep], n - (a + b + c)[keep]]) / n
+    candidate = S.boundary_candidates(lam)[1]
+    for face in range(1, 5):
+        u = np.insert(t, face, 0.0, axis=0)
+        best = _kernels.volume_cubic(lam * u[0], *u[1:]).max()
+        assert candidate - 1e-4 <= best <= candidate + 1e-15
 
 
 def test_boundary_candidates_lambda_one():
@@ -62,6 +92,12 @@ def test_boundary_below_interior(lam):
     assert max(S.boundary_candidates(lam)) < value
 
 
+def test_boundary_at_or_below_the_maximum_for_every_lambda():
+    # verify's boundary_below_interior on (0, 10]: below 3/4 the maximum is the candidate 1/16 itself
+    for lam in [*np.geomspace(1e-300, 10.0, 4001).tolist(), 0.25, 0.5, 0.75, math.nextafter(0.75, 1.0)]:
+        assert S.scaled_simplex_max(lam) - max(S.boundary_candidates(lam)) >= -1e-15, lam
+
+
 def test_grid_never_exceeds_maximum():
     # the grid oracle's scan before its descent
     value = S.scaled_simplex_max(1.0)
@@ -69,12 +105,12 @@ def test_grid_never_exceeds_maximum():
     assert raw <= value + 1e-15
 
 
-@pytest.mark.parametrize("lam", [1.0, 3.0])
+@pytest.mark.parametrize("lam", [1e-6, 0.25, 0.3, 0.5, 0.74, 0.75, 0.76, 0.9, 1.0, 3.0])
 def test_grid_with_refinement_tight(lam):
+    # the oracle knows nothing of the switch at 3/4: it finds 1/16 below and the interior value above
     value = S.scaled_simplex_max(lam)
     refined = S.grid_simplex_max(lam, grid_n=60)
-    assert abs(refined - value) < 1e-5
-    assert refined <= value + 1e-12
+    assert abs(refined - value) <= 1e-15
 
 
 def test_grid_simplex_max_pinned():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_facet_measure, random_body
-from mosaicdensity import _kernels, tiling
+from mosaicdensity import _kernels, simplex, tiling
 from mosaicdensity import weights as W
 from mosaicdensity import zonotope as Z
 from mosaicdensity._kernels import volume_cubic
@@ -44,18 +44,21 @@ class TestTypeMinima:
         assert abs(vals[4] - 16.03618) < 1e-4
 
     def test_exactness_flags(self):
-        # every type's minimum is attained up to alpha4 = alpha6; above, type 4 reports the type-5 value
-        for i in range(1, 6):
-            tm = W.type_minimum(i, UNIT)
-            assert tm.is_exact and tm.optimal_shape is not None and tm.note is None
+        # every type's minimum is attained up to alpha4 = alpha6, and type 4's on to alpha4/alpha6 = 2/sqrt(3);
+        # from there on type 4 reports its infimum
+        for m in (UNIT, WeightPair(1.0, 1.1)):
+            for i in range(1, 6):
+                tm = W.type_minimum(i, m)
+                assert tm.is_exact and tm.optimal_shape is not None and tm.note is None
         tm4 = W.type_minimum(4, WeightPair(1.0, 1.4))
         assert not tm4.is_exact and tm4.optimal_shape is None
 
-    def test_type4_switches_to_type5_value(self):
-        m = WeightPair(1.0, 1.4)  # alpha4 > alpha6
+    @pytest.mark.parametrize("ratio", [1.2, 1.4, 3.0, 1e300])
+    def test_type4_switches_to_type3_infimum(self, ratio):
+        m = WeightPair(1.0, ratio)  # alpha4/alpha6 > 2/sqrt(3): beta12 = (4 - 3 r^2) / (2 r^2) < 0
         tm4 = W.type_minimum(4, m)
-        assert tm4.value == W.type_minimum(5, m).value
-        assert tm4.note is not None and "type-5" in tm4.note
+        assert tm4.value == W.type_minimum(3, m).value
+        assert tm4.note is not None and "infimum" in tm4.note and "type-3" in tm4.note
 
     def test_bad_index(self):
         with pytest.raises(ValueError):
@@ -72,9 +75,37 @@ class TestTypeMinima:
         assert abs(weighted_edge_functional(z, m) - tm.value) <= 1e-9 * tm.value
 
     def test_type4_shape_is_none(self):
-        # above alpha4 = alpha6 no type-4 body is optimal: the type-5 value bounds them all
-        assert W.optimal_shape_zonotope(4, WeightPair(1.0, math.nextafter(1.0, 2.0))) is None
-        assert W.optimal_shape_zonotope(4, UNIT) is not None
+        # from alpha4/alpha6 = 2/sqrt(3) on no type-4 body is optimal: beta12 = 0 there, and the body is type 3;
+        # 4 - 3 r^2 is -8.9e-16 at the double nearest 2/sqrt(3) and +8.9e-16 at the one below it
+        switch = 2.0 / math.sqrt(3.0)
+        assert W.optimal_shape_zonotope(4, WeightPair(1.0, switch)) is None
+        assert W.optimal_shape_zonotope(4, WeightPair(1.0, math.nextafter(switch, 2.0))) is None
+        for r in (math.nextafter(switch, 0.0), math.nextafter(1.0, 2.0), 1.0):
+            assert W.optimal_shape_zonotope(4, WeightPair(1.0, r)) is not None
+
+    @pytest.mark.parametrize("r", [1.02, 1.05, 1.1, 1.15, 1.1547, math.nextafter(2.0 / math.sqrt(3.0), 0.0)])
+    def test_type4_body_attains_the_closed_form_up_to_the_switch(self, r):
+        # an extension past the published alpha4 <= alpha6: the body stays a unit-volume type-4 body, with one
+        # 4-belt and four 6-belts, whose w_m is the closed form 3 (r (4 - r^2))^(1/3) / 2^(2/3)
+        m = WeightPair(1.0, r)
+        z = W.optimal_shape_zonotope(4, m)
+        assert abs(z.volume() - 1.0) <= 1e-12
+        assert sorted(Z.belts(z).tolist()) == [4, 6, 6, 6, 6]
+        value = W.type_minimum(4, m).value
+        assert abs(value - 3.0 * (r * (4.0 - r * r)) ** (1.0 / 3.0) / 2.0 ** (2.0 / 3.0)) <= 1e-15 * value
+        assert abs(weighted_edge_functional(z, m) - value) <= 1e-15 * value
+
+    def test_type4_is_the_simplex_lemma(self):
+        # type4 = alpha6 sqrt(3) S(lambda)^(-1/6), lambda = (alpha6/alpha4)^2: the closed form while lambda > 3/4
+        # (r < 2/sqrt(3)), the type-3 minimum sqrt(3) 16^(1/6) alpha6 from there on, and continuous at the switch
+        switch = 2.0 / math.sqrt(3.0)
+        near = [switch * (1.0 + k * 1e-9) for k in (-1, 1)] + [math.nextafter(switch, 0.0), switch]
+        for r in [*np.linspace(0.05, 3.0, 2951).tolist(), *near]:
+            value = W.type_minimum(4, WeightPair(1.0, r)).value
+            want = math.sqrt(3.0) * simplex.scaled_simplex_max(1.0 / r**2) ** (-1.0 / 6.0)
+            assert abs(value - want) <= 1e-12 * want, r
+        below, at = (W.type_minimum(4, WeightPair(1.0, r)).value for r in (math.nextafter(switch, 0.0), switch))
+        assert abs(below - at) <= 1e-14 * at
 
     @given(st.floats(0.05, 20.0), st.floats(0.05, 20.0))
     def test_rhombic_never_beats_octahedron(self, a6, a4):
@@ -126,7 +157,7 @@ class TestClassify:
 
     def test_type4_never_wins(self):
         # classify_optimal leaves type 4 out: on (0, 1] its minimum stays 0.56% above the winner's, least at
-        # the prism-octahedron threshold, and above 1 it is the type-5 value, which no type-4 body attains
+        # the prism-octahedron threshold, and above 1 it rises to the type-3 minimum, above the winning type 5
         grid = np.append(np.linspace(0.0, 1.0, 2001)[1:], [W.CUBE_PRISM_RATIO, W.PRISM_OCTA_RATIO])
         margin = [W.type_minimum(4, m).value / W.classify_optimal(m).value
                   for m in (WeightPair(1.0, float(a4)) for a4 in grid)]
@@ -426,9 +457,12 @@ class TestFigureCurves:
         assert np.allclose(rows[:, 1], 3.0 * grid)
         # alpha6 held fixed, so columns 3 and 5 are flat
         assert np.ptp(rows[:, 3]) == 0.0 and np.ptp(rows[:, 5]) == 0.0
-        # the bound column caps at the type-5 value once alpha4 passes alpha6
-        over = rows[:, 0] > 1.0
-        assert np.all(rows[over, 4] == rows[over, 5])
+        # the type-4 column is its closed form below alpha4 = 2/sqrt(3) and its infimum, the type-3 value, above
+        past = rows[:, 0] > 2.0 / math.sqrt(3.0)
+        assert past.sum() == 1 and np.all(rows[past, 4] == rows[past, 3])
+        a4 = rows[~past, 0]
+        closed = 3.0 * (a4 * (4.0 - a4**2)) ** (1.0 / 3.0) / 2.0 ** (2.0 / 3.0)
+        assert np.allclose(rows[~past, 4], closed, rtol=1e-14, atol=0)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
