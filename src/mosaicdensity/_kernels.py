@@ -3,14 +3,11 @@
 ``volume_cubic`` is the only copy of the volume cubic in the package: the
 batch kernels below, the simplex grid scan, the simplex objective and
 ``zonotope.volume_polynomial`` all evaluate it, the scan, the objective and
-the type-4 functional on its tau34 = 0 face.  ``greedy_descent`` is
-the one local search, for ``REFINE_ROUNDS`` rounds: the simplex and
-decomposable brute-force oracles both refine their best grid point with
-it.  A call evaluates, with one ``moves`` and one ``f_many`` call, the rest
-of the round after a hit, wrapped round, and the next round, or every
-round left after a call that finds nothing; no move is evaluated twice
-from one point.  ``_chord_lengths`` is the one chord formula;
-``skeleton_density`` runs it only on shell edges that may cross the sphere.
+the type-4 functional on its tau34 = 0 face.  ``greedy_descent`` is the
+one local search: both brute-force oracles refine their best grid point
+with it, and pass their moves as a direction table and their domain as a
+box.  ``_chord_lengths`` is the one chord formula; ``skeleton_density``
+runs it only on shell edges that may cross the sphere.
 ``_cross_rows`` is the one cross product of 3-vectors, on three component
 rows each.  ``cross3`` and ``det3`` apply it over the last axis, without
 the per-call overhead of ``np.cross`` or a batched LU ``np.linalg.det``;
@@ -135,42 +132,38 @@ def simplex_grid_scan(lam: float, grid_n: int, budget: float):
     return best, np.array((a, b[k], c[k], d[k], n - a - s[k]), dtype=np.int64)
 
 
-#: Rounds of the greedy descent that refines each grid oracle's best point.
+#: Halving step sizes of the greedy descent that refines each grid oracle's best point.
 REFINE_ROUNDS = 60
 
+_STEPS_PER_CALL = 8  # step sizes whose candidates one f_many call evaluates
 
-def greedy_descent(f_many, moves, x, step: float):
-    """Minimise from ``x`` by greedy moves, a sweep at a time; returns ``(best, x)``.
 
-    ``moves(x, steps)`` returns, for an array of R step sizes, the (R, M, d)
-    candidate points and an (R, M) mask of the allowed ones; ``f_many``
-    evaluates a column stack of points.  A sweep takes the moves in row
-    order, each from the current point, and keeps every strict improvement;
-    a sweep that improves nothing ends its round, halving ``step``,
-    ``REFINE_ROUNDS`` times.  Each call evaluates the allowed moves of its
-    rounds with one ``moves`` and one ``f_many`` call and takes the first
-    improving one: after a hit at move h, moves h + 1, ..., h of that round
-    from the new point, wrapping round, then the next round; after a call
-    that finds nothing, every round left.  These are the points a
-    one-at-a-time sweep visits, in the same order, and no move is evaluated
+def greedy_descent(f_many, dirs, lo, hi, x, step: float):
+    """Minimise from ``x`` by best-improvement moves at halving steps; returns ``(best, x)``.
+
+    The moves are ``x + s * dirs[i]`` for the ``REFINE_ROUNDS`` step sizes
+    s = step, step / 2, ... and each row of the (M, d) table ``dirs``; only
+    those inside the box ``lo <= y <= hi`` are evaluated, by ``f_many`` on a
+    column stack.  Each call evaluates the ``_STEPS_PER_CALL`` largest steps
+    left and goes to the best strict improvement at the largest step that
+    has one (the first row on ties), dropping the larger steps; a call that
+    finds none drops its steps.  Ties never move, and no move is evaluated
     twice from one point.
     """
     x = np.asarray(x, dtype=np.float64)
-    best = f_many(x[:, None])[0]
-    rounds, start, span = REFINE_ROUNDS, 0, 1
-    while rounds:
-        cand, allowed = moves(x, step * 0.5 ** np.arange(min(span, rounds)))
-        cand, size, rows = cand.reshape(-1, len(x)), allowed.shape[1], np.flatnonzero(allowed)
-        i, j = np.searchsorted(rows, (start, size))  # the first round from start, then before it
-        rows = np.concatenate((rows[i:j], rows[:i], rows[j:]))
-        vals = f_many(cand[rows].T)
-        hits = (vals < best).nonzero()[0]
-        if hits.size:  # skip the rounds before the hit, which found nothing
-            skip, move = divmod(int(rows[hits[0]]), size)
-            best, x, start, span = vals[hits[0]], cand[rows[hits[0]]], (move + 1) % size, 2
-        else:
-            skip, start, span = len(allowed), 0, rounds
-        rounds, step = rounds - skip, step * 0.5**skip
+    best, steps = f_many(x[:, None])[0], step * 0.5 ** np.arange(REFINE_ROUNDS)
+    while steps.size:
+        cand = x + steps[:_STEPS_PER_CALL, None, None] * dirs  # (R, M, d)
+        allowed = ((cand >= lo) & (cand <= hi)).all(axis=2)
+        vals = np.full(allowed.shape, np.inf)
+        vals[allowed] = f_many(cand[allowed].T)
+        better = (vals < best).any(axis=1)
+        if not better.any():
+            steps = steps[_STEPS_PER_CALL:]
+            continue
+        r = int(np.argmax(better))  # the largest step that improves, and its best move
+        j = int(np.argmin(vals[r]))
+        best, x, steps = vals[r, j], cand[r, j], steps[r:]
     return float(best), x
 
 

@@ -185,7 +185,8 @@ def cmd_wm(args: argparse.Namespace) -> int:
         }
         shortfall = max(0.0, rep.bound - rep.min_observed)
         residuals.append(_residual("type4_sweep_above_bound", shortfall / args.alpha6, 1e-9))
-    inputs = {"alpha6": args.alpha6, "alpha4": args.alpha4, "type": args.type, "sweep": args.sweep}
+    inputs = {"alpha6": args.alpha6, "alpha4": args.alpha4, "type": args.type, "sweep": args.sweep,
+              "seed": args.seed if args.sweep else None}
     return _emit("wm", inputs, outputs, residuals)
 
 
@@ -293,7 +294,8 @@ def cmd_tile(args: argparse.Namespace) -> int:
         "translates_checked": report.translates_checked,
         "rows": [_density_row(est) for est in rows],
     }
-    inputs = {"shape": args.shape, "radius": None if args.series else args.radius, "series": args.series}
+    inputs = {"shape": args.shape, "radius": None if args.series else args.radius, "series": args.series,
+              "seed": args.seed}
     return _emit("tile", inputs, outputs, residuals)
 
 
@@ -381,7 +383,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         outputs[suite] = out
         residuals.extend(res)
     options = {"samples": (args.samples, "tetra", "isotropy"), "lambda": (args.lam, "simplex"),
-               "grid": (args.grid, "simplex"), "radius": (args.radius, "tiling")}  # each value and the suites reading it
+               "grid": (args.grid, "simplex"), "radius": (args.radius, "tiling"),
+               "seed": (args.seed, "tetra", "isotropy", "tiling")}  # each value and the suites reading it
     inputs = {k: v if set(by) & set(suites) else None for k, (v, *by) in options.items()}
     return _emit("verify", {"lemma": args.lemma, **inputs}, outputs, residuals)
 

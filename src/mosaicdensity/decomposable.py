@@ -244,8 +244,8 @@ def brute_force_minimize(n: int, grid_n: int = 30) -> float:
     best grid point; one on the edge of the log-area box raises
     ``OracleBoxEdge`` (the e_hat axes span the bound's domain [3, 6], so an
     edge there is expected).  ``_kernels.greedy_descent`` refines the best grid
-    point from step 3 / grid_n; its moves, the steps of each coordinate down and
-    up (e_hats clipped to [3, 6]), are one broadcast over the step sizes of a call.
+    point from step 3 / grid_n; its moves step each coordinate down and up,
+    and its box refuses an e_hat outside [3, 6].
     """
     if n < 2 or n > 7:
         raise ValueError("oracle covers dimensions 2..7")
@@ -265,13 +265,7 @@ def brute_force_minimize(n: int, grid_n: int = 30) -> float:
     signs = np.repeat(np.eye(dims), 2, axis=0) * np.tile([-1.0, 1.0], dims)[:, None]
     lo = np.array([3.0] * k + [-np.inf] * (dims - k))
     hi = np.array([6.0] * k + [np.inf] * (dims - k))
-
-    def axis_moves(x: np.ndarray, steps: np.ndarray):
-        cand = np.minimum(np.maximum(x + steps[:, None, None] * signs, lo), hi)
-        return cand, np.ones(cand.shape[:2], dtype=bool)
-
-    best, _ = _kernels.greedy_descent(lambda y: _oracle_bound(y, k, odd), axis_moves, x, 3.0 / grid_n)
-    return best
+    return _kernels.greedy_descent(lambda y: _oracle_bound(y, k, odd), signs, lo, hi, x, 3.0 / grid_n)[0]
 
 
 def bound_curve(k: int, e_values: np.ndarray) -> tuple[list[str], np.ndarray]:

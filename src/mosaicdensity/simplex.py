@@ -30,8 +30,15 @@ def _objective(lam: float, t):
     return _kernels.volume_cubic(lam * t[0], *t[1:])
 
 
+def _check_scale(lam: float) -> None:
+    """Refuse a scale factor that the lemma says nothing about."""
+    if not 0.0 < lam < np.inf:
+        raise ValueError(f"scale factor must be finite and > 0, got {lam}")
+
+
 def scaled_simplex_max(lam: float) -> float:
     """The closed-form maximum: the interior point's value from lambda = 3/4, the face without tau12's below."""
+    _check_scale(lam)
     return 16.0 * lam**3 / (27.0 * (4.0 * lam - 1.0) ** 2) if lam >= 0.75 else 1.0 / 16.0
 
 
@@ -43,6 +50,7 @@ def boundary_candidates(lam: float) -> list[float]:
     4-faces with tau12 peak inside at the second value from lam = 1/2,
     and on their own boundary at 1/27 below it.
     """
+    _check_scale(lam)
     return [
         1.0 / 16.0,
         4.0 * lam**2 / (27.0 * (4.0 * lam - 1.0)) if lam >= 0.5 else 1.0 / 27.0,
@@ -52,8 +60,7 @@ def boundary_candidates(lam: float) -> list[float]:
 
 
 # transfer moves (a -> b) in the order a-major, b != a, as rows of -1 at a and +1 at b
-_SOURCES, _TARGETS = np.array([(a, b) for a in range(5) for b in range(5) if a != b]).T
-_TRANSFERS = np.eye(5)[_TARGETS] - np.eye(5)[_SOURCES]
+_TRANSFERS = np.array([np.eye(5)[b] - np.eye(5)[a] for a in range(5) for b in range(5) if a != b])
 
 
 def grid_simplex_max(lam: float, grid_n: int = 60) -> float:
@@ -65,19 +72,14 @@ def grid_simplex_max(lam: float, grid_n: int = 60) -> float:
     evaluates the floor and the ceiling of its vertex, and of tied maxima
     keeps the smallest a, then the first (b, c, d) by sum, then by (b, c).
     Refinement runs ``_kernels.greedy_descent`` on the negated objective
-    from the best grid point, with step ``1 / grid_n``: its moves, the 20
-    pairwise mass transfers, each allowed where its source holds at least
-    the step, are one broadcast over the step sizes of a call and keep
-    every point on the simplex.
+    from the best grid point, with step ``1 / grid_n``: its moves are the
+    20 pairwise mass transfers, which keep every point on the simplex, and
+    its box [0, inf) refuses a transfer larger than its source's mass.
     """
-    if not 0.0 < lam < np.inf:
-        raise ValueError(f"scale factor must be finite and > 0, got {lam}")
+    _check_scale(lam)
     if grid_n < 10:
         raise ValueError("grid_n must be at least 10")
     _, comp = _kernels.simplex_grid_scan(lam, grid_n, 1.0)
-    neg, _ = _kernels.greedy_descent(
-        lambda u: -_objective(lam, u),
-        lambda t, steps: (t + steps[:, None, None] * _TRANSFERS, t[_SOURCES] >= steps[:, None]),
-        comp.astype(np.float64) / grid_n, 1.0 / grid_n,
-    )
-    return -neg
+    return -_kernels.greedy_descent(
+        lambda u: -_objective(lam, u), _TRANSFERS, 0.0, np.inf, comp.astype(np.float64) / grid_n, 1.0 / grid_n
+    )[0]

@@ -1053,12 +1053,12 @@ class TestInputs:
     """A document's inputs echo each option that its run read, and null for one that nothing read."""
 
     @pytest.mark.parametrize("lemma, read", [
-        ("tetra", {"samples"}), ("simplex", {"lambda", "grid"}), ("isotropy", {"samples"}), ("tiling", {"radius"}),
-        ("all", {"samples", "lambda", "grid", "radius"}),
+        ("tetra", {"samples", "seed"}), ("simplex", {"lambda", "grid"}), ("isotropy", {"samples", "seed"}),
+        ("tiling", {"radius", "seed"}), ("all", {"samples", "lambda", "grid", "radius", "seed"}),
     ])
     def test_verify_echoes_what_its_suites_read(self, capsys, lemma, read):
-        given = {"samples": 100, "lambda": 2.0, "grid": 10, "radius": 8.0}
-        argv = ["--samples", "100", "--lambda", "2", "--grid", "10", "--radius", "8"]
+        given = {"samples": 100, "lambda": 2.0, "grid": 10, "radius": 8.0, "seed": 3}
+        argv = ["--samples", "100", "--lambda", "2", "--grid", "10", "--radius", "8", "--seed", "3"]
         code, doc = run_json(capsys, ["verify", "--lemma", lemma, *argv])
         assert code == 0
         assert doc["inputs"] == {"lemma": lemma, **{k: v if k in read else None for k, v in given.items()}}
@@ -1067,7 +1067,16 @@ class TestInputs:
         (["--radius", "8"], 8.0, None), (["--series", "8,9"], None, [8.0, 9.0]),
     ], ids=["radius", "series"])
     def test_tile_echoes_the_balls_it_measured(self, capsys, ball, radius, series):
-        code, doc = run_json(capsys, ["tile", "--shape", "cube", *ball])
+        code, doc = run_json(capsys, ["tile", "--shape", "cube", "--seed", "3", *ball])
         assert code == 0
-        assert doc["inputs"] == {"shape": "cube", "radius": radius, "series": series}
+        assert doc["inputs"] == {"shape": "cube", "radius": radius, "series": series, "seed": 3}
         assert [row["radius"] for row in doc["outputs"]["rows"]] == (series or [radius])
+
+    @pytest.mark.parametrize("sweep, echoed", [([], [None, None]), (["--sweep", "100"], [1, 2])], ids=["bare", "sweep"])
+    def test_wm_echoes_the_seed_of_its_sweep(self, capsys, sweep, echoed):
+        # two seeds give two sweeps, with different minima, and so two different documents
+        argv = ["wm", "--alpha6", "1", "--alpha4", "0.9", *sweep, "--seed"]
+        docs = [run_json(capsys, [*argv, seed])[1] for seed in "12"]
+        want = {"alpha6": 1.0, "alpha4": 0.9, "type": None, "sweep": 100 if sweep else None}
+        assert [doc["inputs"] for doc in docs] == [{**want, "seed": seed} for seed in echoed]
+        assert (docs[0]["outputs"] != docs[1]["outputs"]) == bool(sweep)

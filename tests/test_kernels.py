@@ -161,17 +161,51 @@ class TestGridScan:
             assert value == want_value and comp.tolist() == want_comp.tolist()
 
 
-def _axis_moves(x, steps):
-    # per step size, row 2 * axis steps down that axis, row 2 * axis + 1 steps up; all allowed
-    x = np.asarray(x, dtype=np.float64)
-    signs = np.repeat(np.eye(len(x)), 2, axis=0) * np.tile([-1.0, 1.0], len(x))[:, None]
-    cand = x + np.asarray(steps)[:, None, None] * signs
-    return cand, np.ones(cand.shape[:2], dtype=bool)
+def _axis_dirs(d):
+    # row 2 * axis steps down that axis, row 2 * axis + 1 steps up
+    return np.repeat(np.eye(d), 2, axis=0) * np.tile([-1.0, 1.0], d)[:, None]
+
+
+_FREE = (-np.inf, np.inf)  # the box of a descent with no bounds
+_MAX_CALLS = 10_000  # f_many calls after which a descent in these tests counts as one that does not end
+
+
+def _capped(f_many, calls):
+    # f_many logging the columns of each call, and failing a descent that crawls instead of hanging the suite
+    def f(y):
+        calls.append(y.shape[1])
+        assert len(calls) <= _MAX_CALLS, "the descent does not end"
+        return f_many(y)
+
+    return f
+
+
+def _capped_descent(calls):
+    # K.greedy_descent with its f_many capped, to patch into an oracle
+    descent = K.greedy_descent
+    return lambda f_many, *rest: descent(_capped(f_many, calls), *rest)
+
+
+def _flat(y):
+    # a function that no move improves
+    return np.ones(y.shape[1])
 
 
 def _quadratic(x):
     # elementwise over the columns of a stack, or at one point
     return (x[0] - 0.3) ** 2 + 2.0 * (x[1] + 0.7) ** 2
+
+
+def _coupled_l1(seed):
+    # a weighted L1 distance with a coupling term: moves stall until the step drops below a coordinate's
+    # distance to its target, then improve again
+    rng = np.random.default_rng(seed)
+    target, weight = rng.uniform(-2.0, 2.0, 3), rng.uniform(0.5, 2.0, 3)
+
+    def f_many(y):
+        return (weight[:, None] * np.abs(y - target[:, None])).sum(axis=0) + 0.7 * np.abs(y[0] - y[1])
+
+    return f_many, rng.uniform(-2.0, 2.0, 3)
 
 
 def _greedy_descent_reference(f, move, n_moves, x, step, rounds):
@@ -193,28 +227,27 @@ def _greedy_descent_reference(f, move, n_moves, x, step, rounds):
     return best, x
 
 
-def _one_move_per_call(f_many, moves, x, step):
+def _one_move_per_call(f_many, dirs, lo, hi, x, step):
     # greedy_descent's interface served by the reference, one point per call
     def move(x, step, i):
-        cand, allowed = moves(x, np.array([step]))
-        return cand[0, i] if allowed[0, i] else None
+        y = x + step * dirs[i]
+        return y if ((y >= lo) & (y <= hi)).all() else None
 
     x = np.asarray(x, dtype=np.float64)
-    n_moves = moves(x, np.array([step]))[1].shape[1]
     best, x = _greedy_descent_reference(
-        lambda y: f_many(y[:, None])[0], move, n_moves, x, step, K.REFINE_ROUNDS
+        lambda y: f_many(y[:, None])[0], move, len(dirs), x, step, K.REFINE_ROUNDS
     )
     return float(best), x
 
 
 class TestGreedyDescent:
     def test_reaches_quadratic_minimum(self):
-        best, x = K.greedy_descent(_quadratic, _axis_moves, [0.0, 0.0], 0.25)
+        best, x = K.greedy_descent(_capped(_quadratic, []), _axis_dirs(2), *_FREE, [0.0, 0.0], 0.25)
         assert abs(x[0] - 0.3) < 1e-12 and abs(x[1] + 0.7) < 1e-12
         assert best == _quadratic(x)
 
     def test_none_move_is_skipped(self):
-        # decreasing x[0] is not allowed, so x[0] stays above the minimizer;
+        # the box refuses x[0] < 1, so x[0] stays above the minimizer;
         # f = 0.49 + 2 (x[1] + 0.7)^2 then resolves x[1] only to ~1e-8
         evaluated = []
 
@@ -222,158 +255,144 @@ class TestGreedyDescent:
             evaluated.append(y[0].copy())
             return _quadratic(y)
 
-        def moves(x, steps):
-            cand, allowed = _axis_moves(x, steps)
-            allowed[:, 0] = False
-            return cand, allowed
-
-        best, x = K.greedy_descent(f_many, moves, [1.0, 0.0], 0.25)
+        best, x = K.greedy_descent(_capped(f_many, []), _axis_dirs(2), [1.0, -np.inf], np.inf, [1.0, 0.0], 0.25)
         assert x[0] == 1.0 and abs(x[1] + 0.7) < 1e-6
         assert best == _quadratic(x)
         assert (np.concatenate(evaluated) >= 1.0).all()  # the step down is never evaluated
 
     def test_step_halves_once_per_round(self, monkeypatch):
-        steps = []
+        # from a point that never moves, each move is evaluated once at each of the halving steps
+        rounds, lengths = 12, []
 
-        def moves(x, s):
-            steps.extend(s.tolist())
-            return _axis_moves(x, s)
+        def f_many(y):
+            lengths.extend(np.abs(y).max(axis=0).tolist())
+            return _flat(y)
 
-        rounds = 12
         monkeypatch.setattr(K, "REFINE_ROUNDS", rounds)
-        _, x = K.greedy_descent(_quadratic, moves, [0.0, 0.0], 1.0)
-        assert sorted(set(steps), reverse=True) == [0.5**r for r in range(rounds)]
-        # at the floor step no axis move improves
+        K.greedy_descent(_capped(f_many, []), _axis_dirs(2), *_FREE, [0.0, 0.0], 1.0)
+        assert lengths == [0.0] + [0.5**r for r in range(rounds) for _ in range(4)]
+        # at the floor step no axis move improves on the quadratic's end point
+        _, x = K.greedy_descent(_capped(_quadratic, []), _axis_dirs(2), *_FREE, [0.0, 0.0], 1.0)
         floor = 0.5 ** (rounds - 1)
-        assert (_quadratic(_axis_moves(x, [floor])[0][0].T) >= _quadratic(x)).all()
+        assert (_quadratic((x + floor * _axis_dirs(2)).T) >= _quadratic(x)).all()
 
     def test_ties_do_not_move(self):
-        best, x = K.greedy_descent(lambda y: np.ones(y.shape[1]), _axis_moves, [2.0, 3.0], 0.5)
+        best, x = K.greedy_descent(_capped(_flat, []), _axis_dirs(2), *_FREE, [2.0, 3.0], 0.5)
         assert best == 1.0 and x.tolist() == [2.0, 3.0]
 
     def test_stalled_rounds_share_calls(self):
-        # no move ever improves: after the first round's sweep, one call
-        # takes the sweeps of every round left
-        calls, steps = [], []
-
-        def f_many(y):
-            calls.append(y.shape[1])
-            return np.ones(y.shape[1])
-
-        def moves(x, s):
-            steps.extend(s.tolist())
-            return _axis_moves(x, s)
-
-        best, x = K.greedy_descent(f_many, moves, [2.0, 3.0], 0.5)
+        # no move ever improves: after the call at x, each call takes the four moves of eight step sizes
+        calls = []
+        best, x = K.greedy_descent(_capped(_flat, calls), _axis_dirs(2), *_FREE, [2.0, 3.0], 0.5)
         assert best == 1.0 and x.tolist() == [2.0, 3.0]
-        assert K.REFINE_ROUNDS == 60 and calls == [1, 4, 236]
-        assert steps == [0.5 * 0.5**r for r in range(60)]
+        assert K.REFINE_ROUNDS == 60 and K._STEPS_PER_CALL == 8 and calls == [1] + [32] * 7 + [16]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_one_move_per_call_when_stalls_end(self, seed):
-        # a weighted L1 distance with a coupling term: sweeps stall until the
-        # step drops below a coordinate's distance to its target, then
-        # improve again; the points taken, in order, are the reference's
-        rng = np.random.default_rng(seed)
-        target, weight = rng.uniform(-2.0, 2.0, 3), rng.uniform(0.5, 2.0, 3)
+        # the descent ends where the one-move-at-a-time sweep does, to rounding
+        f_many, x0 = _coupled_l1(seed)
+        best, x = K.greedy_descent(_capped(f_many, []), _axis_dirs(3), *_FREE, x0, 1.0)
+        want_best, _ = _one_move_per_call(f_many, _axis_dirs(3), *_FREE, x0, 1.0)
+        assert abs(best - want_best) <= 1e-15 and best == f_many(x[:, None])[0]
 
-        def taking(log):
-            def f_many(y):
-                vals = (weight[:, None] * np.abs(y - target[:, None])).sum(axis=0) + 0.7 * np.abs(y[0] - y[1])
-                better = (vals < log[-1][0]).nonzero()[0] if log else [0]
-                if len(better):  # the first improving column of a call is taken
-                    log.append((vals[better[0]], y[:, better[0]].tolist()))
-                assert len(log) < 10_000, "the descent does not end"
-                return vals
-            return f_many
+    @pytest.mark.parametrize("seed", range(6))
+    def test_coupled_l1_within_budget(self, seed):
+        # best improvement at the largest step that has one: going to the best of the whole window instead
+        # lets a small step win, drops the larger ones, and the search crawls
+        f_many, x0 = _coupled_l1(seed)
+        calls = []
+        K.greedy_descent(_capped(f_many, calls), _axis_dirs(3), *_FREE, x0, 1.0)
+        assert len(calls) <= 120
 
-        x0 = rng.uniform(-2.0, 2.0, 3)
-        got, want = [], []
-        best, x = K.greedy_descent(taking(got), _axis_moves, x0, 1.0)
-        want_best, want_x = _one_move_per_call(taking(want), _axis_moves, x0, 1.0)
-        assert best == want_best and x.tolist() == want_x.tolist()
-        assert got == want and len(got) > 10
-
-    @pytest.mark.parametrize("grid_n", [20, 30, 41])
+    @pytest.mark.parametrize("grid_n", [20, 30, 41, 60])
     @pytest.mark.parametrize("n", range(2, 8))
     def test_decomposable_oracle_matches_one_move_per_call(self, monkeypatch, n, grid_n):
+        # the true minimum, and the one-move-at-a-time sweep's value, to rounding
+        monkeypatch.setattr(K, "greedy_descent", _capped_descent([]))
         got = D.brute_force_minimize(n, grid_n)
+        assert abs(got - D.corrected_minimum(n)[0]) <= 1e-15
         monkeypatch.setattr(K, "greedy_descent", _one_move_per_call)
-        assert D.brute_force_minimize(n, grid_n) == got
+        assert abs(got - D.brute_force_minimize(n, grid_n)) <= 1e-15 * got
 
     @pytest.mark.parametrize("grid_n", [10, 60])
     @pytest.mark.parametrize("lam", [1.0, 1.5, 2.0, 2.5, 3.0])
     def test_simplex_oracle_matches_one_move_per_call(self, monkeypatch, lam, grid_n):
+        monkeypatch.setattr(K, "greedy_descent", _capped_descent([]))
         got = S.grid_simplex_max(lam, grid_n=grid_n)
         monkeypatch.setattr(K, "greedy_descent", _one_move_per_call)
-        assert S.grid_simplex_max(lam, grid_n=grid_n) == got
+        assert abs(got - S.grid_simplex_max(lam, grid_n=grid_n)) <= 1e-15 * got
 
-
-def _coupled_l1(seed):
-    # the weighted L1 distance with a coupling term of test_matches_one_move_per_call_when_stalls_end
-    rng = np.random.default_rng(seed)
-    target, weight = rng.uniform(-2.0, 2.0, 3), rng.uniform(0.5, 2.0, 3)
-
-    def f_many(y):
-        return (weight[:, None] * np.abs(y - target[:, None])).sum(axis=0) + 0.7 * np.abs(y[0] - y[1])
-
-    return f_many, rng.uniform(-2.0, 2.0, 3)
+    @pytest.mark.parametrize("grid_n", [10, 60, 120])
+    @pytest.mark.parametrize("lam", [1e-6, 0.25, 0.3, 0.5, 0.74, 0.75, 0.76, 0.9, 1.0, 1.5, 2.0, 2.37, 2.5, 3.0, 10.0, 1e3])
+    def test_simplex_oracle_reaches_closed_form(self, monkeypatch, lam, grid_n):
+        monkeypatch.setattr(K, "greedy_descent", _capped_descent([]))
+        closed = S.scaled_simplex_max(lam)
+        assert abs(S.grid_simplex_max(lam, grid_n=grid_n) - closed) <= 1e-15 * closed
 
 
 def _each_move_once(descent, calls):
-    """``descent`` on points that carry the step and the row of the move that made them, so that
-    equal columns are the same move; fails on a move evaluated twice from the same point.  The
-    first improving column of a call is the next point, and the columns after it are discarded."""
+    """``descent`` with each move followed by a probe: the same point plus two coordinates holding the
+    step and the row, which f_many scores +inf.  No probe is ever taken, so their coordinates stay
+    exact; fails on a move evaluated twice from the same point.  The next point is the best move at
+    the largest step that improves."""
 
-    def checked(f_many, moves, x, step):
+    def checked(f_many, dirs, lo, hi, x, step):
         state = {"best": None, "seen": set()}
-
-        def labelled(x, steps):
-            cand, allowed = moves(x[:-2], steps)
-            shape = allowed.shape
-            step_col, row_col = np.broadcast_to(steps[:, None], shape), np.broadcast_to(np.arange(shape[1]), shape)
-            return np.dstack([cand, step_col, row_col]), allowed
+        labels = np.zeros((2 * len(dirs), 2))
+        labels[1::2] = np.column_stack([np.ones(len(dirs)), np.arange(1, len(dirs) + 1)])  # (s, s * (row + 1))
 
         def checking(y):
-            calls.append(y.shape[1])
-            vals = f_many(y[:-2])
-            for col, v in zip(y.T, vals):
-                assert col.tobytes() not in state["seen"], "a move evaluated twice from the same point"
-                state["seen"].add(col.tobytes())
-                if state["best"] is None or v < state["best"]:
-                    state["best"], state["seen"] = v, set()
-                    break
-            return vals
+            if state["best"] is None:  # the first call, at x
+                state["best"] = f_many(y[:-2])[0]
+                return np.array([state["best"]])
+            vals, probes = f_many(y[:-2, 0::2]), y[-2:, 1::2]  # a move's probe is the next column
+            moves = {tuple(p) for p in probes.T}
+            assert len(moves) == probes.shape[1] and not moves & state["seen"], "a move evaluated twice from one point"
+            state["seen"] |= moves
+            better = vals < state["best"]
+            if better.any():
+                at_step = probes[0] == probes[0, np.argmax(better)]
+                state["best"], state["seen"] = vals[at_step].min(), set()
+            return np.column_stack([vals, np.full_like(vals, np.inf)]).ravel()
 
-        best, x = descent(checking, labelled, np.append(x, (0.0, -1.0)), step)
+        extra = np.full(2, np.inf)
+        best, x = descent(
+            _capped(checking, calls), np.hstack([np.repeat(dirs, 2, axis=0), labels]),
+            np.append(np.broadcast_to(lo, len(x)), -extra), np.append(np.broadcast_to(hi, len(x)), extra),
+            np.append(x, (0.0, 0.0)), step,
+        )
         return best, x[:-2]
 
     return checked
 
 
 class TestEachMoveOnce:
-    """After a hit a call wraps round its sweep instead of sweeping again: no move is evaluated
-    twice from one point, and the oracles keep their values with fewer calls."""
+    """Between two improvements the descent evaluates each move once: after a call that finds nothing it
+    drops those steps, and after one that improves it goes on from the new point."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_coupled_l1(self, seed):
         f_many, x0 = _coupled_l1(seed)
         calls = []
-        best, x = _each_move_once(K.greedy_descent, calls)(f_many, _axis_moves, x0, 1.0)
-        want_best, want_x = K.greedy_descent(f_many, _axis_moves, x0, 1.0)
+        best, x = _each_move_once(K.greedy_descent, calls)(f_many, _axis_dirs(3), *_FREE, x0, 1.0)
+        want_best, want_x = K.greedy_descent(_capped(f_many, []), _axis_dirs(3), *_FREE, x0, 1.0)
         assert best == want_best and x.tolist() == want_x.tolist() and len(calls) > 10
 
     # the descent is deterministic, so each oracle's f_many calls are an exact count
-    @pytest.mark.parametrize("n, count", [(3, 20), (5, 38), (7, 83)])
+    @pytest.mark.parametrize("n, count", [(2, 9), (3, 16), (4, 9), (5, 35), (6, 9), (7, 52)])
     def test_decomposable_oracle(self, monkeypatch, n, count):
-        want, calls = D.brute_force_minimize(n, 30), []
-        monkeypatch.setattr(K, "greedy_descent", _each_move_once(K.greedy_descent, calls))
+        descent, calls = K.greedy_descent, []
+        monkeypatch.setattr(K, "greedy_descent", _capped_descent([]))
+        want = D.brute_force_minimize(n, 30)
+        monkeypatch.setattr(K, "greedy_descent", _each_move_once(descent, calls))
         assert D.brute_force_minimize(n, 30) == want and len(calls) == count
 
-    @pytest.mark.parametrize("lam, count", [(1.5, 5), (2.0, 62), (2.5, 50)])
+    @pytest.mark.parametrize("lam, count", [(1.5, 10), (2.0, 37), (2.5, 35)])
     def test_simplex_oracle(self, monkeypatch, lam, count):
-        want, calls = S.grid_simplex_max(lam, grid_n=60), []
-        monkeypatch.setattr(K, "greedy_descent", _each_move_once(K.greedy_descent, calls))
+        descent, calls = K.greedy_descent, []
+        monkeypatch.setattr(K, "greedy_descent", _capped_descent([]))
+        want = S.grid_simplex_max(lam, grid_n=60)
+        monkeypatch.setattr(K, "greedy_descent", _each_move_once(descent, calls))
         assert S.grid_simplex_max(lam, grid_n=60) == want and len(calls) == count
 
     @pytest.mark.parametrize(
@@ -383,24 +402,23 @@ class TestEachMoveOnce:
         ids=[f"decomp-{n}" for n in range(2, 8)] + [f"simplex-{lam}" for lam in (1.5, 2.0, 2.5)],
     )
     def test_one_moves_call_per_f_many_call(self, monkeypatch, run):
-        # after the first call, at x, every f_many call evaluates the candidates of one moves call
+        # after the first call, at x, every f_many call evaluates the moves of one call: at most
+        # _STEPS_PER_CALL step sizes of the oracle's direction table, every candidate inside its box
         descent, log = K.greedy_descent, []
 
-        def counted(f_many, moves, x, step):
+        def counted(f_many, dirs, lo, hi, x, step):
             def f(y):
-                log.append("f")
+                log.append(y.shape[1])
+                assert y.shape[1] <= K._STEPS_PER_CALL * len(dirs), "more than one call's moves"
+                assert ((y.T >= lo) & (y.T <= hi)).all(), "a candidate outside the box"
                 return f_many(y)
 
-            def m(x, steps):
-                log.append("moves")
-                return moves(x, steps)
-
-            return descent(f, m, x, step)
+            return descent(_capped(f, []), dirs, lo, hi, x, step)
 
         monkeypatch.setattr(K, "greedy_descent", counted)
         want = run()
-        assert log[0] == "f" and log[1:] == ["moves", "f"] * (len(log) // 2) and len(log) > 2
-        monkeypatch.setattr(K, "greedy_descent", descent)
+        assert log[0] == 1 and min(log[1:]) > 0 and len(log) > 2
+        monkeypatch.setattr(K, "greedy_descent", _capped_descent([]))
         assert run() == want
 
 

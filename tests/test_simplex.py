@@ -38,10 +38,11 @@ def test_argmax_substitution(lam):
 
 
 def test_domain_error():
-    # the lemma holds for every finite lambda > 0: the grid oracle refuses the rest before it scans
-    for lam in (0.0, -0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="finite and > 0"):
-            S.grid_simplex_max(lam)
+    # the lemma holds for every finite lambda > 0: each public function refuses the rest
+    for f in (S.scaled_simplex_max, S.boundary_candidates, S.grid_simplex_max):
+        for lam in (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0):
+            with pytest.raises(ValueError, match="finite and > 0"):
+                f(lam)
     with pytest.raises(ValueError, match="at least 10"):
         S.grid_simplex_max(1.0, grid_n=5)
 
@@ -116,5 +117,5 @@ def test_grid_with_refinement_tight(lam):
 def test_grid_simplex_max_pinned():
     # exact value of the grid scan plus greedy refinement; a change in the
     # refinement's move order or acceptance rule shows up here
-    assert S.grid_simplex_max(2.0, grid_n=60) == 0.09674981103552532
+    assert S.grid_simplex_max(2.0, grid_n=60) == 0.09674981103552534
 
